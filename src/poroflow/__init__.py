@@ -4,7 +4,7 @@ Two solution paths for the same boundary value problem: direct Picard
 iteration on the nonlinear system, and a change of dependent variable that
 makes the problem linear (one solve). Plus closed-form 1D solutions, an
 executable verification suite (extremum principles, reciprocity, bounded
-production flux), and a CLI.
+production flux).
 """
 
 from .errors import (

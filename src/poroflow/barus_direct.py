@@ -19,7 +19,7 @@ import numpy as np
 from . import darcy_linear, transform
 from .darcy_linear import LinearSolveConfig, SparseSystem
 from .errors import NoConvergence
-from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, VectorField, eval_bc
+from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, VectorField
 from .transform import BodyForcePotential, FluidModel
 
 log = logging.getLogger("poroflow.picard")
@@ -71,19 +71,6 @@ class PicardReport:
         return "\n".join(rows) + "\n"
 
 
-def _modified_bcs(bcs: BoundarySpec, xi: BodyForcePotential) -> BoundarySpec:
-    def shifted(data):
-        def f(x, y):
-            return eval_bc(data, x, y) + xi(x, y)
-
-        return f
-
-    return BoundarySpec(
-        pressure={lab: shifted(d) for lab, d in bcs.pressure.items()},
-        velocity=dict(bcs.velocity),
-    )
-
-
 def _assemble_at(
     mesh, fluid, xi_cents, K, mbcs, ptilde_values
 ) -> tuple[SparseSystem, np.ndarray]:
@@ -112,7 +99,7 @@ def picard_solve(
     config = config or PicardConfig()
     t0 = time.perf_counter()
 
-    mbcs = _modified_bcs(bcs, xi)
+    mbcs = darcy_linear.modified_bcs(bcs, xi)
     xi_nodes = xi.at_points(mesh.nodes)
     xi_cents = xi.at_points(mesh.centroids())
 
@@ -192,23 +179,14 @@ def nonlinear_residual(
     """Relative algebraic residual of the pressure-dependent discrete
     system evaluated at the given field (reduced to the free unknowns, so
     the scale is purely flux-like)."""
-    mbcs = _modified_bcs(bcs, xi)
+    mbcs = darcy_linear.modified_bcs(bcs, xi)
     xi_nodes = xi.at_points(mesh.nodes)
     xi_cents = xi.at_points(mesh.centroids())
     ptilde = p.values + xi_nodes
     system, _ = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde)
 
-    n = mesh.n_nodes
-    free = np.ones(n, dtype=bool)
-    d_idx = np.array(sorted(system.dirichlet_map), dtype=int)
-    if d_idx.size:
-        free[d_idx] = False
-    g_full = np.zeros(n)
-    if d_idx.size:
-        g_full[d_idx] = [system.dirichlet_map[i] for i in d_idx]
-    b_red = (system.raw_rhs - system.raw_matrix @ g_full)[free]
-    r = (system.raw_matrix @ ptilde - system.raw_rhs)[free]
-    scale = float(np.linalg.norm(b_red))
+    r = (system.raw_matrix @ ptilde - system.raw_rhs)[system.free]
+    scale = float(np.linalg.norm(system.b_red))
     if scale == 0.0:
         scale = float(np.linalg.norm(system.raw_matrix @ ptilde)) or 1.0
     return float(np.linalg.norm(r) / scale)

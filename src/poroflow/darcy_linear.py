@@ -5,9 +5,9 @@ model.
 
 M is the per-triangle mobility tensor (permeability over viscosity).
 Dirichlet rows are removed by symmetric elimination, the reduced SPD system
-is solved with (optionally Jacobi-preconditioned) conjugate gradients, and
-boundary fluxes are extracted from the unconstrained residual (reaction
-form), which is discretely conservative.
+is solved with one fill-reducing sparse LU factorization per solve, and
+boundary fluxes are extracted from the unconstrained residual (reaction form), which
+is discretely conservative.
 """
 
 from __future__ import annotations
@@ -29,7 +29,16 @@ from .errors import (
     SingularMobility,
     UnknownLabel,
 )
-from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, VectorField, eval_bc
+from .geometry import (
+    BoundarySpec,
+    Mesh,
+    PermeabilityField,
+    ScalarField,
+    VectorField,
+    edge_keys,
+    eval_bc,
+    triangle_edges,
+)
 from .transform import BodyForcePotential, FluidModel
 
 # 2-point Gauss rule on [0, 1]; exact for cubics, matches the boundary
@@ -40,34 +49,35 @@ _GAUSS2_W = np.array([0.5, 0.5])
 
 @dataclass
 class LinearSolveConfig:
-    cg_tol: float = 1e-12
-    cg_max_iter: Optional[int] = None  # default 20 * n_unknowns
-    preconditioner: str = "diagonal"  # "none" | "diagonal"
+    """How ``solve`` checks the reduced system: the relative residual of
+    the sparse LU solution must not exceed rtol."""
+
+    rtol: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.cg_tol < 1.0):
-            raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be >= 1")
-        if self.preconditioner not in ("none", "diagonal"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
+        if not (0.0 < self.rtol < 1.0):
+            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol}")
 
 
 @dataclass
 class SparseSystem:
     """Assembled discrete problem.
 
-    matrix/rhs hold the symmetric-eliminated system; raw_matrix/raw_rhs the
-    unconstrained stiffness and Neumann load (needed for reaction fluxes).
+    raw_matrix/raw_rhs hold the unconstrained stiffness and Neumann load
+    (needed for reaction fluxes). The Dirichlet-eliminated system is
+    A_red @ u[free] = b_red, with u = lift at the constrained nodes; pure-
+    velocity data is grounded there by pinning node 0 to zero.
     """
 
     mesh: Mesh
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
     raw_matrix: sp.csr_matrix
     raw_rhs: np.ndarray
     dirichlet_map: dict
     bcs: BoundarySpec
+    free: np.ndarray  # int32 indices of the unknown nodes
+    lift: np.ndarray  # nodal values: Dirichlet data, zero at free nodes
+    A_red: sp.csr_matrix  # symmetric, int32 indices
+    b_red: np.ndarray
 
 
 @dataclass
@@ -117,14 +127,15 @@ def p1_gradients(mesh: Mesh):
 
     Returns (grads, areas) with grads[t, i] = grad(phi_i) on triangle t.
     """
-    p = mesh.nodes[mesh.triangles]
-    x, y = p[:, :, 0], p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    x = mesh.nodes[mesh.triangles, 0]
+    y = mesh.nodes[mesh.triangles, 1]
     area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
         y[:, 1] - y[:, 0]
     )
-    grads = np.stack([b, c], axis=2) / area2[:, None, None]
+    grads = np.empty(x.shape + (2,))
+    grads[:, :, 0] = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    grads[:, :, 1] = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    grads /= area2[:, None, None]
     return grads, 0.5 * area2
 
 
@@ -178,64 +189,75 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
     _check_spd(mobility)
     bcs.validate_partition(mesh)
 
+    # Element entries k_ij = area * grad(phi_i) . M grad(phi_j): the diagonal
+    # and one of each off-diagonal pair, edges (i, i+1 mod 3). The stiffness
+    # is then D + U + U^T, exactly symmetric, so the CSR arrays of A_red are
+    # also its CSC arrays; no (n_tri, 3, 3) array or 9-entry COO is built,
+    # which keeps the assembly's memory peak low.
     grads, areas = p1_gradients(mesh)
-    ke = np.einsum("tia,tab,tjb->tij", grads, mobility, grads) * areas[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    fx = mobility[:, 0, 0, None] * gx + mobility[:, 0, 1, None] * gy  # M grad(phi_j)
+    fy = mobility[:, 1, 0, None] * gx + mobility[:, 1, 1, None] * gy
+    diag = (gx * fx + gy * fy) * areas[:, None]
+    nxt = [1, 2, 0]
+    off = (gx * fx[:, nxt] + gy * fy[:, nxt]) * areas[:, None]
+    del grads, gx, gy, fx, fy  # freed before the sparse build: lower peak
+    tri = mesh.triangles.astype(np.int32)
+    a, b = tri.ravel(), tri[:, nxt].ravel()
     n = mesh.n_nodes
-    raw = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    upper = sp.csr_matrix((off.ravel(), (np.minimum(a, b), np.maximum(a, b))), shape=(n, n))
+    raw = upper + upper.T + sp.diags(np.bincount(a, diag.ravel(), minlength=n))
     raw_rhs = _neumann_load(mesh, bcs)
 
     dirichlet = _dirichlet_values(mesh, bcs)
-    if dirichlet:
-        d_idx = np.array(sorted(dirichlet), dtype=int)
-        g = np.array([dirichlet[i] for i in d_idx])
-        g_full = np.zeros(n)
-        g_full[d_idx] = g
-        free = np.ones(n, dtype=bool)
-        free[d_idx] = False
-        rhs = raw_rhs - raw @ g_full
-        rhs[d_idx] = g
-        pf = sp.diags(free.astype(float))
-        matrix = (pf @ raw @ pf + sp.diags((~free).astype(float))).tocsr()
-    else:
-        matrix = raw.copy()
-        rhs = raw_rhs.copy()
+    pinned = dirichlet or {0: 0.0}
+    lift = np.zeros(n)
+    lift[list(pinned)] = list(pinned.values())
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pinned)] = False
+    free = np.flatnonzero(is_free).astype(np.int32)
 
     return SparseSystem(
         mesh=mesh,
-        matrix=matrix,
-        rhs=rhs,
         raw_matrix=raw,
         raw_rhs=raw_rhs,
         dirichlet_map=dirichlet,
         bcs=bcs,
+        free=free,
+        lift=lift,
+        A_red=raw[free][:, free],
+        b_red=(raw_rhs - raw @ lift)[free],
     )
 
 
-def _cg(A, b, tol, maxiter, precondition):
-    if b.size == 0:
-        return np.zeros(0), 0, 0.0
+def _lu(A, b):
+    """Solve with one SuperLU factorization of the SPD matrix A; returns
+    (x, relative residual). The factor is dropped on return."""
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    M = None
-    if precondition == "diagonal":
-        d = A.diagonal()
-        d = np.where(d > 0, d, 1.0)
-        M = sp.diags(1.0 / d)
-    it = [0]
-
-    def count(_):
-        it[0] += 1
-
-    x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M, callback=count)
-    res = float(np.linalg.norm(b - A @ x) / bnorm)
-    return x, (it[0] if info == 0 else -1), res
+        return np.zeros_like(b), 0.0
+    # A is symmetric: its CSR arrays, read as CSC, are A itself (no copy)
+    try:
+        lu = spla.splu(
+            sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            relax=4,
+            panel_size=8,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as err:  # SuperLU reports an exactly singular factor
+        raise NoConvergence(f"sparse LU factorization failed: {err}") from err
+    x = lu.solve(b)
+    return x, float(np.linalg.norm(b - A @ x) / bnorm)
 
 
 def solve(system: SparseSystem, config: Optional[LinearSolveConfig] = None) -> LinearSolveResult:
-    """Conjugate-gradient solve of the assembled system.
+    """Solve the assembled system for the nodal field.
+
+    The reduced SPD matrix is factored once with a fill-reducing sparse LU
+    (iterations = 0) and the relative residual is checked against
+    config.rtol; a residual above it, or not finite, raises NoConvergence.
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
@@ -243,11 +265,7 @@ def solve(system: SparseSystem, config: Optional[LinearSolveConfig] = None) -> L
     constant-shifted family.
     """
     config = config or LinearSolveConfig()
-    mesh = system.mesh
-    n = mesh.n_nodes
-
-    dirichlet = dict(system.dirichlet_map)
-    if not dirichlet:
+    if not system.dirichlet_map:
         net = float(system.raw_rhs.sum())
         scale = float(np.abs(system.raw_rhs).sum())
         if abs(net) > 1e-12 * max(scale, 1e-300):
@@ -255,34 +273,14 @@ def solve(system: SparseSystem, config: Optional[LinearSolveConfig] = None) -> L
                 f"pure-velocity data with net boundary flux {-net:.6e}; "
                 "compatibility condition violated"
             )
-        dirichlet = {0: 0.0}
 
-    d_idx = np.array(sorted(dirichlet), dtype=int)
-    g = np.array([dirichlet[i] for i in d_idx])
-    free = np.ones(n, dtype=bool)
-    free[d_idx] = False
-    free_idx = np.flatnonzero(free)
+    x_red, res = _lu(system.A_red, system.b_red)
+    if not res <= config.rtol:  # also catches a non-finite residual
+        raise NoConvergence(f"sparse LU residual {res:.3e} exceeds rtol={config.rtol}")
 
-    g_full = np.zeros(n)
-    g_full[d_idx] = g
-    b_red = (system.raw_rhs - system.raw_matrix @ g_full)[free_idx]
-    A_red = system.raw_matrix[free_idx][:, free_idx]
-
-    maxiter = config.cg_max_iter or max(20 * free_idx.size, 50)
-    x_red, iters, res = _cg(A_red, b_red, config.cg_tol, maxiter, config.preconditioner)
-    if iters < 0:
-        if not system.dirichlet_map:
-            raise IncompatibleNeumann(
-                "pure-velocity solve stagnated; boundary data likely incompatible"
-            )
-        raise NoConvergence(
-            f"CG did not reach rtol={config.cg_tol} in {maxiter} iterations "
-            f"(residual {res:.3e})"
-        )
-
-    values = g_full.copy()
-    values[free_idx] = x_red
-    return LinearSolveResult(field=ScalarField(mesh, values), iterations=iters, residual=res)
+    values = system.lift.copy()
+    values[system.free] = x_red
+    return LinearSolveResult(ScalarField(system.mesh, values), 0, res)
 
 
 def recover_velocity(P: ScalarField, mobility: np.ndarray) -> VectorField:
@@ -329,24 +327,14 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
 def boundary_flux_direct(v: VectorField, mesh: Mesh, label: str) -> float:
     """Direct edge integration of v.n (cross-check for boundary_flux)."""
     edges = mesh.edges_with_label(label)
-    normals = mesh.edge_normals()
-    lengths = mesh.edge_lengths()
-    edge_index = {
-        frozenset((int(a), int(b))): i for i, (a, b) in enumerate(mesh.boundary_edges)
-    }
-    tri_of_edge = {}
-    for t, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = frozenset((int(a), int(b)))
-            if key in edge_index:
-                tri_of_edge[key] = t
-    total = 0.0
-    for a, b in edges:
-        key = frozenset((int(a), int(b)))
-        i = edge_index[key]
-        t = tri_of_edge[key]
-        total += float(v.values[t] @ normals[i]) * float(lengths[i])
-    return total
+    n = mesh.n_nodes
+    tri_keys = edge_keys(triangle_edges(mesh.triangles), n)
+    order = np.argsort(tri_keys)
+    # a boundary edge belongs to exactly one triangle
+    hit = order[np.searchsorted(tri_keys[order], edge_keys(edges, n))]
+    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    # v.n * length with the outward normal (d_y, -d_x) / length
+    return float((v.values[hit // 3] * np.column_stack([d[:, 1], -d[:, 0]])).sum())
 
 
 def mobility_tensors(
@@ -359,21 +347,16 @@ def mobility_tensors(
     return K.tensors / np.asarray(mu0t)[:, None, None]
 
 
+def modified_bcs(bcs: BoundarySpec, xi: BodyForcePotential) -> BoundarySpec:
+    """Pressure data shifted by the body-force potential (p + xi);
+    velocity data is unchanged."""
+    return bcs.map_pressure(lambda p, x, y: p + xi(x, y))
+
+
 def transform_bcs(bcs: BoundarySpec, fluid: FluidModel, xi: BodyForcePotential) -> BoundarySpec:
     """Map physical pressure boundary data to the transformed variable;
     velocity data is unchanged."""
-
-    def mapped(data):
-        def f(x, y):
-            p = eval_bc(data, x, y)
-            return transform.hopf_cole_inverse(p, xi(x, y), fluid)
-
-        return f
-
-    return BoundarySpec(
-        pressure={lab: mapped(d) for lab, d in bcs.pressure.items()},
-        velocity=dict(bcs.velocity),
-    )
+    return bcs.map_pressure(lambda p, x, y: transform.hopf_cole_inverse(p, xi(x, y), fluid))
 
 
 def solve_transformed_bvp(
@@ -388,41 +371,65 @@ def solve_transformed_bvp(
     map pressure data to the transformed variable, solve the linear
     problem, map the nodal solution back.
 
-    Raises NonExistence (with the violating node set) when any nodal value
-    of the transformed solution is non-negative: no real pressure exists.
+    Raises NonExistence (with the violating node set) when the transformed
+    solution has no real pressure at some node off the pressure segments.
+
+    The solve runs in the Kirchhoff variable measured from p_ref, the lowest
+    prescribed modified pressure (p0 for pure-velocity data). Its boundary
+    data carry the contrasts without the common baseline, which is about
+    3.4e10 at Table-1 parameters and would swamp them. Nodes on pressure
+    segments take their pressure straight from the data, which may lie
+    further above p_ref than float64 can resolve in that variable. Velocity
+    and reactions come from the Kirchhoff field; report.P is that field in
+    the Hopf-Cole gauge (P = P_K - kirchhoff_ceiling).
+
+    Pure-velocity data fix the transformed solution up to a constant; the
+    member returned has p = p0 at node 0 (NonExistence if that member has
+    no real pressure).
     """
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: use the plain constant-viscosity solve")
     t0 = time.perf_counter()
 
-    tbcs = transform_bcs(bcs, fluid, xi)
-    mobility = mobility_tensors(mesh, fluid, xi, K)
-    system = assemble(mesh, mobility, tbcs)
-    result = solve(system, config)
-    Pvals = result.field.values
+    xi_nodes = xi.at_points(mesh.nodes)
+    prescribed = _dirichlet_values(mesh, bcs)
+    dnodes = np.fromiter(prescribed, dtype=np.int64, count=len(prescribed))
+    dvals = np.fromiter(prescribed.values(), dtype=float, count=len(prescribed))
+    p_ref = float((dvals + xi_nodes[dnodes]).min()) if dnodes.size else fluid.p0
 
-    if np.any(Pvals >= 0.0):
-        nodes = np.flatnonzero(Pvals >= 0.0)
+    kbcs = bcs.map_pressure(
+        lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
+    )
+    mobility = mobility_tensors(mesh, fluid, xi, K)
+    system = assemble(mesh, mobility, kbcs)
+    result = solve(system, config)
+    U = result.field.values
+    ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
+
+    inner = np.ones(mesh.n_nodes, dtype=bool)
+    inner[dnodes] = False
+    if np.any(U[inner] >= ceiling):
+        nodes = np.flatnonzero(inner & (U >= ceiling))
         raise NonExistence(
-            f"transformed solution non-negative at {nodes.size} node(s); "
+            f"transformed solution has no real pressure at {nodes.size} node(s); "
             "no real pressure solution exists for this boundary data",
             nodes=nodes,
         )
 
-    ptilde = transform.hopf_cole_forward(Pvals, fluid)
-    xi_nodes = xi.at_points(mesh.nodes)
-    p = ScalarField(mesh, ptilde - xi_nodes)
-    v = recover_velocity(result.field, mobility)
-    reactions = nodal_reactions(system, result.field)
+    p = np.empty(mesh.n_nodes)
+    p[inner] = transform.kirchhoff_inverse(U[inner], fluid, p_ref) - xi_nodes[inner]
+    p[dnodes] = dvals
+    P = U - ceiling
+    P[dnodes] = transform.hopf_cole_inverse(dvals, xi_nodes[dnodes], fluid)
 
     return SolveReport(
-        p=p,
-        v=v,
-        P=result.field,
+        p=ScalarField(mesh, p),
+        v=recover_velocity(result.field, mobility),
+        P=ScalarField(mesh, P),
         iterations=result.iterations,
         residual=result.residual,
         wall_time=time.perf_counter() - t0,
-        reactions=reactions,
+        reactions=nodal_reactions(system, result.field),
         transform_violation=False,
     )
 
@@ -440,18 +447,7 @@ def solve_darcy_bvp(
     t0 = time.perf_counter()
     mobility = mobility_tensors(mesh, fluid, xi, K)
     xi_nodes = xi.at_points(mesh.nodes)
-
-    def shifted(data):
-        def f(x, y):
-            return eval_bc(data, x, y) + xi(x, y)
-
-        return f
-
-    mbcs = BoundarySpec(
-        pressure={lab: shifted(d) for lab, d in bcs.pressure.items()},
-        velocity=dict(bcs.velocity),
-    )
-    system = assemble(mesh, mobility, mbcs)
+    system = assemble(mesh, mobility, modified_bcs(bcs, xi))
     result = solve(system, config)
     v = recover_velocity(result.field, mobility)
     return SolveReport(

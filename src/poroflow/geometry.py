@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class Mesh:
     def centroids(self) -> np.ndarray:
         return self.nodes[self.triangles].mean(axis=1)
 
-    def edge_lengths(self) -> np.ndarray:
-        d = self.nodes[self.boundary_edges[:, 1]] - self.nodes[self.boundary_edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
-
     def edge_normals(self) -> np.ndarray:
         """Outward unit normals of the boundary edges."""
         d = self.nodes[self.boundary_edges[:, 1]] - self.nodes[self.boundary_edges[:, 0]]
@@ -95,16 +91,25 @@ class Mesh:
         # boundary edges must cover the topological boundary exactly once
         if len(self.edge_labels) != self.boundary_edges.shape[0]:
             raise ValueError("one label per boundary edge required")
-        counts: Dict[frozenset, int] = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = frozenset((int(a), int(b)))
-                counts[key] = counts.get(key, 0) + 1
-        topo = {k for k, c in counts.items() if c == 1}
-        tagged = {frozenset((int(a), int(b))) for a, b in self.boundary_edges}
-        if topo != tagged:
+        # an edge of exactly one triangle lies on the topological boundary
+        keys, counts = np.unique(edge_keys(triangle_edges(t), n), return_counts=True)
+        topo = keys[counts == 1]
+        tagged = np.unique(edge_keys(self.boundary_edges, n))
+        if not np.array_equal(topo, tagged):
             raise ValueError("tagged edges do not match the topological boundary")
         return self
+
+
+def triangle_edges(triangles: np.ndarray) -> np.ndarray:
+    """(3 * n_tri, 2) node pairs: edges (0,1), (1,2), (2,0) of each triangle
+    in turn, so row k belongs to triangle k // 3."""
+    return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+
+
+def edge_keys(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Orientation-free int64 key min * n_nodes + max of each node pair."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return pairs.min(axis=1) * n_nodes + pairs.max(axis=1)
 
 
 def _grid(L, H, nx, ny):
@@ -154,37 +159,22 @@ def make_rectangle_mesh(L, H, nx, ny, pattern="diagonal") -> Mesh:
 
     nodes = _grid(L, H, nx, ny)
 
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
+    # lower-left corner a of cell (i, j), row-major over cells; then b, c, d CCW
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).ravel()
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
     if pattern == "diagonal":
-        for j in range(ny):
-            for i in range(nx):
-                a, b = nid(i, j), nid(i + 1, j)
-                c, d = nid(i + 1, j + 1), nid(i, j + 1)
-                tris.append((a, b, c))
-                tris.append((a, c, d))
+        tris = np.stack([a, b, c, a, c, d], axis=1)
     else:
-        center_ids = {}
-        extra = []
-        base = nodes.shape[0]
-        for j in range(ny):
-            for i in range(nx):
-                extra.append([(i + 0.5) * L / nx, (j + 0.5) * H / ny])
-                center_ids[(i, j)] = base + len(extra) - 1
-        nodes = np.vstack([nodes, np.array(extra)])
-        for j in range(ny):
-            for i in range(nx):
-                a, b = nid(i, j), nid(i + 1, j)
-                c, d = nid(i + 1, j + 1), nid(i, j + 1)
-                m = center_ids[(i, j)]
-                tris += [(a, b, m), (b, c, m), (c, d, m), (d, a, m)]
+        cx = (np.arange(nx) + 0.5) * L / nx
+        cy = (np.arange(ny) + 0.5) * H / ny
+        m = nodes.shape[0] + np.arange(nx * ny)
+        nodes = np.vstack([nodes, np.column_stack([np.tile(cx, ny), np.repeat(cy, nx)])])
+        tris = np.stack([a, b, m, b, c, m, c, d, m, d, a, m], axis=1)
 
     edges, sides = _rectangle_edges(nx, ny)
     mesh = Mesh(
         nodes=nodes,
-        triangles=np.array(tris, dtype=int),
+        triangles=tris.reshape(-1, 3),
         boundary_edges=edges,
         edge_labels=tuple(sides),
         nx=nx,
@@ -389,6 +379,18 @@ class BoundarySpec:
                 f"partitioned; spec covers {sorted(spec_labels)}"
             )
         return self
+
+    def map_pressure(self, fn: Callable) -> "BoundarySpec":
+        """Same partition with each pressure datum p replaced by
+        fn(p, x, y); velocity data is unchanged."""
+
+        def mapped(data):
+            return lambda x, y: fn(eval_bc(data, x, y), x, y)
+
+        return BoundarySpec(
+            pressure={lab: mapped(d) for lab, d in self.pressure.items()},
+            velocity=dict(self.velocity),
+        )
 
     def same_partition(self, other: "BoundarySpec") -> bool:
         return set(self.pressure) == set(other.pressure) and set(self.velocity) == set(

@@ -95,7 +95,7 @@ class TransformConstants:
             raise ValueError("A must be non-zero")
 
 
-def _checked_exp(arg):
+def _checked_exp(arg, exp=np.exp):
     arg = np.asarray(arg, dtype=float)
     if np.any(np.abs(arg) > EXP_ARG_LIMIT):
         worst = float(np.max(np.abs(arg)))
@@ -103,7 +103,7 @@ def _checked_exp(arg):
             f"exp argument magnitude {worst:.3g} exceeds {EXP_ARG_LIMIT}; "
             "result not representable in float64"
         )
-    return np.exp(arg)
+    return exp(arg)
 
 
 def _scalar_like(template, value):
@@ -157,7 +157,14 @@ def hopf_cole_forward(P, fluid: FluidModel):
         raise DomainViolation(
             f"transformed variable must be negative; {bad.size} value(s) >= 0"
         )
-    out = fluid.p0 * (1.0 - np.log(-fluid.beta * Pa / fluid.p0) / fluid.beta)
+    # Near P = -p0/beta the log argument rounds away the digits that order
+    # close inputs; there -P - p0/beta is exact (Sterbenz), so log1p of it
+    # keeps them and the map stays monotone in float64.
+    s = fluid.p0 / fluid.beta
+    near = (Pa <= -0.5 * s) & (Pa >= -2.0 * s)
+    z = np.where(near, (-Pa - s) / s, 0.0)
+    log_arg = np.where(near, np.log1p(z), np.log(-fluid.beta * Pa / fluid.p0))
+    out = fluid.p0 * (1.0 - log_arg / fluid.beta)
     return _scalar_like(P, out)
 
 
@@ -174,34 +181,47 @@ def hopf_cole_inverse(p, xi_value, fluid: FluidModel):
     return _scalar_like(p, out)
 
 
-def kirchhoff_forward(ptilde, fluid: FluidModel):
-    """Kirchhoff variable: integral of 1/g from p0 to ptilde.
-
-    P_K = (p0/beta) * (1 - exp[-beta*(ptilde/p0 - 1)]).
-    """
+def kirchhoff_ceiling(fluid: FluidModel, p_ref=None):
+    """Supremum of the Kirchhoff variable, its limit as ptilde -> inf:
+    (p0/beta) * exp[-beta*(p_ref/p0 - 1)]. A transformed value at or above
+    it has no real pressure. p_ref defaults to p0."""
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: transform undefined, use the Darcy path")
-    arg = -fluid.beta * (np.asarray(ptilde, dtype=float) / fluid.p0 - 1.0)
-    out = (fluid.p0 / fluid.beta) * (1.0 - _checked_exp(arg))
+    p_ref = fluid.p0 if p_ref is None else p_ref
+    arg = -fluid.beta * (p_ref / fluid.p0 - 1.0)
+    return float((fluid.p0 / fluid.beta) * _checked_exp(arg))
+
+
+def kirchhoff_forward(ptilde, fluid: FluidModel, p_ref=None):
+    """Kirchhoff variable: integral of 1/g from p_ref (default p0) to ptilde.
+
+    P_K = C * (1 - exp[-beta*(ptilde - p_ref)/p0]) with C the
+    kirchhoff_ceiling, evaluated with expm1 so that contrasts to p_ref
+    keep full relative precision.
+    """
+    ceiling = kirchhoff_ceiling(fluid, p_ref)
+    p_ref = fluid.p0 if p_ref is None else p_ref
+    arg = -fluid.beta * (np.asarray(ptilde, dtype=float) - p_ref) / fluid.p0
+    out = -ceiling * _checked_exp(arg, np.expm1)
     return _scalar_like(ptilde, out)
 
 
-def kirchhoff_inverse(P_K, fluid: FluidModel):
-    """Modified pressure from the Kirchhoff variable.
+def kirchhoff_inverse(P_K, fluid: FluidModel, p_ref=None):
+    """Modified pressure from the Kirchhoff variable (inverse of
+    kirchhoff_forward with the same p_ref).
 
-    ptilde = p0 * (1 - ln[1 - (beta/p0)*P_K] / beta); requires the log
-    argument to stay positive.
+    ptilde = p_ref - (p0/beta) * ln[1 - P_K/C], evaluated with log1p;
+    requires P_K < C, the kirchhoff_ceiling.
     """
-    if fluid.is_degenerate:
-        raise Degenerate("beta = 0: transform undefined, use the Darcy path")
-    PKa = np.asarray(P_K, dtype=float)
-    arg = 1.0 - (fluid.beta / fluid.p0) * PKa
-    if np.any(arg <= 0.0):
-        bad = np.flatnonzero(np.atleast_1d(arg <= 0.0))
+    ceiling = kirchhoff_ceiling(fluid, p_ref)
+    p_ref = fluid.p0 if p_ref is None else p_ref
+    x = -np.asarray(P_K, dtype=float) / ceiling
+    if np.any(x <= -1.0):
+        bad = np.flatnonzero(np.atleast_1d(x <= -1.0))
         raise DomainViolation(
             f"Kirchhoff inverse undefined: log argument <= 0 at {bad.size} value(s)"
         )
-    out = fluid.p0 * (1.0 - np.log(arg) / fluid.beta)
+    out = p_ref - fluid.p0 * np.log1p(x) / fluid.beta
     return _scalar_like(P_K, out)
 
 

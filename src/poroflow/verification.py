@@ -257,10 +257,22 @@ def _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight, quad_order):
     if not bcs1.same_partition(bcs2):
         raise PartitionMismatch("the two problems must share one boundary partition")
 
-    lhs_v = _gamma_v_integral(mesh, bcs2, sol1.field.values, weight, quad_order)
-    lhs_p = _gamma_p_sum(mesh, bcs2, sol1.reactions, weight)
-    rhs_v = _gamma_v_integral(mesh, bcs1, sol2.field.values, weight, quad_order)
-    rhs_p = _gamma_p_sum(mesh, bcs1, sol2.reactions, weight)
+    # Shifting every weight by one constant c changes both sides by the same
+    # amount, -c times the summed outflow of the two problems through the
+    # velocity segments (each problem conserves mass). Taking c near the
+    # weights removes their common baseline (p0/beta for the Hopf-Cole
+    # variable, ~1 for the Barus weight), which would otherwise swamp the
+    # contrasts in cancellation.
+    data = np.concatenate([_prescribed_values(mesh, bcs1), _prescribed_values(mesh, bcs2)])
+    ref = float(np.mean(weight(data))) if data.size else 0.0
+
+    def shifted(f):
+        return weight(f) - ref
+
+    lhs_v = _gamma_v_integral(mesh, bcs2, sol1.field.values, shifted, quad_order)
+    lhs_p = _gamma_p_sum(mesh, bcs2, sol1.reactions, shifted)
+    rhs_v = _gamma_v_integral(mesh, bcs1, sol2.field.values, shifted, quad_order)
+    rhs_p = _gamma_p_sum(mesh, bcs1, sol2.reactions, shifted)
     lhs = lhs_v - lhs_p
     rhs = rhs_v - rhs_p
     scale = max(abs(lhs), abs(rhs), abs(lhs_v), abs(lhs_p), abs(rhs_v), abs(rhs_p), 1e-300)

@@ -7,8 +7,20 @@ agreement is evidence rather than tautology.
 """
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
+
+
+def jacobi_cg(A, b, rtol):
+    """Solve the SPD system A x = b iteratively (instead of by the
+    library's sparse LU): Jacobi-preconditioned conjugate gradients,
+    stopped at relative residual rtol."""
+    M = sp.diags(1.0 / A.diagonal())
+    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=20 * b.size, M=M)
+    assert info == 0, "reference CG did not converge"
+    return x
 
 
 def strip_pressure_ode(x_eval, L, k, fluid, v0, p_R=None):

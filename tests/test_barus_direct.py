@@ -164,13 +164,25 @@ class TestPicardSolve:
         assert "diverging" in str(err.value)
 
     def test_propagates_linear_failures(self):
-        # extreme viscosity contrast makes the inner system numerically
-        # singular; the linear kernel's failure must surface unchanged
+        # a residual limit below eps makes every inner solve fail; the
+        # linear kernel's failure must surface unchanged
         fluid = FluidModel(mu0=1.0, beta=60.0, p0=1.0)
         mesh = make_rectangle_mesh(1.0, 0.2, 16, 2)
         K = PermeabilityField.isotropic(mesh, 1.0)
+        cfg = bd.PicardConfig(linear=dl.LinearSolveConfig(rtol=1e-18))
         with pytest.raises(NoConvergence):
-            bd.picard_solve(mesh, fluid, ZERO_XI, K, strip_bcs(3.0, 1.0))
+            bd.picard_solve(mesh, fluid, ZERO_XI, K, strip_bcs(3.0, 1.0), cfg)
+
+    def test_extreme_contrast_converges_with_direct_solve(self):
+        # extreme viscosity contrast on the default residual limit
+        fluid = FluidModel(mu0=1.0, beta=60.0, p0=1.0)
+        mesh = make_rectangle_mesh(1.0, 0.2, 16, 2)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bcs = strip_bcs(3.0, 1.0)
+        report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
+        assert report.converged
+        assert report.linear_iterations == 0
+        assert bd.nonlinear_residual(report.p, mesh, fluid, ZERO_XI, K, bcs) < 1e-10
 
 
 class TestNonlinearResidual:

@@ -1,5 +1,5 @@
-"""Linear P1 kernel: assembly, CG solve, velocity recovery, consistent
-boundary fluxes, and the three-step transformed solution path."""
+"""Linear P1 kernel: assembly, sparse-LU solve, velocity recovery,
+consistent boundary fluxes, and the three-step transformed solution path."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from poroflow import (
 )
 from poroflow import darcy_linear as dl
 from poroflow import oned_analytic as o1
+from poroflow import transform as tr
 
 import _oracles
 
@@ -49,9 +50,9 @@ class TestAssemble:
     def test_eliminated_matrix_symmetric(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 4, 4)
         system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
-        d = system.matrix - system.matrix.T
-        scale = np.abs(system.matrix.data).max()
-        assert np.abs(d.data).max() if d.nnz else 0.0 <= 1e-12 * scale
+        d = system.A_red - system.A_red.T
+        scale = np.abs(system.A_red.data).max()
+        assert (np.abs(d.data).max() if d.nnz else 0.0) <= 1e-12 * scale
 
     def test_singular_mobility_rejected(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 1, 1)
@@ -117,10 +118,28 @@ class TestSolve:
         assert np.max(np.abs(result.field.values - mesh.nodes[:, 0])) < 1e-10
 
     def test_no_convergence_reported(self):
+        # the LU residual (about 1e-15 here) cannot meet a limit below eps
         mesh = make_rectangle_mesh(1.0, 1.0, 20, 20)
         system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
         with pytest.raises(NoConvergence):
-            dl.solve(system, dl.LinearSolveConfig(cg_tol=1e-14, cg_max_iter=2))
+            dl.solve(system, dl.LinearSolveConfig(rtol=1e-18))
+
+    def test_direct_and_cg_agree(self, table1_fluid):
+        # the transformed reservoir system, solved by LU and by reference CG
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        bcs = BoundarySpec(
+            pressure={"inlet": 10 * table1_fluid.p0, "well": table1_fluid.p0},
+            velocity={"wall": 0.0},
+        )
+        kbcs = bcs.map_pressure(lambda p, x, y: tr.kirchhoff_forward(p, table1_fluid))
+        mobility = dl.mobility_tensors(mesh, table1_fluid, ZERO_XI, K)
+        system = dl.assemble(mesh, mobility, kbcs)
+        result = dl.solve(system)
+        assert result.iterations == 0
+        direct = result.field.values[system.free]
+        cg = _oracles.jacobi_cg(system.A_red, system.b_red, rtol=1e-12)
+        assert np.max(np.abs(direct - cg)) <= 1e-10 * np.max(np.abs(cg))
 
     def test_convergence_order_on_strip(self, table1_fluid):
         # 1D-in-2D strip: transformed solve vs the nonlinear closed form.
@@ -319,6 +338,49 @@ class TestTransformedBVP:
         assert np.max(np.abs(report.p.values - expect)) < 1e-8 * pref
         v_scale = (1e-12 / table1_fluid.mu0) * (table1_fluid.p0 / table1_fluid.beta) / 10.0
         assert np.max(np.abs(report.v.values)) < 1e-10 * v_scale
+
+    @pytest.mark.parametrize(
+        "fluid, p_left, p_right",
+        [(FluidModel(1.0, 60.0, 1.0), 3.0, 1.0), (FluidModel(1.0, 1.0, 1.0), 101.0, 100.0)],
+        ids=["inlet_beyond_p0_gauge", "all_beyond_p0_gauge"],
+    )
+    def test_high_pressure_strip(self, fluid, p_left, p_right):
+        # beta*(p/p0 - 1) reaches 120 at the inlet of the first strip and
+        # exceeds 99 everywhere on the second: a Kirchhoff variable measured
+        # from p0 rounds those pressures onto its ceiling
+        L, k = 1.0, 1.0
+        mesh = make_rectangle_mesh(L, 0.2, 16, 2)
+        K = PermeabilityField.isotropic(mesh, k)
+        bcs = lr_dirichlet(p_left, p_right)
+        report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+
+        def e(p):
+            return np.exp(-fluid.beta * (p / fluid.p0 - 1.0))
+
+        v0 = fluid.p0 * k * (e(p_right) - e(p_left)) / (fluid.mu0 * fluid.beta * L)
+        problem = o1.StripProblem(L=L, k=k, fluid=fluid, v0=v0, p_R=p_right)
+        x = mesh.nodes[:, 0]
+        inlet = x == 0.0
+        assert np.all(report.p.values[inlet] == p_left)
+        exact = o1.direct_pressure_1d(x[~inlet], problem)
+        err = np.max(np.abs(report.p.values[~inlet] - exact))
+        assert err <= 1e-12 * (p_left - p_right)
+
+    def test_pure_velocity_grounded_at_p0(self):
+        # the transformed solution is fixed up to a constant; the member
+        # returned has p = p0 at node 0, where the linear Kirchhoff
+        # variable -mu0*v0*x/k is zero
+        fluid = FluidModel(1.0, 1.0, 1.0)
+        k, v0 = 1.0, 0.5
+        mesh = make_rectangle_mesh(1.0, 0.2, 8, 2)
+        K = PermeabilityField.isotropic(mesh, k)
+        bcs = BoundarySpec(
+            pressure={}, velocity={"left": -v0, "right": v0, "top": 0.0, "bottom": 0.0}
+        )
+        report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert report.p.values[0] == fluid.p0
+        exact = tr.kirchhoff_inverse(-fluid.mu0 * v0 * mesh.nodes[:, 0] / k, fluid)
+        assert np.max(np.abs(report.p.values - exact)) < 1e-12
 
     def test_report_text(self, table1_fluid):
         mesh = make_reservoir_mesh(10.0, 3.0, 1.0, 5, 3)

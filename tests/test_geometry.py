@@ -6,6 +6,7 @@ import pytest
 from poroflow import (
     BadDimensions,
     BoundarySpec,
+    Mesh,
     OutOfDomain,
     PermeabilityField,
     ScalarField,
@@ -53,11 +54,72 @@ class TestRectangleMesh:
             center = np.array([1.0, 0.5])
             assert np.dot(n, mid - center) > 0.0
 
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    def test_matches_loop_construction(self, pattern):
+        # cell-by-cell reference: lower-left a, then b, c, d counter-clockwise
+        L, H, nx, ny = 3.0, 1.7, 4, 3
+        mesh = make_rectangle_mesh(L, H, nx, ny, pattern=pattern)
+        base = (nx + 1) * (ny + 1)
+        tris, centers = [], []
+        for j in range(ny):
+            for i in range(nx):
+                a, b = j * (nx + 1) + i, j * (nx + 1) + i + 1
+                c, d = b + nx + 1, a + nx + 1
+                if pattern == "diagonal":
+                    tris += [(a, b, c), (a, c, d)]
+                else:
+                    m = base + len(centers)
+                    centers.append([(i + 0.5) * L / nx, (j + 0.5) * H / ny])
+                    tris += [(a, b, m), (b, c, m), (c, d, m), (d, a, m)]
+        assert np.array_equal(mesh.triangles, np.array(tris))
+        if centers:
+            assert np.array_equal(mesh.nodes[base:], np.array(centers))
+
     def test_bad_inputs(self):
         with pytest.raises(BadDimensions):
             make_rectangle_mesh(0.0, 1.0, 2, 2)
         with pytest.raises(BadDimensions):
             make_rectangle_mesh(1.0, 1.0, 0, 2)
+
+
+class TestValidate:
+    def retagged(self, mesh, edges):
+        return Mesh(
+            nodes=mesh.nodes,
+            triangles=mesh.triangles,
+            boundary_edges=np.asarray(edges),
+            edge_labels=("wall",) * len(edges),
+            nx=mesh.nx,
+            ny=mesh.ny,
+            extent=mesh.extent,
+        )
+
+    def test_tagging_compared_as_a_set(self):
+        # orientation and repetition of tagged edges do not matter
+        mesh = make_rectangle_mesh(1.0, 1.0, 3, 2)
+        edges = mesh.boundary_edges
+        self.retagged(mesh, edges[:, ::-1]).validate()
+        self.retagged(mesh, np.vstack([edges, edges[:1]])).validate()
+
+    def test_missing_or_interior_edge_rejected(self):
+        mesh = make_rectangle_mesh(1.0, 1.0, 3, 2, pattern="crossed")
+        edges = mesh.boundary_edges
+        with pytest.raises(ValueError, match="topological boundary"):
+            self.retagged(mesh, edges[1:]).validate()
+        interior = mesh.triangles[0, 1:]  # corner-to-center edge
+        with pytest.raises(ValueError, match="topological boundary"):
+            self.retagged(mesh, np.vstack([edges, interior])).validate()
+
+    def test_other_defects_rejected(self):
+        mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)
+        flipped = mesh.triangles.copy()
+        flipped[0] = flipped[0, ::-1]
+        with pytest.raises(ValueError, match="positive signed area"):
+            Mesh(mesh.nodes, flipped, mesh.boundary_edges, mesh.edge_labels,
+                 mesh.nx, mesh.ny, mesh.extent).validate()
+        with pytest.raises(ValueError, match="one label per boundary edge"):
+            Mesh(mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.edge_labels[1:],
+                 mesh.nx, mesh.ny, mesh.extent).validate()
 
 
 class TestReservoirMesh:

@@ -141,7 +141,13 @@ class TestHopfColeForward:
         if P1 == P2:
             return
         lo, hi = min(P1, P2), max(P1, P2)
-        assert tr.hopf_cole_forward(lo, fluid) < tr.hopf_cole_forward(hi, fluid)
+        f_lo, f_hi = tr.hopf_cole_forward(lo, fluid), tr.hopf_cole_forward(hi, fluid)
+        assert f_lo <= f_hi
+        # Strict order is only observable when the exact images lie more
+        # than a few output ulps apart.
+        exact_gap = fluid.p0 / fluid.beta * np.log1p((lo - hi) / hi)
+        if exact_gap > 8 * np.spacing(max(abs(f_lo), abs(f_hi))):
+            assert f_lo < f_hi
 
 
 class TestHopfColeInverse:
