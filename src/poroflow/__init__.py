@@ -9,7 +9,6 @@ production flux).
 
 from .errors import (
     BadDimensions,
-    ConfigError,
     Degenerate,
     DomainViolation,
     IncompatibleNeumann,
@@ -40,7 +39,6 @@ __all__ = [
     "BadDimensions",
     "BodyForcePotential",
     "BoundarySpec",
-    "ConfigError",
     "Degenerate",
     "DomainViolation",
     "FluidModel",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import darcy_linear, transform
 from .darcy_linear import LinearSolveConfig, SparseSystem
-from .errors import NoConvergence
+from .errors import NoConvergence, TransformOverflow
 from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, VectorField
 from .transform import BodyForcePotential, FluidModel
 
@@ -93,8 +93,10 @@ def picard_solve(
 
     Divergence guard: three consecutive growing update norms trigger a
     halving of the relaxation factor; after four halvings the solve raises
-    NoConvergence. beta = 0 is a single linear solve (the viscosity does
-    not depend on pressure, so the first sweep is already the fixed point).
+    NoConvergence. An iterate whose viscosity overflows float64 also raises
+    NoConvergence, with the report of the last iterate that had a finite
+    one. beta = 0 is a single linear solve (the viscosity does not depend
+    on pressure, so the first sweep is already the fixed point).
     """
     config = config or PicardConfig()
     t0 = time.perf_counter()
@@ -108,11 +110,11 @@ def picard_solve(
     else:
         ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
 
-    def finish(ptilde_final, history, converged, lin_iters):
-        system, mobility = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde_final)
-        fieldP = ScalarField(mesh, ptilde_final)
+    def finish(ptilde_k, system, mobility, history, converged, lin_iters):
+        """Report on iterate ptilde_k, with the system assembled at it."""
+        fieldP = ScalarField(mesh, ptilde_k)
         return PicardReport(
-            p=ScalarField(mesh, ptilde_final - xi_nodes),
+            p=ScalarField(mesh, ptilde_k - xi_nodes),
             v=darcy_linear.recover_velocity(fieldP, mobility),
             iterations=len(history),
             update_history=history,
@@ -122,10 +124,11 @@ def picard_solve(
             linear_iterations=lin_iters,
         )
 
+    system, mobility = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde)
     if fluid.beta == 0.0:
-        system, _ = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde)
+        # the mobility does not depend on pressure: one system serves all
         result = darcy_linear.solve(system, config.linear)
-        return finish(result.field.values, [0.0], True, result.iterations)
+        return finish(result.field.values, system, mobility, [0.0], True, result.iterations)
 
     omega = config.relaxation
     history = []
@@ -134,29 +137,37 @@ def picard_solve(
     halvings = 0
 
     for _ in range(config.max_iter):
-        system, _ = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde)
         result = darcy_linear.solve(system, config.linear)
         lin_total += result.iterations
         new = (1.0 - omega) * ptilde + omega * result.field.values
         upd = float(
             np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300)
         )
+        try:
+            # the system at the new iterate serves its report or the next sweep
+            new_system, new_mobility = _assemble_at(mesh, fluid, xi_cents, K, mbcs, new)
+        except TransformOverflow as err:
+            raise NoConvergence(
+                f"sweep {len(history) + 1} (update {upd:.3e}) gave an iterate whose "
+                f"viscosity overflows: {err}; the report holds iterate {len(history)}",
+                report=finish(ptilde, system, mobility, history, False, lin_total),
+            ) from err
         if history and upd > history[-1]:
             grow += 1
         else:
             grow = 0
         history.append(upd)
         log.debug("picard sweep %d: update %.3e (omega=%.3f)", len(history), upd, omega)
-        ptilde = new
+        ptilde, system, mobility = new, new_system, new_mobility
         if upd <= config.tol:
-            return finish(ptilde, history, True, lin_total)
+            return finish(ptilde, system, mobility, history, True, lin_total)
         if grow >= 3:
             halvings += 1
             if halvings > 4:
                 raise NoConvergence(
                     f"update norm diverging after {len(history)} sweeps "
                     f"despite {halvings - 1} relaxation halvings",
-                    report=finish(ptilde, history, False, lin_total),
+                    report=finish(ptilde, system, mobility, history, False, lin_total),
                 )
             omega *= 0.5
             grow = 0
@@ -164,7 +175,7 @@ def picard_solve(
     raise NoConvergence(
         f"no convergence to tol={config.tol} within {config.max_iter} sweeps "
         f"(last update {history[-1]:.3e})",
-        report=finish(ptilde, history, False, lin_total),
+        report=finish(ptilde, system, mobility, history, False, lin_total),
     )
 
 

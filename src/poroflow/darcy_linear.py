@@ -5,14 +5,22 @@ model.
 
 M is the per-triangle mobility tensor (permeability over viscosity).
 Dirichlet rows are removed by symmetric elimination, the reduced SPD system
-is solved with one fill-reducing sparse LU factorization per solve, and
-boundary fluxes are extracted from the unconstrained residual (reaction form), which
-is discretely conservative.
+is solved with a fill-reducing sparse LU factorization, and boundary fluxes
+are extracted from the unconstrained residual (reaction form), which is
+discretely conservative.
+
+The factor of the last reduced matrix factored is kept while the mesh it
+was built on lives, and a solve whose reduced matrix is bitwise the same
+reuses it. The transformed problem's matrix depends on the mesh, the
+permeability and mu0 but not on the boundary data, so a sweep over
+pressure data factors once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -106,8 +114,7 @@ class SolveReport:
             "poroflow solve report",
             f"nodes = {self.p.mesh.n_nodes}",
             f"triangles = {self.p.mesh.n_triangles}",
-            f"cg_iterations = {self.iterations}",
-            f"cg_residual = {self.residual:.6e}",
+            f"linear_residual = {self.residual:.6e}",
             f"wall_time_s = {self.wall_time:.6f}",
             f"p_min = {self.p.values.min():.10e}",
             f"p_max = {self.p.values.max():.10e}",
@@ -230,24 +237,60 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
     )
 
 
-def _lu(A, b):
-    """Solve with one SuperLU factorization of the SPD matrix A; returns
-    (x, relative residual). The factor is dropped on return."""
+# (weakref to the Mesh, SHA-256 of the reduced matrix, SuperLU factor) of
+# the last matrix factored, or None. One entry at most: a held factor costs
+# about 37 MB at 48k nodes.
+_factor_entry = None
+
+
+def _release(ref):
+    """Weakref callback: a collected mesh takes its factor with it, unless
+    the entry has since been replaced by another one."""
+    global _factor_entry
+    entry = _factor_entry
+    if entry is not None and entry[0] is ref:
+        _factor_entry = None
+
+
+def _digest(A) -> bytes:
+    """SHA-256 of everything SuperLU reads from A: shape, dtypes, indptr,
+    indices and data."""
+    arrays = (A.indptr, A.indices, A.data)
+    h = hashlib.sha256(repr((A.shape, [a.dtype.str for a in arrays])).encode())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
+def _lu(A, b, mesh):
+    """Solve A x = b (A SPD) with a SuperLU factor of A; returns
+    (x, relative residual). The factor is kept until the next call that
+    sees another matrix, or until mesh is collected; a call whose A has the
+    same digest reuses it."""
+    global _factor_entry
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
-    # A is symmetric: its CSR arrays, read as CSC, are A itself (no copy)
-    try:
-        lu = spla.splu(
-            sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            relax=4,
-            panel_size=8,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as err:  # SuperLU reports an exactly singular factor
-        raise NoConvergence(f"sparse LU factorization failed: {err}") from err
+    digest = _digest(A)
+    entry = _factor_entry
+    if entry is not None and entry[1] == digest:
+        lu = entry[2]
+    else:
+        # drop the old factor before building the new one: never two at once
+        _factor_entry = entry = None
+        # A is symmetric: its CSR arrays, read as CSC, are A itself (no copy)
+        try:
+            lu = spla.splu(
+                sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                relax=4,
+                panel_size=8,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as err:  # SuperLU reports an exactly singular factor
+            raise NoConvergence(f"sparse LU factorization failed: {err}") from err
+        _factor_entry = (weakref.ref(mesh, _release), digest, lu)
     x = lu.solve(b)
     return x, float(np.linalg.norm(b - A @ x) / bnorm)
 
@@ -255,9 +298,13 @@ def _lu(A, b):
 def solve(system: SparseSystem, config: Optional[LinearSolveConfig] = None) -> LinearSolveResult:
     """Solve the assembled system for the nodal field.
 
-    The reduced SPD matrix is factored once with a fill-reducing sparse LU
+    The reduced SPD matrix is solved with a fill-reducing sparse LU
     (iterations = 0) and the relative residual is checked against
-    config.rtol; a residual above it, or not finite, raises NoConvergence.
+    config.rtol on every call; a residual above it, or not finite, raises
+    NoConvergence. The factor is reused while system.mesh lives, for as
+    long as the calls see a reduced matrix with the same shape, pattern and
+    values; any other matrix replaces it. A reused factor gives results
+    bitwise identical to a fresh one.
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
@@ -274,7 +321,7 @@ def solve(system: SparseSystem, config: Optional[LinearSolveConfig] = None) -> L
                 "compatibility condition violated"
             )
 
-    x_red, res = _lu(system.A_red, system.b_red)
+    x_red, res = _lu(system.A_red, system.b_red, system.mesh)
     if not res <= config.rtol:  # also catches a non-finite residual
         raise NoConvergence(f"sparse LU residual {res:.3e} exceeds rtol={config.rtol}")
 

@@ -62,11 +62,3 @@ class PartitionMismatch(PoroflowError):
 class NotApplicable(PoroflowError):
     """Hypotheses of a principle check do not hold for the given data."""
 
-
-class ConfigError(PoroflowError):
-    """Invalid run configuration; carries (line, message) pairs."""
-
-    def __init__(self, issues):
-        self.issues = list(issues)
-        lines = "; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.issues)
-        super().__init__(lines)

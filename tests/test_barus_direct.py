@@ -15,6 +15,7 @@ from poroflow import (
 )
 from poroflow import barus_direct as bd
 from poroflow import darcy_linear as dl
+from poroflow import transform as tr
 
 ZERO_XI = BodyForcePotential.zero()
 
@@ -172,6 +173,28 @@ class TestPicardSolve:
         cfg = bd.PicardConfig(linear=dl.LinearSolveConfig(rtol=1e-18))
         with pytest.raises(NoConvergence):
             bd.picard_solve(mesh, fluid, ZERO_XI, K, strip_bcs(3.0, 1.0), cfg)
+
+    def test_overflowing_iterate_raises_no_convergence(self, unit_fluid):
+        # v0 = 0.99 v*: an iterate overshoots far enough that its viscosity
+        # exp(beta*(p/p0 - 1)) leaves float64; the report is the iterate before
+        L = 10.0
+        mesh = make_rectangle_mesh(L, 3.0, 8, 3)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        v_star = unit_fluid.p0 / (unit_fluid.mu0 * L * unit_fluid.beta)
+        bcs = BoundarySpec(
+            pressure={"right": unit_fluid.p0},
+            velocity={"left": -0.99 * v_star, "top": 0.0, "bottom": 0.0},
+        )
+        with pytest.raises(NoConvergence, match="overflows") as err:
+            bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, bcs)
+        report = err.value.report
+        assert report is not None and not report.converged
+        assert report.iterations == len(report.update_history) >= 1
+        assert np.all(np.isfinite(report.p.values))
+        assert np.all(np.isfinite(report.v.values))
+        assert np.all(np.isfinite(report.reactions))
+        tri_mean = report.p.values[mesh.triangles].mean(axis=1)
+        assert np.all(np.isfinite(tr.viscosity(tri_mean, unit_fluid)))
 
     def test_extreme_contrast_converges_with_direct_solve(self):
         # extreme viscosity contrast on the default residual limit

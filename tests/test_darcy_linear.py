@@ -1,6 +1,8 @@
 """Linear P1 kernel: assembly, sparse-LU solve, velocity recovery,
 consistent boundary fluxes, and the three-step transformed solution path."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,83 @@ class TestSolve:
             errs.append(err / ref)
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
+
+
+class TestFactorReuse:
+    """solve keeps the LU factor of the last reduced matrix while its mesh
+    lives. Each test draws its own mobility scale, so no entry left by
+    another test can match its matrix."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+        splu = dl.spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(dl.spla, "splu", counting)
+        return calls
+
+    @staticmethod
+    def strip_system(scale, nx=7):
+        mesh = make_rectangle_mesh(1.0, 1.0, nx, 5)
+        return mesh, dl.assemble(mesh, scale * identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
+
+    def test_second_solve_reuses_factor_bitwise(self, splu_calls):
+        mesh, system = self.strip_system(1.25)
+        first = dl.solve(system).field.values
+        again = dl.solve(system).field.values
+        assert len(splu_calls) == 1
+        _, other = self.strip_system(1.25, nx=6)
+        dl.solve(other)  # another matrix replaces the entry
+        fresh = dl.solve(system).field.values
+        assert len(splu_calls) == 3
+        assert np.array_equal(again, fresh) and np.array_equal(first, fresh)
+        assert np.max(np.abs(fresh - mesh.nodes[:, 0])) < 1e-10
+
+    def test_values_changed_in_place_refactor(self, splu_calls):
+        # same objects, new values: a cache keyed on identity would return
+        # the old solution times 3
+        mesh, system = self.strip_system(1.5)
+        dl.solve(system)
+        system.A_red.data *= 3.0
+        system.b_red *= 3.0
+        result = dl.solve(system)
+        assert len(splu_calls) == 2
+        assert np.max(np.abs(result.field.values - mesh.nodes[:, 0])) < 1e-10
+
+    def test_entry_released_with_mesh(self, splu_calls):
+        mesh, system = self.strip_system(1.75)
+        result = dl.solve(system)
+        del mesh, system, result
+        gc.collect()
+        assert dl._factor_entry is None
+        # the same matrix on a new mesh finds nothing to reuse
+        _, system = self.strip_system(1.75)
+        dl.solve(system)
+        assert len(splu_calls) == 2
+
+    def test_residual_checked_on_reuse(self, splu_calls):
+        _, system = self.strip_system(2.25)
+        dl.solve(system)
+        with pytest.raises(NoConvergence):
+            dl.solve(system, dl.LinearSolveConfig(rtol=1e-18))
+        assert len(splu_calls) == 1
+
+    def test_singular_matrix_leaves_no_entry(self, splu_calls):
+        mesh, system = self.strip_system(2.5)
+        dl.solve(system)
+        data = system.A_red.data.copy()
+        system.A_red.data[:] = 0.0
+        with pytest.raises(NoConvergence):
+            dl.solve(system)
+        assert dl._factor_entry is None
+        system.A_red.data[:] = data
+        result = dl.solve(system)
+        assert len(splu_calls) == 3
+        assert np.max(np.abs(result.field.values - mesh.nodes[:, 0])) < 1e-10
 
 
 class TestRecoverVelocity:
@@ -390,6 +469,19 @@ class TestTransformedBVP:
             velocity={"wall": 0.0},
         )
         report = dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
-        text = report.to_text()
-        for key in ("cg_iterations", "cg_residual", "wall_time_s", "p_min", "p_max"):
-            assert key in text
+        lines = report.to_text().splitlines()
+        assert lines[0] == "poroflow solve report"
+        keys = [line.split(" = ")[0] for line in lines[1:]]
+        assert keys == [
+            "nodes",
+            "triangles",
+            "linear_residual",
+            "wall_time_s",
+            "p_min",
+            "p_max",
+            "speed_max",
+            "transform_violation",
+            "P_min",
+            "P_max",
+        ]
+        assert float(lines[3].split(" = ")[1]) == pytest.approx(report.residual, rel=1e-6)
