@@ -71,6 +71,15 @@ class PicardReport:
         return "\n".join(rows) + "\n"
 
 
+def _potential_at(mesh, xi):
+    """xi at the nodes and at the triangle centroids. A zero xi gives 0.0
+    for both: adding it gives the bits a zero array would, and the
+    centroids are never built."""
+    if xi.is_zero or xi.xi is None:
+        return 0.0, 0.0
+    return xi.at_points(mesh.nodes), xi.at_points(mesh.centroids())
+
+
 def _assemble_at(
     mesh, fluid, xi_cents, K, mbcs, ptilde_values
 ) -> tuple[SparseSystem, np.ndarray]:
@@ -102,8 +111,7 @@ def picard_solve(
     t0 = time.perf_counter()
 
     mbcs = darcy_linear.modified_bcs(bcs, xi)
-    xi_nodes = xi.at_points(mesh.nodes)
-    xi_cents = xi.at_points(mesh.centroids())
+    xi_nodes, xi_cents = _potential_at(mesh, xi)
 
     if isinstance(config.initial_pressure, ScalarField):
         ptilde = config.initial_pressure.values + xi_nodes
@@ -191,8 +199,7 @@ def nonlinear_residual(
     system evaluated at the given field (reduced to the free unknowns, so
     the scale is purely flux-like)."""
     mbcs = darcy_linear.modified_bcs(bcs, xi)
-    xi_nodes = xi.at_points(mesh.nodes)
-    xi_cents = xi.at_points(mesh.centroids())
+    xi_nodes, xi_cents = _potential_at(mesh, xi)
     ptilde = p.values + xi_nodes
     system, _ = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde)
 

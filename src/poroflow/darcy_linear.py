@@ -43,6 +43,7 @@ from .geometry import (
     PermeabilityField,
     ScalarField,
     VectorField,
+    _tensor_scale,
     edge_keys,
     eval_bc,
     triangle_edges,
@@ -134,14 +135,15 @@ def p1_gradients(mesh: Mesh):
 
     Returns (grads, areas) with grads[t, i] = grad(phi_i) on triangle t.
     """
-    x = mesh.nodes[mesh.triangles, 0]
-    y = mesh.nodes[mesh.triangles, 1]
-    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    grads = np.empty(x.shape + (2,))
-    grads[:, :, 0] = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
-    grads[:, :, 1] = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    (x0, x1, x2), (y0, y1, y2) = mesh._corner_coordinates()
+    area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    grads = np.empty((area2.size, 3, 2))
+    grads[:, 0, 0] = y1 - y2
+    grads[:, 1, 0] = y2 - y0
+    grads[:, 2, 0] = y0 - y1
+    grads[:, 0, 1] = x2 - x1
+    grads[:, 1, 1] = x0 - x2
+    grads[:, 2, 1] = x1 - x0
     grads /= area2[:, None, None]
     return grads, 0.5 * area2
 
@@ -150,7 +152,7 @@ def _check_spd(mobility: np.ndarray):
     a, d = mobility[:, 0, 0], mobility[:, 1, 1]
     b = 0.5 * (mobility[:, 0, 1] + mobility[:, 1, 0])
     asym = np.abs(mobility[:, 0, 1] - mobility[:, 1, 0])
-    scale = np.maximum(np.abs(mobility).max(axis=(1, 2)), 1e-300)
+    scale = np.maximum(_tensor_scale(mobility), 1e-300)
     det = a * d - b * b
     bad = (a <= 0) | (det <= 0) | (asym > 1e-10 * scale)
     if np.any(bad):
@@ -375,20 +377,33 @@ def boundary_flux_direct(v: VectorField, mesh: Mesh, label: str) -> float:
     """Direct edge integration of v.n (cross-check for boundary_flux)."""
     edges = mesh.edges_with_label(label)
     n = mesh.n_nodes
-    tri_keys = edge_keys(triangle_edges(mesh.triangles), n)
+    # only a triangle with two corners on the labelled edges can hold one;
+    # the edges of those few are searched instead of all 3 * n_tri
+    on = np.zeros(n, dtype=np.int8)
+    on[edges] = 1
+    t0, t1, t2 = mesh.triangles.T
+    near = np.flatnonzero(on[t0] + on[t1] + on[t2] >= 2)
+    tri_keys = edge_keys(triangle_edges(mesh.triangles[near]), n)
     order = np.argsort(tri_keys)
     # a boundary edge belongs to exactly one triangle
-    hit = order[np.searchsorted(tri_keys[order], edge_keys(edges, n))]
+    hit = near[order[np.searchsorted(tri_keys[order], edge_keys(edges, n))] // 3]
     d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     # v.n * length with the outward normal (d_y, -d_x) / length
-    return float((v.values[hit // 3] * np.column_stack([d[:, 1], -d[:, 0]])).sum())
+    return float((v.values[hit] * np.column_stack([d[:, 1], -d[:, 0]])).sum())
 
 
 def mobility_tensors(
     mesh: Mesh, fluid: FluidModel, xi: BodyForcePotential, K: PermeabilityField
 ) -> np.ndarray:
     """Per-triangle (1/mu0_tilde) K with the reference viscosity evaluated
-    at triangle centroids."""
+    at triangle centroids.
+
+    With a zero potential the reference viscosity is mu0 everywhere, so the
+    result is K / mu0, bit for bit what the centroid evaluation gives
+    (mu0 * exp(-0.0) == mu0), without building the centroids.
+    """
+    if xi.is_zero or xi.xi is None:
+        return K.tensors / fluid.mu0
     cents = mesh.centroids()
     mu0t = transform.reference_viscosity_field(xi.at_points(cents), fluid)
     return K.tensors / np.asarray(mu0t)[:, None, None]

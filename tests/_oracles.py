@@ -12,6 +12,63 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
+from poroflow import transform
+from poroflow.geometry import edge_keys, triangle_edges
+
+
+# Per-triangle kernels in their earlier formulation: (n_tri, 3, .) corner
+# gathers, shifted column gathers, a mean over corners and a max over the
+# tensor axes. The library gathers per-corner columns and takes elementwise
+# maxima instead, and must give the same bits.
+
+
+def signed_areas_gathered(mesh):
+    p = mesh.nodes[mesh.triangles]
+    return 0.5 * (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    )
+
+
+def centroids_gathered(mesh):
+    return mesh.nodes[mesh.triangles].mean(axis=1)
+
+
+def p1_gradients_gathered(mesh):
+    x = mesh.nodes[mesh.triangles, 0]
+    y = mesh.nodes[mesh.triangles, 1]
+    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
+        y[:, 1] - y[:, 0]
+    )
+    grads = np.empty(x.shape + (2,))
+    grads[:, :, 0] = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    grads[:, :, 1] = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    grads /= area2[:, None, None]
+    return grads, 0.5 * area2
+
+
+def tensor_scale_over_axes(tensors):
+    return np.abs(tensors).max(axis=(1, 2))
+
+
+def mobility_at_centroids(mesh, fluid, xi, K):
+    """K over the reference viscosity at the centroids, evaluated for every
+    potential, the zero one included."""
+    mu0t = transform.reference_viscosity_field(xi.at_points(centroids_gathered(mesh)), fluid)
+    return K.tensors / np.asarray(mu0t)[:, None, None]
+
+
+def boundary_flux_direct_sorted(v, mesh, label):
+    """Direct edge flux that finds the triangle of each labelled edge by
+    sorting the keys of all 3 * n_tri triangle edges."""
+    edges = mesh.edges_with_label(label)
+    n = mesh.n_nodes
+    tri_keys = edge_keys(triangle_edges(mesh.triangles), n)
+    order = np.argsort(tri_keys)
+    hit = order[np.searchsorted(tri_keys[order], edge_keys(edges, n))]
+    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    return float((v.values[hit // 3] * np.column_stack([d[:, 1], -d[:, 0]])).sum())
+
 
 def jacobi_cg(A, b, rtol):
     """Solve the SPD system A x = b iteratively (instead of by the

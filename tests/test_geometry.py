@@ -153,6 +153,22 @@ class TestReservoirMesh:
         assert total == pytest.approx(2 * (100.0 + 30.0), rel=1e-12)
         assert boundary_measure(mesh, "inlet") == pytest.approx(30.0, rel=1e-12)
 
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    def test_topology_validated_once(self, pattern, monkeypatch):
+        # the relabelled mesh shares the rectangle's validated arrays
+        calls = []
+        validate = Mesh.validate
+
+        def counting(mesh):
+            calls.append(mesh)
+            return validate(mesh)
+
+        monkeypatch.setattr(Mesh, "validate", counting)
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 20, 12, pattern=pattern)
+        assert len(calls) == 1 and calls[0].edge_labels != mesh.edge_labels
+        assert mesh.validate() is mesh
+        assert len(mesh.edge_labels) == mesh.boundary_edges.shape[0]
+
     def test_unresolvable_well(self):
         with pytest.raises(BadDimensions):
             make_reservoir_mesh(1.0, 1.0, 1.5, 2, 2)  # W > H

@@ -1,0 +1,292 @@
+"""The per-triangle kernels, and the solves built on them, give the same
+bits as the earlier (n_tri, 3, .)-gather formulation kept in _oracles."""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+from poroflow import (
+    BodyForcePotential,
+    BoundarySpec,
+    FluidModel,
+    Mesh,
+    PermeabilityField,
+    SingularMobility,
+    VectorField,
+    make_rectangle_mesh,
+    make_reservoir_mesh,
+)
+from poroflow import barus_direct as bd
+from poroflow import darcy_linear as dl
+from poroflow import geometry
+
+import _oracles
+
+TABLE1 = FluidModel(mu0=3.95e-5, beta=3e-6, p0=101325.0)
+UNIT = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
+ZERO_XI = BodyForcePotential.zero()
+# a callable potential that happens to vanish: it takes the general path
+CALLABLE_ZERO_XI = BodyForcePotential(lambda x, y: np.zeros_like(x))
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def jittered(mesh, seed=0):
+    """The same topology with interior nodes moved by up to a fifth of a
+    cell, so that coordinates carry full-precision bits."""
+    L, H = mesh.extent
+    h = min(L / mesh.nx, H / mesh.ny)
+    nodes = mesh.nodes.copy()
+    inner = np.ones(mesh.n_nodes, dtype=bool)
+    inner[mesh.boundary_edges.ravel()] = False
+    rng = np.random.default_rng(seed)
+    nodes[inner] += rng.uniform(-0.2 * h, 0.2 * h, size=(int(inner.sum()), 2))
+    return Mesh(
+        nodes=nodes,
+        triangles=mesh.triangles,
+        boundary_edges=mesh.boundary_edges,
+        edge_labels=mesh.edge_labels,
+        nx=mesh.nx,
+        ny=mesh.ny,
+        extent=mesh.extent,
+    ).validate()
+
+
+MESHES = {
+    "diagonal": lambda: make_rectangle_mesh(3.0, 1.3, 11, 7),
+    "crossed": lambda: make_rectangle_mesh(3.0, 1.3, 11, 7, pattern="crossed"),
+    "jittered_diagonal": lambda: jittered(make_rectangle_mesh(3.0, 1.3, 11, 7)),
+    "jittered_crossed": lambda: jittered(make_rectangle_mesh(3.0, 1.3, 9, 5, "crossed"), 1),
+    "reservoir": lambda: make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12),
+}
+
+
+@pytest.fixture(params=sorted(MESHES))
+def mesh(request):
+    return MESHES[request.param]()
+
+
+@pytest.fixture
+def earlier_kernels(monkeypatch):
+    """Context manager that swaps the earlier formulations in."""
+
+    @contextlib.contextmanager
+    def swap():
+        with monkeypatch.context() as m:
+            m.setattr(geometry.Mesh, "signed_areas", _oracles.signed_areas_gathered)
+            m.setattr(geometry.Mesh, "centroids", _oracles.centroids_gathered)
+            m.setattr(dl, "p1_gradients", _oracles.p1_gradients_gathered)
+            m.setattr(dl, "mobility_tensors", _oracles.mobility_at_centroids)
+            m.setattr(geometry, "_tensor_scale", _oracles.tensor_scale_over_axes)
+            m.setattr(dl, "_tensor_scale", _oracles.tensor_scale_over_axes)
+            yield
+
+    return swap
+
+
+class TestKernels:
+    def test_signed_areas(self, mesh):
+        assert_bitwise(mesh.signed_areas(), _oracles.signed_areas_gathered(mesh))
+
+    def test_centroids(self, mesh):
+        assert_bitwise(mesh.centroids(), _oracles.centroids_gathered(mesh))
+
+    def test_p1_gradients(self, mesh):
+        grads, areas = dl.p1_gradients(mesh)
+        ref_grads, ref_areas = _oracles.p1_gradients_gathered(mesh)
+        assert_bitwise(grads, ref_grads)
+        assert_bitwise(areas, ref_areas)
+
+    @pytest.mark.parametrize("fluid", [TABLE1, UNIT], ids=["table1", "unit"])
+    def test_mobility_zero_potential(self, mesh, fluid):
+        rng = np.random.default_rng(7)
+        K = PermeabilityField.isotropic_per_cell(mesh, rng.uniform(1e-13, 1e-11, mesh.n_triangles))
+        ref = _oracles.mobility_at_centroids(mesh, fluid, ZERO_XI, K)
+        assert_bitwise(dl.mobility_tensors(mesh, fluid, ZERO_XI, K), ref)
+        assert_bitwise(dl.mobility_tensors(mesh, fluid, CALLABLE_ZERO_XI, K), ref)
+
+    def test_mobility_nonzero_potential(self, mesh):
+        xi = BodyForcePotential(lambda x, y: 1e3 * y - 7.0 * x)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        assert_bitwise(
+            dl.mobility_tensors(mesh, TABLE1, xi, K),
+            _oracles.mobility_at_centroids(mesh, TABLE1, xi, K),
+        )
+
+    def test_boundary_flux_direct(self, mesh):
+        rng = np.random.default_rng(3)
+        v = VectorField(mesh, rng.standard_normal((mesh.n_triangles, 2)))
+        for label in mesh.labels:
+            got = dl.boundary_flux_direct(v, mesh, label)
+            assert got == _oracles.boundary_flux_direct_sorted(v, mesh, label)
+
+
+class TestTensorChecks:
+    """The elementwise scale makes the symmetry and SPD checks fire on
+    exactly the inputs the max over the tensor axes made them fire on."""
+
+    def test_scale_matches(self):
+        rng = np.random.default_rng(5)
+        t = rng.standard_normal((200, 2, 2)) * 10.0 ** rng.integers(-300, 300, (200, 1, 1))
+        t[0] = [[-0.0, 0.0], [0.0, -0.0]]
+        t[1, 0, 1] = np.inf
+        t[2, 1, 0] = -np.inf
+        t[3, 1, 1] = np.nan
+        t[4] = np.nan
+        assert np.array_equal(
+            geometry._tensor_scale(t), _oracles.tensor_scale_over_axes(t), equal_nan=True
+        )
+
+    @staticmethod
+    def near_threshold(rel):
+        """SPD tensors whose asymmetry lies within a few ulps of rel times
+        their largest entry, which sits in either diagonal position."""
+        out = []
+        for base in ([[2.0, 0.25], [0.25, 0.75]], [[0.75, -0.5], [-0.5, 3.0]]):
+            t = np.array(base)
+            edge = t[0, 1] + rel * np.abs(t).max()
+            for step in range(-3, 4):
+                t = np.array(base)
+                t[1, 0] = edge
+                for _ in range(abs(step)):
+                    t[1, 0] = np.nextafter(t[1, 0], np.inf if step > 0 else -np.inf)
+                out.append(t)
+        return out
+
+    def test_permeability_symmetry_check(self):
+        fired = []
+        for t in self.near_threshold(1e-12):
+            tensors = t[None]
+            ref = _oracles.tensor_scale_over_axes(tensors)
+            expected = bool(np.abs(t[0, 1] - t[1, 0]) > 1e-12 * np.maximum(ref, 1e-300)[0])
+            try:
+                PermeabilityField(tensors, k1=1e-3, k2=1e3)
+                raised = False
+            except ValueError as err:
+                assert "symmetric" in str(err)
+                raised = True
+            assert raised == expected
+            fired.append(raised)
+        assert any(fired) and not all(fired)
+
+    def test_mobility_spd_check(self):
+        fired = []
+        for t in self.near_threshold(1e-10):
+            tensors = t[None]
+            ref = _oracles.tensor_scale_over_axes(tensors)
+            expected = bool(np.abs(t[0, 1] - t[1, 0]) > 1e-10 * np.maximum(ref, 1e-300)[0])
+            try:
+                dl._check_spd(tensors)
+                raised = False
+            except SingularMobility:
+                raised = True
+            assert raised == expected
+            fired.append(raised)
+        assert any(fired) and not all(fired)
+
+
+def strip_problem(xi):
+    """Unit-fluid 10x3 strip driven by inflow at half the ceiling speed."""
+    mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
+    K = PermeabilityField.isotropic(mesh, 1.0)
+    bcs = BoundarySpec(
+        pressure={"right": UNIT.p0},
+        velocity={"left": -0.05, "top": 0.0, "bottom": 0.0},
+    )
+    return mesh, UNIT, xi, K, bcs
+
+
+def reservoir_problem(xi):
+    mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+    K = PermeabilityField.isotropic(mesh, 1e-12)
+    bcs = BoundarySpec(
+        pressure={"inlet": 10.0 * TABLE1.p0, "well": TABLE1.p0}, velocity={"wall": 0.0}
+    )
+    return mesh, TABLE1, xi, K, bcs
+
+
+GRAVITY_XI = BodyForcePotential(lambda x, y: 1e-3 * y)
+# (problem, potential of the solve, potential of the earlier-kernel run)
+CASES = {
+    "strip": (strip_problem, ZERO_XI, CALLABLE_ZERO_XI),
+    "reservoir": (reservoir_problem, ZERO_XI, CALLABLE_ZERO_XI),
+    "strip_gravity": (strip_problem, GRAVITY_XI, GRAVITY_XI),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+class TestSolvesBitwise:
+    def test_transformed(self, case, earlier_kernels):
+        problem, xi, xi_ref = CASES[case]
+        mesh, fluid, _, K, bcs = problem(xi)
+        got = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
+        with earlier_kernels():
+            ref = dl.solve_transformed_bvp(mesh, fluid, xi_ref, K, bcs)
+        assert_bitwise(got.p.values, ref.p.values)
+        assert_bitwise(got.v.values, ref.v.values)
+        assert_bitwise(got.P.values, ref.P.values)
+        assert_bitwise(got.reactions, ref.reactions)
+
+    def test_picard(self, case, earlier_kernels):
+        problem, xi, xi_ref = CASES[case]
+        mesh, fluid, _, K, bcs = problem(xi)
+        got = bd.picard_solve(mesh, fluid, xi, K, bcs)
+        with earlier_kernels():
+            ref = bd.picard_solve(mesh, fluid, xi_ref, K, bcs)
+        assert got.converged and got.iterations == ref.iterations >= 2
+        assert got.update_history == ref.update_history
+        assert_bitwise(got.p.values, ref.p.values)
+        assert_bitwise(got.v.values, ref.v.values)
+        assert_bitwise(got.reactions, ref.reactions)
+
+
+class TestStiffnessPattern:
+    """Square cells give exact-zero couplings across the cell diagonals;
+    the assembly must not store them (they would only add LU fill)."""
+
+    NX, NY = 8, 4
+
+    def mesh(self):
+        return make_rectangle_mesh(0.5 * self.NX, 0.5 * self.NY, self.NX, self.NY)
+
+    def five_point_nnz(self):
+        nx, ny = self.NX, self.NY
+        return (nx + 1) * (ny + 1) + 2 * (nx * (ny + 1) + ny * (nx + 1))
+
+    def assemble_both(self, mesh, K, earlier_kernels):
+        bcs = BoundarySpec(
+            pressure={"left": 2.0, "right": 1.0}, velocity={"top": 0.0, "bottom": 0.0}
+        )
+        got = dl.assemble(mesh, dl.mobility_tensors(mesh, UNIT, ZERO_XI, K), bcs)
+        with earlier_kernels():
+            ref = dl.assemble(mesh, dl.mobility_tensors(mesh, UNIT, CALLABLE_ZERO_XI, K), bcs)
+        for a, b in ((got.raw_matrix, ref.raw_matrix), (got.A_red, ref.A_red)):
+            assert_bitwise(a.indptr, b.indptr)
+            assert_bitwise(a.indices, b.indices)
+            assert_bitwise(a.data, b.data)
+        return got
+
+    def test_isotropic_five_point(self, earlier_kernels):
+        mesh = self.mesh()
+        system = self.assemble_both(mesh, PermeabilityField.isotropic(mesh, 1.0), earlier_kernels)
+        raw, red = system.raw_matrix, system.A_red
+        assert raw.nnz == self.five_point_nnz()
+        assert np.count_nonzero(raw.data) == raw.nnz
+        assert np.count_nonzero(red.data) == red.nnz
+
+    def test_anisotropic_keeps_cell_diagonals(self, earlier_kernels):
+        mesh = self.mesh()
+        K = PermeabilityField.uniform_tensor(mesh, 2.0, 0.5, 1.0)
+        system = self.assemble_both(mesh, K, earlier_kernels)
+        raw = system.raw_matrix
+        nx, ny = self.NX, self.NY
+        a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).ravel()
+        c = a + nx + 2  # upper-right corner of the cell
+        assert np.all(np.asarray(raw[a, c]).ravel() != 0.0)
+        assert raw.nnz == self.five_point_nnz() + 2 * nx * ny
+        assert np.count_nonzero(raw.data) == raw.nnz
