@@ -7,7 +7,12 @@ M is the per-triangle mobility tensor (permeability over viscosity).
 Dirichlet rows are removed by symmetric elimination, the reduced SPD system
 is solved with a fill-reducing sparse LU factorization, and boundary fluxes
 are extracted from the unconstrained residual (reaction form), which is
-discretely conservative.
+discretely conservative. Boundary data enter through the one boundary
+rule of ``geometry`` (2-point Gauss on each velocity edge, nodal values on
+pressure segments), the rule the theorem checks in ``verification`` use too.
+
+The constant-viscosity (beta = 0) problem is ``barus_direct.picard_solve``,
+which solves it with one linear solve.
 
 The factor of the last reduced matrix factored is kept while the mesh it
 was built on lives, and a solve whose reduced matrix is bitwise the same
@@ -21,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,17 +48,13 @@ from .geometry import (
     PermeabilityField,
     ScalarField,
     VectorField,
+    _edge_quadrature,
+    _node_data,
     _tensor_scale,
     edge_keys,
-    eval_bc,
     triangle_edges,
 )
 from .transform import BodyForcePotential, FluidModel
-
-# 2-point Gauss rule on [0, 1]; exact for cubics, matches the boundary
-# quadrature used by the verification integrals.
-_GAUSS2_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-_GAUSS2_W = np.array([0.5, 0.5])
 
 
 @dataclass
@@ -98,17 +99,16 @@ class LinearSolveResult:
 
 @dataclass
 class SolveReport:
-    """Outcome of the transformed (or constant-viscosity) solution path."""
+    """Outcome of the transformed solution path (beta > 0; at beta = 0 the
+    problem is linear and barus_direct.picard_solve solves it)."""
 
     p: ScalarField
     v: VectorField
     P: Optional[ScalarField]
-    iterations: int
     residual: float
     wall_time: float
     reactions: np.ndarray
     transform_violation: bool = False
-    extras: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = [
@@ -125,8 +125,6 @@ class SolveReport:
         if self.P is not None:
             lines.append(f"P_min = {self.P.values.min():.10e}")
             lines.append(f"P_max = {self.P.values.max():.10e}")
-        for k, v in self.extras.items():
-            lines.append(f"{k} = {v}")
         return "\n".join(lines) + "\n"
 
 
@@ -165,25 +163,19 @@ def _neumann_load(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
     """rhs_i = -integral over velocity segments of phi_i * v_n (2-pt Gauss)."""
     rhs = np.zeros(mesh.n_nodes)
     for label, data in bcs.velocity.items():
-        edges = mesh.edges_with_label(label)
-        a = mesh.nodes[edges[:, 0]]
-        b = mesh.nodes[edges[:, 1]]
-        length = np.hypot(*(b - a).T)
-        for t, w in zip(_GAUSS2_T, _GAUSS2_W):
-            q = a + t * (b - a)
-            vn = eval_bc(data, q[:, 0], q[:, 1])
-            np.add.at(rhs, edges[:, 0], -w * length * vn * (1.0 - t))
-            np.add.at(rhs, edges[:, 1], -w * length * vn * t)
+        for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
+            np.add.at(rhs, edges[:, 0], -wl * vn * (1.0 - t))
+            np.add.at(rhs, edges[:, 1], -wl * vn * t)
     return rhs
 
 
 def _dirichlet_values(mesh: Mesh, bcs: BoundarySpec) -> dict:
+    """{node: prescribed value}; a node on two pressure segments takes the
+    later segment's value."""
     out = {}
     for label, data in bcs.pressure.items():
-        nodes = mesh.nodes_with_label(label)
-        vals = eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
-        for n, v in zip(nodes, np.atleast_1d(vals)):
-            out[int(n)] = float(v)
+        nodes, vals = _node_data(mesh, label, data)
+        out.update(zip(nodes.tolist(), vals.tolist()))
     return out
 
 
@@ -360,15 +352,9 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
         nodes = system.mesh.nodes_with_label(label)
         return float(nodal_reactions(system, P)[nodes].sum())
     if label in system.bcs.velocity:
-        mesh = system.mesh
-        edges = mesh.edges_with_label(label)
-        a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-        length = np.hypot(*(b - a).T)
         total = 0.0
-        for t, w in zip(_GAUSS2_T, _GAUSS2_W):
-            q = a + t * (b - a)
-            vn = eval_bc(system.bcs.velocity[label], q[:, 0], q[:, 1])
-            total += float((w * length * vn).sum())
+        for _, _, wl, vn in _edge_quadrature(system.mesh, label, system.bcs.velocity[label]):
+            total += float((wl * vn).sum())
         return total
     raise UnknownLabel(f"label {label!r} not present in the boundary spec")
 
@@ -450,7 +436,7 @@ def solve_transformed_bvp(
     no real pressure).
     """
     if fluid.is_degenerate:
-        raise Degenerate("beta = 0: use the plain constant-viscosity solve")
+        raise Degenerate("beta = 0: use barus_direct.picard_solve (one linear solve)")
     t0 = time.perf_counter()
 
     xi_nodes = xi.at_points(mesh.nodes)
@@ -488,36 +474,8 @@ def solve_transformed_bvp(
         p=ScalarField(mesh, p),
         v=recover_velocity(result.field, mobility),
         P=ScalarField(mesh, P),
-        iterations=result.iterations,
         residual=result.residual,
         wall_time=time.perf_counter() - t0,
         reactions=nodal_reactions(system, result.field),
         transform_violation=False,
-    )
-
-
-def solve_darcy_bvp(
-    mesh: Mesh,
-    fluid: FluidModel,
-    xi: BodyForcePotential,
-    K: PermeabilityField,
-    bcs: BoundarySpec,
-    config: Optional[LinearSolveConfig] = None,
-) -> SolveReport:
-    """Constant-viscosity (beta = 0) solve of the same boundary value
-    problem; the fallback path when the transform is degenerate."""
-    t0 = time.perf_counter()
-    mobility = mobility_tensors(mesh, fluid, xi, K)
-    xi_nodes = xi.at_points(mesh.nodes)
-    system = assemble(mesh, mobility, modified_bcs(bcs, xi))
-    result = solve(system, config)
-    v = recover_velocity(result.field, mobility)
-    return SolveReport(
-        p=ScalarField(mesh, result.field.values - xi_nodes),
-        v=v,
-        P=None,
-        iterations=result.iterations,
-        residual=result.residual,
-        wall_time=time.perf_counter() - t0,
-        reactions=nodal_reactions(system, result.field),
     )

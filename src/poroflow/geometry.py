@@ -425,6 +425,41 @@ def eval_bc(data: BCData, x, y):
     return np.full(np.broadcast(x, y).shape, float(data))
 
 
+# The one boundary rule: 2-point Gauss on [0, 1], exact for cubics. The
+# Neumann load, the velocity-segment fluxes and the theorem checks all
+# integrate at these points.
+_GAUSS2_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+_GAUSS2_W = np.array([0.5, 0.5])
+
+
+def _edge_quadrature(mesh: Mesh, label: str, data: BCData):
+    """For each Gauss point t of the edges labeled ``label``, yield
+    (edges, t, w * length, data at the point): the integral of f * data
+    over the segment is the sum over points of (w * length * data * f)."""
+    edges = mesh.edges_with_label(label)
+    a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    length = np.hypot(*(b - a).T)
+    for t, w in zip(_GAUSS2_T, _GAUSS2_W):
+        q = a + t * (b - a)
+        yield edges, t, w * length, eval_bc(data, q[:, 0], q[:, 1])
+
+
+def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
+    """Data at both ends and at the Gauss points of each edge labeled
+    ``label``, as one flat array in a fixed point order."""
+    edges = mesh.edges_with_label(label)
+    a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    q = np.concatenate([a, b] + [a + t * (b - a) for t in _GAUSS2_T])
+    return eval_bc(data, q[:, 0], q[:, 1])
+
+
+def _node_data(mesh: Mesh, label: str, data: BCData):
+    """(nodes, data at those nodes) for the nodes of the edges labeled
+    ``label``."""
+    nodes = mesh.nodes_with_label(label)
+    return nodes, eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 

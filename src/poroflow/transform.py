@@ -150,7 +150,7 @@ def hopf_cole_forward(P, fluid: FluidModel):
     solution manifests).
     """
     if fluid.is_degenerate:
-        raise Degenerate("beta = 0: transform undefined, use the Darcy path")
+        raise Degenerate("beta = 0: transform undefined; use barus_direct.picard_solve")
     Pa = np.asarray(P, dtype=float)
     if np.any(Pa >= 0.0):
         bad = np.flatnonzero(np.atleast_1d(Pa >= 0.0))
@@ -174,7 +174,7 @@ def hopf_cole_inverse(p, xi_value, fluid: FluidModel):
     P = -(p0/beta) * exp[-beta*((p + xi)/p0 - 1)]; always strictly negative.
     """
     if fluid.is_degenerate:
-        raise Degenerate("beta = 0: transform undefined, use the Darcy path")
+        raise Degenerate("beta = 0: transform undefined; use barus_direct.picard_solve")
     ptilde = np.asarray(p, dtype=float) + np.asarray(xi_value, dtype=float)
     arg = -fluid.beta * (ptilde / fluid.p0 - 1.0)
     out = -(fluid.p0 / fluid.beta) * _checked_exp(arg)
@@ -183,13 +183,11 @@ def hopf_cole_inverse(p, xi_value, fluid: FluidModel):
 
 def kirchhoff_ceiling(fluid: FluidModel, p_ref=None):
     """Supremum of the Kirchhoff variable, its limit as ptilde -> inf:
-    (p0/beta) * exp[-beta*(p_ref/p0 - 1)]. A transformed value at or above
-    it has no real pressure. p_ref defaults to p0."""
-    if fluid.is_degenerate:
-        raise Degenerate("beta = 0: transform undefined, use the Darcy path")
+    (p0/beta) * exp[-beta*(p_ref/p0 - 1)], minus the Hopf-Cole value at
+    p_ref (default p0). A transformed value at or above it has no real
+    pressure."""
     p_ref = fluid.p0 if p_ref is None else p_ref
-    arg = -fluid.beta * (p_ref / fluid.p0 - 1.0)
-    return float((fluid.p0 / fluid.beta) * _checked_exp(arg))
+    return float(-hopf_cole_inverse(p_ref, 0.0, fluid))
 
 
 def kirchhoff_forward(ptilde, fluid: FluidModel, p_ref=None):
@@ -232,20 +230,11 @@ def family_from_pressure(ptilde, constants: TransformConstants, fluid: FluidMode
     (A=1, B=0) gives the main transformed variable; (A=1, B=-p0/beta) the
     Kirchhoff one.
     """
-    if fluid.is_degenerate:
-        raise Degenerate("beta = 0: transform undefined, use the Darcy path")
-    arg = -fluid.beta * (np.asarray(ptilde, dtype=float) / fluid.p0 - 1.0)
-    rhs = -(fluid.p0 / fluid.beta) * _checked_exp(arg)
-    return _scalar_like(ptilde, (rhs - constants.B) / constants.A)
+    return (hopf_cole_inverse(ptilde, 0.0, fluid) - constants.B) / constants.A
 
 
 def family_to_pressure(P, constants: TransformConstants, fluid: FluidModel):
     """General two-constant transform: P -> ptilde (inverse of
-    family_from_pressure). Requires A*P + B < 0."""
-    if fluid.is_degenerate:
-        raise Degenerate("beta = 0: transform undefined, use the Darcy path")
-    z = constants.A * np.asarray(P, dtype=float) + constants.B
-    if np.any(z >= 0.0):
-        raise DomainViolation("A*P + B must be negative for a real pressure")
-    out = fluid.p0 * (1.0 - np.log(-fluid.beta * z / fluid.p0) / fluid.beta)
-    return _scalar_like(P, out)
+    family_from_pressure): hopf_cole_forward of A*P + B, which must be
+    negative."""
+    return hopf_cole_forward(constants.A * np.asarray(P, dtype=float) + constants.B, fluid)

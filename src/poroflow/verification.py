@@ -4,7 +4,11 @@ linear (transformed) and nonlinear (pressure-dependent viscosity) forms,
 and the bounded production-flux law with its one-solve calibration.
 
 Principle checks operate on nodal values: a P1 field attains its extrema
-at nodes, so the scan is exact for the discrete field.
+at nodes, so the scan is exact for the discrete field. Boundary data are
+read through the helpers of ``geometry``: the integrals over velocity
+segments use the Gauss points at which ``darcy_linear.assemble`` loads the
+data, sign and ordering hypotheses are tested at the edge ends and those
+points, and pressure data at the segment nodes.
 """
 
 from __future__ import annotations
@@ -17,13 +21,16 @@ import numpy as np
 from . import darcy_linear, transform
 from .darcy_linear import LinearSolveConfig
 from .errors import Degenerate, NotApplicable, PartitionMismatch
-from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, eval_bc
+from .geometry import (
+    BoundarySpec,
+    Mesh,
+    PermeabilityField,
+    ScalarField,
+    _edge_quadrature,
+    _edge_samples,
+    _node_data,
+)
 from .transform import BodyForcePotential, FluidModel
-
-
-def _gauss01(order: int):
-    t, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (t + 1.0), 0.5 * w
 
 
 @dataclass(frozen=True)
@@ -32,24 +39,18 @@ class CompatibilityReport:
     net_flux: float  # net prescribed outflow over the velocity segments
 
 
-def compatibility_check(mesh: Mesh, bcs: BoundarySpec, quad_order: int = 2) -> CompatibilityReport:
+def compatibility_check(mesh: Mesh, bcs: BoundarySpec) -> CompatibilityReport:
     """Zero-net-flux requirement for pure-velocity boundary data.
 
     With any pressure segment present the problem is anchored and the check
     always passes; the net flux is reported either way.
     """
-    ts, ws = _gauss01(quad_order)
     net = 0.0
     scale = 0.0
     for label, data in bcs.velocity.items():
-        edges = mesh.edges_with_label(label)
-        a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-        length = np.hypot(*(b - a).T)
-        for t, w in zip(ts, ws):
-            q = a + t * (b - a)
-            vn = eval_bc(data, q[:, 0], q[:, 1])
-            net += float((w * length * vn).sum())
-            scale += float((w * length * np.abs(vn)).sum())
+        for _, _, wl, vn in _edge_quadrature(mesh, label, data):
+            net += float((wl * vn).sum())
+            scale += float((wl * np.abs(vn)).sum())
     if bcs.pressure:
         return CompatibilityReport(compatible=True, net_flux=net)
     ok = abs(net) <= 1e-12 * max(scale, 1e-300) if scale > 0.0 else net == 0.0
@@ -69,28 +70,16 @@ class PrincipleReport:
     tolerance_used: float
 
 
-def _velocity_sign(mesh: Mesh, bcs: BoundarySpec, quad_order: int = 2):
+def _velocity_sign(mesh: Mesh, bcs: BoundarySpec):
     """Min and max of the prescribed normal velocity over Gamma_v samples."""
-    ts, _ = _gauss01(quad_order)
-    lo, hi = np.inf, -np.inf
-    for label, data in bcs.velocity.items():
-        edges = mesh.edges_with_label(label)
-        a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-        samples = [a, b] + [a + t * (b - a) for t in ts]
-        for q in samples:
-            vn = eval_bc(data, q[:, 0], q[:, 1])
-            lo = min(lo, float(np.min(vn)))
-            hi = max(hi, float(np.max(vn)))
     if not bcs.velocity:
         return 0.0, 0.0
-    return lo, hi
+    vn = np.concatenate([_edge_samples(mesh, lab, d) for lab, d in bcs.velocity.items()])
+    return float(vn.min()), float(vn.max())
 
 
 def _prescribed_values(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
-    vals = []
-    for label, data in bcs.pressure.items():
-        nodes = mesh.nodes_with_label(label)
-        vals.append(np.atleast_1d(eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])))
+    vals = [_node_data(mesh, lab, d)[1] for lab, d in bcs.pressure.items()]
     return np.concatenate(vals) if vals else np.array([])
 
 
@@ -167,7 +156,6 @@ def check_comparison(
     bcs1: BoundarySpec,
     bcs2: BoundarySpec,
     tol: Optional[float] = None,
-    quad_order: int = 2,
 ) -> ComparisonReport:
     """Ordering of solutions from ordered boundary data: if v_n(1) >= v_n(2)
     on the velocity segments and the prescribed pressure of (2) dominates
@@ -181,24 +169,15 @@ def check_comparison(
     if not bcs1.same_partition(bcs2):
         raise PartitionMismatch("boundary partitions differ between the two problems")
 
-    ts, _ = _gauss01(quad_order)
-    slack = 0.0
     for label in bcs1.velocity:
-        edges = mesh.edges_with_label(label)
-        a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-        for q in [a, b] + [a + t * (b - a) for t in ts]:
-            v1 = eval_bc(bcs1.velocity[label], q[:, 0], q[:, 1])
-            v2 = eval_bc(bcs2.velocity[label], q[:, 0], q[:, 1])
-            if np.any(v1 < v2 - slack):
-                raise NotApplicable(
-                    f"hypothesis v_n(1) >= v_n(2) fails on segment {label!r}"
-                )
+        v1 = _edge_samples(mesh, label, bcs1.velocity[label])
+        v2 = _edge_samples(mesh, label, bcs2.velocity[label])
+        if np.any(v1 < v2):
+            raise NotApplicable(f"hypothesis v_n(1) >= v_n(2) fails on segment {label!r}")
     for label in bcs1.pressure:
-        nodes = mesh.nodes_with_label(label)
-        x, y = mesh.nodes[nodes, 0], mesh.nodes[nodes, 1]
-        p1 = eval_bc(bcs1.pressure[label], x, y)
-        p2 = eval_bc(bcs2.pressure[label], x, y)
-        if np.any(p2 < p1 - slack):
+        _, p1 = _node_data(mesh, label, bcs1.pressure[label])
+        _, p2 = _node_data(mesh, label, bcs2.pressure[label])
+        if np.any(p2 < p1):
             raise NotApplicable(
                 f"hypothesis p(2) >= p(1) fails on pressure segment {label!r}"
             )
@@ -223,20 +202,14 @@ class FluxSolution:
     reactions: np.ndarray
 
 
-def _gamma_v_integral(mesh, bcs_other, field_values, weight, quad_order):
+def _gamma_v_integral(mesh, bcs_other, field_values, weight):
     """integral over Gamma_v of v_n(other) * weight(field) with the P1
     trace interpolated to the quadrature points."""
-    ts, ws = _gauss01(quad_order)
     total = 0.0
     for label, data in bcs_other.velocity.items():
-        edges = mesh.edges_with_label(label)
-        a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-        fa, fb = field_values[edges[:, 0]], field_values[edges[:, 1]]
-        length = np.hypot(*(b - a).T)
-        for t, w in zip(ts, ws):
-            q = a + t * (b - a)
-            vn = eval_bc(data, q[:, 0], q[:, 1])
-            total += float((w * length * vn * weight(fa + t * (fb - fa))).sum())
+        for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
+            fa, fb = field_values[edges[:, 0]], field_values[edges[:, 1]]
+            total += float((wl * vn * weight(fa + t * (fb - fa))).sum())
     return total
 
 
@@ -245,13 +218,12 @@ def _gamma_p_sum(mesh, bcs_other, reactions, weight):
     problem) times the consistent nodal flux."""
     total = 0.0
     for label, data in bcs_other.pressure.items():
-        nodes = mesh.nodes_with_label(label)
-        vals = eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
-        total += float((weight(np.atleast_1d(vals)) * reactions[nodes]).sum())
+        nodes, vals = _node_data(mesh, label, data)
+        total += float((weight(vals) * reactions[nodes]).sum())
     return total
 
 
-def _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight, quad_order):
+def _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight):
     if sol1.field.mesh is not mesh or sol2.field.mesh is not mesh:
         raise PartitionMismatch("solutions must be defined on the given mesh")
     if not bcs1.same_partition(bcs2):
@@ -269,9 +241,9 @@ def _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight, quad_order):
     def shifted(f):
         return weight(f) - ref
 
-    lhs_v = _gamma_v_integral(mesh, bcs2, sol1.field.values, shifted, quad_order)
+    lhs_v = _gamma_v_integral(mesh, bcs2, sol1.field.values, shifted)
     lhs_p = _gamma_p_sum(mesh, bcs2, sol1.reactions, shifted)
-    rhs_v = _gamma_v_integral(mesh, bcs1, sol2.field.values, shifted, quad_order)
+    rhs_v = _gamma_v_integral(mesh, bcs1, sol2.field.values, shifted)
     rhs_p = _gamma_p_sum(mesh, bcs1, sol2.reactions, shifted)
     lhs = lhs_v - lhs_p
     rhs = rhs_v - rhs_p
@@ -285,7 +257,6 @@ def reciprocity_residual_darcy(
     bcs1: BoundarySpec,
     bcs2: BoundarySpec,
     mesh: Mesh,
-    quad_order: int = 2,
 ) -> float:
     """Relative defect of the linear reciprocal identity
 
@@ -294,7 +265,7 @@ def reciprocity_residual_darcy(
     with boundary fluxes taken in consistent (reaction) form. The boundary
     specs must prescribe data for the same variable the fields carry.
     """
-    return _reciprocity(sol1, sol2, bcs1, bcs2, mesh, lambda f: f, quad_order)
+    return _reciprocity(sol1, sol2, bcs1, bcs2, mesh, lambda f: f)
 
 
 def reciprocity_residual_barus(
@@ -304,7 +275,6 @@ def reciprocity_residual_barus(
     bcs2: BoundarySpec,
     mesh: Mesh,
     fluid: FluidModel,
-    quad_order: int = 2,
 ) -> float:
     """Relative defect of the nonlinear reciprocal identity, whose
     integrands weight the fluxes by exp[-beta*(ptilde/p0 - 1)] of the
@@ -315,7 +285,7 @@ def reciprocity_residual_barus(
     def weight(ptilde):
         return np.exp(-fluid.beta * (np.asarray(ptilde, dtype=float) / fluid.p0 - 1.0))
 
-    return _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight, quad_order)
+    return _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +340,11 @@ def calibrate_ceiling_flux(
     if p_inj_calibration == p_prod:
         raise ValueError("calibration pressure must differ from the production pressure")
 
-    dP = transform.hopf_cole_inverse(p_inj_calibration, 0.0, fluid) - transform.hopf_cole_inverse(
-        p_prod, 0.0, fluid
-    )
-    # Calibration solve in the shifted gauge (transformed variable minus its
-    # production value): same flux by linearity, but free of the huge common
-    # baseline that would otherwise swamp Q with cancellation error.
+    # Calibration solve in the Kirchhoff variable measured from p_prod (the
+    # transformed variable minus its production value): same flux by
+    # linearity, but free of the huge common baseline that would otherwise
+    # swamp Q with cancellation error.
+    dP = transform.kirchhoff_forward(p_inj_calibration, fluid, p_prod)
     xi = BodyForcePotential.zero()
     bcs = BoundarySpec(
         pressure={inlet_label: float(dP), well_label: 0.0},

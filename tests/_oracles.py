@@ -13,7 +13,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from poroflow import transform
-from poroflow.geometry import edge_keys, triangle_edges
+from poroflow.geometry import edge_keys, eval_bc, triangle_edges
 
 
 # Per-triangle kernels in their earlier formulation: (n_tri, 3, .) corner
@@ -68,6 +68,41 @@ def boundary_flux_direct_sorted(v, mesh, label):
     hit = order[np.searchsorted(tri_keys[order], edge_keys(edges, n))]
     d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     return float((v.values[hit // 3] * np.column_stack([d[:, 1], -d[:, 0]])).sum())
+
+
+# Boundary loops in their earlier formulation: one hand-written loop per
+# caller over the edges of a label, with its own copy of the Gauss rule. The
+# library reads boundary data through the geometry helpers instead, and
+# must give the same bits.
+
+_GAUSS2_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+_GAUSS2_W = np.array([0.5, 0.5])
+
+
+def neumann_load_per_label(mesh, bcs):
+    """rhs_i = -integral over velocity segments of phi_i * v_n (2-pt Gauss)."""
+    rhs = np.zeros(mesh.n_nodes)
+    for label, data in bcs.velocity.items():
+        edges = mesh.edges_with_label(label)
+        a = mesh.nodes[edges[:, 0]]
+        b = mesh.nodes[edges[:, 1]]
+        length = np.hypot(*(b - a).T)
+        for t, w in zip(_GAUSS2_T, _GAUSS2_W):
+            q = a + t * (b - a)
+            vn = eval_bc(data, q[:, 0], q[:, 1])
+            np.add.at(rhs, edges[:, 0], -w * length * vn * (1.0 - t))
+            np.add.at(rhs, edges[:, 1], -w * length * vn * t)
+    return rhs
+
+
+def dirichlet_values_per_node(mesh, bcs):
+    out = {}
+    for label, data in bcs.pressure.items():
+        nodes = mesh.nodes_with_label(label)
+        vals = eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
+        for n, v in zip(nodes, np.atleast_1d(vals)):
+            out[int(n)] = float(v)
+    return out
 
 
 def jacobi_cg(A, b, rtol):

@@ -1,5 +1,6 @@
-"""The per-triangle kernels, and the solves built on them, give the same
-bits as the earlier (n_tri, 3, .)-gather formulation kept in _oracles."""
+"""The per-triangle kernels and the boundary-data loops, and the solves
+built on them, give the same bits as the earlier formulations kept in
+_oracles: (n_tri, 3, .) gathers and one hand-written edge loop per caller."""
 
 import contextlib
 
@@ -12,6 +13,7 @@ from poroflow import (
     FluidModel,
     Mesh,
     PermeabilityField,
+    ScalarField,
     SingularMobility,
     VectorField,
     make_rectangle_mesh,
@@ -20,6 +22,7 @@ from poroflow import (
 from poroflow import barus_direct as bd
 from poroflow import darcy_linear as dl
 from poroflow import geometry
+from poroflow import verification as vf
 
 import _oracles
 
@@ -84,6 +87,8 @@ def earlier_kernels(monkeypatch):
             m.setattr(dl, "mobility_tensors", _oracles.mobility_at_centroids)
             m.setattr(geometry, "_tensor_scale", _oracles.tensor_scale_over_axes)
             m.setattr(dl, "_tensor_scale", _oracles.tensor_scale_over_axes)
+            m.setattr(dl, "_neumann_load", _oracles.neumann_load_per_label)
+            m.setattr(dl, "_dirichlet_values", _oracles.dirichlet_values_per_node)
             yield
 
     return swap
@@ -190,15 +195,24 @@ class TestTensorChecks:
         assert any(fired) and not all(fired)
 
 
-def strip_problem(xi):
+def strip_problem(xi, inflow=-0.05):
     """Unit-fluid 10x3 strip driven by inflow at half the ceiling speed."""
     mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
     K = PermeabilityField.isotropic(mesh, 1.0)
     bcs = BoundarySpec(
         pressure={"right": UNIT.p0},
-        velocity={"left": -0.05, "top": 0.0, "bottom": 0.0},
+        velocity={"left": inflow, "top": 0.0, "bottom": 0.0},
     )
     return mesh, UNIT, xi, K, bcs
+
+
+def varying_inflow(x, y):
+    """Normal velocity on the inlet between 0.4 and 0.6 of the ceiling speed."""
+    return -0.05 * (1.0 + 0.2 * np.sin(2.0 * y))
+
+
+def strip_varying_problem(xi):
+    return strip_problem(xi, varying_inflow)
 
 
 def reservoir_problem(xi):
@@ -216,6 +230,8 @@ CASES = {
     "strip": (strip_problem, ZERO_XI, CALLABLE_ZERO_XI),
     "reservoir": (reservoir_problem, ZERO_XI, CALLABLE_ZERO_XI),
     "strip_gravity": (strip_problem, GRAVITY_XI, GRAVITY_XI),
+    "strip_varying_inflow": (strip_varying_problem, ZERO_XI, CALLABLE_ZERO_XI),
+    "strip_varying_inflow_gravity": (strip_varying_problem, GRAVITY_XI, GRAVITY_XI),
 }
 
 
@@ -290,3 +306,60 @@ class TestStiffnessPattern:
         assert np.all(np.asarray(raw[a, c]).ravel() != 0.0)
         assert raw.nnz == self.five_point_nnz() + 2 * nx * ny
         assert np.count_nonzero(raw.data) == raw.nnz
+
+
+class TestBoundaryData:
+    """Boundary data read through the geometry helpers load the same bits
+    as the earlier per-label loops, and the theorem checks see exactly the
+    points that the load uses."""
+
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    def test_load_and_reduction(self, pattern, monkeypatch):
+        mesh = jittered(make_rectangle_mesh(3.0, 1.3, 11, 7, pattern), 2)
+        K = PermeabilityField.uniform_tensor(mesh, 2.0, 0.5, 1.0)
+        mobility = dl.mobility_tensors(mesh, UNIT, ZERO_XI, K)
+        # "left" and "top" share the corner (0, 1.3), where they disagree:
+        # the later label's value is the one eliminated
+        bcs = BoundarySpec(
+            pressure={"left": lambda x, y: 2.0 + y, "top": lambda x, y: 1.0 - 0.1 * x},
+            velocity={"bottom": lambda x, y: np.sin(3.0 * x) - 0.2, "right": varying_inflow},
+        )
+        got = dl.assemble(mesh, mobility, bcs)
+        with monkeypatch.context() as m:
+            m.setattr(dl, "_neumann_load", _oracles.neumann_load_per_label)
+            m.setattr(dl, "_dirichlet_values", _oracles.dirichlet_values_per_node)
+            ref = dl.assemble(mesh, mobility, bcs)
+        assert list(got.dirichlet_map.items()) == list(ref.dirichlet_map.items())
+        corner = mesh.ny * (mesh.nx + 1)  # grid node (0, 1.3)
+        assert got.dirichlet_map[corner] == 1.0  # top's value, not left's 3.3
+        assert_bitwise(got.raw_rhs, ref.raw_rhs)
+        assert_bitwise(got.lift, ref.lift)
+        assert_bitwise(got.free, ref.free)
+        for a in ("indptr", "indices", "data"):
+            assert_bitwise(getattr(got.A_red, a), getattr(ref.A_red, a))
+        assert_bitwise(got.b_red, ref.b_red)
+
+    def test_checks_integrate_at_the_load_points(self):
+        mesh = make_rectangle_mesh(1.0, 1.0, 1, 1)
+        mobility = dl.mobility_tensors(mesh, UNIT, ZERO_XI, PermeabilityField.isotropic(mesh, 1.0))
+
+        def recording(points):
+            def vn(x, y):
+                points.append(np.column_stack([x, y]).tobytes())
+                return 1.0 + x
+
+            return BoundarySpec(
+                pressure={"top": 1.0}, velocity={"bottom": vn, "left": 0.0, "right": 0.0}
+            )
+
+        loaded, flux, checked, reciprocal = [], [], [], []
+        system = dl.assemble(mesh, mobility, recording(loaded))
+        flux_system = dl.assemble(mesh, mobility, recording(flux))
+        dl.boundary_flux(ScalarField.constant(mesh, 1.0), flux_system, "bottom")
+        vf.compatibility_check(mesh, recording(checked))
+        sol = vf.FluxSolution(ScalarField.constant(mesh, 1.0), np.zeros(mesh.n_nodes))
+        vf.reciprocity_residual_darcy(sol, sol, recording(reciprocal), recording(reciprocal), mesh)
+        assert len(loaded) == 2 and system.raw_rhs.any()
+        assert flux == loaded + loaded  # its assembly, then the flux
+        assert checked == loaded
+        assert reciprocal == loaded + loaded  # one integral per problem
