@@ -14,8 +14,8 @@ from .errors import (
     IncompatibleNeumann,
     NoConvergence,
     NonExistence,
+    NonFiniteData,
     NotApplicable,
-    OutOfDomain,
     PartitionMismatch,
     PoroflowError,
     SingularMobility,
@@ -28,8 +28,6 @@ from .geometry import (
     PermeabilityField,
     ScalarField,
     VectorField,
-    boundary_measure,
-    interpolate,
     make_rectangle_mesh,
     make_reservoir_mesh,
 )
@@ -46,8 +44,8 @@ __all__ = [
     "Mesh",
     "NoConvergence",
     "NonExistence",
+    "NonFiniteData",
     "NotApplicable",
-    "OutOfDomain",
     "PartitionMismatch",
     "PermeabilityField",
     "PoroflowError",
@@ -57,8 +55,6 @@ __all__ = [
     "TransformOverflow",
     "UnknownLabel",
     "VectorField",
-    "boundary_measure",
-    "interpolate",
     "make_rectangle_mesh",
     "make_reservoir_mesh",
 ]

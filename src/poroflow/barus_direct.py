@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -29,8 +29,6 @@ log = logging.getLogger("poroflow.picard")
 class PicardConfig:
     tol: float = 1e-10  # relative update tolerance
     max_iter: int = 200
-    relaxation: float = 1.0
-    initial_pressure: Union[str, ScalarField] = "reference"
     linear: LinearSolveConfig = field(default_factory=LinearSolveConfig)
 
     def __post_init__(self):
@@ -38,8 +36,6 @@ class PicardConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (0.0 < self.relaxation <= 1.0):
-            raise ValueError("relaxation must lie in (0, 1]")
 
 
 @dataclass
@@ -65,17 +61,12 @@ class PicardReport:
         lines += [f"update[{i}] = {u:.6e}" for i, u in enumerate(self.update_history)]
         return "\n".join(lines) + "\n"
 
-    def history_csv(self) -> str:
-        rows = ["iteration,update_norm"]
-        rows += [f"{i + 1},{u:.17g}" for i, u in enumerate(self.update_history)]
-        return "\n".join(rows) + "\n"
-
 
 def _potential_at(mesh, xi):
     """xi at the nodes and at the triangle centroids. A zero xi gives 0.0
     for both: adding it gives the bits a zero array would, and the
     centroids are never built."""
-    if xi.is_zero or xi.xi is None:
+    if xi.is_zero:
         return 0.0, 0.0
     return xi.at_points(mesh.nodes), xi.at_points(mesh.centroids())
 
@@ -97,11 +88,12 @@ def picard_solve(
     bcs: BoundarySpec,
     config: Optional[PicardConfig] = None,
 ) -> PicardReport:
-    """Fixed-point iteration: mobility from the previous pressure iterate
-    (viscosity at triangle centroids), one linear solve per sweep.
+    """Fixed-point iteration from p = p0 everywhere: mobility from the
+    previous pressure iterate (viscosity at triangle centroids), one linear
+    solve per sweep.
 
-    Divergence guard: three consecutive growing update norms trigger a
-    halving of the relaxation factor; after four halvings the solve raises
+    Divergence guard: the relaxation factor starts at 1; three consecutive
+    growing update norms halve it, and after four halvings the solve raises
     NoConvergence. An iterate whose viscosity overflows float64 also raises
     NoConvergence, with the report of the last iterate that had a finite
     one. beta = 0 is a single linear solve (the viscosity does not depend
@@ -113,10 +105,7 @@ def picard_solve(
     mbcs = darcy_linear.modified_bcs(bcs, xi)
     xi_nodes, xi_cents = _potential_at(mesh, xi)
 
-    if isinstance(config.initial_pressure, ScalarField):
-        ptilde = config.initial_pressure.values + xi_nodes
-    else:
-        ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
+    ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
 
     def finish(ptilde_k, system, mobility, history, converged, lin_iters):
         """Report on iterate ptilde_k, with the system assembled at it."""
@@ -138,7 +127,7 @@ def picard_solve(
         result = darcy_linear.solve(system, config.linear)
         return finish(result.field.values, system, mobility, [0.0], True, result.iterations)
 
-    omega = config.relaxation
+    omega = 1.0
     history = []
     lin_total = 0
     grow = 0

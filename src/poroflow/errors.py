@@ -27,8 +27,9 @@ class UnknownLabel(PoroflowError):
     """Boundary segment label not present in the mesh."""
 
 
-class OutOfDomain(PoroflowError):
-    """Point lies outside the meshed domain."""
+class NonFiniteData(PoroflowError, ValueError):
+    """Prescribed data (boundary data or body-force potential) evaluated
+    to NaN or +-inf."""
 
 
 class SingularMobility(PoroflowError):

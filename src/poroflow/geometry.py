@@ -1,5 +1,5 @@
 """Structured triangular meshes on rectangles, boundary tagging, field
-containers, and VTK/CSV export.
+containers, and the one rule by which boundary data are read.
 
 Meshes are immutable after construction. Boundary edges are oriented
 counter-clockwise around the domain so the outward normal of edge (a, b)
@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import BadDimensions, OutOfDomain, UnknownLabel
+from .errors import BadDimensions, NonFiniteData, UnknownLabel
 
 BCData = Union[float, Callable]
 
@@ -46,19 +47,23 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    @cached_property
+    def _label_rows(self) -> dict:
+        """{label: its boundary-edge rows}, in first-seen label order."""
+        rows = {}
+        for i, lab in enumerate(self.edge_labels):
+            rows.setdefault(lab, []).append(i)
+        return {lab: np.array(r) for lab, r in rows.items()}
+
     @property
     def labels(self) -> tuple:
-        seen = []
-        for lab in self.edge_labels:
-            if lab not in seen:
-                seen.append(lab)
-        return tuple(seen)
+        return tuple(self._label_rows)
 
     def edges_with_label(self, label: str) -> np.ndarray:
-        idx = [i for i, lab in enumerate(self.edge_labels) if lab == label]
-        if not idx:
+        rows = self._label_rows.get(label)
+        if rows is None:
             raise UnknownLabel(f"no boundary segment labeled {label!r}")
-        return self.boundary_edges[idx]
+        return self.boundary_edges[rows]
 
     def nodes_with_label(self, label: str) -> np.ndarray:
         return np.unique(self.edges_with_label(label))
@@ -78,12 +83,6 @@ class Mesh:
         (x0, x1, x2), (y0, y1, y2) = self._corner_coordinates()
         # summed in corner order, then divided: the bits of a mean over corners
         return np.column_stack([(x0 + x1 + x2) / 3, (y0 + y1 + y2) / 3])
-
-    def edge_normals(self) -> np.ndarray:
-        """Outward unit normals of the boundary edges."""
-        d = self.nodes[self.boundary_edges[:, 1]] - self.nodes[self.boundary_edges[:, 0]]
-        length = np.hypot(d[:, 0], d[:, 1])
-        return np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
 
     def validate(self):
         n, t = self.n_nodes, self.triangles
@@ -248,13 +247,6 @@ def make_reservoir_mesh(L, H, W, nx, ny, well_offset=0.0, pattern="diagonal") ->
         extent=base.extent,
         metadata=meta,
     )
-
-
-def boundary_measure(mesh: Mesh, label: str) -> float:
-    """Total length of the boundary edges carrying ``label``."""
-    edges = mesh.edges_with_label(label)
-    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-    return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +419,15 @@ def eval_bc(data: BCData, x, y):
 
 # The one boundary rule: 2-point Gauss on [0, 1], exact for cubics. The
 # Neumann load, the velocity-segment fluxes and the theorem checks all
-# integrate at these points.
+# integrate at these points. Every datum read through it must be finite.
 _GAUSS2_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS2_W = np.array([0.5, 0.5])
+
+
+def _finite(values: np.ndarray, label: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteData(f"boundary data on {label!r} evaluated to a non-finite value")
+    return values
 
 
 def _edge_quadrature(mesh: Mesh, label: str, data: BCData):
@@ -441,7 +439,7 @@ def _edge_quadrature(mesh: Mesh, label: str, data: BCData):
     length = np.hypot(*(b - a).T)
     for t, w in zip(_GAUSS2_T, _GAUSS2_W):
         q = a + t * (b - a)
-        yield edges, t, w * length, eval_bc(data, q[:, 0], q[:, 1])
+        yield edges, t, w * length, _finite(eval_bc(data, q[:, 0], q[:, 1]), label)
 
 
 def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
@@ -450,96 +448,11 @@ def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
     edges = mesh.edges_with_label(label)
     a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
     q = np.concatenate([a, b] + [a + t * (b - a) for t in _GAUSS2_T])
-    return eval_bc(data, q[:, 0], q[:, 1])
+    return _finite(eval_bc(data, q[:, 0], q[:, 1]), label)
 
 
 def _node_data(mesh: Mesh, label: str, data: BCData):
     """(nodes, data at those nodes) for the nodes of the edges labeled
     ``label``."""
     nodes = mesh.nodes_with_label(label)
-    return nodes, eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-
-
-def interpolate(field: ScalarField, point) -> float:
-    """P1 (barycentric) interpolation at a point inside the domain."""
-    mesh = field.mesh
-    pt = np.asarray(point, dtype=float)
-    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
-    d = pt[None, None, :] - p[:, 0:1, :]
-    e1 = p[:, 1, :] - p[:, 0, :]
-    e2 = p[:, 2, :] - p[:, 0, :]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    l1 = (d[:, 0, 0] * e2[:, 1] - d[:, 0, 1] * e2[:, 0]) / det
-    l2 = (e1[:, 0] * d[:, 0, 1] - e1[:, 1] * d[:, 0, 0]) / det
-    l0 = 1.0 - l1 - l2
-    scale = max(mesh.extent)
-    tol = 1e-12 * scale
-    inside = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-    hits = np.flatnonzero(inside)
-    if hits.size == 0:
-        raise OutOfDomain(f"point {pt.tolist()} lies outside the mesh")
-    t = hits[0]
-    lam = np.clip(np.array([l0[t], l1[t], l2[t]]), 0.0, 1.0)
-    lam = lam / lam.sum()
-    return float(lam @ field.values[mesh.triangles[t]])
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def write_vtk(path, mesh: Mesh, scalars=None, vectors=None, title="poroflow"):
-    """Legacy-VTK ASCII export: UNSTRUCTURED_GRID with POINT_DATA scalars
-    and CELL_DATA vectors. Title is truncated to the legacy 255-char limit."""
-    scalars = scalars or {}
-    vectors = vectors or {}
-    lines = ["# vtk DataFile Version 2.0", str(title).replace("\n", " ")[:255], "ASCII",
-             "DATASET UNSTRUCTURED_GRID"]
-    n, t = mesh.n_nodes, mesh.n_triangles
-    lines.append(f"POINTS {n} double")
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.17g} {y:.17g} 0")
-    lines.append(f"CELLS {t} {4 * t}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {t}")
-    lines.extend(["5"] * t)
-    if scalars:
-        lines.append(f"POINT_DATA {n}")
-        for name, fld in scalars.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in fld.values)
-    if vectors:
-        lines.append(f"CELL_DATA {t}")
-        for name, fld in vectors.items():
-            lines.append(f"VECTORS {name} double")
-            lines.extend(f"{vx:.17g} {vy:.17g} 0" for vx, vy in fld.values)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_scalar_csv(path, field: ScalarField, header_comments=()):
-    """Nodal values as ``x,y,value`` rows, one-line header, optional leading
-    ``#`` comment lines."""
-    with open(path, "w") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(field.mesh.nodes, field.values):
-            fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
-
-
-def write_vector_csv(path, field: VectorField, header_comments=()):
-    """Per-cell vectors at triangle centroids as ``x,y,vx,vy`` rows."""
-    cents = field.mesh.centroids()
-    with open(path, "w") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write("x,y,vx,vy\n")
-        for (x, y), (vx, vy) in zip(cents, field.values):
-            fh.write(f"{x:.17g},{y:.17g},{vx:.17g},{vy:.17g}\n")
+    return nodes, _finite(eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1]), label)

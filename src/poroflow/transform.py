@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import Degenerate, DomainViolation, TransformOverflow
+from .errors import Degenerate, DomainViolation, NonFiniteData, TransformOverflow
 
 # exp saturates the positive-normal float64 range beyond this magnitude.
 # Implementation choice (documented), not physics.
@@ -51,28 +51,32 @@ class FluidModel:
 
 @dataclass(frozen=True)
 class BodyForcePotential:
-    """Scalar potential xi(x, y) [Pa] with rho*b = -grad(xi).
+    """Scalar potential xi(x, y) [Pa] with rho*b = -grad(xi), or no body
+    force when ``xi`` is None (``is_zero``), which the solvers short-cut.
 
-    ``is_zero`` short-circuits the common no-body-force case.
+    Evaluation raises NonFiniteData where xi is NaN or infinite.
     """
 
     xi: Optional[Callable] = None
-    is_zero: bool = False
+
+    @property
+    def is_zero(self) -> bool:
+        return self.xi is None
 
     @staticmethod
     def zero() -> "BodyForcePotential":
-        return BodyForcePotential(xi=None, is_zero=True)
+        return BodyForcePotential()
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if self.is_zero or self.xi is None:
+        if self.is_zero:
             out = np.zeros(np.broadcast(x, y).shape)
             return float(out) if out.ndim == 0 else out
         out = np.asarray(self.xi(x, y), dtype=float)
         out = np.broadcast_to(out, np.broadcast(x, y).shape).copy()
         if not np.all(np.isfinite(out)):
-            raise ValueError("body-force potential evaluated to a non-finite value")
+            raise NonFiniteData("body-force potential evaluated to a non-finite value")
         return float(out) if out.ndim == 0 else out
 
     def at_points(self, points: np.ndarray):
@@ -119,26 +123,10 @@ def viscosity(p, fluid: FluidModel):
     return _scalar_like(p, fluid.mu0 * _checked_exp(arg))
 
 
-def modified_pressure(p, xi_value):
-    """Pressure shifted by the body-force potential: p + xi."""
-    out = np.asarray(p, dtype=float) + np.asarray(xi_value, dtype=float)
-    return _scalar_like(p, out)
-
-
 def reference_viscosity_field(xi_value, fluid: FluidModel):
     """Position-dependent reference viscosity mu0 * exp[-beta*xi/p0]."""
     arg = -fluid.beta * np.asarray(xi_value, dtype=float) / fluid.p0
     return _scalar_like(xi_value, fluid.mu0 * _checked_exp(arg))
-
-
-def pressure_multiplier(ptilde, fluid: FluidModel):
-    """Dimensionless factor g(ptilde) = exp[beta * (ptilde/p0 - 1)].
-
-    Together with reference_viscosity_field this reproduces the viscosity:
-    mu0_tilde(xi) * g(p + xi) == viscosity(p).
-    """
-    arg = fluid.beta * (np.asarray(ptilde, dtype=float) / fluid.p0 - 1.0)
-    return _scalar_like(ptilde, _checked_exp(arg))
 
 
 def hopf_cole_forward(P, fluid: FluidModel):

@@ -297,7 +297,8 @@ class CeilingFluxModel:
     """One-parameter flux law Q(p_inj) calibrated from a single solve.
 
     C : flux per unit transformed-pressure difference [m^3/(s.Pa) per width]
-    p_atm : production/reference pressure (fluid.p0 in the canonical setup)
+    p_atm : production pressure, where the Kirchhoff variable of the law
+        is zero (fluid.p0 in the canonical setup); its exponent scale is p0
     """
 
     C: float
@@ -305,14 +306,10 @@ class CeilingFluxModel:
     p_atm: float
 
     def ceiling(self) -> float:
-        """Asymptotic flux as the injection pressure grows without bound."""
-        return self.C * self.p_atm / self.fluid.beta
-
-    def flux_derivative(self, p_inj: float) -> float:
-        """dQ/dp_inj = C * exp[-beta*(p_inj/p_atm - 1)]."""
-        return self.C * float(
-            np.exp(-self.fluid.beta * (p_inj / self.p_atm - 1.0))
-        )
+        """Asymptotic flux as the injection pressure grows without bound:
+        C * kirchhoff_ceiling(fluid, p_atm) = C * (p0/beta) *
+        exp[-beta*(p_atm/p0 - 1)]."""
+        return self.C * transform.kirchhoff_ceiling(self.fluid, self.p_atm)
 
 
 def calibrate_ceiling_flux(
@@ -327,8 +324,9 @@ def calibrate_ceiling_flux(
     wall_label: str = "wall",
 ) -> CeilingFluxModel:
     """One transformed solve at the calibration injection pressure fixes
-    C = Q_well / (P_inj - P_prod); every other injection pressure then
-    follows from the closed-form law without further solves.
+    C = Q_well / P_K(p_inj), P_K the Kirchhoff variable measured from
+    p_prod; every other injection pressure then follows from the law of
+    predict_flux without further solves.
 
     Requires zero body force (the linear-decomposition argument needs
     constant transformed boundary data) and a calibration pressure
@@ -358,15 +356,11 @@ def calibrate_ceiling_flux(
 
 
 def predict_flux(model: CeilingFluxModel, p_inj: float) -> float:
-    """Closed-form production flux
-
-    Q = (C * p_atm / beta) * (1 - exp[-beta*(p_inj/p_atm - 1)])
-
-    Zero at p_inj = p_atm, strictly increasing, bounded by C*p_atm/beta.
-    """
+    """Closed-form production flux, C times the Kirchhoff variable of p_inj
+    measured from p_atm: Q = model.ceiling() * (1 - exp[-beta*(p_inj -
+    p_atm)/p0]), evaluated with expm1. Zero at p_inj = p_atm, strictly
+    increasing, bounded by model.ceiling()."""
     if p_inj < model.p_atm:
         raise ValueError("p_inj must be >= the production pressure")
     f = model.fluid
-    return (model.C * model.p_atm / f.beta) * (
-        1.0 - float(np.exp(-f.beta * (p_inj / model.p_atm - 1.0)))
-    )
+    return -model.ceiling() * float(np.expm1(-f.beta * (p_inj - model.p_atm) / f.p0))

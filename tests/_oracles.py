@@ -95,6 +95,50 @@ def neumann_load_per_label(mesh, bcs):
     return rhs
 
 
+def edges_with_label_scan(mesh, label):
+    """Boundary edges of one label by a scan of every edge label (the
+    library looks the rows up in a per-mesh index)."""
+    return mesh.boundary_edges[[i for i, lab in enumerate(mesh.edge_labels) if lab == label]]
+
+
+def labels_scan(mesh):
+    """Distinct edge labels in first-seen order, by a scan."""
+    seen = []
+    for lab in mesh.edge_labels:
+        if lab not in seen:
+            seen.append(lab)
+    return tuple(seen)
+
+
+def segment_length(mesh, label):
+    """Total length of the boundary edges carrying one label."""
+    edges = mesh.edges_with_label(label)
+    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    return float(np.hypot(d[:, 0], d[:, 1]).sum())
+
+
+def p1_interpolate(field, point):
+    """P1 (barycentric) value of a nodal field at a point of the mesh, from
+    the first triangle whose barycentric coordinates are all >= 0 (within
+    a rounding tolerance)."""
+    mesh = field.mesh
+    pt = np.asarray(point, dtype=float)
+    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
+    d = pt - p[:, 0, :]
+    e1 = p[:, 1, :] - p[:, 0, :]
+    e2 = p[:, 2, :] - p[:, 0, :]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
+    l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+    l0 = 1.0 - l1 - l2
+    tol = 1e-12 * max(mesh.extent)
+    hits = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+    assert hits.size, f"point {pt.tolist()} lies outside the mesh"
+    t = hits[0]
+    lam = np.clip([l0[t], l1[t], l2[t]], 0.0, 1.0)
+    return float(lam @ field.values[mesh.triangles[t]] / lam.sum())
+
+
 def dirichlet_values_per_node(mesh, bcs):
     out = {}
     for label, data in bcs.pressure.items():

@@ -89,24 +89,6 @@ class TestPicardSolve:
         assert report.update_history[-1] <= 1e-10
         assert report.wall_time > 0.0
 
-    def test_fixed_point_consistency(self, table1_fluid):
-        # re-solving from the converged state must not move the solution
-        mesh = make_rectangle_mesh(10.0, 2.0, 8, 2)
-        K = PermeabilityField.isotropic(mesh, 1e-12)
-        bcs = strip_bcs(1e8, table1_fluid.p0)
-        cfg = bd.PicardConfig(tol=1e-12)
-        report = bd.picard_solve(mesh, table1_fluid, ZERO_XI, K, bcs, cfg)
-        again = bd.picard_solve(
-            mesh,
-            table1_fluid,
-            ZERO_XI,
-            K,
-            bcs,
-            bd.PicardConfig(tol=1e-12, initial_pressure=report.p),
-        )
-        scale = np.abs(report.p.values).max()
-        assert np.max(np.abs(again.p.values - report.p.values)) < 1e-9 * scale
-
     def test_iteration_count_grows_with_drive(self, table1_fluid):
         mesh = make_reservoir_mesh(50.0, 15.0, 1.0, 16, 6)
         K = PermeabilityField.isotropic(mesh, 1e-12)

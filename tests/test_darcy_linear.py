@@ -14,6 +14,7 @@ from poroflow import (
     IncompatibleNeumann,
     NoConvergence,
     NonExistence,
+    NonFiniteData,
     PermeabilityField,
     ScalarField,
     SingularMobility,
@@ -21,6 +22,7 @@ from poroflow import (
     make_rectangle_mesh,
     make_reservoir_mesh,
 )
+from poroflow import barus_direct as bd
 from poroflow import darcy_linear as dl
 from poroflow import oned_analytic as o1
 from poroflow import transform as tr
@@ -480,8 +482,33 @@ class TestTransformedBVP:
             "p_min",
             "p_max",
             "speed_max",
-            "transform_violation",
             "P_min",
             "P_max",
         ]
         assert float(lines[3].split(" = ")[1]) == pytest.approx(report.residual, rel=1e-6)
+
+
+class TestNonFiniteData:
+    """A NaN or infinite boundary datum is rejected with the label it sits
+    on, before it reaches the sparse factorization."""
+
+    @pytest.mark.parametrize(
+        "label,pressure,velocity",
+        [
+            ("inlet", {"inlet": lambda x, y: np.where(y > 1.0, np.nan, 2.0), "well": 1.0},
+             {"wall": 0.0}),
+            ("wall", {"inlet": 2.0, "well": 1.0}, {"wall": np.nan}),
+            ("wall", {"inlet": 2.0, "well": 1.0},
+             {"wall": lambda x, y: np.where(x > 5.0, np.inf, 0.0)}),
+        ],
+        ids=["nan-pressure", "nan-velocity", "inf-velocity"],
+    )
+    @pytest.mark.parametrize("solver", [dl.solve_transformed_bvp, bd.picard_solve],
+                             ids=["transformed", "picard"])
+    def test_rejected_with_label(self, solver, label, pressure, velocity):
+        mesh = make_reservoir_mesh(10.0, 3.0, 1.0, 10, 3)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bcs = BoundarySpec(pressure=pressure, velocity=velocity)
+        fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
+        with pytest.raises(NonFiniteData, match=repr(label)):
+            solver(mesh, fluid, ZERO_XI, K, bcs)

@@ -60,22 +60,6 @@ class TestViscosity:
         assert np.all(mu > 0.0)
 
 
-class TestModifiedPressure:
-    def test_zero_potential(self):
-        assert tr.modified_pressure(5.0, 0.0) == 5.0
-
-    def test_definition(self):
-        assert tr.modified_pressure(5.0, 3.0) == 8.0
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        p = rng.uniform(-1e6, 1e6, 100)
-        xi = rng.uniform(-1e5, 1e5, 100)
-        back = tr.modified_pressure(p, xi) - xi
-        # additive inverse up to one rounding of the larger operand
-        assert np.max(np.abs(back - p)) <= 2**-52 * np.max(np.abs(p) + np.abs(xi))
-
-
 class TestReferenceViscosityField:
     def test_zero_potential_gives_mu0(self, table1_fluid):
         assert tr.reference_viscosity_field(0.0, table1_fluid) == table1_fluid.mu0
@@ -91,20 +75,15 @@ class TestReferenceViscosityField:
 
 
 class TestPressureMultiplier:
-    def test_reference_pressure(self, table1_fluid):
-        assert tr.pressure_multiplier(table1_fluid.p0, table1_fluid) == 1.0
-
-    def test_beta_zero(self):
-        assert tr.pressure_multiplier(42.0, FluidModel(1.0, 0.0, 1.0)) == 1.0
-
     def test_viscosity_decomposition(self, table1_fluid):
-        # mu0_tilde(xi) * g(p + xi) must reproduce the viscosity at p
+        # mu0_tilde(xi) * g(p + xi), g(ptilde) = exp[beta*(ptilde/p0 - 1)],
+        # must reproduce the viscosity at p
         rng = np.random.default_rng(7)
         p = rng.uniform(1e4, 1e9, 500)
         xi = rng.uniform(-1e6, 1e6, 500)
-        lhs = tr.reference_viscosity_field(xi, table1_fluid) * tr.pressure_multiplier(
-            p + xi, table1_fluid
-        )
+        f = table1_fluid
+        g = np.exp(f.beta * ((p + xi) / f.p0 - 1.0))
+        lhs = tr.reference_viscosity_field(xi, f) * g
         rhs = tr.viscosity(p, table1_fluid)
         assert np.max(np.abs(lhs - rhs) / rhs) < 1e-14
 
@@ -300,6 +279,8 @@ class TestTransformFamily:
 class TestBodyForcePotential:
     def test_zero(self):
         xi = BodyForcePotential.zero()
+        assert xi == BodyForcePotential() and xi.is_zero
+        assert not BodyForcePotential(xi=lambda x, y: 0.0 * x).is_zero
         assert xi(1.0, 2.0) == 0.0
         assert np.array_equal(xi.at_points(np.zeros((5, 2))), np.zeros(5))
 
