@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import darcy_linear, transform
-from .darcy_linear import LinearSolveConfig, SparseSystem
+from .darcy_linear import SparseSystem
 from .errors import NoConvergence, TransformOverflow
 from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, VectorField
 from .transform import BodyForcePotential, FluidModel
@@ -29,7 +29,6 @@ log = logging.getLogger("poroflow.picard")
 class PicardConfig:
     tol: float = 1e-10  # relative update tolerance
     max_iter: int = 200
-    linear: LinearSolveConfig = field(default_factory=LinearSolveConfig)
 
     def __post_init__(self):
         if not (self.tol > 0.0):
@@ -124,7 +123,7 @@ def picard_solve(
     system, mobility = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde)
     if fluid.beta == 0.0:
         # the mobility does not depend on pressure: one system serves all
-        result = darcy_linear.solve(system, config.linear)
+        result = darcy_linear.solve(system)
         return finish(result.field.values, system, mobility, [0.0], True, result.iterations)
 
     omega = 1.0
@@ -134,7 +133,7 @@ def picard_solve(
     halvings = 0
 
     for _ in range(config.max_iter):
-        result = darcy_linear.solve(system, config.linear)
+        result = darcy_linear.solve(system)
         lin_total += result.iterations
         new = (1.0 - omega) * ptilde + omega * result.field.values
         upd = float(

@@ -14,11 +14,12 @@ pressure segments), the rule the theorem checks in ``verification`` use too.
 The constant-viscosity (beta = 0) problem is ``barus_direct.picard_solve``,
 which solves it with one linear solve.
 
-The factor of the last reduced matrix factored is kept while the mesh it
-was built on lives, and a solve whose reduced matrix is bitwise the same
-reuses it. The transformed problem's matrix depends on the mesh, the
-permeability and mu0 but not on the boundary data, so a sweep over
-pressure data factors once.
+Every solve checks the relative residual of the reduced system against
+the fixed bound 1e-12 (``_RTOL``). The factor of the last reduced matrix
+factored is kept while the mesh it was built on lives, and a solve whose
+reduced matrix is bitwise the same reuses it. The transformed problem's
+matrix depends on the mesh, the permeability and mu0 but not on the
+boundary data, so a sweep over pressure data factors once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import hashlib
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,16 +57,8 @@ from .geometry import (
 from .transform import BodyForcePotential, FluidModel
 
 
-@dataclass
-class LinearSolveConfig:
-    """How ``solve`` checks the reduced system: the relative residual of
-    the sparse LU solution must not exceed rtol."""
-
-    rtol: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.rtol < 1.0):
-            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol}")
+# Bound on the relative residual of every reduced solve.
+_RTOL = 1e-12
 
 
 @dataclass
@@ -149,7 +141,8 @@ def _check_spd(mobility: np.ndarray):
     asym = np.abs(mobility[:, 0, 1] - mobility[:, 1, 0])
     scale = np.maximum(_tensor_scale(mobility), 1e-300)
     det = a * d - b * b
-    bad = (a <= 0) | (det <= 0) | (asym > 1e-10 * scale)
+    # positive tests, so that a NaN entry fails them
+    bad = ~((a > 0) & (det > 0) & (asym <= 1e-10 * scale))
     if np.any(bad):
         raise SingularMobility(
             f"{int(bad.sum())} mobility tensor(s) fail symmetric positive-definiteness"
@@ -286,23 +279,22 @@ def _lu(A, b, mesh):
     return x, float(np.linalg.norm(b - A @ x) / bnorm)
 
 
-def solve(system: SparseSystem, config: Optional[LinearSolveConfig] = None) -> LinearSolveResult:
+def solve(system: SparseSystem) -> LinearSolveResult:
     """Solve the assembled system for the nodal field.
 
     The reduced SPD matrix is solved with a fill-reducing sparse LU
-    (iterations = 0) and the relative residual is checked against
-    config.rtol on every call; a residual above it, or not finite, raises
-    NoConvergence. The factor is reused while system.mesh lives, for as
-    long as the calls see a reduced matrix with the same shape, pattern and
-    values; any other matrix replaces it. A reused factor gives results
-    bitwise identical to a fresh one.
+    (iterations = 0) and the relative residual is checked against the
+    fixed bound 1e-12 on every call; a residual above it, or not finite,
+    raises NoConvergence. The factor is reused while system.mesh lives,
+    for as long as the calls see a reduced matrix with the same shape,
+    pattern and values; any other matrix replaces it. A reused factor
+    gives results bitwise identical to a fresh one.
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
     then grounded by pinning node 0, so the result is one member of the
     constant-shifted family.
     """
-    config = config or LinearSolveConfig()
     if not system.dirichlet_map:
         net = float(system.raw_rhs.sum())
         scale = float(np.abs(system.raw_rhs).sum())
@@ -313,8 +305,8 @@ def solve(system: SparseSystem, config: Optional[LinearSolveConfig] = None) -> L
             )
 
     x_red, res = _lu(system.A_red, system.b_red, system.mesh)
-    if not res <= config.rtol:  # also catches a non-finite residual
-        raise NoConvergence(f"sparse LU residual {res:.3e} exceeds rtol={config.rtol}")
+    if not res <= _RTOL:  # also catches a non-finite residual
+        raise NoConvergence(f"sparse LU residual {res:.3e} exceeds rtol={_RTOL}")
 
     values = system.lift.copy()
     values[system.free] = x_red
@@ -410,7 +402,6 @@ def solve_transformed_bvp(
     xi: BodyForcePotential,
     K: PermeabilityField,
     bcs: BoundarySpec,
-    config: Optional[LinearSolveConfig] = None,
 ) -> SolveReport:
     """Three-step solution of the nonlinear problem via one linear solve:
     map pressure data to the transformed variable, solve the linear
@@ -447,7 +438,7 @@ def solve_transformed_bvp(
     )
     mobility = mobility_tensors(mesh, fluid, xi, K)
     system = assemble(mesh, mobility, kbcs)
-    result = solve(system, config)
+    result = solve(system)
     U = result.field.values
     ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
 

@@ -91,7 +91,7 @@ class Mesh:
         if self.boundary_edges.min() < 0 or self.boundary_edges.max() >= n:
             raise ValueError("boundary edge indices out of range")
         areas = self.signed_areas()
-        if np.any(areas <= 0.0):
+        if not np.all(areas > 0.0):  # a NaN area fails too
             raise ValueError("all triangles must have positive signed area")
         # boundary edges must cover the topological boundary exactly once
         if len(self.edge_labels) != self.boundary_edges.shape[0]:
@@ -155,8 +155,8 @@ def make_rectangle_mesh(L, H, nx, ny, pattern="diagonal") -> Mesh:
     is an M-matrix for isotropic coefficients); "crossed" adds a center
     node per cell and 4 triangles.
     """
-    if L <= 0 or H <= 0:
-        raise BadDimensions(f"rectangle sides must be positive, got L={L}, H={H}")
+    if not (0.0 < L < math.inf and 0.0 < H < math.inf):
+        raise BadDimensions(f"rectangle sides must be positive and finite, got L={L}, H={H}")
     if nx < 1 or ny < 1:
         raise BadDimensions(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
     if pattern not in ("diagonal", "crossed"):
@@ -330,6 +330,8 @@ class PermeabilityField:
         object.__setattr__(self, "tensors", t)
         if t.ndim != 3 or t.shape[1:] != (2, 2):
             raise ValueError(f"expected (n, 2, 2) tensors, got shape {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise NonFiniteData("permeability tensors contain non-finite values")
         if not (0.0 < self.k1 <= self.k2):
             raise ValueError(f"need 0 < k1 <= k2, got k1={self.k1}, k2={self.k2}")
         asym = np.abs(t[:, 0, 1] - t[:, 1, 0])

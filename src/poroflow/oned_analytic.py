@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Degenerate, NonExistence
+from .errors import Degenerate, NonExistence, NonFiniteData
 from .transform import FluidModel
 
 
@@ -27,12 +27,17 @@ class StripProblem:
     p_R: Optional[float] = None  # outlet pressure [Pa]; default fluid.p0
 
     def __post_init__(self):
+        if self.p_R is None:
+            object.__setattr__(self, "p_R", self.fluid.p0)
+        if not np.all(np.isfinite([self.L, self.k, self.v0, self.p_R])):
+            raise NonFiniteData(
+                f"strip data must be finite, got L={self.L}, k={self.k}, "
+                f"v0={self.v0}, p_R={self.p_R}"
+            )
         if not (self.L > 0.0):
             raise ValueError("L must be positive")
         if not (self.k > 0.0):
             raise ValueError("k must be positive")
-        if self.p_R is None:
-            object.__setattr__(self, "p_R", self.fluid.p0)
 
     @property
     def outlet_exp(self) -> float:

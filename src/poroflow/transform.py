@@ -36,6 +36,11 @@ class FluidModel:
     p0: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.mu0, self.beta, self.p0])):
+            raise NonFiniteData(
+                f"fluid parameters must be finite, got mu0={self.mu0}, "
+                f"beta={self.beta}, p0={self.p0}"
+            )
         if not (self.mu0 > 0.0):
             raise ValueError(f"mu0 must be positive, got {self.mu0}")
         if not (self.p0 > 0.0):

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from . import darcy_linear, transform
-from .darcy_linear import LinearSolveConfig
 from .errors import Degenerate, NotApplicable, PartitionMismatch
 from .geometry import (
     BoundarySpec,
@@ -84,16 +83,17 @@ def _prescribed_values(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
 
 
 def _default_tol(values: np.ndarray) -> float:
+    """1e-10 of the range of values; of their magnitude, at least 1, when
+    they are all equal."""
     rng = float(values.max() - values.min())
     return 1e-10 * (rng if rng > 0.0 else max(abs(float(values.max())), 1.0))
 
 
-def check_min_principle(
-    field: ScalarField, bcs: BoundarySpec, tol: Optional[float] = None
-) -> PrincipleReport:
+def check_min_principle(field: ScalarField, bcs: BoundarySpec) -> PrincipleReport:
     """Lower bound: no nodal value below the smallest prescribed pressure
-    datum (minus tol). Applicable only when the prescribed normal velocity
-    is <= 0 everywhere (inflow or sealed); otherwise NotApplicable."""
+    datum, up to _default_tol of the field (tolerance_used). Applicable
+    only when the prescribed normal velocity is <= 0 everywhere (inflow or
+    sealed); otherwise NotApplicable."""
     mesh = field.mesh
     _, vmax = _velocity_sign(mesh, bcs)
     if vmax > 0.0:
@@ -103,7 +103,7 @@ def check_min_principle(
     prescribed = _prescribed_values(mesh, bcs)
     if prescribed.size == 0:
         raise NotApplicable("no pressure segment: no boundary bound to compare against")
-    tol = _default_tol(field.values) if tol is None else float(tol)
+    tol = _default_tol(field.values)
     bound = float(prescribed.min())
     worst = float(field.values.min())
     bad = np.flatnonzero(field.values < bound - tol)
@@ -116,11 +116,9 @@ def check_min_principle(
     )
 
 
-def check_max_principle(
-    field: ScalarField, bcs: BoundarySpec, tol: Optional[float] = None
-) -> PrincipleReport:
+def check_max_principle(field: ScalarField, bcs: BoundarySpec) -> PrincipleReport:
     """Mirror of check_min_principle: v_n >= 0 required, no nodal value
-    above the largest prescribed datum (plus tol)."""
+    above the largest prescribed datum, up to the same tolerance."""
     mesh = field.mesh
     vmin, _ = _velocity_sign(mesh, bcs)
     if vmin < 0.0:
@@ -130,7 +128,7 @@ def check_max_principle(
     prescribed = _prescribed_values(mesh, bcs)
     if prescribed.size == 0:
         raise NotApplicable("no pressure segment: no boundary bound to compare against")
-    tol = _default_tol(field.values) if tol is None else float(tol)
+    tol = _default_tol(field.values)
     bound = float(prescribed.max())
     worst = float(field.values.max())
     bad = np.flatnonzero(field.values > bound + tol)
@@ -155,11 +153,11 @@ def check_comparison(
     sol2: ScalarField,
     bcs1: BoundarySpec,
     bcs2: BoundarySpec,
-    tol: Optional[float] = None,
 ) -> ComparisonReport:
     """Ordering of solutions from ordered boundary data: if v_n(1) >= v_n(2)
     on the velocity segments and the prescribed pressure of (2) dominates
-    that of (1), then sol2 >= sol1 nodewise (within tol).
+    that of (1), then sol2 >= sol1 nodewise, up to _default_tol of both
+    fields together (tolerance_used).
 
     Raises NotApplicable when the hypotheses do not hold.
     """
@@ -183,7 +181,7 @@ def check_comparison(
             )
 
     both = np.concatenate([sol1.values, sol2.values])
-    tol = _default_tol(both) if tol is None else float(tol)
+    tol = _default_tol(both)
     bad = np.flatnonzero(sol2.values < sol1.values - tol)
     return ComparisonReport(ordered=bad.size == 0, violation_nodes=bad, tolerance_used=tol)
 
@@ -318,19 +316,18 @@ def calibrate_ceiling_flux(
     K: PermeabilityField,
     p_inj_calibration: float,
     p_prod: Optional[float] = None,
-    config: Optional[LinearSolveConfig] = None,
-    inlet_label: str = "inlet",
-    well_label: str = "well",
-    wall_label: str = "wall",
 ) -> CeilingFluxModel:
     """One transformed solve at the calibration injection pressure fixes
     C = Q_well / P_K(p_inj), P_K the Kirchhoff variable measured from
     p_prod; every other injection pressure then follows from the law of
     predict_flux without further solves.
 
-    Requires zero body force (the linear-decomposition argument needs
-    constant transformed boundary data) and a calibration pressure
-    different from the production pressure.
+    The mesh carries the labels make_reservoir_mesh writes: pressure
+    p_inj_calibration on "inlet", p_prod on "well", no flow through "wall".
+    Q_well is the summed nodal reaction of the well. The solve has no body
+    force (the linear-decomposition argument needs constant transformed
+    boundary data), and the calibration pressure must differ from the
+    production pressure.
     """
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: the flux grows linearly, no ceiling exists")
@@ -338,20 +335,14 @@ def calibrate_ceiling_flux(
     if p_inj_calibration == p_prod:
         raise ValueError("calibration pressure must differ from the production pressure")
 
-    # Calibration solve in the Kirchhoff variable measured from p_prod (the
-    # transformed variable minus its production value): same flux by
-    # linearity, but free of the huge common baseline that would otherwise
-    # swamp Q with cancellation error.
-    dP = transform.kirchhoff_forward(p_inj_calibration, fluid, p_prod)
-    xi = BodyForcePotential.zero()
     bcs = BoundarySpec(
-        pressure={inlet_label: float(dP), well_label: 0.0},
-        velocity={wall_label: 0.0},
+        pressure={"inlet": p_inj_calibration, "well": p_prod}, velocity={"wall": 0.0}
     )
-    mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
-    system = darcy_linear.assemble(mesh, mobility, bcs)
-    result = darcy_linear.solve(system, config)
-    Q = float(darcy_linear.boundary_flux(result.field, system, well_label))
+    # the solve measures its Kirchhoff variable from the lower of the two
+    # pressures, free of the common baseline that would swamp Q
+    report = darcy_linear.solve_transformed_bvp(mesh, fluid, BodyForcePotential.zero(), K, bcs)
+    Q = float(report.reactions[mesh.nodes_with_label("well")].sum())
+    dP = transform.kirchhoff_forward(p_inj_calibration, fluid, p_prod)
     return CeilingFluxModel(C=Q / dP, fluid=fluid, p_atm=p_prod)
 
 

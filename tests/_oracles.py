@@ -12,8 +12,9 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from poroflow import transform
-from poroflow.geometry import edge_keys, eval_bc, triangle_edges
+from poroflow import darcy_linear, transform
+from poroflow.geometry import BoundarySpec, edge_keys, eval_bc, triangle_edges
+from poroflow.transform import BodyForcePotential
 
 
 # Per-triangle kernels in their earlier formulation: (n_tri, 3, .) corner
@@ -147,6 +148,19 @@ def dirichlet_values_per_node(mesh, bcs):
         for n, v in zip(nodes, np.atleast_1d(vals)):
             out[int(n)] = float(v)
     return out
+
+
+def ceiling_flux_constant_by_hand(mesh, fluid, K, p_inj, p_prod):
+    """The bounded-flux constant C of a reservoir, from a Kirchhoff solve
+    built by hand instead of by solve_transformed_bvp: pressure data
+    P_K(p_inj) on the inlet and 0 on the well, both measured from p_prod,
+    and Q the reaction-form flux of the well."""
+    dP = transform.kirchhoff_forward(p_inj, fluid, p_prod)
+    bcs = BoundarySpec(pressure={"inlet": float(dP), "well": 0.0}, velocity={"wall": 0.0})
+    mobility = darcy_linear.mobility_tensors(mesh, fluid, BodyForcePotential.zero(), K)
+    system = darcy_linear.assemble(mesh, mobility, bcs)
+    result = darcy_linear.solve(system)
+    return float(darcy_linear.boundary_flux(result.field, system, "well")) / dP
 
 
 def jacobi_cg(A, b, rtol):

@@ -60,10 +60,12 @@ class TestAssemble:
 
     def test_singular_mobility_rejected(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 1, 1)
-        mob = identity_mobility(mesh)
-        mob[0] = [[1.0, 2.0], [2.0, 1.0]]  # indefinite
-        with pytest.raises(SingularMobility):
-            dl.assemble(mesh, mob, lr_dirichlet(0.0, 1.0))
+        # indefinite, and one NaN entry
+        for bad in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]]):
+            mob = identity_mobility(mesh)
+            mob[0] = bad
+            with pytest.raises(SingularMobility):
+                dl.assemble(mesh, mob, lr_dirichlet(0.0, 1.0))
 
     def test_incompatible_pure_neumann(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)
@@ -121,12 +123,13 @@ class TestSolve:
         result = dl.solve(system)
         assert np.max(np.abs(result.field.values - mesh.nodes[:, 0])) < 1e-10
 
-    def test_no_convergence_reported(self):
+    def test_no_convergence_reported(self, monkeypatch):
         # the LU residual (about 1e-15 here) cannot meet a limit below eps
         mesh = make_rectangle_mesh(1.0, 1.0, 20, 20)
         system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
+        monkeypatch.setattr(dl, "_RTOL", 1e-18)
         with pytest.raises(NoConvergence):
-            dl.solve(system, dl.LinearSolveConfig(rtol=1e-18))
+            dl.solve(system)
 
     def test_direct_and_cg_agree(self, table1_fluid):
         # the transformed reservoir system, solved by LU and by reference CG
@@ -225,11 +228,12 @@ class TestFactorReuse:
         dl.solve(system)
         assert len(splu_calls) == 2
 
-    def test_residual_checked_on_reuse(self, splu_calls):
+    def test_residual_checked_on_reuse(self, splu_calls, monkeypatch):
         _, system = self.strip_system(2.25)
         dl.solve(system)
+        monkeypatch.setattr(dl, "_RTOL", 1e-18)
         with pytest.raises(NoConvergence):
-            dl.solve(system, dl.LinearSolveConfig(rtol=1e-18))
+            dl.solve(system)
         assert len(splu_calls) == 1
 
     def test_singular_matrix_leaves_no_entry(self, splu_calls):

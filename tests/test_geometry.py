@@ -7,6 +7,7 @@ from poroflow import (
     BadDimensions,
     BoundarySpec,
     Mesh,
+    NonFiniteData,
     PermeabilityField,
     ScalarField,
     UnknownLabel,
@@ -77,8 +78,9 @@ class TestRectangleMesh:
             assert np.array_equal(mesh.nodes[base:], np.array(centers))
 
     def test_bad_inputs(self):
-        with pytest.raises(BadDimensions):
-            make_rectangle_mesh(0.0, 1.0, 2, 2)
+        for L, H in [(0.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)]:
+            with pytest.raises(BadDimensions):
+                make_rectangle_mesh(L, H, 2, 2)
         with pytest.raises(BadDimensions):
             make_rectangle_mesh(1.0, 1.0, 0, 2)
 
@@ -117,6 +119,11 @@ class TestValidate:
         flipped[0] = flipped[0, ::-1]
         with pytest.raises(ValueError, match="positive signed area"):
             Mesh(mesh.nodes, flipped, mesh.boundary_edges, mesh.edge_labels,
+                 mesh.nx, mesh.ny, mesh.extent).validate()
+        nan_node = mesh.nodes.copy()
+        nan_node[4] = np.nan  # the centre node: every triangle touches it
+        with pytest.raises(ValueError, match="positive signed area"):
+            Mesh(nan_node, mesh.triangles, mesh.boundary_edges, mesh.edge_labels,
                  mesh.nx, mesh.ny, mesh.extent).validate()
         with pytest.raises(ValueError, match="one label per boundary edge"):
             Mesh(mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.edge_labels[1:],
@@ -234,6 +241,13 @@ class TestPermeability:
         mesh = make_rectangle_mesh(1.0, 1.0, 1, 1)
         with pytest.raises(ValueError):
             PermeabilityField(np.broadcast_to(np.eye(2), (2, 2, 2)).copy(), k1=2.0, k2=3.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        t = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+        t[1, 0, 0] = bad
+        with pytest.raises(NonFiniteData):
+            PermeabilityField(t, k1=0.5, k2=2.0)
 
     def test_anisotropic_tensor(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 1, 1)

@@ -363,3 +363,37 @@ class TestBoundaryData:
         assert flux == loaded + loaded  # its assembly, then the flux
         assert checked == loaded
         assert reciprocal == loaded + loaded  # one integral per problem
+
+
+class TestCeilingFluxCalibration:
+    """calibrate_ceiling_flux through solve_transformed_bvp gives the C of
+    the Kirchhoff solve built by hand: the same bits when the injection
+    pressure lies above the production pressure (the gauge is then
+    p_prod in both), rounding apart when it lies below (the gauge moves to
+    p_inj, and a constant shift leaves the reactions unchanged only in
+    exact arithmetic)."""
+
+    @staticmethod
+    def check(got, ref, above):
+        if above:
+            assert_bitwise(got.C, ref)
+        else:
+            assert abs(got.C - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("mult", [10.0, 0.5])
+    def test_table1_reservoir(self, mult):
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        got = vf.calibrate_ceiling_flux(mesh, TABLE1, K, mult * TABLE1.p0)
+        ref = _oracles.ceiling_flux_constant_by_hand(mesh, TABLE1, K, mult * TABLE1.p0, TABLE1.p0)
+        self.check(got, ref, mult > 1.0)
+
+    @pytest.mark.parametrize("p_prod", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dp", [1.0, -0.25])
+    def test_unit_fluid(self, p_prod, dp):
+        fluid = FluidModel(mu0=1.0, beta=2.0, p0=1.0)
+        mesh = make_reservoir_mesh(2.0, 1.0, 0.25, 32, 16)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        got = vf.calibrate_ceiling_flux(mesh, fluid, K, p_prod + dp, p_prod=p_prod)
+        ref = _oracles.ceiling_flux_constant_by_hand(mesh, fluid, K, p_prod + dp, p_prod)
+        self.check(got, ref, dp > 0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poroflow import Degenerate, FluidModel, NonExistence
+from poroflow import Degenerate, FluidModel, NonExistence, NonFiniteData
 from poroflow import oned_analytic as o1
 from poroflow import transform as tr
 
@@ -21,6 +21,27 @@ def unit_problem(v0):
 
 def table1_problem(fluid, v0):
     return o1.StripProblem(L=100.0, k=1e-12, fluid=fluid, v0=v0)
+
+
+# one model parameter replaced by a non-finite value
+WITH_BAD_PARAMETER = {
+    "fluid.mu0": lambda bad: FluidModel(mu0=bad, beta=1.0, p0=1.0),
+    "fluid.beta": lambda bad: FluidModel(mu0=1.0, beta=bad, p0=1.0),
+    "fluid.p0": lambda bad: FluidModel(mu0=1.0, beta=1.0, p0=bad),
+    "strip.L": lambda bad: o1.StripProblem(L=bad, k=1.0, fluid=FluidModel(1.0, 1.0, 1.0), v0=0.5),
+    "strip.k": lambda bad: o1.StripProblem(L=1.0, k=bad, fluid=FluidModel(1.0, 1.0, 1.0), v0=0.5),
+    "strip.v0": lambda bad: o1.StripProblem(L=1.0, k=1.0, fluid=FluidModel(1.0, 1.0, 1.0), v0=bad),
+    "strip.p_R": lambda bad: o1.StripProblem(
+        L=1.0, k=1.0, fluid=FluidModel(1.0, 1.0, 1.0), v0=0.5, p_R=bad
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("parameter", sorted(WITH_BAD_PARAMETER))
+def test_non_finite_parameter_rejected(parameter, bad):
+    with pytest.raises(NonFiniteData):
+        WITH_BAD_PARAMETER[parameter](bad)
 
 
 class TestExistenceThreshold:
