@@ -76,7 +76,7 @@ def _assemble_at(
     tri_mean = ptilde_values[mesh.triangles].mean(axis=1)
     mu = transform.viscosity(tri_mean - xi_cents, fluid)
     mobility = K.tensors / np.asarray(mu)[:, None, None]
-    return darcy_linear.assemble(mesh, mobility, mbcs), mobility
+    return darcy_linear.assemble(mesh, mobility, mbcs, _shared=True), mobility
 
 
 def picard_solve(

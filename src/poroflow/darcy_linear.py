@@ -15,16 +15,21 @@ The constant-viscosity (beta = 0) problem is ``barus_direct.picard_solve``,
 which solves it with one linear solve.
 
 Every solve checks the relative residual of the reduced system against
-the fixed bound 1e-12 (``_RTOL``). The factor of the last reduced matrix
-factored is kept while the mesh it was built on lives, and a solve whose
-reduced matrix is bitwise the same reuses it. The transformed problem's
-matrix depends on the mesh, the permeability and mu0 but not on the
-boundary data, so a sweep over pressure data factors once.
+the fixed bound 1e-12 (``_RTOL``). The transformed problem's matrix depends
+on the mesh, the permeability and mu0 but not on the boundary data, so the
+module holds one entry for the last system assembled: its mesh (by weak
+reference), a copy of its mobility, its free nodes, its raw and reduced
+matrices, the mesh's P1 gradients and, once solved, the LU factor of the
+reduced matrix. An assembly with the same mesh, the same mobility bits and
+the same Dirichlet node set builds only the load, the Dirichlet values and
+the reduced right-hand side; a solve whose reduced matrix has the same bits
+reuses the factor. So a sweep over pressure data on one mesh assembles and
+factors once. There is one entry at most, it is freed when its mesh is
+collected, and every array a call returns belongs to the caller.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 import weakref
 from dataclasses import dataclass
@@ -169,17 +174,60 @@ def _dirichlet_values(mesh: Mesh, bcs: BoundarySpec) -> dict:
     return out
 
 
-def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSystem:
-    """P1 stiffness for -div[M grad u] = 0 with the given boundary data.
+@dataclass
+class _Held:
+    """The held entry: the last system assemble built, and the factor of its
+    A_red once a solve has made one."""
 
-    mobility : (n_tri, 2, 2) symmetric positive-definite tensors.
-    """
-    mobility = np.asarray(mobility, dtype=float)
-    if mobility.shape != (mesh.n_triangles, 2, 2):
-        raise ValueError("one 2x2 mobility tensor per triangle required")
-    _check_spd(mobility)
-    bcs.validate_partition(mesh)
+    mesh: weakref.ref
+    mobility: np.ndarray
+    free: np.ndarray
+    raw_matrix: sp.csr_matrix
+    A_red: sp.csr_matrix
+    grads: np.ndarray  # the P1 gradients of mesh
+    lu: spla.SuperLU = None
 
+
+# The one held entry, or None. One at most: at 48k nodes its matrices,
+# mobility and gradients come to about 16 MB and its factor to about 37 MB.
+_entry = None
+
+
+def _release(ref):
+    """Weakref callback: a collected mesh takes its entry with it, unless
+    the entry has since been replaced by another one."""
+    global _entry
+    entry = _entry
+    if entry is not None and entry.mesh is ref:
+        _entry = None
+
+
+def _entry_for(mesh):
+    """The held entry if it was built on this mesh object, else None."""
+    entry = _entry
+    return entry if entry is not None and entry.mesh() is mesh else None
+
+
+def _same_bits(a, b) -> bool:
+    """Same dtype, shape and bits: 0.0 and -0.0 differ, a NaN equals itself."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    as_int = np.dtype(f"u{a.itemsize}")
+    return bool(np.array_equal(a.view(as_int), b.view(as_int)))
+
+
+def _same_matrix(A, B) -> bool:
+    """Everything SuperLU reads from A is bitwise that of B."""
+    return A.shape == B.shape and all(
+        _same_bits(getattr(A, name), getattr(B, name)) for name in ("indptr", "indices", "data")
+    )
+
+
+def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
+    """Assemble the stiffness of mobility on mesh, reduce it to the free
+    nodes and hold both in a new entry."""
+    global _entry
+    _entry = None  # the old matrices and factor go before the new ones are built
     # Element entries k_ij = area * grad(phi_i) . M grad(phi_j): the diagonal
     # and one of each off-diagonal pair, edges (i, i+1 mod 3). The stiffness
     # is then D + U + U^T, exactly symmetric, so the CSR arrays of A_red are
@@ -192,89 +240,113 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
     diag = (gx * fx + gy * fy) * areas[:, None]
     nxt = [1, 2, 0]
     off = (gx * fx[:, nxt] + gy * fy[:, nxt]) * areas[:, None]
-    del grads, gx, gy, fx, fy  # freed before the sparse build: lower peak
+    del fx, fy  # freed before the sparse build: lower peak
     tri = mesh.triangles.astype(np.int32)
     a, b = tri.ravel(), tri[:, nxt].ravel()
     n = mesh.n_nodes
     upper = sp.csr_matrix((off.ravel(), (np.minimum(a, b), np.maximum(a, b))), shape=(n, n))
     raw = upper + upper.T + sp.diags(np.bincount(a, diag.ravel(), minlength=n))
-    raw_rhs = _neumann_load(mesh, bcs)
 
+    _entry = _Held(
+        mesh=weakref.ref(mesh, _release),
+        mobility=mobility.copy(),
+        free=free.copy(),
+        raw_matrix=raw,
+        A_red=raw[free][:, free],
+        grads=grads,
+    )
+    return _entry
+
+
+def assemble(
+    mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec, *, _shared: bool = False
+) -> SparseSystem:
+    """P1 stiffness for -div[M grad u] = 0 with the given boundary data.
+
+    mobility : (n_tri, 2, 2) symmetric positive-definite tensors.
+
+    The stiffness, its reduction and the P1 gradients are held for the
+    next call (see the module docstring). A call on the same mesh object,
+    with a mobility of the same bits and the same Dirichlet node set,
+    takes them from the held entry and builds only the load, the Dirichlet
+    values and b_red; its result is bitwise that of a fresh assembly. Any
+    other call assembles in full and replaces the entry. The arrays of the
+    returned system belong to the caller: changing them in place does not
+    change what a later call returns. A mesh is taken as fixed once built.
+
+    _shared: the system's raw_matrix and A_red are the held matrices, not
+    copies; only for the solvers of this package, which neither change the
+    system nor hand it on. A copy costs time on every call, and memory
+    while the first factorization of a mesh runs, its memory peak.
+    """
+    mobility = np.asarray(mobility, dtype=float)
+    if mobility.shape != (mesh.n_triangles, 2, 2):
+        raise ValueError("one 2x2 mobility tensor per triangle required")
+    held = _entry_for(mesh)
+    if held is None or not _same_bits(held.mobility, mobility):
+        held = None
+        _check_spd(mobility)
+    bcs.validate_partition(mesh)
+
+    raw_rhs = _neumann_load(mesh, bcs)
     dirichlet = _dirichlet_values(mesh, bcs)
     pinned = dirichlet or {0: 0.0}
+    n = mesh.n_nodes
     lift = np.zeros(n)
     lift[list(pinned)] = list(pinned.values())
     is_free = np.ones(n, dtype=bool)
     is_free[list(pinned)] = False
     free = np.flatnonzero(is_free).astype(np.int32)
+    if held is None or not _same_bits(held.free, free):
+        held = _hold_system(mesh, mobility, free)
 
+    raw = held.raw_matrix
     return SparseSystem(
         mesh=mesh,
-        raw_matrix=raw,
+        raw_matrix=raw if _shared else raw.copy(),
         raw_rhs=raw_rhs,
         dirichlet_map=dirichlet,
         bcs=bcs,
         free=free,
         lift=lift,
-        A_red=raw[free][:, free],
+        A_red=held.A_red if _shared else held.A_red.copy(),
         b_red=(raw_rhs - raw @ lift)[free],
     )
 
 
-# (weakref to the Mesh, SHA-256 of the reduced matrix, SuperLU factor) of
-# the last matrix factored, or None. One entry at most: a held factor costs
-# about 37 MB at 48k nodes.
-_factor_entry = None
-
-
-def _release(ref):
-    """Weakref callback: a collected mesh takes its factor with it, unless
-    the entry has since been replaced by another one."""
-    global _factor_entry
-    entry = _factor_entry
-    if entry is not None and entry[0] is ref:
-        _factor_entry = None
-
-
-def _digest(A) -> bytes:
-    """SHA-256 of everything SuperLU reads from A: shape, dtypes, indptr,
-    indices and data."""
-    arrays = (A.indptr, A.indices, A.data)
-    h = hashlib.sha256(repr((A.shape, [a.dtype.str for a in arrays])).encode())
-    for a in arrays:
-        h.update(np.ascontiguousarray(a))
-    return h.digest()
+def _factor(A):
+    """SuperLU factor of the SPD matrix A."""
+    try:
+        # A is symmetric: its CSR arrays, read as CSC, are A itself (no copy)
+        return spla.splu(
+            sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            relax=4,
+            panel_size=8,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as err:  # SuperLU reports an exactly singular factor
+        raise NoConvergence(f"sparse LU factorization failed: {err}") from err
 
 
 def _lu(A, b, mesh):
     """Solve A x = b (A SPD) with a SuperLU factor of A; returns
-    (x, relative residual). The factor is kept until the next call that
-    sees another matrix, or until mesh is collected; a call whose A has the
-    same digest reuses it."""
-    global _factor_entry
+    (x, relative residual). When A has the bits of the reduced matrix held
+    for mesh, the entry keeps the factor and later calls reuse it; any other
+    A drops the entry and is factored without being held."""
+    global _entry
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
-    digest = _digest(A)
-    entry = _factor_entry
-    if entry is not None and entry[1] == digest:
-        lu = entry[2]
+    held = _entry_for(mesh)
+    if held is not None and _same_matrix(A, held.A_red):
+        if held.lu is None:
+            held.lu = _factor(A)
+        lu = held.lu
     else:
-        # drop the old factor before building the new one: never two at once
-        _factor_entry = entry = None
-        # A is symmetric: its CSR arrays, read as CSC, are A itself (no copy)
-        try:
-            lu = spla.splu(
-                sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                relax=4,
-                panel_size=8,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as err:  # SuperLU reports an exactly singular factor
-            raise NoConvergence(f"sparse LU factorization failed: {err}") from err
-        _factor_entry = (weakref.ref(mesh, _release), digest, lu)
+        _entry = None  # the held factor goes first: never two at once
+        lu = _factor(A)
     x = lu.solve(b)
     return x, float(np.linalg.norm(b - A @ x) / bnorm)
 
@@ -285,10 +357,12 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     The reduced SPD matrix is solved with a fill-reducing sparse LU
     (iterations = 0) and the relative residual is checked against the
     fixed bound 1e-12 on every call; a residual above it, or not finite,
-    raises NoConvergence. The factor is reused while system.mesh lives,
-    for as long as the calls see a reduced matrix with the same shape,
-    pattern and values; any other matrix replaces it. A reused factor
-    gives results bitwise identical to a fresh one.
+    raises NoConvergence. The factor is held with the entry of the module
+    docstring: it is reused while system.mesh lives, for as long as the
+    calls see a reduced matrix with the shape, pattern and value bits of
+    the held one. Any other matrix drops the entry and is factored without
+    being held. A reused factor gives results bitwise identical to a fresh
+    one.
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
@@ -314,9 +388,15 @@ def solve(system: SparseSystem) -> LinearSolveResult:
 
 
 def recover_velocity(P: ScalarField, mobility: np.ndarray) -> VectorField:
-    """Per-triangle velocity v = -M grad(P) from the exact P1 gradient."""
+    """Per-triangle velocity v = -M grad(P) from the exact P1 gradient.
+    The P1 gradients held for P's mesh are used; only without them are
+    they computed."""
     mesh = P.mesh
-    grads, _ = p1_gradients(mesh)
+    held = _entry_for(mesh)
+    if held is not None and held.grads is not None:
+        grads = held.grads
+    else:
+        grads, _ = p1_gradients(mesh)
     gp = np.einsum("tid,ti->td", grads, P.values[mesh.triangles])
     v = -np.einsum("tab,tb->ta", np.asarray(mobility, dtype=float), gp)
     return VectorField(mesh, v)
@@ -437,7 +517,7 @@ def solve_transformed_bvp(
         lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
     )
     mobility = mobility_tensors(mesh, fluid, xi, K)
-    system = assemble(mesh, mobility, kbcs)
+    system = assemble(mesh, mobility, kbcs, _shared=True)
     result = solve(system)
     U = result.field.values
     ceiling = transform.kirchhoff_ceiling(fluid, p_ref)

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from poroflow import FluidModel
+from poroflow import darcy_linear
 
 # Canonical reservoir simulation parameters (reference pressure is
 # atmospheric; permeability value carries a documented unit anomaly in the
@@ -26,3 +27,17 @@ def table1_fluid():
 @pytest.fixture(scope="session")
 def unit_fluid():
     return FluidModel(mu0=1.0, beta=1.0, p0=1.0)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the matrices the solver factors, one per factorization."""
+    calls = []
+    splu = darcy_linear.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(darcy_linear.spla, "splu", counting)
+    return calls

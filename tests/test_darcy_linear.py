@@ -172,22 +172,24 @@ class TestSolve:
         assert 3.5 < errs[1] / errs[2] < 4.5
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of the P1 element kernel, which every full assembly runs."""
+    calls = []
+    kernel = dl.p1_gradients
+
+    def counting(mesh):
+        calls.append(mesh.n_triangles)
+        return kernel(mesh)
+
+    monkeypatch.setattr(dl, "p1_gradients", counting)
+    return calls
+
+
 class TestFactorReuse:
     """solve keeps the LU factor of the last reduced matrix while its mesh
     lives. Each test draws its own mobility scale, so no entry left by
     another test can match its matrix."""
-
-    @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        calls = []
-        splu = dl.spla.splu
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(dl.spla, "splu", counting)
-        return calls
 
     @staticmethod
     def strip_system(scale, nx=7):
@@ -222,7 +224,7 @@ class TestFactorReuse:
         result = dl.solve(system)
         del mesh, system, result
         gc.collect()
-        assert dl._factor_entry is None
+        assert dl._entry is None
         # the same matrix on a new mesh finds nothing to reuse
         _, system = self.strip_system(1.75)
         dl.solve(system)
@@ -243,11 +245,144 @@ class TestFactorReuse:
         system.A_red.data[:] = 0.0
         with pytest.raises(NoConvergence):
             dl.solve(system)
-        assert dl._factor_entry is None
+        assert dl._entry is None
         system.A_red.data[:] = data
         result = dl.solve(system)
         assert len(splu_calls) == 3
         assert np.max(np.abs(result.field.values - mesh.nodes[:, 0])) < 1e-10
+
+
+class TestSystemReuse:
+    """assemble holds the last system it built, keyed on the mesh object,
+    the mobility bits and the Dirichlet node set. Each test builds its own
+    meshes, so no entry left by another test can match."""
+
+    @staticmethod
+    def mesh():
+        return make_rectangle_mesh(2.0, 1.0, 9, 5)
+
+    @staticmethod
+    def mobility(mesh):
+        rng = np.random.default_rng(11)
+        mob = identity_mobility(mesh) * rng.uniform(0.5, 2.0, (mesh.n_triangles, 1, 1))
+        mob[:, 0, 1] = mob[:, 1, 0] = 0.1
+        return mob
+
+    @staticmethod
+    def data(p_left=1.0, p_right=0.0, inflow=-0.3):
+        return BoundarySpec(
+            pressure={"left": p_left, "right": p_right},
+            velocity={"top": lambda x, y: inflow * x, "bottom": 0.0},
+        )
+
+    @staticmethod
+    def assert_same_system(got, ref):
+        def same(a, b):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        for a, b in ((got.raw_matrix, ref.raw_matrix), (got.A_red, ref.A_red)):
+            for name in ("indptr", "indices", "data"):
+                same(getattr(a, name), getattr(b, name))
+        for name in ("raw_rhs", "lift", "free", "b_red"):
+            same(getattr(got, name), getattr(ref, name))
+
+    def test_hit_equals_cold_assembly(self, kernel_calls):
+        mesh = self.mesh()
+        mob = self.mobility(mesh)
+        dl.assemble(mesh, mob, self.data())
+        assert len(kernel_calls) == 1
+        # other data on the same Dirichlet nodes, a mobility array with the same bits
+        hit = dl.assemble(mesh, mob.copy(), self.data(2.5, -1.0, 0.7))
+        assert len(kernel_calls) == 1
+        cold = dl.assemble(self.mesh(), mob, self.data(2.5, -1.0, 0.7))
+        assert len(kernel_calls) == 2
+        self.assert_same_system(hit, cold)
+
+    @pytest.mark.parametrize("change", ["one_ulp", "negative_zero"])
+    def test_other_mobility_bits_miss(self, change, kernel_calls):
+        mesh = self.mesh()
+        mob = self.mobility(mesh)
+        dl.assemble(mesh, mob, self.data())
+        other = mob.copy()
+        if change == "one_ulp":
+            other[3, 0, 0] = np.nextafter(other[3, 0, 0], np.inf)
+        else:
+            other[3, 0, 1] = other[3, 1, 0] = 0.0
+            mob[3, 0, 1] = mob[3, 1, 0] = -0.0  # equal values, other bits
+            dl.assemble(mesh, mob, self.data())
+        got = dl.assemble(mesh, other, self.data())
+        cold = dl.assemble(self.mesh(), other, self.data())
+        assert len(kernel_calls) == (3 if change == "one_ulp" else 4)
+        self.assert_same_system(got, cold)
+
+    def test_other_dirichlet_nodes_miss(self, kernel_calls):
+        mesh = self.mesh()
+        mob = self.mobility(mesh)
+        dl.assemble(mesh, mob, self.data())
+        bcs = BoundarySpec(pressure={"left": 1.0}, velocity={"right": 0.2, "top": 0.0, "bottom": 0.0})
+        got = dl.assemble(mesh, mob, bcs)
+        cold = dl.assemble(self.mesh(), mob, bcs)
+        assert len(kernel_calls) == 3
+        self.assert_same_system(got, cold)
+
+    def test_changes_in_place_do_not_leak(self, kernel_calls):
+        mesh = self.mesh()
+        mob = self.mobility(mesh)
+        first = dl.assemble(mesh, mob, self.data())
+        first.raw_matrix.data *= 2.0
+        first.A_red.data[:] = 0.0
+        first.A_red.indices[:] = 0
+        first.free[:] = 0
+        first.lift[:] = 7.0
+        again = dl.assemble(mesh, mob, self.data())
+        assert len(kernel_calls) == 1
+        self.assert_same_system(again, dl.assemble(self.mesh(), mob, self.data()))
+        # the caller's mobility array, changed in place, is another mobility
+        mob *= 3.0
+        scaled = dl.assemble(mesh, mob, self.data())
+        self.assert_same_system(scaled, dl.assemble(self.mesh(), mob, self.data()))
+        assert len(kernel_calls) == 4
+
+    def test_entry_released_with_mesh(self):
+        mesh = self.mesh()
+        system = dl.assemble(mesh, self.mobility(mesh), self.data())
+        assert dl._entry is not None
+        del mesh, system
+        gc.collect()
+        assert dl._entry is None
+
+    def test_non_spd_mobility_never_held(self, kernel_calls):
+        mesh = self.mesh()
+        mob = self.mobility(mesh)
+        dl.assemble(mesh, mob, self.data())
+        entry = dl._entry
+        bad = mob.copy()
+        bad[0] = [[1.0, 2.0], [2.0, 1.0]]  # indefinite
+        for _ in range(2):
+            with pytest.raises(SingularMobility):
+                dl.assemble(mesh, bad, self.data())
+        assert dl._entry is entry
+        dl.assemble(mesh, mob, self.data())
+        assert len(kernel_calls) == 1
+
+    def test_reservoir_op_runs_kernel_and_factorization_once(
+        self, table1_fluid, kernel_calls, splu_calls
+    ):
+        # the benchmark's reservoir op: a solve, the flux system with the
+        # Hopf-Cole data, then the next solve in the sweep
+        fluid = table1_fluid
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+
+        def bcs(p_inj):
+            return BoundarySpec(pressure={"inlet": p_inj, "well": fluid.p0}, velocity={"wall": 0.0})
+
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs(10.0 * fluid.p0))
+        mobility = dl.mobility_tensors(mesh, fluid, ZERO_XI, K)
+        dl.assemble(mesh, mobility, dl.transform_bcs(bcs(10.0 * fluid.p0), fluid, ZERO_XI))
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs(300.0 * fluid.p0))
+        assert len(kernel_calls) == 1
+        assert len(splu_calls) == 1
 
 
 class TestRecoverVelocity:
