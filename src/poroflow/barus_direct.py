@@ -1,7 +1,16 @@
 """Direct solution of the pressure-dependent-viscosity problem by Picard
 (successive substitution) iteration on the modified pressure, reusing the
-linear P1 kernel: freeze the viscosity at the previous iterate's centroid
-values, solve the resulting linear problem, repeat.
+linear P1 kernel with an edge-secant mobility.
+
+The P1 stiffness k_ij of K/mu0~ has zero row sums, so the discrete
+transformed equations sum_j k_ij (P_K(p~_j) - P_K(p~_i)) = b_i are the
+equations sum_j k_ij s_ij (p~_j - p~_i) = b_i, with P_K the Kirchhoff
+variable and s_ij its secant on [p~_i, p~_j], the mean of mu0~/mu there.
+A sweep freezes s_ij at the previous iterate and solves the linear problem,
+so the fixed point is the nodal solution of the transformed path. The
+stiffness is assembled once; a sweep scales its off-diagonal entries by
+s_ij, sets the diagonal to minus the row sums and refactors in the held
+fill-reducing order (see darcy_linear).
 
 This is the baseline "solve the nonlinear model directly" path that the
 transformed approach is benchmarked against.
@@ -17,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from . import darcy_linear, transform
-from .darcy_linear import SparseSystem
 from .errors import NoConvergence, TransformOverflow
 from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, VectorField
 from .transform import BodyForcePotential, FluidModel
@@ -62,21 +70,40 @@ class PicardReport:
 
 
 def _potential_at(mesh, xi):
-    """xi at the nodes and at the triangle centroids. A zero xi gives 0.0
-    for both: adding it gives the bits a zero array would, and the
-    centroids are never built."""
-    if xi.is_zero:
-        return 0.0, 0.0
-    return xi.at_points(mesh.nodes), xi.at_points(mesh.centroids())
+    """xi at the nodes. A zero xi gives 0.0: adding it gives the bits a zero
+    array would."""
+    return 0.0 if xi.is_zero else xi.at_points(mesh.nodes)
 
 
-def _assemble_at(
-    mesh, fluid, xi_cents, K, mbcs, ptilde_values
-) -> tuple[SparseSystem, np.ndarray]:
-    tri_mean = ptilde_values[mesh.triangles].mean(axis=1)
-    mu = transform.viscosity(tri_mean - xi_cents, fluid)
-    mobility = K.tensors / np.asarray(mu)[:, None, None]
-    return darcy_linear.assemble(mesh, mobility, mbcs, _shared=True), mobility
+def _kirchhoff(ptilde, fluid):
+    """The variable the secant system is linear in: the Kirchhoff variable
+    from p0, or ptilde itself at beta = 0, where the problem is linear."""
+    return ptilde if fluid.is_degenerate else transform.kirchhoff_forward(ptilde, fluid)
+
+
+def _secant_weights(ptilde, edges, fluid):
+    """s_ij for each edge (i, j): the mean of mu0~/mu = exp[-beta (p~ - p0)/p0]
+    over [p~_i, p~_j]. It is taken from the endpoint of lower pressure,
+    w_lo (1 - e^-x)/x with x = beta |p~_j - p~_i| / p0 >= 0 (1 at x = 0),
+    so expm1 cannot overflow and (i, j) and (j, i) give the same bits.
+    Raises TransformOverflow where exp leaves float64, with the argument
+    kirchhoff_forward would take."""
+    w = transform._checked_exp(-fluid.beta * (ptilde - fluid.p0) / fluid.p0)
+    i, j = edges
+    x = fluid.beta * np.abs(ptilde[j] - ptilde[i]) / fluid.p0
+    mean = np.ones_like(x)
+    pos = x > 0.0
+    mean[pos] = -np.expm1(-x[pos]) / x[pos]
+    return np.maximum(w[i], w[j]) * mean
+
+
+def _secant_system(base, ptilde, fluid):
+    """The edge-secant system at ptilde: base, the held K/mu0~ system with
+    the data of the modified pressure, with its stiffness scaled by the
+    weights at ptilde; base itself when every weight is 1."""
+    scaling = darcy_linear._edge_scaling(base)
+    weights = _secant_weights(ptilde, scaling.edges, fluid)
+    return base if np.all(weights == 1.0) else scaling.system(base, weights)
 
 
 def picard_solve(
@@ -87,9 +114,15 @@ def picard_solve(
     bcs: BoundarySpec,
     config: Optional[PicardConfig] = None,
 ) -> PicardReport:
-    """Fixed-point iteration from p = p0 everywhere: mobility from the
-    previous pressure iterate (viscosity at triangle centroids), one linear
-    solve per sweep.
+    """Fixed-point iteration from p = p0 everywhere with the edge-secant
+    mobility of the module docstring: each sweep freezes s_ij at the
+    previous iterate and makes one linear solve. The K/mu0~ system is
+    assembled once (a hit after a transformed solve on the same mesh); a
+    sweep refills its values. From p = p0 with xi = 0 every s_ij is 1, so
+    the first sweep solves the assembled system and reuses its factor.
+
+    The report's velocity and reactions are those of the Kirchhoff variable
+    of the final iterate on the K/mu0~ stiffness, as on the transformed path.
 
     Divergence guard: the relaxation factor starts at 1; three consecutive
     growing update norms halve it, and after four halvings the solve raises
@@ -101,31 +134,33 @@ def picard_solve(
     config = config or PicardConfig()
     t0 = time.perf_counter()
 
-    mbcs = darcy_linear.modified_bcs(bcs, xi)
-    xi_nodes, xi_cents = _potential_at(mesh, xi)
+    xi_nodes = _potential_at(mesh, xi)
+    mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
+    base = darcy_linear.assemble(
+        mesh, mobility, darcy_linear.modified_bcs(bcs, xi), _shared=True
+    )
 
-    ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
-
-    def finish(ptilde_k, system, mobility, history, converged, lin_iters):
-        """Report on iterate ptilde_k, with the system assembled at it."""
-        fieldP = ScalarField(mesh, ptilde_k)
+    def finish(ptilde_k, history, converged, lin_iters):
+        """Report on iterate ptilde_k."""
+        potential = ScalarField(mesh, _kirchhoff(ptilde_k, fluid))
         return PicardReport(
             p=ScalarField(mesh, ptilde_k - xi_nodes),
-            v=darcy_linear.recover_velocity(fieldP, mobility),
+            v=darcy_linear.recover_velocity(potential, mobility),
             iterations=len(history),
             update_history=history,
             converged=converged,
             wall_time=time.perf_counter() - t0,
-            reactions=darcy_linear.nodal_reactions(system, fieldP),
+            reactions=darcy_linear.nodal_reactions(base, potential),
             linear_iterations=lin_iters,
         )
 
-    system, mobility = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde)
     if fluid.beta == 0.0:
         # the mobility does not depend on pressure: one system serves all
-        result = darcy_linear.solve(system)
-        return finish(result.field.values, system, mobility, [0.0], True, result.iterations)
+        result = darcy_linear.solve(base)
+        return finish(result.field.values, [0.0], True, result.iterations)
 
+    ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
+    system = _secant_system(base, ptilde, fluid)
     omega = 1.0
     history = []
     lin_total = 0
@@ -140,13 +175,13 @@ def picard_solve(
             np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300)
         )
         try:
-            # the system at the new iterate serves its report or the next sweep
-            new_system, new_mobility = _assemble_at(mesh, fluid, xi_cents, K, mbcs, new)
+            # the system of the next sweep, and the check that new has a report
+            system = _secant_system(base, new, fluid)
         except TransformOverflow as err:
             raise NoConvergence(
                 f"sweep {len(history) + 1} (update {upd:.3e}) gave an iterate whose "
                 f"viscosity overflows: {err}; the report holds iterate {len(history)}",
-                report=finish(ptilde, system, mobility, history, False, lin_total),
+                report=finish(ptilde, history, False, lin_total),
             ) from err
         if history and upd > history[-1]:
             grow += 1
@@ -154,16 +189,16 @@ def picard_solve(
             grow = 0
         history.append(upd)
         log.debug("picard sweep %d: update %.3e (omega=%.3f)", len(history), upd, omega)
-        ptilde, system, mobility = new, new_system, new_mobility
+        ptilde = new
         if upd <= config.tol:
-            return finish(ptilde, system, mobility, history, True, lin_total)
+            return finish(ptilde, history, True, lin_total)
         if grow >= 3:
             halvings += 1
             if halvings > 4:
                 raise NoConvergence(
                     f"update norm diverging after {len(history)} sweeps "
                     f"despite {halvings - 1} relaxation halvings",
-                    report=finish(ptilde, system, mobility, history, False, lin_total),
+                    report=finish(ptilde, history, False, lin_total),
                 )
             omega *= 0.5
             grow = 0
@@ -171,7 +206,7 @@ def picard_solve(
     raise NoConvergence(
         f"no convergence to tol={config.tol} within {config.max_iter} sweeps "
         f"(last update {history[-1]:.3e})",
-        report=finish(ptilde, system, mobility, history, False, lin_total),
+        report=finish(ptilde, history, False, lin_total),
     )
 
 
@@ -183,16 +218,20 @@ def nonlinear_residual(
     K: PermeabilityField,
     bcs: BoundarySpec,
 ) -> float:
-    """Relative algebraic residual of the pressure-dependent discrete
-    system evaluated at the given field (reduced to the free unknowns, so
-    the scale is purely flux-like)."""
-    mbcs = darcy_linear.modified_bcs(bcs, xi)
-    xi_nodes, xi_cents = _potential_at(mesh, xi)
-    ptilde = p.values + xi_nodes
-    system, _ = _assemble_at(mesh, fluid, xi_cents, K, mbcs, ptilde)
+    """Relative algebraic residual of the edge-secant system (the system
+    picard_solve iterates on and solve_transformed_bvp solves) at the given
+    field: (raw_K @ P_K(p~) - raw_rhs) at the free nodes, with raw_K the
+    K/mu0~ stiffness and P_K the Kirchhoff variable from p0, relative to the
+    norm of the reduced load of the secant system at the field (flux-like)."""
+    ptilde = p.values + _potential_at(mesh, xi)
+    mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
+    base = darcy_linear.assemble(
+        mesh, mobility, darcy_linear.modified_bcs(bcs, xi), _shared=True
+    )
+    PK = _kirchhoff(ptilde, fluid)
 
-    r = (system.raw_matrix @ ptilde - system.raw_rhs)[system.free]
-    scale = float(np.linalg.norm(system.b_red))
+    r = (base.raw_matrix @ PK - base.raw_rhs)[base.free]
+    scale = float(np.linalg.norm(_secant_system(base, ptilde, fluid).b_red))
     if scale == 0.0:
-        scale = float(np.linalg.norm(system.raw_matrix @ ptilde)) or 1.0
+        scale = float(np.linalg.norm(base.raw_matrix @ PK)) or 1.0
     return float(np.linalg.norm(r) / scale)

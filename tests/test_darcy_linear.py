@@ -1,6 +1,7 @@
 """Linear P1 kernel: assembly, sparse-LU solve, velocity recovery,
 consistent boundary fluxes, and the three-step transformed solution path."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -250,6 +251,70 @@ class TestFactorReuse:
         result = dl.solve(system)
         assert len(splu_calls) == 3
         assert np.max(np.abs(result.field.values - mesh.nodes[:, 0])) < 1e-10
+
+
+    def test_same_pattern_refactors_in_held_order(self, monkeypatch):
+        # D A D has A's pattern and other values: one factorization with no
+        # ordering of its own, which drops the held factor and keeps the order
+        specs = []
+        splu = dl.spla.splu
+
+        def recording(A, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(dl.spla, "splu", recording)
+        mesh, system = self.strip_system(2.75)
+        dl.solve(system)
+        A = system.A_red
+        d = np.linspace(1.0, 2.0, A.shape[0])
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        scaled = A.copy()
+        scaled.data *= d[rows] * d[A.indices]
+        result = dl.solve(dataclasses.replace(system, A_red=scaled, b_red=d * system.b_red))
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert dl._entry is not None and dl._entry.lu is None
+        assert dl._entry.order is not None
+        x = result.field.values[system.free]
+        assert np.max(np.abs(d * x - mesh.nodes[system.free, 0])) < 1e-10
+        assert result.residual <= 1e-12
+
+    def test_picard_after_transformed_factors_later_sweeps_only(self, splu_calls):
+        # from p = p0 the first sweep is the transformed system: its factor
+        # is reused, and each later sweep factors once
+        fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
+        mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.063, "top": 0.0, "bottom": 0.0})
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert len(splu_calls) == 1
+        report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
+        assert report.iterations >= 3
+        assert len(splu_calls) == 1 + report.iterations - 1
+        assert dl._entry.lu is None
+
+    def test_warm_transformed_solve_compares_no_matrix(self, monkeypatch, table1_fluid, splu_calls):
+        # the solve gets the held A_red itself, so it needs no comparison,
+        # and a workload that never changes the matrix computes no order
+        compared = []
+        same_matrix = dl._same_matrix
+
+        def counting(A, B):
+            compared.append(A.shape)
+            return same_matrix(A, B)
+
+        monkeypatch.setattr(dl, "_same_matrix", counting)
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 20, 6)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        for p_inj in (10.0, 300.0):
+            bcs = BoundarySpec(
+                pressure={"inlet": p_inj * table1_fluid.p0, "well": table1_fluid.p0},
+                velocity={"wall": 0.0},
+            )
+            dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
+        assert compared == []
+        assert len(splu_calls) == 1
+        assert dl._entry.order is None
 
 
 class TestSystemReuse:
