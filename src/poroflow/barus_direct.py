@@ -9,8 +9,10 @@ variable and s_ij its secant on [p~_i, p~_j], the mean of mu0~/mu there.
 A sweep freezes s_ij at the previous iterate and solves the linear problem,
 so the fixed point is the nodal solution of the transformed path. The
 stiffness is assembled once; a sweep scales its off-diagonal entries by
-s_ij, sets the diagonal to minus the row sums and refactors in the held
-fill-reducing order (see darcy_linear).
+s_ij and sets the diagonal to minus the row sums. A later sweep is solved
+by conjugate gradients from the previous sweep's solution, preconditioned
+by the factor of an earlier sweep matrix, and is refactored in the held
+fill-reducing order only when CG stalls (see darcy_linear).
 
 This is the baseline "solve the nonlinear model directly" path that the
 transformed approach is benchmarked against.
@@ -54,7 +56,7 @@ class PicardReport:
     converged: bool
     wall_time: float
     reactions: np.ndarray = None
-    linear_iterations: int = 0
+    linear_iterations: int = 0  # CG iterations summed over the sweeps
 
     def to_text(self) -> str:
         lines = [
@@ -120,6 +122,12 @@ def picard_solve(
     assembled once (a hit after a transformed solve on the same mesh); a
     sweep refills its values. From p = p0 with xi = 0 every s_ij is 1, so
     the first sweep solves the assembled system and reuses its factor.
+    Each later sweep runs CG from the previous sweep's solution,
+    preconditioned by the factor of an earlier sweep of this call, and is
+    factored only when CG gives up; report.linear_iterations sums the CG
+    iterations. The sweep factor and solution an earlier call left held are
+    cleared before the first sweep, so no bit of the result depends on
+    them.
 
     The report's velocity and reactions are those of the Kirchhoff variable
     of the final iterate on the K/mu0~ stiffness, as on the transformed path.
@@ -159,6 +167,7 @@ def picard_solve(
         result = darcy_linear.solve(base)
         return finish(result.field.values, [0.0], True, result.iterations)
 
+    darcy_linear._edge_scaling(base).forget()  # nothing from an earlier call
     ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
     system = _secant_system(base, ptilde, fluid)
     omega = 1.0

@@ -27,14 +27,22 @@ reuses the factor. So a sweep over pressure data on one mesh assembles and
 factors once.
 
 A reduced matrix with the held pattern but other values (a Picard sweep of
-``barus_direct``) is factored in the held fill-reducing order: the entry
-keeps that order once a solve has needed it, and such a matrix is permuted
-into it and factored with no ordering of its own. That gives the fill of
-the held factor and skips the ordering (2.3 ms against 3.9 ms at 2,000
-unknowns). The held factor is dropped first, so there is one factor at
-most; the entry keeps its matrices, gradients and order. The entry is
-freed when its mesh is collected or a factorization fails, and every array
-a public call returns belongs to the caller.
+``barus_direct``) is solved in the held fill-reducing order. The entry
+keeps that order once a solve has needed it and, for the sweeps, a sweep
+slot: the factor of the last sweep matrix factored, in that order, and the
+reduced solution of the last solve with the held pattern. A later sweep
+runs conjugate gradients (CG) from that solution, preconditioned by the
+factor the entry holds (of an earlier sweep matrix, or of the held reduced
+matrix when that was the first sweep). CG stops once the recomputed
+relative residual is at most ``_RTOL`` / 100 and gives up after
+``_PCG_MAX`` = 8 iterations or on a curvature that is not positive and
+finite; only then is the sweep matrix permuted into the held order and
+factored with no ordering of its own, which gives the fill of the held
+factor and skips the ordering (2.3 ms against 3.9 ms at 2,000 unknowns).
+Each factor the entry holds is dropped before any new one is made, so
+there is one factor at most. The entry is freed when its mesh is collected
+or a factorization fails, and every array a public call returns belongs to
+the caller.
 """
 
 from __future__ import annotations
@@ -74,6 +82,8 @@ from .transform import BodyForcePotential, FluidModel
 
 # Bound on the relative residual of every reduced solve.
 _RTOL = 1e-12
+# Iterations CG may take on a Picard sweep before the sweep is factored.
+_PCG_MAX = 8
 
 
 @dataclass
@@ -100,7 +110,7 @@ class SparseSystem:
 @dataclass
 class LinearSolveResult:
     field: ScalarField
-    iterations: int
+    iterations: int  # CG iterations of the solve; 0 for a direct solve
     residual: float  # final relative residual of the reduced system
 
 
@@ -187,7 +197,8 @@ def _dirichlet_values(mesh: Mesh, bcs: BoundarySpec) -> dict:
 @dataclass
 class _Held:
     """The held entry: the last system assemble built, and the factor of its
-    A_red once a solve has made one."""
+    A_red once a solve has made one (unless a sweep factor replaced it, see
+    _EdgeScaling)."""
 
     mesh: weakref.ref
     mobility: np.ndarray
@@ -346,7 +357,13 @@ class _EdgeScaling:
     free nodes as the held system is. Its maps (scaled pairs, diagonal, and
     the raw data position of each A_red entry) and data arrays are made once
     per entry; a call refills the data and builds no sparse matrix, so the
-    system it returns is overwritten by the next call."""
+    system it returns is overwritten by the next call.
+
+    It also holds what one sweep hands the next (see _solve_in_held_order):
+    lu, the factor of the last sweep matrix factored, in the held order,
+    and x, the reduced solution of the last solve with the held pattern.
+    The entry holds lu or the factor of its A_red, never both. forget()
+    drops lu and x, so a Picard solve starts from what it makes itself."""
 
     def __init__(self, held: _Held):
         raw, red = held.raw_matrix, held.A_red
@@ -367,7 +384,13 @@ class _EdgeScaling:
         self._to_red = np.searchsorted(keys, red_rows * n + free[red.indices])
         self._base = raw.data
         self._raw = sp.csr_matrix((np.empty_like(raw.data), raw.indices, raw.indptr), shape=raw.shape)
-        self._red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
+        self.A_red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
+        self.lu = None
+        self.x = None
+
+    def forget(self):
+        """Drop the sweep factor and the held solution."""
+        self.lu = self.x = None
 
     def system(self, base: SparseSystem, scale: np.ndarray) -> SparseSystem:
         """base, the held system, with the stiffness scaled by scale (one
@@ -379,11 +402,11 @@ class _EdgeScaling:
         data[self._lower] = off
         i, j = self.edges
         data[self._diag] = -(np.bincount(i, off, self.n) + np.bincount(j, off, self.n))
-        np.take(data, self._to_red, out=self._red.data)
+        np.take(data, self._to_red, out=self.A_red.data)
         return dataclasses.replace(
             base,
             raw_matrix=self._raw,
-            A_red=self._red,
+            A_red=self.A_red,
             b_red=(base.raw_rhs - self._raw @ base.lift)[base.free],
         )
 
@@ -430,65 +453,131 @@ def _permuted(A, order):
     return P, to_permuted
 
 
-def _solve_in_held_order(held, A, b):
+def _pcg(held, A, b, bnorm):
+    """Conjugate gradients on A x = b, an A with the held pattern, from
+    held.scaling.x, preconditioned by the one factor the entry holds: the
+    sweep factor, in the held order, or else that of held.A_red. Returns
+    (x, iterations) once the recomputed relative residual is at most
+    _RTOL / 100, or (None, iterations) when _PCG_MAX iterations have not
+    met it or a curvature p.Ap is not positive and finite. No reference to
+    the factor outlives the call, so the caller can free it before it makes
+    the next one."""
+    lu, order = held.scaling.lu, held.order
+    if lu is None:  # a held solution always comes with one held factor
+        lu, order = held.lu, None
+
+    def precondition(r):
+        if order is None:
+            return lu.solve(r)
+        z = np.empty_like(r)
+        z[order] = lu.solve(r[order])
+        return z
+
+    x = held.scaling.x
+    r = b - A @ x
+    p, rz = None, 0.0
+    for k in range(1, _PCG_MAX + 1):
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        p = z if p is None else z + (rz / rz_old) * p
+        Ap = A @ p
+        curvature = float(p @ Ap)
+        if not 0.0 < curvature < np.inf:
+            return None, k
+        x = x + (rz / curvature) * p
+        r = b - A @ x
+        if np.linalg.norm(r) <= _RTOL / 100 * bnorm:
+            return x, k
+    return None, _PCG_MAX
+
+
+def _solve_in_held_order(held, A, b, bnorm):
     """Solve A x = b for an A with the pattern of held.A_red and other
-    values: A, permuted into held.A_red's fill-reducing order, is factored
-    with no ordering of its own. The order comes from the held factor, or
-    else from a factor of held.A_red, so it does not depend on what was held
-    before. The held factor goes first, and the new one is not held."""
+    values; returns (x, CG iterations). Where the entry has an edge scaling
+    with a solution held (a later Picard sweep), CG runs from that solution,
+    preconditioned by the held factor. Otherwise, or when CG gives up, A,
+    permuted into held.A_red's fill-reducing order, is factored with no
+    ordering of its own; the edge scaling, if any, holds that factor. The
+    order comes from the held factor, or else from a factor of held.A_red,
+    so it does not depend on what was held before. Every held factor goes
+    before the new one is made."""
+    scaling = held.scaling
+    iterations = 0
+    if scaling is not None and scaling.x is not None:
+        x, iterations = _pcg(held, A, b, bnorm)
+        if x is not None:
+            scaling.x = x
+            return x, iterations
     if held.order is None:
         lu = held.lu if held.lu is not None else _factor(held.A_red)
         held.order = np.argsort(lu.perm_c)
         del lu  # a factor made for the order goes before the next is made
         held.permuted, held.to_permuted = _permuted(held.A_red, held.order)
     held.lu = None
+    if scaling is not None:
+        scaling.lu = None
     np.take(A.data, held.to_permuted, out=held.permuted.data)
+    lu = _factor(held.permuted, "NATURAL")
     x = np.empty_like(b)
-    x[held.order] = _factor(held.permuted, "NATURAL").solve(b[held.order])
-    return x
+    x[held.order] = lu.solve(b[held.order])
+    if scaling is not None:
+        scaling.lu, scaling.x = lu, x
+    return x, iterations
 
 
 def _lu(A, b, mesh):
-    """Solve A x = b (A SPD) with a SuperLU factor of A; returns
-    (x, relative residual). When A is, or has the bits of, the reduced
-    matrix held for mesh, the entry keeps the factor and later calls reuse
-    it; an A with its pattern and other values is factored in its order
-    (see _solve_in_held_order). Any other A drops the entry and is factored
-    without being held. A failed factorization drops the entry."""
+    """Solve A x = b (A SPD); returns (x, relative residual, CG
+    iterations). When A is, or has the bits of, the reduced matrix held for
+    mesh, the entry keeps its SuperLU factor and later calls reuse it. A
+    sweep matrix of the entry's edge scaling, or any A with the held
+    pattern and other values, is solved by _solve_in_held_order. Any other
+    A drops the entry and is factored without being held. The entry holds
+    one factor at most, and a failed factorization drops it."""
     global _entry
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros_like(b), 0.0
+        return np.zeros_like(b), 0.0, 0
     held = _entry_for(mesh)
+    scaling = held.scaling if held is not None else None
+    iterations = 0
     try:
-        if held is not None and (A is held.A_red or _same_matrix(A, held.A_red)):
+        if scaling is not None and A is scaling.A_red:
+            # a sweep: the held pattern by construction, so no comparison
+            x, iterations = _solve_in_held_order(held, A, b, bnorm)
+        elif held is not None and (A is held.A_red or _same_matrix(A, held.A_red)):
             if held.lu is None:
+                if scaling is not None:
+                    scaling.lu = None  # the sweep factor goes first
                 held.lu = _factor(A)
             x = held.lu.solve(b)
+            if scaling is not None:
+                scaling.x = x
         elif held is not None and _same_pattern(A, held.A_red):
-            x = _solve_in_held_order(held, A, b)
+            x, iterations = _solve_in_held_order(held, A, b, bnorm)
         else:
             _entry = None  # the held factor goes first: never two at once
             x = _factor(A).solve(b)
     except NoConvergence:
         _entry = None
         raise
-    return x, float(np.linalg.norm(b - A @ x) / bnorm)
+    return x, float(np.linalg.norm(b - A @ x) / bnorm), iterations
 
 
 def solve(system: SparseSystem) -> LinearSolveResult:
     """Solve the assembled system for the nodal field.
 
-    The reduced SPD matrix is solved with a fill-reducing sparse LU
-    (iterations = 0) and the relative residual is checked against the
-    fixed bound 1e-12 on every call; a residual above it, or not finite,
-    raises NoConvergence. The factor is held with the entry of the module
-    docstring: it is reused while system.mesh lives, for as long as the
-    calls see a reduced matrix with the shape, pattern and value bits of
-    the held one. A matrix with the held pattern and other values is
-    factored in the held order and not held; any other matrix drops the
-    entry and is factored without being held. A reused factor gives results
-    bitwise identical to a fresh one.
+    The reduced SPD matrix is solved with a fill-reducing sparse LU, and the
+    relative residual is checked against the fixed bound 1e-12 on every
+    call; a residual above it, or not finite, raises NoConvergence. The
+    factor is held with the entry of the module docstring: it is reused
+    while system.mesh lives, for as long as the calls see a reduced matrix
+    with the shape, pattern and value bits of the held one. A reused factor
+    gives results bitwise identical to a fresh one. A matrix with the held
+    pattern and other values is solved by preconditioned CG when the entry
+    holds a sweep solution to start from, and is factored in the held order
+    when it does not or CG gives up; result.iterations counts the CG
+    iterations, 0 for a direct solve. Any other matrix drops the entry and
+    is factored without being held.
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
@@ -504,13 +593,13 @@ def solve(system: SparseSystem) -> LinearSolveResult:
                 "compatibility condition violated"
             )
 
-    x_red, res = _lu(system.A_red, system.b_red, system.mesh)
+    x_red, res, iterations = _lu(system.A_red, system.b_red, system.mesh)
     if not res <= _RTOL:  # also catches a non-finite residual
-        raise NoConvergence(f"sparse LU residual {res:.3e} exceeds rtol={_RTOL}")
+        raise NoConvergence(f"linear solve residual {res:.3e} exceeds rtol={_RTOL}")
 
     values = system.lift.copy()
     values[system.free] = x_red
-    return LinearSolveResult(ScalarField(system.mesh, values), 0, res)
+    return LinearSolveResult(ScalarField(system.mesh, values), iterations, res)
 
 
 def recover_velocity(P: ScalarField, mobility: np.ndarray) -> VectorField:

@@ -2,10 +2,11 @@
 must complete with every op passing its check: a traced run reaches the
 names the tracer wraps and reads (solve and Picard reports, the assembled
 system, the boundary-data transform), so a change that breaks one of them
-fails here. The benchmark's self-test must pass too: it runs each workload
-tiny, untraced and traced (seed 7), needs every metric to carry the name and
-unit BENCHMARK.json lists, checks that a wrong reference fails every op and
-that a directory without the library makes the benchmark fail."""
+fails here; on strip_picard the Picard sweeps must report CG iterations.
+The benchmark's self-test must pass too: it runs each workload tiny,
+untraced and traced (seed 7), needs every metric to carry the name and unit
+BENCHMARK.json lists, checks that a wrong reference fails every op and that
+a directory without the library makes the benchmark fail."""
 
 import json
 import subprocess
@@ -27,6 +28,9 @@ def test_traced_tiny_run_passes(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, proc.stdout
+    if workload == "strip_picard":
+        # the benchmark's Picard sweeps take the preconditioned CG path
+        assert result["metrics"]["barus_direct.linear_iterations"]["value"] > 0, proc.stdout
 
 
 def test_benchmark_selftest_passes():

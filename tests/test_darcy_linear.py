@@ -3,6 +3,7 @@ consistent boundary fluxes, and the three-step transformed solution path."""
 
 import dataclasses
 import gc
+import sys
 
 import numpy as np
 import pytest
@@ -281,7 +282,8 @@ class TestFactorReuse:
 
     def test_picard_after_transformed_factors_later_sweeps_only(self, splu_calls):
         # from p = p0 the first sweep is the transformed system: its factor
-        # is reused, and each later sweep factors once
+        # is reused, and the later sweeps run CG preconditioned by the last
+        # factor; on this strip CG stalls on two of them, which are factored
         fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
         mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
         K = PermeabilityField.isotropic(mesh, 1.0)
@@ -290,8 +292,92 @@ class TestFactorReuse:
         assert len(splu_calls) == 1
         report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
         assert report.iterations >= 3
-        assert len(splu_calls) == 1 + report.iterations - 1
+        assert len(splu_calls) == 1 + 2
         assert dl._entry.lu is None
+
+    @staticmethod
+    def picard_strip(v0=0.063):
+        mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -v0, "top": 0.0, "bottom": 0.0})
+        return mesh, FluidModel(mu0=1.0, beta=1.0, p0=1.0), PermeabilityField.isotropic(mesh, 1.0), bcs
+
+    @staticmethod
+    def held_factors():
+        held = dl._entry
+        sweep = held.scaling.lu if held.scaling is not None else None
+        return (held.lu is not None) + (sweep is not None)
+
+    @staticmethod
+    def live_factors():
+        """Factors held by the entry or reachable from the locals of the
+        poroflow frames on the stack (directly, as a bound solve or from a
+        closure), counted once each."""
+        held = dl._entry
+        found = {id(f): f for f in (held.lu, held.scaling and held.scaling.lu) if f is not None}
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_globals.get("__name__", "").startswith("poroflow"):
+                for value in list(frame.f_locals.values()):
+                    cells = getattr(value, "__closure__", None) or ()
+                    for obj in (value, getattr(value, "__self__", None), *(c.cell_contents for c in cells)):
+                        if isinstance(obj, dl.spla.SuperLU):
+                            found[id(obj)] = obj
+            frame = frame.f_back
+        return len(found)
+
+    def test_without_cg_every_later_sweep_factors(self, monkeypatch, splu_calls):
+        monkeypatch.setattr(dl, "_PCG_MAX", 0)
+        mesh, fluid, K, bcs = self.picard_strip()
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
+        assert report.converged and report.iterations >= 3
+        assert len(splu_calls) == 1 + report.iterations - 1
+        assert report.linear_iterations == 0
+
+    @pytest.mark.parametrize("y_coef", [0.0, 0.3])
+    def test_one_factor_at_most(self, monkeypatch, y_coef):
+        # every factor is dropped, and no reference to it is left in the
+        # solver's frames, before a new one is made; after every sweep the
+        # entry holds one factor across its A_red factor and the sweep slot
+        xi = BodyForcePotential(lambda x, y: y_coef * y) if y_coef else ZERO_XI
+        held_at_factor, held_after, sweep_slot_used = [], [], []
+        splu, solve = dl.spla.splu, dl.solve
+
+        def factoring(*args, **kwargs):
+            held_at_factor.append(self.live_factors())
+            return splu(*args, **kwargs)
+
+        def solving(system):
+            result = solve(system)
+            held_after.append(self.held_factors())
+            sweep_slot_used.append(dl._entry.scaling.lu is not None)
+            return result
+
+        monkeypatch.setattr(dl.spla, "splu", factoring)
+        monkeypatch.setattr(dl, "solve", solving)
+        mesh, fluid, K, bcs = self.picard_strip(0.09)
+        report = bd.picard_solve(mesh, fluid, xi, K, bcs)
+        assert report.converged and len(held_after) == report.iterations
+        assert held_at_factor and set(held_at_factor) == {0}
+        assert set(held_after) == {1}
+        assert any(sweep_slot_used)
+
+    def test_transformed_after_picard_drops_sweep_factor(self, monkeypatch):
+        xi = BodyForcePotential(lambda x, y: 0.3 * y)
+        mesh, fluid, K, bcs = self.picard_strip()
+        bd.picard_solve(mesh, fluid, xi, K, bcs)
+        assert dl._entry.scaling.lu is not None and dl._entry.lu is None
+        held_at_factor = []
+        splu = dl.spla.splu
+
+        def factoring(*args, **kwargs):
+            held_at_factor.append(self.live_factors())
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(dl.spla, "splu", factoring)
+        dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
+        assert held_at_factor == [0]
+        assert dl._entry.lu is not None and dl._entry.scaling.lu is None
 
     def test_warm_transformed_solve_compares_no_matrix(self, monkeypatch, table1_fluid, splu_calls):
         # the solve gets the held A_red itself, so it needs no comparison,

@@ -317,6 +317,36 @@ class TestWarmEntryBitwise:
         assert_same_picard(after, alone)
 
 
+class TestPicardHistory:
+    """A Picard solve clears the sweep factor and solution that an earlier
+    call left held, so its bits do not depend on the calls before it: cold,
+    after a transformed solve (the first sweep finds the held factor) and
+    after a Picard solve with other data (the sweep slots are full)."""
+
+    @staticmethod
+    def strip(v0):
+        mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -v0, "top": 0.0, "bottom": 0.0})
+        return mesh, PermeabilityField.isotropic(mesh, 1.0), bcs
+
+    @pytest.mark.parametrize("y_coef", [0.0, 0.3])
+    def test_same_bits_whatever_came_before(self, y_coef):
+        xi = BodyForcePotential(lambda x, y: y_coef * y) if y_coef else ZERO_XI
+        reports = []
+        for before in ("nothing", "transformed", "picard"):
+            mesh, K, bcs = self.strip(0.063)
+            if before == "transformed":
+                dl.solve_transformed_bvp(mesh, UNIT, xi, K, bcs)
+            elif before == "picard":
+                bd.picard_solve(mesh, UNIT, xi, K, self.strip(0.09)[2])
+            reports.append(bd.picard_solve(mesh, UNIT, xi, K, bcs))
+        cold = reports[0]
+        assert cold.linear_iterations > 0
+        for warm in reports[1:]:
+            assert_same_picard(warm, cold)
+            assert warm.linear_iterations == cold.linear_iterations
+
+
 class TestStiffnessPattern:
     """Square cells give exact-zero couplings across the cell diagonals;
     the assembly must not store them (they would only add LU fill)."""
