@@ -58,18 +58,6 @@ class PicardReport:
     reactions: np.ndarray = None
     linear_iterations: int = 0  # CG iterations summed over the sweeps
 
-    def to_text(self) -> str:
-        lines = [
-            "poroflow picard report",
-            f"iterations = {self.iterations}",
-            f"converged = {self.converged}",
-            f"wall_time_s = {self.wall_time:.6f}",
-            f"p_min = {self.p.values.min():.10e}",
-            f"p_max = {self.p.values.max():.10e}",
-        ]
-        lines += [f"update[{i}] = {u:.6e}" for i, u in enumerate(self.update_history)]
-        return "\n".join(lines) + "\n"
-
 
 def _potential_at(mesh, xi):
     """xi at the nodes. A zero xi gives 0.0: adding it gives the bits a zero
@@ -144,9 +132,7 @@ def picard_solve(
 
     xi_nodes = _potential_at(mesh, xi)
     mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
-    base = darcy_linear.assemble(
-        mesh, mobility, darcy_linear.modified_bcs(bcs, xi), _shared=True
-    )
+    base = darcy_linear.assemble(mesh, mobility, darcy_linear.modified_bcs(bcs, xi))
 
     def finish(ptilde_k, history, converged, lin_iters):
         """Report on iterate ptilde_k."""
@@ -234,9 +220,7 @@ def nonlinear_residual(
     norm of the reduced load of the secant system at the field (flux-like)."""
     ptilde = p.values + _potential_at(mesh, xi)
     mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
-    base = darcy_linear.assemble(
-        mesh, mobility, darcy_linear.modified_bcs(bcs, xi), _shared=True
-    )
+    base = darcy_linear.assemble(mesh, mobility, darcy_linear.modified_bcs(bcs, xi))
     PK = _kirchhoff(ptilde, fluid)
 
     r = (base.raw_matrix @ PK - base.raw_rhs)[base.free]

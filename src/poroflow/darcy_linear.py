@@ -22,14 +22,17 @@ reference), a copy of its mobility, its free nodes, its raw and reduced
 matrices, the mesh's P1 gradients and, once solved, the LU factor of the
 reduced matrix. An assembly with the same mesh, the same mobility bits and
 the same Dirichlet node set builds only the load, the Dirichlet values and
-the reduced right-hand side; a solve whose reduced matrix has the same bits
-reuses the factor. So a sweep over pressure data on one mesh assembles and
-factors once.
+the reduced right-hand side. Every assembly returns the held matrices
+themselves, read-only: their data, indices and indptr arrays cannot be
+written, so no caller can change what a later call finds. A solve of the
+held reduced matrix reuses the factor; any other matrix drops the entry
+and is factored without being held. So a sweep over pressure data on one
+mesh assembles and factors once.
 
-A reduced matrix with the held pattern but other values (a Picard sweep of
-``barus_direct``) is solved in the held fill-reducing order. The entry
-keeps that order once a solve has needed it and, for the sweeps, a sweep
-slot: the factor of the last sweep matrix factored, in that order, and the
+The sweep matrices of ``barus_direct``'s Picard solve have the held
+pattern and other values; they are solved in the held fill-reducing order.
+The entry keeps that order once a sweep has needed it, and a sweep slot:
+the factor of the last sweep matrix factored, in that order, and the
 reduced solution of the last solve with the held pattern. A later sweep
 runs conjugate gradients (CG) from that solution, preconditioned by the
 factor the entry holds (of an earlier sweep matrix, or of the held reduced
@@ -41,8 +44,7 @@ factored with no ordering of its own, which gives the fill of the held
 factor and skips the ordering (2.3 ms against 3.9 ms at 2,000 unknowns).
 Each factor the entry holds is dropped before any new one is made, so
 there is one factor at most. The entry is freed when its mesh is collected
-or a factorization fails, and every array a public call returns belongs to
-the caller.
+or a factorization fails.
 """
 
 from __future__ import annotations
@@ -126,21 +128,6 @@ class SolveReport:
     wall_time: float
     reactions: np.ndarray
 
-    def to_text(self) -> str:
-        lines = [
-            "poroflow solve report",
-            f"nodes = {self.p.mesh.n_nodes}",
-            f"triangles = {self.p.mesh.n_triangles}",
-            f"linear_residual = {self.residual:.6e}",
-            f"wall_time_s = {self.wall_time:.6f}",
-            f"p_min = {self.p.values.min():.10e}",
-            f"p_max = {self.p.values.max():.10e}",
-            f"speed_max = {np.hypot(self.v.values[:, 0], self.v.values[:, 1]).max():.10e}",
-            f"P_min = {self.P.values.min():.10e}",
-            f"P_max = {self.P.values.max():.10e}",
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def p1_gradients(mesh: Mesh):
     """Constant P1 shape-function gradients and triangle areas.
@@ -208,9 +195,9 @@ class _Held:
     grads: np.ndarray  # the P1 gradients of mesh
     lu: spla.SuperLU = None
     # Made on first need, kept while the entry lives: A_red's fill-reducing
-    # order, A_red in that order (its data refilled for each matrix with
-    # A_red's pattern) with the A_red data position of each of its entries,
-    # and the edge scaling of barus_direct's sweeps.
+    # order, A_red in that order (its data refilled for each sweep matrix)
+    # with the A_red data position of each of its entries, and the edge
+    # scaling of barus_direct's sweeps.
     order: np.ndarray = None
     permuted: sp.csr_matrix = None
     to_permuted: np.ndarray = None
@@ -245,20 +232,6 @@ def _same_bits(a, b) -> bool:
     return bool(np.array_equal(a.view(as_int), b.view(as_int)))
 
 
-def _same_pattern(A, B) -> bool:
-    """A and B have the same shape and the bits of the same index arrays."""
-    return (
-        A.shape == B.shape
-        and _same_bits(A.indptr, B.indptr)
-        and _same_bits(A.indices, B.indices)
-    )
-
-
-def _same_matrix(A, B) -> bool:
-    """Everything SuperLU reads from A is bitwise that of B."""
-    return _same_pattern(A, B) and _same_bits(A.data, B.data)
-
-
 def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
     """Assemble the stiffness of mobility on mesh, reduce it to the free
     nodes and hold both in a new entry."""
@@ -282,21 +255,22 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
     n = mesh.n_nodes
     upper = sp.csr_matrix((off.ravel(), (np.minimum(a, b), np.maximum(a, b))), shape=(n, n))
     raw = upper + upper.T + sp.diags(np.bincount(a, diag.ravel(), minlength=n))
+    red = raw[free][:, free]
+    for array in (raw.data, raw.indices, raw.indptr, red.data, red.indices, red.indptr):
+        array.setflags(write=False)  # every caller gets these matrices
 
     _entry = _Held(
         mesh=weakref.ref(mesh, _release),
         mobility=mobility.copy(),
         free=free.copy(),
         raw_matrix=raw,
-        A_red=raw[free][:, free],
+        A_red=red,
         grads=grads,
     )
     return _entry
 
 
-def assemble(
-    mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec, *, _shared: bool = False
-) -> SparseSystem:
+def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSystem:
     """P1 stiffness for -div[M grad u] = 0 with the given boundary data.
 
     mobility : (n_tri, 2, 2) symmetric positive-definite tensors.
@@ -306,14 +280,11 @@ def assemble(
     with a mobility of the same bits and the same Dirichlet node set,
     takes them from the held entry and builds only the load, the Dirichlet
     values and b_red; its result is bitwise that of a fresh assembly. Any
-    other call assembles in full and replaces the entry. The arrays of the
-    returned system belong to the caller: changing them in place does not
-    change what a later call returns. A mesh is taken as fixed once built.
-
-    _shared: the system's raw_matrix and A_red are the held matrices, not
-    copies; only for the solvers of this package, which neither change the
-    system nor hand it on. A copy costs time on every call, and memory
-    while the first factorization of a mesh runs, its memory peak.
+    other call assembles in full and replaces the entry. The returned
+    raw_matrix and A_red are the held matrices, read-only: writing to their
+    data, indices or indptr raises ValueError, and a changed copy is
+    another matrix to solve. The other arrays of the system belong to the
+    caller. A mesh is taken as fixed once built.
     """
     mobility = np.asarray(mobility, dtype=float)
     if mobility.shape != (mesh.n_triangles, 2, 2):
@@ -339,13 +310,13 @@ def assemble(
     raw = held.raw_matrix
     return SparseSystem(
         mesh=mesh,
-        raw_matrix=raw if _shared else raw.copy(),
+        raw_matrix=raw,
         raw_rhs=raw_rhs,
         dirichlet_map=dirichlet,
         bcs=bcs,
         free=free,
         lift=lift,
-        A_red=held.A_red if _shared else held.A_red.copy(),
+        A_red=held.A_red,
         b_red=(raw_rhs - raw @ lift)[free],
     )
 
@@ -412,7 +383,7 @@ class _EdgeScaling:
 
 
 def _edge_scaling(system: SparseSystem) -> _EdgeScaling:
-    """The edge scaling of system, the held one (assemble(..., _shared=True))."""
+    """The edge scaling of system, which holds the matrices of the entry."""
     held = _entry_for(system.mesh)
     assert held is not None and held.raw_matrix is system.raw_matrix
     if held.scaling is None:
@@ -492,18 +463,17 @@ def _pcg(held, A, b, bnorm):
 
 
 def _solve_in_held_order(held, A, b, bnorm):
-    """Solve A x = b for an A with the pattern of held.A_red and other
-    values; returns (x, CG iterations). Where the entry has an edge scaling
-    with a solution held (a later Picard sweep), CG runs from that solution,
-    preconditioned by the held factor. Otherwise, or when CG gives up, A,
-    permuted into held.A_red's fill-reducing order, is factored with no
-    ordering of its own; the edge scaling, if any, holds that factor. The
-    order comes from the held factor, or else from a factor of held.A_red,
-    so it does not depend on what was held before. Every held factor goes
-    before the new one is made."""
+    """Solve A x = b for A, the sweep matrix of held.scaling; returns (x,
+    CG iterations). Where the scaling holds a solution (a later Picard
+    sweep), CG runs from it, preconditioned by the held factor. Otherwise,
+    or when CG gives up, A, permuted into held.A_red's fill-reducing order,
+    is factored with no ordering of its own, and the scaling holds that
+    factor. The order comes from the held factor, or else from a factor of
+    held.A_red, so it does not depend on what was held before. Every held
+    factor goes before the new one is made."""
     scaling = held.scaling
     iterations = 0
-    if scaling is not None and scaling.x is not None:
+    if scaling.x is not None:
         x, iterations = _pcg(held, A, b, bnorm)
         if x is not None:
             scaling.x = x
@@ -513,25 +483,21 @@ def _solve_in_held_order(held, A, b, bnorm):
         held.order = np.argsort(lu.perm_c)
         del lu  # a factor made for the order goes before the next is made
         held.permuted, held.to_permuted = _permuted(held.A_red, held.order)
-    held.lu = None
-    if scaling is not None:
-        scaling.lu = None
+    held.lu = scaling.lu = None
     np.take(A.data, held.to_permuted, out=held.permuted.data)
     lu = _factor(held.permuted, "NATURAL")
     x = np.empty_like(b)
     x[held.order] = lu.solve(b[held.order])
-    if scaling is not None:
-        scaling.lu, scaling.x = lu, x
+    scaling.lu, scaling.x = lu, x
     return x, iterations
 
 
 def _lu(A, b, mesh):
     """Solve A x = b (A SPD); returns (x, relative residual, CG
-    iterations). When A is, or has the bits of, the reduced matrix held for
-    mesh, the entry keeps its SuperLU factor and later calls reuse it. A
-    sweep matrix of the entry's edge scaling, or any A with the held
-    pattern and other values, is solved by _solve_in_held_order. Any other
-    A drops the entry and is factored without being held. The entry holds
+    iterations). When A is the reduced matrix held for mesh, the entry
+    keeps its SuperLU factor and later calls reuse it. A sweep matrix of
+    the entry's edge scaling is solved by _solve_in_held_order. Any other A
+    drops the entry and is factored without being held. The entry holds
     one factor at most, and a failed factorization drops it."""
     global _entry
     bnorm = np.linalg.norm(b)
@@ -542,9 +508,8 @@ def _lu(A, b, mesh):
     iterations = 0
     try:
         if scaling is not None and A is scaling.A_red:
-            # a sweep: the held pattern by construction, so no comparison
             x, iterations = _solve_in_held_order(held, A, b, bnorm)
-        elif held is not None and (A is held.A_red or _same_matrix(A, held.A_red)):
+        elif held is not None and A is held.A_red:
             if held.lu is None:
                 if scaling is not None:
                     scaling.lu = None  # the sweep factor goes first
@@ -552,8 +517,6 @@ def _lu(A, b, mesh):
             x = held.lu.solve(b)
             if scaling is not None:
                 scaling.x = x
-        elif held is not None and _same_pattern(A, held.A_red):
-            x, iterations = _solve_in_held_order(held, A, b, bnorm)
         else:
             _entry = None  # the held factor goes first: never two at once
             x = _factor(A).solve(b)
@@ -569,15 +532,15 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     The reduced SPD matrix is solved with a fill-reducing sparse LU, and the
     relative residual is checked against the fixed bound 1e-12 on every
     call; a residual above it, or not finite, raises NoConvergence. The
-    factor is held with the entry of the module docstring: it is reused
-    while system.mesh lives, for as long as the calls see a reduced matrix
-    with the shape, pattern and value bits of the held one. A reused factor
-    gives results bitwise identical to a fresh one. A matrix with the held
-    pattern and other values is solved by preconditioned CG when the entry
-    holds a sweep solution to start from, and is factored in the held order
-    when it does not or CG gives up; result.iterations counts the CG
-    iterations, 0 for a direct solve. Any other matrix drops the entry and
-    is factored without being held.
+    factor of the held reduced matrix, the A_red that assemble returns, is
+    held with the entry of the module docstring and reused while
+    system.mesh lives. A reused factor gives results bitwise identical to a
+    fresh one. A Picard sweep matrix of barus_direct is solved by
+    preconditioned CG when the entry holds a sweep solution to start from,
+    and is factored in the held order when it does not or CG gives up;
+    result.iterations counts the CG iterations, 0 for a direct solve. Any
+    other matrix, a changed copy of the held one too, drops the entry and is
+    factored without being held.
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
@@ -691,6 +654,46 @@ def transform_bcs(bcs: BoundarySpec, fluid: FluidModel, xi: BodyForcePotential) 
     return bcs.map_pressure(lambda p, x, y: transform.hopf_cole_inverse(p, xi(x, y), fluid))
 
 
+def _kirchhoff_solve(mesh, fluid, xi, K, bcs):
+    """solve_transformed_bvp up to its Kirchhoff solution, errors included.
+    Returns (system, result, mobility, P, pressure): P the solution in the
+    Hopf-Cole gauge, and pressure() the pressure, mapped back on call."""
+    xi_nodes = xi.at_points(mesh.nodes)
+    prescribed = _dirichlet_values(mesh, bcs)
+    dnodes = np.fromiter(prescribed, dtype=np.int64, count=len(prescribed))
+    dvals = np.fromiter(prescribed.values(), dtype=float, count=len(prescribed))
+    p_ref = float((dvals + xi_nodes[dnodes]).min()) if dnodes.size else fluid.p0
+
+    kbcs = bcs.map_pressure(
+        lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
+    )
+    mobility = mobility_tensors(mesh, fluid, xi, K)
+    system = assemble(mesh, mobility, kbcs)
+    result = solve(system)
+    U = result.field.values
+    ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
+
+    inner = np.ones(mesh.n_nodes, dtype=bool)
+    inner[dnodes] = False
+    if np.any(U[inner] >= ceiling):
+        nodes = np.flatnonzero(inner & (U >= ceiling))
+        raise NonExistence(
+            f"transformed solution has no real pressure at {nodes.size} node(s); "
+            "no real pressure solution exists for this boundary data",
+            nodes=nodes,
+        )
+    P = U - ceiling
+    P[dnodes] = transform.hopf_cole_inverse(dvals, xi_nodes[dnodes], fluid)
+
+    def pressure():
+        p = np.empty(mesh.n_nodes)
+        p[inner] = transform.kirchhoff_inverse(U[inner], fluid, p_ref) - xi_nodes[inner]
+        p[dnodes] = dvals
+        return p
+
+    return system, result, mobility, P, pressure
+
+
 def solve_transformed_bvp(
     mesh: Mesh,
     fluid: FluidModel,
@@ -721,40 +724,9 @@ def solve_transformed_bvp(
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: use barus_direct.picard_solve (one linear solve)")
     t0 = time.perf_counter()
-
-    xi_nodes = xi.at_points(mesh.nodes)
-    prescribed = _dirichlet_values(mesh, bcs)
-    dnodes = np.fromiter(prescribed, dtype=np.int64, count=len(prescribed))
-    dvals = np.fromiter(prescribed.values(), dtype=float, count=len(prescribed))
-    p_ref = float((dvals + xi_nodes[dnodes]).min()) if dnodes.size else fluid.p0
-
-    kbcs = bcs.map_pressure(
-        lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
-    )
-    mobility = mobility_tensors(mesh, fluid, xi, K)
-    system = assemble(mesh, mobility, kbcs, _shared=True)
-    result = solve(system)
-    U = result.field.values
-    ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
-
-    inner = np.ones(mesh.n_nodes, dtype=bool)
-    inner[dnodes] = False
-    if np.any(U[inner] >= ceiling):
-        nodes = np.flatnonzero(inner & (U >= ceiling))
-        raise NonExistence(
-            f"transformed solution has no real pressure at {nodes.size} node(s); "
-            "no real pressure solution exists for this boundary data",
-            nodes=nodes,
-        )
-
-    p = np.empty(mesh.n_nodes)
-    p[inner] = transform.kirchhoff_inverse(U[inner], fluid, p_ref) - xi_nodes[inner]
-    p[dnodes] = dvals
-    P = U - ceiling
-    P[dnodes] = transform.hopf_cole_inverse(dvals, xi_nodes[dnodes], fluid)
-
+    system, result, mobility, P, pressure = _kirchhoff_solve(mesh, fluid, xi, K, bcs)
     return SolveReport(
-        p=ScalarField(mesh, p),
+        p=ScalarField(mesh, pressure()),
         v=recover_velocity(result.field, mobility),
         P=ScalarField(mesh, P),
         residual=result.residual,

@@ -339,9 +339,12 @@ def calibrate_ceiling_flux(
         pressure={"inlet": p_inj_calibration, "well": p_prod}, velocity={"wall": 0.0}
     )
     # the solve measures its Kirchhoff variable from the lower of the two
-    # pressures, free of the common baseline that would swamp Q
-    report = darcy_linear.solve_transformed_bvp(mesh, fluid, BodyForcePotential.zero(), K, bcs)
-    Q = float(report.reactions[mesh.nodes_with_label("well")].sum())
+    # pressures, free of the common baseline that would swamp Q; the flux
+    # needs neither the pressure mapped back nor the velocity
+    xi = BodyForcePotential.zero()
+    system, result, *_ = darcy_linear._kirchhoff_solve(mesh, fluid, xi, K, bcs)
+    reactions = darcy_linear.nodal_reactions(system, result.field)
+    Q = float(reactions[mesh.nodes_with_label("well")].sum())
     dP = transform.kirchhoff_forward(p_inj_calibration, fluid, p_prod)
     return CeilingFluxModel(C=Q / dP, fluid=fluid, p_atm=p_prod)
 
