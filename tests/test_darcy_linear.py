@@ -210,12 +210,14 @@ class TestFactorReuse:
         assert np.array_equal(again, fresh) and np.array_equal(first, fresh)
         assert np.max(np.abs(fresh - mesh.nodes[:, 0])) < 1e-10
 
-    def test_changed_copy_factored_without_entry(self, splu_calls):
-        # a writable copy of the held A_red, changed to D A D, is another
-        # matrix: one factorization, not held, and the held factor's
-        # solution would be wrong for it
+    def test_values_changed_in_place_refactor(self, splu_calls):
+        # the held A_red refuses a write, so a cache keyed on identity cannot
+        # return a factor of old values; a writable copy changed to D A D is
+        # another matrix: one factorization, not held
         mesh, system = self.strip_system(1.5)
         dl.solve(system)
+        with pytest.raises(ValueError):
+            system.A_red.data *= 3.0
         A = system.A_red
         d = np.linspace(1.0, 2.0, A.shape[0])
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
@@ -226,6 +228,32 @@ class TestFactorReuse:
         assert dl._entry is None
         x = result.field.values[system.free]
         assert np.max(np.abs(d * x - mesh.nodes[system.free, 0])) < 1e-10
+        assert result.residual <= 1e-12
+
+    def test_same_pattern_refactors_in_held_order(self, monkeypatch):
+        # a sweep matrix has A_red's pattern and other values: the order is
+        # read off the held factor, which is dropped, and the sweep matrix is
+        # factored once with no ordering of its own
+        specs = []
+        splu = dl.spla.splu
+
+        def recording(A, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(dl.spla, "splu", recording)
+        mesh, system = self.strip_system(2.75)
+        dl.solve(system)
+        order = np.argsort(dl._entry.lu.perm_c)
+        scaling = dl._edge_scaling(system)
+        sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
+        result = dl.solve(sweep)
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert dl._entry.lu is None and scaling.lu is not None
+        assert np.array_equal(dl._entry.order, order)
+        x = result.field.values[system.free]
+        expected = dl.spla.spsolve(sweep.A_red.tocsc(), sweep.b_red)
+        assert np.max(np.abs(x - expected)) < 1e-10
         assert result.residual <= 1e-12
 
     def test_entry_released_with_mesh(self, splu_calls):
