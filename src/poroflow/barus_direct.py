@@ -11,8 +11,12 @@ so the fixed point is the nodal solution of the transformed path. The
 stiffness is assembled once; a sweep scales its off-diagonal entries by
 s_ij and sets the diagonal to minus the row sums. A later sweep is solved
 by conjugate gradients from the previous sweep's solution, preconditioned
-by the factor of an earlier sweep matrix, and is refactored in the held
-fill-reducing order only when CG stalls (see darcy_linear).
+by the held factor (of the K/mu0~ system, or else of an earlier sweep
+matrix) rescaled to the sweep's diagonal, and is refactored in the held
+fill-reducing order only when CG stalls (see darcy_linear). A sweep matrix
+is close to D^1/2 A D^1/2, with A the K/mu0~ system and D the nodal mu0~/mu,
+so at xi = 0 the factor of the transformed path's system can serve every
+sweep and outlive the Picard solve.
 
 This is the baseline "solve the nonlinear model directly" path that the
 transformed approach is benchmarked against.
@@ -111,11 +115,12 @@ def picard_solve(
     sweep refills its values. From p = p0 with xi = 0 every s_ij is 1, so
     the first sweep solves the assembled system and reuses its factor.
     Each later sweep runs CG from the previous sweep's solution,
-    preconditioned by the factor of an earlier sweep of this call, and is
-    factored only when CG gives up; report.linear_iterations sums the CG
-    iterations. The sweep factor and solution an earlier call left held are
-    cleared before the first sweep, so no bit of the result depends on
-    them.
+    preconditioned by the factor the entry holds (that of the assembled
+    system, or of an earlier sweep of this call) rescaled to the sweep's
+    diagonal, and is factored only when CG gives up;
+    report.linear_iterations sums the CG iterations. The sweep factor and
+    solution an earlier call left held are cleared before the first sweep,
+    so no bit of the result depends on them.
 
     The report's velocity and reactions are those of the Kirchhoff variable
     of the final iterate on the K/mu0~ stiffness, as on the transformed path.

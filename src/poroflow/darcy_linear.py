@@ -32,19 +32,23 @@ mesh assembles and factors once.
 The sweep matrices of ``barus_direct``'s Picard solve have the held
 pattern and other values; they are solved in the held fill-reducing order.
 The entry keeps that order once a sweep has needed it, and a sweep slot:
-the factor of the last sweep matrix factored, in that order, and the
-reduced solution of the last solve with the held pattern. A later sweep
-runs conjugate gradients (CG) from that solution, preconditioned by the
-factor the entry holds (of an earlier sweep matrix, or of the held reduced
-matrix when that was the first sweep). CG stops once the recomputed
-relative residual is at most ``_RTOL`` / 100 and gives up after
-``_PCG_MAX`` = 8 iterations or on a curvature that is not positive and
-finite; only then is the sweep matrix permuted into the held order and
-factored with no ordering of its own, which gives the fill of the held
-factor and skips the ordering (2.3 ms against 3.9 ms at 2,000 unknowns).
-Each factor the entry holds is dropped before any new one is made, so
-there is one factor at most. The entry is freed when its mesh is collected
-or a factorization fails.
+the factor of the last sweep matrix factored, in that order, with that
+matrix's diagonal, and the reduced solution of the last solve with the held
+pattern. A later sweep runs conjugate gradients (CG) from that solution,
+preconditioned by the one factor the entry holds (of the held reduced
+matrix, or else of an earlier sweep matrix), rescaled symmetrically by the
+square root of the ratio of the factored matrix's diagonal to the sweep
+matrix's. A sweep matrix is close to the factored one with each edge
+scaled by the mean of a nodal weight, so the rescaled factor is close to
+its inverse and the held reduced factor can serve every sweep. CG stops once
+the recomputed relative residual is at most ``_RTOL`` / 100 and gives up
+after ``_PCG_MAX`` = 8 iterations, on a diagonal ratio or a curvature that
+is not positive and finite; only then is the sweep matrix permuted into the
+held order and factored with no ordering of its own, which gives the fill
+of the held factor and skips the ordering (2.3 ms against 3.9 ms at 2,000
+unknowns). Each factor the entry holds is dropped before any new one is
+made, so there is one factor at most. The entry is freed when its mesh is
+collected or a factorization fails.
 """
 
 from __future__ import annotations
@@ -331,10 +335,12 @@ class _EdgeScaling:
     system it returns is overwritten by the next call.
 
     It also holds what one sweep hands the next (see _solve_in_held_order):
-    lu, the factor of the last sweep matrix factored, in the held order,
-    and x, the reduced solution of the last solve with the held pattern.
-    The entry holds lu or the factor of its A_red, never both. forget()
-    drops lu and x, so a Picard solve starts from what it makes itself."""
+    lu, the factor of the last sweep matrix factored, in the held order;
+    diagonal, the diagonal of that matrix, which rescales lu for the sweep
+    matrices CG solves (see _pcg); and x, the reduced solution of the last
+    solve with the held pattern. The entry holds lu or the factor of its
+    A_red, never both. forget() drops lu, diagonal and x, so a Picard solve
+    starts from what it makes itself."""
 
     def __init__(self, held: _Held):
         raw, red = held.raw_matrix, held.A_red
@@ -356,12 +362,11 @@ class _EdgeScaling:
         self._base = raw.data
         self._raw = sp.csr_matrix((np.empty_like(raw.data), raw.indices, raw.indptr), shape=raw.shape)
         self.A_red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
-        self.lu = None
-        self.x = None
+        self.lu = self.diagonal = self.x = None
 
     def forget(self):
-        """Drop the sweep factor and the held solution."""
-        self.lu = self.x = None
+        """Drop the sweep factor, its diagonal and the held solution."""
+        self.lu = self.diagonal = self.x = None
 
     def system(self, base: SparseSystem, scale: np.ndarray) -> SparseSystem:
         """base, the held system, with the stiffness scaled by scale (one
@@ -426,25 +431,35 @@ def _permuted(A, order):
 
 def _pcg(held, A, b, bnorm):
     """Conjugate gradients on A x = b, an A with the held pattern, from
-    held.scaling.x, preconditioned by the one factor the entry holds: the
-    sweep factor, in the held order, or else that of held.A_red. Returns
-    (x, iterations) once the recomputed relative residual is at most
-    _RTOL / 100, or (None, iterations) when _PCG_MAX iterations have not
-    met it or a curvature p.Ap is not positive and finite. No reference to
-    the factor outlives the call, so the caller can free it before it makes
-    the next one."""
-    lu, order = held.scaling.lu, held.order
+    held.scaling.x, preconditioned by S F^-1 S. F is the one factor the
+    entry holds: the sweep factor, in the held order, or else that of
+    held.A_red. S = diag(sqrt(d_F / d_A)), with d_F the diagonal of the
+    matrix F factored and d_A that of A: a sweep matrix is close to
+    D^1/2 B D^1/2 for the factored B and a positive diagonal D, and S F^-1 S
+    is then close to its inverse. Returns (x, iterations) once the
+    recomputed relative residual is at most _RTOL / 100, or (None,
+    iterations) when _PCG_MAX iterations have not met it, a ratio
+    d_F / d_A is not positive and finite (0 iterations) or a curvature p.Ap
+    is not. No reference to the factor outlives the call, so the caller can
+    free it before it makes the next one."""
+    scaling = held.scaling
+    lu, order, d_F = scaling.lu, held.order, scaling.diagonal
     if lu is None:  # a held solution always comes with one held factor
-        lu, order = held.lu, None
+        lu, order, d_F = held.lu, None, held.A_red.diagonal()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d_F / A.diagonal()
+    if not np.all((ratio > 0.0) & (ratio < np.inf)):  # a NaN fails too
+        return None, 0
+    s = np.sqrt(ratio)
 
     def precondition(r):
         if order is None:
-            return lu.solve(r)
+            return s * lu.solve(s * r)
         z = np.empty_like(r)
-        z[order] = lu.solve(r[order])
-        return z
+        z[order] = lu.solve((s * r)[order])
+        return s * z
 
-    x = held.scaling.x
+    x = scaling.x
     r = b - A @ x
     p, rz = None, 0.0
     for k in range(1, _PCG_MAX + 1):
@@ -465,12 +480,14 @@ def _pcg(held, A, b, bnorm):
 def _solve_in_held_order(held, A, b, bnorm):
     """Solve A x = b for A, the sweep matrix of held.scaling; returns (x,
     CG iterations). Where the scaling holds a solution (a later Picard
-    sweep), CG runs from it, preconditioned by the held factor. Otherwise,
-    or when CG gives up, A, permuted into held.A_red's fill-reducing order,
-    is factored with no ordering of its own, and the scaling holds that
-    factor. The order comes from the held factor, or else from a factor of
-    held.A_red, so it does not depend on what was held before. Every held
-    factor goes before the new one is made."""
+    sweep), CG runs from it, preconditioned by the held factor rescaled to
+    A's diagonal (see _pcg); the factor stays held, so the held.A_red
+    factor outlives a Picard solve whose sweeps CG solves. Otherwise, or
+    when CG gives up, A, permuted into held.A_red's fill-reducing order, is
+    factored with no ordering of its own, and the scaling holds that factor
+    and A's diagonal. The order comes from the held factor, or else from a
+    factor of held.A_red, so it does not depend on what was held before.
+    Every held factor goes before the new one is made."""
     scaling = held.scaling
     iterations = 0
     if scaling.x is not None:
@@ -483,12 +500,13 @@ def _solve_in_held_order(held, A, b, bnorm):
         held.order = np.argsort(lu.perm_c)
         del lu  # a factor made for the order goes before the next is made
         held.permuted, held.to_permuted = _permuted(held.A_red, held.order)
-    held.lu = scaling.lu = None
+    held.lu = None
+    scaling.forget()
     np.take(A.data, held.to_permuted, out=held.permuted.data)
     lu = _factor(held.permuted, "NATURAL")
     x = np.empty_like(b)
     x[held.order] = lu.solve(b[held.order])
-    scaling.lu, scaling.x = lu, x
+    scaling.lu, scaling.diagonal, scaling.x = lu, A.diagonal(), x
     return x, iterations
 
 
@@ -512,7 +530,7 @@ def _lu(A, b, mesh):
         elif held is not None and A is held.A_red:
             if held.lu is None:
                 if scaling is not None:
-                    scaling.lu = None  # the sweep factor goes first
+                    scaling.forget()  # the sweep factor goes first
                 held.lu = _factor(A)
             x = held.lu.solve(b)
             if scaling is not None:
@@ -567,11 +585,11 @@ def solve(system: SparseSystem) -> LinearSolveResult:
 
 def recover_velocity(P: ScalarField, mobility: np.ndarray) -> VectorField:
     """Per-triangle velocity v = -M grad(P) from the exact P1 gradient.
-    The P1 gradients held for P's mesh are used; only without them are
-    they computed."""
+    The P1 gradients of the entry held for P's mesh are used; only without
+    such an entry are they computed."""
     mesh = P.mesh
     held = _entry_for(mesh)
-    if held is not None and held.grads is not None:
+    if held is not None:
         grads = held.grads
     else:
         grads, _ = p1_gradients(mesh)

@@ -114,7 +114,8 @@ def triangle_edges(triangles: np.ndarray) -> np.ndarray:
 def edge_keys(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
     """Orientation-free int64 key min * n_nodes + max of each node pair."""
     pairs = np.asarray(pairs, dtype=np.int64)
-    return pairs.min(axis=1) * n_nodes + pairs.max(axis=1)
+    a, b = pairs[:, 0], pairs[:, 1]
+    return np.minimum(a, b) * n_nodes + np.maximum(a, b)
 
 
 def _grid(L, H, nx, ny):

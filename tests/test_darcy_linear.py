@@ -4,6 +4,7 @@ consistent boundary fluxes, and the three-step transformed solution path."""
 import dataclasses
 import gc
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -292,10 +293,29 @@ class TestFactorReuse:
         exact = 1.0 + 0.2 * (1.0 - mesh.nodes[:, 0])  # v = (0.5, 0) = -2.5 grad p
         assert np.max(np.abs(result.field.values - exact)) < 1e-10
 
+    def test_zero_weight_sweep_after_cg_start_raises_without_warning(self, splu_calls):
+        # with a solution held the sweep reaches CG first; its zero diagonal
+        # gives a ratio that is not finite, so CG gives up without dividing
+        # into a warning, and the factorization fails as before
+        mesh = make_rectangle_mesh(1.0, 1.0, 7, 5)
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.5, "top": 0.0, "bottom": 0.0})
+        system = dl.assemble(mesh, 3.5 * identity_mobility(mesh), bcs)
+        scaling = dl._edge_scaling(system)
+        dl.solve(system)
+        assert scaling.x is not None
+        sweep = scaling.system(system, np.zeros(scaling.edges[0].size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence):
+                dl.solve(sweep)
+        assert dl._entry is None
+        assert len(splu_calls) == 2
+
     def test_picard_after_transformed_factors_later_sweeps_only(self, splu_calls):
         # from p = p0 the first sweep is the transformed system: its factor
-        # is reused, and the later sweeps run CG preconditioned by the last
-        # factor; on this strip CG stalls on two of them, which are factored
+        # is reused, and the later sweeps run CG preconditioned by that
+        # factor rescaled to each sweep's diagonal; CG solves every one of
+        # them here, so Picard factors nothing and the factor stays held
         fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
         mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
         K = PermeabilityField.isotropic(mesh, 1.0)
@@ -304,8 +324,37 @@ class TestFactorReuse:
         assert len(splu_calls) == 1
         report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
         assert report.iterations >= 3
-        assert len(splu_calls) == 1 + 2
-        assert dl._entry.lu is None
+        assert len(splu_calls) == 1
+        assert dl._entry.lu is not None
+
+    @pytest.mark.parametrize("r, sweeps", [(0.26, 9), (0.63, 13), (0.95, 20)])
+    def test_benchmark_strip_keeps_transformed_factor(self, r, sweeps, splu_calls):
+        # the 80 x 24 strip at v0 = r v*: the factor of the transformed solve
+        # preconditions every Picard sweep, so neither Picard nor the
+        # transformed solve after it factors
+        fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
+        mesh = make_rectangle_mesh(10.0, 3.0, 80, 24)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        v_star = fluid.p0 / (fluid.mu0 * 10.0 * fluid.beta)
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -r * v_star, "top": 0.0, "bottom": 0.0})
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert len(splu_calls) == 1
+        report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
+        assert report.converged and report.iterations == sweeps
+        assert len(splu_calls) == 1
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert len(splu_calls) == 1
+
+    def test_sweep_factor_rescaled_by_its_own_diagonal(self, splu_calls):
+        # at xi = 0.3 y the first sweep is factored; the later sweeps are
+        # close to that sweep matrix rescaled, so CG stalls on few of them
+        # (rescaled by the A_red diagonal instead, every sweep factors)
+        xi = BodyForcePotential(lambda x, y: 0.3 * y)
+        mesh, fluid, K, bcs = self.picard_strip(0.09)
+        report = bd.picard_solve(mesh, fluid, xi, K, bcs)
+        assert report.converged and report.iterations == 22
+        # the A_red factor for the held order, the first sweep, two stalls
+        assert len(splu_calls) <= 4
 
     @staticmethod
     def picard_strip(v0=0.063):
@@ -346,11 +395,12 @@ class TestFactorReuse:
         assert len(splu_calls) == 1 + report.iterations - 1
         assert report.linear_iterations == 0
 
-    @pytest.mark.parametrize("y_coef", [0.0, 0.3])
-    def test_one_factor_at_most(self, monkeypatch, y_coef):
-        # every factor is dropped, and no reference to it is left in the
-        # solver's frames, before a new one is made; after every sweep the
-        # entry holds one factor across its A_red factor and the sweep slot
+    def sweep_slot_use(self, monkeypatch, y_coef):
+        """Whether the sweep slot holds a factor after each sweep of a
+        Picard solve, which is checked for one factor at most: every factor
+        is dropped, and no reference to it is left in the solver's frames,
+        before a new one is made; after every sweep the entry holds one
+        factor across its A_red factor and the sweep slot."""
         xi = BodyForcePotential(lambda x, y: y_coef * y) if y_coef else ZERO_XI
         held_at_factor, held_after, sweep_slot_used = [], [], []
         splu, solve = dl.spla.splu, dl.solve
@@ -372,7 +422,18 @@ class TestFactorReuse:
         assert report.converged and len(held_after) == report.iterations
         assert held_at_factor and set(held_at_factor) == {0}
         assert set(held_after) == {1}
-        assert any(sweep_slot_used)
+        return sweep_slot_used
+
+    @pytest.mark.parametrize("y_coef", [0.0, 0.3])
+    def test_one_factor_at_most(self, monkeypatch, y_coef):
+        # at xi = 0 CG solves every later sweep on the A_red factor; at
+        # xi = 0.3 y the first sweep is no held matrix and is factored
+        assert any(self.sweep_slot_use(monkeypatch, y_coef)) == bool(y_coef)
+
+    def test_one_factor_at_most_when_cg_stalls(self, monkeypatch):
+        # one CG iteration is too few: later sweeps are factored
+        monkeypatch.setattr(dl, "_PCG_MAX", 1)
+        assert any(self.sweep_slot_use(monkeypatch, 0.0))
 
     def test_transformed_after_picard_drops_sweep_factor(self, monkeypatch):
         xi = BodyForcePotential(lambda x, y: 0.3 * y)
@@ -621,6 +682,16 @@ class TestBoundaryFlux:
 
 
 class TestTransformedBVP:
+    @pytest.mark.xfail(raises=NoConvergence, strict=True)
+    def test_fine_strip_meets_residual_bound(self, unit_fluid):
+        # the LU solution is as good as float64 allows, yet its relative
+        # residual, 1.45e-12 here, exceeds the fixed 1e-12 bound
+        mesh = make_rectangle_mesh(10.0, 3.0, 320, 96)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.01, "top": 0.0, "bottom": 0.0})
+        report = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, bcs)
+        assert report.residual <= 1e-12
+
     def test_no_driving_force(self, table1_fluid):
         mesh = make_rectangle_mesh(10.0, 2.0, 10, 2)
         K = PermeabilityField.isotropic(mesh, 1e-12)

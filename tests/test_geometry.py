@@ -15,7 +15,7 @@ from poroflow import (
     make_rectangle_mesh,
     make_reservoir_mesh,
 )
-from poroflow.geometry import eval_bc
+from poroflow.geometry import edge_keys, eval_bc, triangle_edges
 
 import _oracles
 
@@ -128,6 +128,15 @@ class TestValidate:
         with pytest.raises(ValueError, match="one label per boundary edge"):
             Mesh(mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.edge_labels[1:],
                  mesh.nx, mesh.ny, mesh.extent).validate()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_edge_keys_match_row_min_max(self, dtype):
+        mesh = make_rectangle_mesh(2.0, 1.0, 9, 4, pattern="crossed")
+        pairs = triangle_edges(mesh.triangles).astype(dtype)
+        wide = pairs.astype(np.int64)
+        expected = wide.min(axis=1) * mesh.n_nodes + wide.max(axis=1)
+        keys = edge_keys(pairs, mesh.n_nodes)
+        assert keys.dtype == np.int64 and np.array_equal(keys, expected)
 
 
 class TestReservoirMesh:
