@@ -11,10 +11,10 @@ so the fixed point is the nodal solution of the transformed path. The
 stiffness is assembled once; a sweep scales its off-diagonal entries by
 s_ij and sets the diagonal to minus the row sums. A later sweep is solved
 by conjugate gradients from the previous sweep's solution, preconditioned
-by the held factor (of the K/mu0~ system, or else of an earlier sweep
-matrix) rescaled to the sweep's diagonal, and is refactored in the held
-fill-reducing order only when CG stalls (see darcy_linear). A sweep matrix
-is close to D^1/2 A D^1/2, with A the K/mu0~ system and D the nodal mu0~/mu,
+by the one held factor (of the K/mu0~ system, or else of an earlier sweep
+matrix) rescaled to the sweep's diagonal, and is factored in the held
+factor's place only when CG stalls (see darcy_linear). A sweep matrix is
+close to D^1/2 A D^1/2, with A the K/mu0~ system and D the nodal mu0~/mu,
 so at xi = 0 the factor of the transformed path's system can serve every
 sweep and outlive the Picard solve.
 
@@ -25,7 +25,6 @@ transformed approach is benchmarked against.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,7 +57,6 @@ class PicardReport:
     iterations: int
     update_history: list
     converged: bool
-    wall_time: float
     reactions: np.ndarray = None
     linear_iterations: int = 0  # CG iterations summed over the sweeps
 
@@ -113,14 +111,16 @@ def picard_solve(
     previous iterate and makes one linear solve. The K/mu0~ system is
     assembled once (a hit after a transformed solve on the same mesh); a
     sweep refills its values. From p = p0 with xi = 0 every s_ij is 1, so
-    the first sweep solves the assembled system and reuses its factor.
-    Each later sweep runs CG from the previous sweep's solution,
-    preconditioned by the factor the entry holds (that of the assembled
-    system, or of an earlier sweep of this call) rescaled to the sweep's
-    diagonal, and is factored only when CG gives up;
-    report.linear_iterations sums the CG iterations. The sweep factor and
-    solution an earlier call left held are cleared before the first sweep,
-    so no bit of the result depends on them.
+    the first sweep solves the assembled system and reuses its held factor;
+    with a nonzero xi the first sweep is factored. Each later sweep runs CG
+    from the previous sweep's solution, preconditioned by the one factor the
+    entry holds (that of the assembled system, or of an earlier sweep of
+    this call) rescaled to the sweep's diagonal, and is factored only when
+    CG gives up; report.linear_iterations sums the CG iterations. The sweep
+    solution an earlier call left held is cleared before the first sweep,
+    and a sweep factor it left serves no sweep of this call: the first
+    sweep refactors the assembled system or factors itself. So no bit of
+    the result depends on them.
 
     The report's velocity and reactions are those of the Kirchhoff variable
     of the final iterate on the K/mu0~ stiffness, as on the transformed path.
@@ -133,7 +133,6 @@ def picard_solve(
     on pressure, so the first sweep is already the fixed point).
     """
     config = config or PicardConfig()
-    t0 = time.perf_counter()
 
     xi_nodes = _potential_at(mesh, xi)
     mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
@@ -148,7 +147,6 @@ def picard_solve(
             iterations=len(history),
             update_history=history,
             converged=converged,
-            wall_time=time.perf_counter() - t0,
             reactions=darcy_linear.nodal_reactions(base, potential),
             linear_iterations=lin_iters,
         )
@@ -158,7 +156,7 @@ def picard_solve(
         result = darcy_linear.solve(base)
         return finish(result.field.values, [0.0], True, result.iterations)
 
-    darcy_linear._edge_scaling(base).forget()  # nothing from an earlier call
+    darcy_linear._edge_scaling(base).x = None  # no CG start from an earlier call
     ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
     system = _secant_system(base, ptilde, fluid)
     omega = 1.0

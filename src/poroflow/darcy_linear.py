@@ -19,42 +19,36 @@ the fixed bound 1e-12 (``_RTOL``). The transformed problem's matrix depends
 on the mesh, the permeability and mu0 but not on the boundary data, so the
 module holds one entry for the last system assembled: its mesh (by weak
 reference), a copy of its mobility, its free nodes, its raw and reduced
-matrices, the mesh's P1 gradients and, once solved, the LU factor of the
-reduced matrix. An assembly with the same mesh, the same mobility bits and
-the same Dirichlet node set builds only the load, the Dirichlet values and
-the reduced right-hand side. Every assembly returns the held matrices
-themselves, read-only: their data, indices and indptr arrays cannot be
-written, so no caller can change what a later call finds. A solve of the
-held reduced matrix reuses the factor; any other matrix drops the entry
-and is factored without being held. So a sweep over pressure data on one
-mesh assembles and factors once.
+matrices, the mesh's P1 gradients and, once solved, one LU factor. An
+assembly with the same mesh, the same mobility bits and the same Dirichlet
+node set builds only the load, the Dirichlet values and the reduced
+right-hand side. Every assembly returns the held matrices themselves,
+read-only: their data, indices and indptr arrays cannot be written, so no
+caller can change what a later call finds. A solve of the held reduced
+matrix reuses its factor; any other matrix drops the entry and is factored
+without being held. So a sweep over pressure data on one mesh assembles and
+factors once.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held
-pattern and other values; they are solved in the held fill-reducing order.
-The entry keeps that order once a sweep has needed it, and a sweep slot:
-the factor of the last sweep matrix factored, in that order, with that
-matrix's diagonal, and the reduced solution of the last solve with the held
-pattern. A later sweep runs conjugate gradients (CG) from that solution,
-preconditioned by the one factor the entry holds (of the held reduced
-matrix, or else of an earlier sweep matrix), rescaled symmetrically by the
-square root of the ratio of the factored matrix's diagonal to the sweep
-matrix's. A sweep matrix is close to the factored one with each edge
-scaled by the mean of a nodal weight, so the rescaled factor is close to
-its inverse and the held reduced factor can serve every sweep. CG stops once
-the recomputed relative residual is at most ``_RTOL`` / 100 and gives up
-after ``_PCG_MAX`` = 8 iterations, on a diagonal ratio or a curvature that
-is not positive and finite; only then is the sweep matrix permuted into the
-held order and factored with no ordering of its own, which gives the fill
-of the held factor and skips the ordering (2.3 ms against 3.9 ms at 2,000
-unknowns). Each factor the entry holds is dropped before any new one is
-made, so there is one factor at most. The entry is freed when its mesh is
-collected or a factorization fails.
+pattern and other values. The entry keeps the reduced solution of the last
+solve with that pattern. A sweep runs conjugate gradients (CG) from it,
+preconditioned by the held factor rescaled symmetrically by the square root
+of the ratio of the factored matrix's diagonal to the sweep matrix's: a
+sweep matrix is close to the factored one with each edge scaled by the mean
+of a nodal weight, so the held reduced factor can serve every sweep. CG
+stops once the recomputed relative residual is at most ``_RTOL`` / 100 and
+gives up after ``_PCG_MAX`` = 8 iterations, or on a diagonal ratio or a
+curvature that is not positive and finite. A sweep with no held solution,
+or where CG gives up, is factored, and its factor and diagonal replace the
+held factor; the reduced matrix is refactored on its next solve. The held
+factor is dropped before any new one is made, so there is one factor at
+most. The entry is freed when its mesh is collected or a factorization
+fails.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 import weakref
 from dataclasses import dataclass
 
@@ -129,7 +123,6 @@ class SolveReport:
     v: VectorField
     P: ScalarField
     residual: float
-    wall_time: float
     reactions: np.ndarray
 
 
@@ -187,9 +180,8 @@ def _dirichlet_values(mesh: Mesh, bcs: BoundarySpec) -> dict:
 
 @dataclass
 class _Held:
-    """The held entry: the last system assemble built, and the factor of its
-    A_red once a solve has made one (unless a sweep factor replaced it, see
-    _EdgeScaling)."""
+    """The held entry: the last system assemble built and, once a solve has
+    made one, its one factor."""
 
     mesh: weakref.ref
     mobility: np.ndarray
@@ -197,15 +189,9 @@ class _Held:
     raw_matrix: sp.csr_matrix
     A_red: sp.csr_matrix
     grads: np.ndarray  # the P1 gradients of mesh
-    lu: spla.SuperLU = None
-    # Made on first need, kept while the entry lives: A_red's fill-reducing
-    # order, A_red in that order (its data refilled for each sweep matrix)
-    # with the A_red data position of each of its entries, and the edge
-    # scaling of barus_direct's sweeps.
-    order: np.ndarray = None
-    permuted: sp.csr_matrix = None
-    to_permuted: np.ndarray = None
-    scaling: "_EdgeScaling" = None
+    lu: spla.SuperLU = None  # of A_red, or of the last sweep matrix factored
+    lu_diagonal: np.ndarray = None  # that sweep matrix's diagonal; None for A_red
+    scaling: "_EdgeScaling" = None  # of barus_direct's sweeps, made on first need
 
 
 # The one held entry, or None. One at most: at 48k nodes its matrices,
@@ -334,13 +320,9 @@ class _EdgeScaling:
     per entry; a call refills the data and builds no sparse matrix, so the
     system it returns is overwritten by the next call.
 
-    It also holds what one sweep hands the next (see _solve_in_held_order):
-    lu, the factor of the last sweep matrix factored, in the held order;
-    diagonal, the diagonal of that matrix, which rescales lu for the sweep
-    matrices CG solves (see _pcg); and x, the reduced solution of the last
-    solve with the held pattern. The entry holds lu or the factor of its
-    A_red, never both. forget() drops lu, diagonal and x, so a Picard solve
-    starts from what it makes itself."""
+    x, the reduced solution of the last solve with the held pattern, is
+    where CG starts on the next sweep (see _solve_sweep); a Picard solve
+    sets it to None first, so it starts from what it makes itself."""
 
     def __init__(self, held: _Held):
         raw, red = held.raw_matrix, held.A_red
@@ -362,11 +344,7 @@ class _EdgeScaling:
         self._base = raw.data
         self._raw = sp.csr_matrix((np.empty_like(raw.data), raw.indices, raw.indptr), shape=raw.shape)
         self.A_red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
-        self.lu = self.diagonal = self.x = None
-
-    def forget(self):
-        """Drop the sweep factor, its diagonal and the held solution."""
-        self.lu = self.diagonal = self.x = None
+        self.x = None
 
     def system(self, base: SparseSystem, scale: np.ndarray) -> SparseSystem:
         """base, the held system, with the stiffness scaled by scale (one
@@ -396,13 +374,13 @@ def _edge_scaling(system: SparseSystem) -> _EdgeScaling:
     return held.scaling
 
 
-def _factor(A, permc_spec="MMD_AT_PLUS_A"):
-    """SuperLU factor of the SPD matrix A."""
+def _factor(A):
+    """SuperLU factor of the SPD matrix A, in its own fill-reducing order."""
     try:
         # A is symmetric: its CSR arrays, read as CSC, are A itself (no copy)
         return spla.splu(
             sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
-            permc_spec=permc_spec,
+            permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             relax=4,
             panel_size=8,
@@ -412,58 +390,32 @@ def _factor(A, permc_spec="MMD_AT_PLUS_A"):
         raise NoConvergence(f"sparse LU factorization failed: {err}") from err
 
 
-def _permuted(A, order):
-    """A[order][:, order] with data of its own, and the position in A.data
-    of each of its entries."""
-    n = A.shape[0]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    rows = np.repeat(rank, np.diff(A.indptr))
-    cols = rank[A.indices]
-    to_permuted = np.argsort(rows * n + cols)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    P = sp.csr_matrix(
-        (A.data[to_permuted], cols[to_permuted].astype(np.int32), indptr), shape=A.shape
-    )
-    return P, to_permuted
-
-
 def _pcg(held, A, b, bnorm):
     """Conjugate gradients on A x = b, an A with the held pattern, from
-    held.scaling.x, preconditioned by S F^-1 S. F is the one factor the
-    entry holds: the sweep factor, in the held order, or else that of
-    held.A_red. S = diag(sqrt(d_F / d_A)), with d_F the diagonal of the
-    matrix F factored and d_A that of A: a sweep matrix is close to
-    D^1/2 B D^1/2 for the factored B and a positive diagonal D, and S F^-1 S
-    is then close to its inverse. Returns (x, iterations) once the
-    recomputed relative residual is at most _RTOL / 100, or (None,
-    iterations) when _PCG_MAX iterations have not met it, a ratio
-    d_F / d_A is not positive and finite (0 iterations) or a curvature p.Ap
-    is not. No reference to the factor outlives the call, so the caller can
-    free it before it makes the next one."""
-    scaling = held.scaling
-    lu, order, d_F = scaling.lu, held.order, scaling.diagonal
-    if lu is None:  # a held solution always comes with one held factor
-        lu, order, d_F = held.lu, None, held.A_red.diagonal()
+    held.scaling.x, preconditioned by S F^-1 S. F is held.lu, the factor of
+    held.A_red or of a sweep matrix, and S = diag(sqrt(d_F / d_A)), with d_F
+    the diagonal of the matrix F factored and d_A that of A: a sweep matrix
+    is close to D^1/2 B D^1/2 for the factored B and a positive diagonal D,
+    and S F^-1 S is then close to its inverse. Returns (x, iterations) once
+    the recomputed relative residual is at most _RTOL / 100, or (None,
+    iterations) when _PCG_MAX iterations have not met it, a ratio d_F / d_A
+    is not positive and finite (0 iterations) or a curvature p.Ap is not.
+    No reference to the factor outlives the call, so the caller can free it
+    before it makes the next one."""
+    lu, d_F = held.lu, held.lu_diagonal
+    if d_F is None:
+        d_F = held.A_red.diagonal()
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_F / A.diagonal()
     if not np.all((ratio > 0.0) & (ratio < np.inf)):  # a NaN fails too
         return None, 0
     s = np.sqrt(ratio)
 
-    def precondition(r):
-        if order is None:
-            return s * lu.solve(s * r)
-        z = np.empty_like(r)
-        z[order] = lu.solve((s * r)[order])
-        return s * z
-
-    x = scaling.x
+    x = held.scaling.x
     r = b - A @ x
     p, rz = None, 0.0
     for k in range(1, _PCG_MAX + 1):
-        z = precondition(r)
+        z = s * lu.solve(s * r)
         rz, rz_old = float(r @ z), rz
         p = z if p is None else z + (rz / rz_old) * p
         Ap = A @ p
@@ -477,17 +429,12 @@ def _pcg(held, A, b, bnorm):
     return None, _PCG_MAX
 
 
-def _solve_in_held_order(held, A, b, bnorm):
+def _solve_sweep(held, A, b, bnorm):
     """Solve A x = b for A, the sweep matrix of held.scaling; returns (x,
     CG iterations). Where the scaling holds a solution (a later Picard
-    sweep), CG runs from it, preconditioned by the held factor rescaled to
-    A's diagonal (see _pcg); the factor stays held, so the held.A_red
-    factor outlives a Picard solve whose sweeps CG solves. Otherwise, or
-    when CG gives up, A, permuted into held.A_red's fill-reducing order, is
-    factored with no ordering of its own, and the scaling holds that factor
-    and A's diagonal. The order comes from the held factor, or else from a
-    factor of held.A_red, so it does not depend on what was held before.
-    Every held factor goes before the new one is made."""
+    sweep), CG runs from it (see _pcg), and the held factor stays.
+    Otherwise, or when CG gives up, the held factor is dropped and A is
+    factored; its factor and diagonal are held for the sweeps after it."""
     scaling = held.scaling
     iterations = 0
     if scaling.x is not None:
@@ -495,28 +442,20 @@ def _solve_in_held_order(held, A, b, bnorm):
         if x is not None:
             scaling.x = x
             return x, iterations
-    if held.order is None:
-        lu = held.lu if held.lu is not None else _factor(held.A_red)
-        held.order = np.argsort(lu.perm_c)
-        del lu  # a factor made for the order goes before the next is made
-        held.permuted, held.to_permuted = _permuted(held.A_red, held.order)
-    held.lu = None
-    scaling.forget()
-    np.take(A.data, held.to_permuted, out=held.permuted.data)
-    lu = _factor(held.permuted, "NATURAL")
-    x = np.empty_like(b)
-    x[held.order] = lu.solve(b[held.order])
-    scaling.lu, scaling.diagonal, scaling.x = lu, A.diagonal(), x
-    return x, iterations
+    held.lu = None  # the held factor goes before the next is made
+    held.lu, held.lu_diagonal = _factor(A), A.diagonal()
+    scaling.x = held.lu.solve(b)
+    return scaling.x, iterations
 
 
 def _lu(A, b, mesh):
     """Solve A x = b (A SPD); returns (x, relative residual, CG
     iterations). When A is the reduced matrix held for mesh, the entry
-    keeps its SuperLU factor and later calls reuse it. A sweep matrix of
-    the entry's edge scaling is solved by _solve_in_held_order. Any other A
-    drops the entry and is factored without being held. The entry holds
-    one factor at most, and a failed factorization drops it."""
+    keeps its SuperLU factor and later calls reuse it, unless a sweep
+    factor has taken its slot since. A sweep matrix of the entry's edge
+    scaling is solved by _solve_sweep. Any other A drops the entry and is
+    factored without being held. The entry holds one factor at most, and a
+    failed factorization drops it."""
     global _entry
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -526,17 +465,16 @@ def _lu(A, b, mesh):
     iterations = 0
     try:
         if scaling is not None and A is scaling.A_red:
-            x, iterations = _solve_in_held_order(held, A, b, bnorm)
+            x, iterations = _solve_sweep(held, A, b, bnorm)
         elif held is not None and A is held.A_red:
-            if held.lu is None:
-                if scaling is not None:
-                    scaling.forget()  # the sweep factor goes first
+            if held.lu is None or held.lu_diagonal is not None:
+                held.lu = held.lu_diagonal = None  # a sweep factor goes first
                 held.lu = _factor(A)
             x = held.lu.solve(b)
             if scaling is not None:
                 scaling.x = x
         else:
-            _entry = None  # the held factor goes first: never two at once
+            _entry = held = None  # the held factor goes first: never two at once
             x = _factor(A).solve(b)
     except NoConvergence:
         _entry = None
@@ -555,10 +493,10 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     system.mesh lives. A reused factor gives results bitwise identical to a
     fresh one. A Picard sweep matrix of barus_direct is solved by
     preconditioned CG when the entry holds a sweep solution to start from,
-    and is factored in the held order when it does not or CG gives up;
-    result.iterations counts the CG iterations, 0 for a direct solve. Any
-    other matrix, a changed copy of the held one too, drops the entry and is
-    factored without being held.
+    and is factored, its factor taking the held one's place, when it does
+    not or CG gives up; result.iterations counts the CG iterations, 0 for a
+    direct solve. Any other matrix, a changed copy of the held one too,
+    drops the entry and is factored without being held.
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
@@ -741,13 +679,11 @@ def solve_transformed_bvp(
     """
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: use barus_direct.picard_solve (one linear solve)")
-    t0 = time.perf_counter()
     system, result, mobility, P, pressure = _kirchhoff_solve(mesh, fluid, xi, K, bcs)
     return SolveReport(
         p=ScalarField(mesh, pressure()),
         v=recover_velocity(result.field, mobility),
         P=ScalarField(mesh, P),
         residual=result.residual,
-        wall_time=time.perf_counter() - t0,
         reactions=nodal_reactions(system, result.field),
     )

@@ -89,7 +89,6 @@ class TestPicardSolve:
         assert len(report.update_history) == report.iterations
         assert report.converged
         assert report.update_history[-1] <= 1e-10
-        assert report.wall_time > 0.0
 
     def test_iteration_count_grows_with_drive(self, table1_fluid):
         mesh = make_reservoir_mesh(50.0, 15.0, 1.0, 16, 6)

@@ -231,10 +231,11 @@ class TestFactorReuse:
         assert np.max(np.abs(d * x - mesh.nodes[system.free, 0])) < 1e-10
         assert result.residual <= 1e-12
 
-    def test_same_pattern_refactors_in_held_order(self, monkeypatch):
-        # a sweep matrix has A_red's pattern and other values: the order is
-        # read off the held factor, which is dropped, and the sweep matrix is
-        # factored once with no ordering of its own
+    def test_unstarted_sweep_factored_into_the_one_slot(self, monkeypatch):
+        # a sweep matrix has A_red's pattern and other values; with no held
+        # solution to start CG from it is factored once in its own order,
+        # and its factor and diagonal take the slot of the A_red factor,
+        # which a later solve of A_red then refactors
         specs = []
         splu = dl.spla.splu
 
@@ -245,17 +246,19 @@ class TestFactorReuse:
         monkeypatch.setattr(dl.spla, "splu", recording)
         mesh, system = self.strip_system(2.75)
         dl.solve(system)
-        order = np.argsort(dl._entry.lu.perm_c)
         scaling = dl._edge_scaling(system)
         sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
         result = dl.solve(sweep)
-        assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
-        assert dl._entry.lu is None and scaling.lu is not None
-        assert np.array_equal(dl._entry.order, order)
+        assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+        assert result.iterations == 0
+        assert np.array_equal(dl._entry.lu_diagonal, sweep.A_red.diagonal())
         x = result.field.values[system.free]
         expected = dl.spla.spsolve(sweep.A_red.tocsc(), sweep.b_red)
         assert np.max(np.abs(x - expected)) < 1e-10
         assert result.residual <= 1e-12
+        again = dl.solve(system)
+        assert len(specs) == 3 and dl._entry.lu_diagonal is None
+        assert np.max(np.abs(again.field.values - mesh.nodes[:, 0])) < 1e-10
 
     def test_entry_released_with_mesh(self, splu_calls):
         mesh, system = self.strip_system(1.75)
@@ -353,7 +356,7 @@ class TestFactorReuse:
         mesh, fluid, K, bcs = self.picard_strip(0.09)
         report = bd.picard_solve(mesh, fluid, xi, K, bcs)
         assert report.converged and report.iterations == 22
-        # the A_red factor for the held order, the first sweep, two stalls
+        # the first sweep and two stalls
         assert len(splu_calls) <= 4
 
     @staticmethod
@@ -363,18 +366,12 @@ class TestFactorReuse:
         return mesh, FluidModel(mu0=1.0, beta=1.0, p0=1.0), PermeabilityField.isotropic(mesh, 1.0), bcs
 
     @staticmethod
-    def held_factors():
-        held = dl._entry
-        sweep = held.scaling.lu if held.scaling is not None else None
-        return (held.lu is not None) + (sweep is not None)
-
-    @staticmethod
     def live_factors():
         """Factors held by the entry or reachable from the locals of the
         poroflow frames on the stack (directly, as a bound solve or from a
         closure), counted once each."""
         held = dl._entry
-        found = {id(f): f for f in (held.lu, held.scaling and held.scaling.lu) if f is not None}
+        found = {id(held.lu): held.lu} if held.lu is not None else {}
         frame = sys._getframe(1)
         while frame is not None:
             if frame.f_globals.get("__name__", "").startswith("poroflow"):
@@ -396,11 +393,10 @@ class TestFactorReuse:
         assert report.linear_iterations == 0
 
     def sweep_slot_use(self, monkeypatch, y_coef):
-        """Whether the sweep slot holds a factor after each sweep of a
-        Picard solve, which is checked for one factor at most: every factor
-        is dropped, and no reference to it is left in the solver's frames,
-        before a new one is made; after every sweep the entry holds one
-        factor across its A_red factor and the sweep slot."""
+        """Whether the slot holds a sweep factor after each sweep of a Picard
+        solve, which is checked for one factor at most: the held factor is
+        dropped, and no reference to it is left in the solver's frames,
+        before a new one is made; after every sweep the entry holds one."""
         xi = BodyForcePotential(lambda x, y: y_coef * y) if y_coef else ZERO_XI
         held_at_factor, held_after, sweep_slot_used = [], [], []
         splu, solve = dl.spla.splu, dl.solve
@@ -411,8 +407,8 @@ class TestFactorReuse:
 
         def solving(system):
             result = solve(system)
-            held_after.append(self.held_factors())
-            sweep_slot_used.append(dl._entry.scaling.lu is not None)
+            held_after.append(dl._entry.lu is not None)
+            sweep_slot_used.append(dl._entry.lu_diagonal is not None)
             return result
 
         monkeypatch.setattr(dl.spla, "splu", factoring)
@@ -421,13 +417,14 @@ class TestFactorReuse:
         report = bd.picard_solve(mesh, fluid, xi, K, bcs)
         assert report.converged and len(held_after) == report.iterations
         assert held_at_factor and set(held_at_factor) == {0}
-        assert set(held_after) == {1}
+        assert all(held_after)
         return sweep_slot_used
 
     @pytest.mark.parametrize("y_coef", [0.0, 0.3])
     def test_one_factor_at_most(self, monkeypatch, y_coef):
         # at xi = 0 CG solves every later sweep on the A_red factor; at
-        # xi = 0.3 y the first sweep is no held matrix and is factored
+        # xi = 0.3 y the first sweep has no solution to start CG from and
+        # is factored
         assert any(self.sweep_slot_use(monkeypatch, y_coef)) == bool(y_coef)
 
     def test_one_factor_at_most_when_cg_stalls(self, monkeypatch):
@@ -435,11 +432,20 @@ class TestFactorReuse:
         monkeypatch.setattr(dl, "_PCG_MAX", 1)
         assert any(self.sweep_slot_use(monkeypatch, 0.0))
 
+    def test_cold_picard_factors_no_held_matrix(self, splu_calls):
+        # at xi = 0.3 y on a fresh strip: the first sweep, which has no
+        # solution to start CG from, and one stall; A_red is never factored
+        xi = BodyForcePotential(lambda x, y: 0.3 * y)
+        mesh, fluid, K, bcs = self.picard_strip()
+        report = bd.picard_solve(mesh, fluid, xi, K, bcs)
+        assert report.converged and report.iterations == 13
+        assert len(splu_calls) == 2
+
     def test_transformed_after_picard_drops_sweep_factor(self, monkeypatch):
         xi = BodyForcePotential(lambda x, y: 0.3 * y)
         mesh, fluid, K, bcs = self.picard_strip()
         bd.picard_solve(mesh, fluid, xi, K, bcs)
-        assert dl._entry.scaling.lu is not None and dl._entry.lu is None
+        assert dl._entry.lu is not None and dl._entry.lu_diagonal is not None
         held_at_factor = []
         splu = dl.spla.splu
 
@@ -450,11 +456,11 @@ class TestFactorReuse:
         monkeypatch.setattr(dl.spla, "splu", factoring)
         dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
         assert held_at_factor == [0]
-        assert dl._entry.lu is not None and dl._entry.scaling.lu is None
+        assert dl._entry.lu is not None and dl._entry.lu_diagonal is None
 
     def test_warm_transformed_solve_compares_no_matrix(self, table1_fluid, splu_calls):
         # the solve gets the held A_red itself, found by identity, and a
-        # workload that never changes the matrix computes no order
+        # workload that never changes the matrix makes no sweep machinery
         mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 20, 6)
         K = PermeabilityField.isotropic(mesh, 1e-12)
         for p_inj in (10.0, 300.0):
@@ -464,7 +470,7 @@ class TestFactorReuse:
             )
             dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
         assert len(splu_calls) == 1
-        assert dl._entry.order is None
+        assert dl._entry.scaling is None and dl._entry.lu_diagonal is None
 
 
 class TestSystemReuse:

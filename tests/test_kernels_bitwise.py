@@ -318,10 +318,12 @@ class TestWarmEntryBitwise:
 
 
 class TestPicardHistory:
-    """A Picard solve clears the sweep factor and solution that an earlier
-    call left held, so its bits do not depend on the calls before it: cold,
-    after a transformed solve (the first sweep finds the held factor) and
-    after a Picard solve with other data (the sweep slots are full)."""
+    """A Picard solve clears the sweep solution that an earlier call left
+    held and uses no sweep factor it left, so its bits do not depend on the
+    calls before it: cold, after a transformed solve (the first sweep finds
+    the held factor), after a Picard solve with other data (a sweep
+    solution is held) and after one whose CG stalled (a sweep factor is
+    held; at xi = 0 the first sweep, the held A_red, must refactor)."""
 
     @staticmethod
     def strip(v0):
@@ -330,15 +332,20 @@ class TestPicardHistory:
         return mesh, PermeabilityField.isotropic(mesh, 1.0), bcs
 
     @pytest.mark.parametrize("y_coef", [0.0, 0.3])
-    def test_same_bits_whatever_came_before(self, y_coef):
+    def test_same_bits_whatever_came_before(self, y_coef, monkeypatch):
         xi = BodyForcePotential(lambda x, y: y_coef * y) if y_coef else ZERO_XI
         reports = []
-        for before in ("nothing", "transformed", "picard"):
+        for before in ("nothing", "transformed", "picard", "stalled picard"):
             mesh, K, bcs = self.strip(0.063)
             if before == "transformed":
                 dl.solve_transformed_bvp(mesh, UNIT, xi, K, bcs)
             elif before == "picard":
                 bd.picard_solve(mesh, UNIT, xi, K, self.strip(0.09)[2])
+            elif before == "stalled picard":
+                with monkeypatch.context() as patch:
+                    patch.setattr(dl, "_PCG_MAX", 1)
+                    bd.picard_solve(mesh, UNIT, xi, K, self.strip(0.09)[2])
+                assert dl._entry.lu_diagonal is not None
             reports.append(bd.picard_solve(mesh, UNIT, xi, K, bcs))
         cold = reports[0]
         assert cold.linear_iterations > 0
