@@ -6,6 +6,7 @@ The P1 stiffness k_ij of K/mu0~ has zero row sums, so the discrete
 transformed equations sum_j k_ij (P_K(p~_j) - P_K(p~_i)) = b_i are the
 equations sum_j k_ij s_ij (p~_j - p~_i) = b_i, with P_K the Kirchhoff
 variable and s_ij its secant on [p~_i, p~_j], the mean of mu0~/mu there.
+Both paths measure P_K from one p_ref, chosen by darcy_linear._gauge.
 A sweep freezes s_ij at the previous iterate and solves the linear problem,
 so the fixed point is the nodal solution of the transformed path. The
 stiffness is assembled once; a sweep scales its off-diagonal entries by
@@ -61,16 +62,10 @@ class PicardReport:
     linear_iterations: int = 0  # CG iterations summed over the sweeps
 
 
-def _potential_at(mesh, xi):
-    """xi at the nodes. A zero xi gives 0.0: adding it gives the bits a zero
-    array would."""
-    return 0.0 if xi.is_zero else xi.at_points(mesh.nodes)
-
-
-def _kirchhoff(ptilde, fluid):
+def _kirchhoff(ptilde, fluid, p_ref):
     """The variable the secant system is linear in: the Kirchhoff variable
-    from p0, or ptilde itself at beta = 0, where the problem is linear."""
-    return ptilde if fluid.is_degenerate else transform.kirchhoff_forward(ptilde, fluid)
+    from p_ref, or ptilde itself at beta = 0, where the problem is linear."""
+    return ptilde if fluid.is_degenerate else transform.kirchhoff_forward(ptilde, fluid, p_ref)
 
 
 def _secant_weights(ptilde, edges, fluid):
@@ -78,8 +73,7 @@ def _secant_weights(ptilde, edges, fluid):
     over [p~_i, p~_j]. It is taken from the endpoint of lower pressure,
     w_lo (1 - e^-x)/x with x = beta |p~_j - p~_i| / p0 >= 0 (1 at x = 0),
     so expm1 cannot overflow and (i, j) and (j, i) give the same bits.
-    Raises TransformOverflow where exp leaves float64, with the argument
-    kirchhoff_forward would take."""
+    Raises TransformOverflow where exp leaves float64."""
     w = transform._checked_exp(-fluid.beta * (ptilde - fluid.p0) / fluid.p0)
     i, j = edges
     x = fluid.beta * np.abs(ptilde[j] - ptilde[i]) / fluid.p0
@@ -123,7 +117,9 @@ def picard_solve(
     the result depends on them.
 
     The report's velocity and reactions are those of the Kirchhoff variable
-    of the final iterate on the K/mu0~ stiffness, as on the transformed path.
+    of the final iterate on the K/mu0~ stiffness, measured from the p_ref of
+    the transformed path (the lowest prescribed p + xi), so they keep their
+    digits where the pressure lies far above p0.
 
     Divergence guard: the relaxation factor starts at 1; three consecutive
     growing update norms halve it, and after four halvings the solve raises
@@ -134,13 +130,13 @@ def picard_solve(
     """
     config = config or PicardConfig()
 
-    xi_nodes = _potential_at(mesh, xi)
+    xi_nodes, _, _, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
     mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
     base = darcy_linear.assemble(mesh, mobility, darcy_linear.modified_bcs(bcs, xi))
 
     def finish(ptilde_k, history, converged, lin_iters):
         """Report on iterate ptilde_k."""
-        potential = ScalarField(mesh, _kirchhoff(ptilde_k, fluid))
+        potential = ScalarField(mesh, _kirchhoff(ptilde_k, fluid, p_ref))
         return PicardReport(
             p=ScalarField(mesh, ptilde_k - xi_nodes),
             v=darcy_linear.recover_velocity(potential, mobility),
@@ -219,12 +215,14 @@ def nonlinear_residual(
     """Relative algebraic residual of the edge-secant system (the system
     picard_solve iterates on and solve_transformed_bvp solves) at the given
     field: (raw_K @ P_K(p~) - raw_rhs) at the free nodes, with raw_K the
-    K/mu0~ stiffness and P_K the Kirchhoff variable from p0, relative to the
-    norm of the reduced load of the secant system at the field (flux-like)."""
-    ptilde = p.values + _potential_at(mesh, xi)
+    K/mu0~ stiffness and P_K the Kirchhoff variable from the p_ref of the
+    transformed path, relative to the norm of the reduced load of the secant
+    system at the field (flux-like)."""
+    xi_nodes, _, _, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
+    ptilde = p.values + xi_nodes
     mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
     base = darcy_linear.assemble(mesh, mobility, darcy_linear.modified_bcs(bcs, xi))
-    PK = _kirchhoff(ptilde, fluid)
+    PK = _kirchhoff(ptilde, fluid, p_ref)
 
     r = (base.raw_matrix @ PK - base.raw_rhs)[base.free]
     scale = float(np.linalg.norm(_secant_system(base, ptilde, fluid).b_red))

@@ -610,16 +610,25 @@ def transform_bcs(bcs: BoundarySpec, fluid: FluidModel, xi: BodyForcePotential) 
     return bcs.map_pressure(lambda p, x, y: transform.hopf_cole_inverse(p, xi(x, y), fluid))
 
 
-def _kirchhoff_solve(mesh, fluid, xi, K, bcs):
-    """solve_transformed_bvp up to its Kirchhoff solution, errors included.
-    Returns (system, result, mobility, P, pressure): P the solution in the
-    Hopf-Cole gauge, and pressure() the pressure, mapped back on call."""
+def _gauge(mesh, fluid, xi, bcs):
+    """The Kirchhoff gauge of both solution paths. Returns (xi_nodes,
+    dnodes, dvals, p_ref): xi at the nodes, the Dirichlet nodes and their
+    prescribed pressures, and p_ref, the lowest prescribed modified
+    pressure p + xi (p0 without pressure data), which the Kirchhoff variable
+    is measured from."""
     xi_nodes = xi.at_points(mesh.nodes)
     prescribed = _dirichlet_values(mesh, bcs)
     dnodes = np.fromiter(prescribed, dtype=np.int64, count=len(prescribed))
     dvals = np.fromiter(prescribed.values(), dtype=float, count=len(prescribed))
     p_ref = float((dvals + xi_nodes[dnodes]).min()) if dnodes.size else fluid.p0
+    return xi_nodes, dnodes, dvals, p_ref
 
+
+def _kirchhoff_solve(mesh, fluid, xi, K, bcs):
+    """solve_transformed_bvp up to its Kirchhoff solution, errors included.
+    Returns (system, result, mobility, P, pressure): P the solution in the
+    Hopf-Cole gauge, and pressure() the pressure, mapped back on call."""
+    xi_nodes, dnodes, dvals, p_ref = _gauge(mesh, fluid, xi, bcs)
     kbcs = bcs.map_pressure(
         lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
     )

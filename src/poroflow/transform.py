@@ -188,12 +188,14 @@ def kirchhoff_forward(ptilde, fluid: FluidModel, p_ref=None):
 
     P_K = C * (1 - exp[-beta*(ptilde - p_ref)/p0]) with C the
     kirchhoff_ceiling, evaluated with expm1 so that contrasts to p_ref
-    keep full relative precision.
+    keep full relative precision. The expm1 argument is clamped at
+    -EXP_ARG_LIMIT from below, where expm1 is already -1: far above p_ref
+    the value is C, not an overflow.
     """
     ceiling = kirchhoff_ceiling(fluid, p_ref)
     p_ref = fluid.p0 if p_ref is None else p_ref
     arg = -fluid.beta * (np.asarray(ptilde, dtype=float) - p_ref) / fluid.p0
-    out = -ceiling * _checked_exp(arg, np.expm1)
+    out = -ceiling * _checked_exp(np.maximum(arg, -EXP_ARG_LIMIT), np.expm1)
     return _scalar_like(ptilde, out)
 
 

@@ -89,56 +89,43 @@ def _default_tol(values: np.ndarray) -> float:
     return 1e-10 * (rng if rng > 0.0 else max(abs(float(values.max())), 1.0))
 
 
+def _check_principle(field: ScalarField, bcs: BoundarySpec, lower: bool) -> PrincipleReport:
+    """The body of check_min_principle (lower) and check_max_principle."""
+    values = field.values
+    vmin, vmax = _velocity_sign(field.mesh, bcs)
+    if lower and vmax > 0.0:
+        raise NotApplicable(
+            f"minimum principle needs v_n <= 0 on the velocity segments (max {vmax:.3g})"
+        )
+    if not lower and vmin < 0.0:
+        raise NotApplicable(
+            f"maximum principle needs v_n >= 0 on the velocity segments (min {vmin:.3g})"
+        )
+    prescribed = _prescribed_values(field.mesh, bcs)
+    if prescribed.size == 0:
+        raise NotApplicable("no pressure segment: no boundary bound to compare against")
+    tol = _default_tol(values)
+    if lower:
+        bound, worst = float(prescribed.min()), float(values.min())
+        bad = np.flatnonzero(values < bound - tol)
+    else:
+        bound, worst = float(prescribed.max()), float(values.max())
+        bad = np.flatnonzero(values > bound + tol)
+    return PrincipleReport(bad.size == 0, bound, worst, bad, tol)
+
+
 def check_min_principle(field: ScalarField, bcs: BoundarySpec) -> PrincipleReport:
     """Lower bound: no nodal value below the smallest prescribed pressure
     datum, up to _default_tol of the field (tolerance_used). Applicable
     only when the prescribed normal velocity is <= 0 everywhere (inflow or
     sealed); otherwise NotApplicable."""
-    mesh = field.mesh
-    _, vmax = _velocity_sign(mesh, bcs)
-    if vmax > 0.0:
-        raise NotApplicable(
-            f"minimum principle needs v_n <= 0 on the velocity segments (max {vmax:.3g})"
-        )
-    prescribed = _prescribed_values(mesh, bcs)
-    if prescribed.size == 0:
-        raise NotApplicable("no pressure segment: no boundary bound to compare against")
-    tol = _default_tol(field.values)
-    bound = float(prescribed.min())
-    worst = float(field.values.min())
-    bad = np.flatnonzero(field.values < bound - tol)
-    return PrincipleReport(
-        satisfied=bad.size == 0,
-        bound=bound,
-        worst_interior=worst,
-        violation_nodes=bad,
-        tolerance_used=tol,
-    )
+    return _check_principle(field, bcs, lower=True)
 
 
 def check_max_principle(field: ScalarField, bcs: BoundarySpec) -> PrincipleReport:
     """Mirror of check_min_principle: v_n >= 0 required, no nodal value
     above the largest prescribed datum, up to the same tolerance."""
-    mesh = field.mesh
-    vmin, _ = _velocity_sign(mesh, bcs)
-    if vmin < 0.0:
-        raise NotApplicable(
-            f"maximum principle needs v_n >= 0 on the velocity segments (min {vmin:.3g})"
-        )
-    prescribed = _prescribed_values(mesh, bcs)
-    if prescribed.size == 0:
-        raise NotApplicable("no pressure segment: no boundary bound to compare against")
-    tol = _default_tol(field.values)
-    bound = float(prescribed.max())
-    worst = float(field.values.max())
-    bad = np.flatnonzero(field.values > bound + tol)
-    return PrincipleReport(
-        satisfied=bad.size == 0,
-        bound=bound,
-        worst_interior=worst,
-        violation_nodes=bad,
-        tolerance_used=tol,
-    )
+    return _check_principle(field, bcs, lower=False)
 
 
 @dataclass(frozen=True)
@@ -352,9 +339,8 @@ def calibrate_ceiling_flux(
 def predict_flux(model: CeilingFluxModel, p_inj: float) -> float:
     """Closed-form production flux, C times the Kirchhoff variable of p_inj
     measured from p_atm: Q = model.ceiling() * (1 - exp[-beta*(p_inj -
-    p_atm)/p0]), evaluated with expm1. Zero at p_inj = p_atm, strictly
-    increasing, bounded by model.ceiling()."""
+    p_atm)/p0]). Zero at p_inj = p_atm, strictly increasing, bounded by
+    model.ceiling()."""
     if p_inj < model.p_atm:
         raise ValueError("p_inj must be >= the production pressure")
-    f = model.fluid
-    return -model.ceiling() * float(np.expm1(-f.beta * (p_inj - model.p_atm) / f.p0))
+    return model.C * transform.kirchhoff_forward(p_inj, model.fluid, model.p_atm)

@@ -65,6 +65,35 @@ class TestPicardSolve:
         # nodally exact: what is left is rounding (3.6e-13)
         assert rel < 1e-11
 
+    @pytest.mark.parametrize(
+        "fluid, p_left, p_right",
+        [
+            (FluidModel(1.0, 60.0, 1.0), 3.0, 1.0),
+            (FluidModel(1.0, 1.0, 1.0), 101.0, 100.0),
+            (FluidModel(1.0, 60.0, 1.0), 3.5, 3.0),
+        ],
+        ids=["inlet_beyond_p0_gauge", "all_beyond_p0_gauge", "beta60_beyond_p0_gauge"],
+    )
+    def test_high_pressure_strip(self, fluid, p_left, p_right):
+        # the Picard twin of the transformed path's test: a Kirchhoff
+        # variable measured from p0 rounds pressures with beta*(p/p0 - 1)
+        # beyond about 37 onto its ceiling, and the velocity and reactions
+        # taken from it with them
+        L, H, k = 1.0, 0.2, 1.0
+        mesh = make_rectangle_mesh(L, H, 16, 2)
+        K = PermeabilityField.isotropic(mesh, k)
+        report = bd.picard_solve(mesh, fluid, ZERO_XI, K, strip_bcs(p_left, p_right))
+
+        def e(p):
+            return np.exp(-fluid.beta * (p / fluid.p0 - 1.0))
+
+        v0 = fluid.p0 * k * (e(p_right) - e(p_left)) / (fluid.mu0 * fluid.beta * L)
+        assert report.converged
+        # 3.6e-9, 3.2e-9 and 1.5e-8 at the default tol
+        assert np.abs(report.v.values - [v0, 0.0]).max() <= 1e-7 * v0
+        outflow = report.reactions[mesh.nodes_with_label("right")].sum()
+        assert abs(outflow - v0 * H) <= 1e-7 * v0 * H
+
     def test_agrees_with_transformed_path(self, table1_fluid):
         mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 30, 10)
         K = PermeabilityField.isotropic(mesh, 1e-12)
@@ -276,7 +305,7 @@ class TestNonlinearResidual:
             res.append(bd.nonlinear_residual(exact, mesh, table1_fluid, ZERO_XI, K, bcs))
         assert res[0] > res[1] > res[2]
 
-    @pytest.mark.parametrize("case", ["reservoir", "strip_gravity"])
+    @pytest.mark.parametrize("case", ["reservoir", "strip_gravity", "strip_beyond_p0_gauge"])
     def test_transformed_solution_solves_secant_system(self, case, table1_fluid, unit_fluid):
         # the residual measures the system the transformed path solves
         if case == "reservoir":
@@ -284,6 +313,13 @@ class TestNonlinearResidual:
             mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 30, 10)
             K = PermeabilityField.isotropic(mesh, 1e-12)
             bcs = BoundarySpec(pressure={"inlet": 4.2e9, "well": fluid.p0}, velocity={"wall": 0.0})
+        elif case == "strip_beyond_p0_gauge":
+            # beta*(p/p0 - 1) >= 120 everywhere: read in a Kirchhoff variable
+            # from p0 the exact solution leaves a residual of about 2e34
+            fluid, xi = FluidModel(1.0, 60.0, 1.0), ZERO_XI
+            mesh = make_rectangle_mesh(1.0, 0.2, 16, 2)
+            K = PermeabilityField.isotropic(mesh, 1.0)
+            bcs = strip_bcs(3.5, 3.0)
         else:
             fluid, xi = unit_fluid, BodyForcePotential(lambda x, y: 0.3 * y)
             mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)

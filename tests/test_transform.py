@@ -206,6 +206,13 @@ class TestKirchhoff:
         ref = table1_fluid.p0 / table1_fluid.beta
         assert np.max(np.abs(shift - ref) / ref) < 1e-12
 
+    def test_far_above_reference_is_the_ceiling(self, unit_fluid):
+        # exp[-beta*(ptilde - p0)/p0] = e^-999 is 0 in float64, so the value
+        # is the ceiling p0/beta, not an overflow
+        assert tr.kirchhoff_forward(1000.0, unit_fluid) == 1.0
+        got = tr.kirchhoff_forward(np.array([1.0, 1000.0]), unit_fluid)
+        assert np.array_equal(got, [0.0, 1.0])
+
     def test_inverse_trivial_and_frozen(self, table1_fluid, unit_fluid):
         assert tr.kirchhoff_inverse(0.0, table1_fluid) == pytest.approx(
             table1_fluid.p0, rel=1e-15
