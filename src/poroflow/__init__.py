@@ -31,7 +31,7 @@ from .geometry import (
     make_rectangle_mesh,
     make_reservoir_mesh,
 )
-from .transform import BodyForcePotential, FluidModel, TransformConstants
+from .transform import BodyForcePotential, FluidModel
 
 __all__ = [
     "BadDimensions",
@@ -51,7 +51,6 @@ __all__ = [
     "PoroflowError",
     "ScalarField",
     "SingularMobility",
-    "TransformConstants",
     "TransformOverflow",
     "UnknownLabel",
     "VectorField",

@@ -14,36 +14,41 @@ pressure segments), the rule the theorem checks in ``verification`` use too.
 The constant-viscosity (beta = 0) problem is ``barus_direct.picard_solve``,
 which solves it with one linear solve.
 
-Every solve checks the relative residual of the reduced system against
-the fixed bound 1e-12 (``_RTOL``). The transformed problem's matrix depends
-on the mesh, the permeability and mu0 but not on the boundary data, so the
-module holds one entry for the last system assembled: its mesh (by weak
-reference), a copy of its mobility, its free nodes, its raw and reduced
-matrices, the mesh's P1 gradients and, once solved, one LU factor. An
-assembly with the same mesh, the same mobility bits and the same Dirichlet
-node set builds only the load, the Dirichlet values and the reduced
-right-hand side. Every assembly returns the held matrices themselves,
-read-only: their data, indices and indptr arrays cannot be written, so no
-caller can change what a later call finds. A solve of the held reduced
-matrix reuses its factor; any other matrix drops the entry and is factored
-without being held. So a sweep over pressure data on one mesh assembles and
-factors once.
+Every solve is accepted by its normwise backward error on the reduced
+system A x = b (Rigal and Gaches; Higham, ch. 7): omega = ||b - A x||_2 /
+(a_max ||x||_2 + ||b||_2) <= 64 eps, a_max the largest diagonal entry of A,
+a lower bound on ||A||_2 that makes the test stricter. A relative residual
+grows with the condition number as meshes refine; omega does not. a_max is
+held with the reduced matrix, or read from a sweep's diagonal.
 
-The sweep matrices of ``barus_direct``'s Picard solve have the held
-pattern and other values. The entry keeps the reduced solution of the last
-solve with that pattern. A sweep runs conjugate gradients (CG) from it,
+The transformed problem's matrix depends on the mesh, the permeability and
+mu0 but not on the boundary data, so the module holds one entry for the
+last system assembled: its mesh (by weak reference), a copy of its
+mobility, its free nodes, its raw and reduced matrices, the mesh's P1
+gradients and, once solved, one LU factor. An assembly with the same mesh,
+the same mobility bits and the same Dirichlet node set builds only the
+load, the Dirichlet values and the reduced right-hand side. Every assembly
+returns the held matrices themselves, read-only: their data, indices and
+indptr arrays cannot be written, so no caller can change what a later call
+finds. A solve of the held reduced matrix reuses its factor; any other
+matrix drops the entry and is factored without being held. So a sweep over
+pressure data on one mesh assembles and factors once.
+
+The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
+and other values. The entry keeps the reduced solution of the last solve
+with that pattern. A sweep runs conjugate gradients (CG) from it,
 preconditioned by the held factor rescaled symmetrically by the square root
 of the ratio of the factored matrix's diagonal to the sweep matrix's: a
 sweep matrix is close to the factored one with each edge scaled by the mean
 of a nodal weight, so the held reduced factor can serve every sweep. CG
-stops once the recomputed relative residual is at most ``_RTOL`` / 100 and
-gives up after ``_PCG_MAX`` = 8 iterations, or on a diagonal ratio or a
-curvature that is not positive and finite. A sweep with no held solution,
-or where CG gives up, is factored, and its factor and diagonal replace the
-held factor; the reduced matrix is refactored on its next solve. The held
-factor is dropped before any new one is made, so there is one factor at
-most. The entry is freed when its mesh is collected or a factorization
-fails.
+stops once the recomputed relative residual is at most ``_PCG_RTOL`` =
+1e-14, below 64 eps, so every CG exit passes the acceptance test, and gives
+up after ``_PCG_MAX`` = 8 iterations, or on a diagonal ratio or a curvature
+that is not positive and finite. A sweep with no held solution, or where CG
+gives up, is factored, and its factor and diagonal replace the held factor;
+the reduced matrix is refactored on its next solve. The held factor is
+dropped before any new one is made, so there is one factor at most. The
+entry is freed when its mesh is collected or a factorization fails.
 """
 
 from __future__ import annotations
@@ -80,8 +85,10 @@ from .geometry import (
 from .transform import BodyForcePotential, FluidModel
 
 
-# Bound on the relative residual of every reduced solve.
-_RTOL = 1e-12
+# Bound on the normwise backward error of every reduced solve (see solve).
+_OMEGA_MAX = 64 * np.finfo(float).eps
+# Relative residual at which CG on a Picard sweep stops.
+_PCG_RTOL = 1e-14
 # Iterations CG may take on a Picard sweep before the sweep is factored.
 _PCG_MAX = 8
 
@@ -111,7 +118,7 @@ class SparseSystem:
 class LinearSolveResult:
     field: ScalarField
     iterations: int  # CG iterations of the solve; 0 for a direct solve
-    residual: float  # final relative residual of the reduced system
+    residual: float  # normwise backward error of the reduced solve (see solve)
 
 
 @dataclass
@@ -122,7 +129,7 @@ class SolveReport:
     p: ScalarField
     v: VectorField
     P: ScalarField
-    residual: float
+    residual: float  # normwise backward error of the linear solve
     reactions: np.ndarray
 
 
@@ -189,6 +196,7 @@ class _Held:
     raw_matrix: sp.csr_matrix
     A_red: sp.csr_matrix
     grads: np.ndarray  # the P1 gradients of mesh
+    a_max: float  # the largest diagonal entry of A_red
     lu: spla.SuperLU = None  # of A_red, or of the last sweep matrix factored
     lu_diagonal: np.ndarray = None  # that sweep matrix's diagonal; None for A_red
     scaling: "_EdgeScaling" = None  # of barus_direct's sweeps, made on first need
@@ -244,7 +252,8 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
     a, b = tri.ravel(), tri[:, nxt].ravel()
     n = mesh.n_nodes
     upper = sp.csr_matrix((off.ravel(), (np.minimum(a, b), np.maximum(a, b))), shape=(n, n))
-    raw = upper + upper.T + sp.diags(np.bincount(a, diag.ravel(), minlength=n))
+    raw_diagonal = np.bincount(a, diag.ravel(), minlength=n)
+    raw = upper + upper.T + sp.diags(raw_diagonal)
     red = raw[free][:, free]
     for array in (raw.data, raw.indices, raw.indptr, red.data, red.indices, red.indptr):
         array.setflags(write=False)  # every caller gets these matrices
@@ -256,6 +265,7 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
         raw_matrix=raw,
         A_red=red,
         grads=grads,
+        a_max=float(raw_diagonal[free].max(initial=0.0)),
     )
     return _entry
 
@@ -390,23 +400,23 @@ def _factor(A):
         raise NoConvergence(f"sparse LU factorization failed: {err}") from err
 
 
-def _pcg(held, A, b, bnorm):
-    """Conjugate gradients on A x = b, an A with the held pattern, from
-    held.scaling.x, preconditioned by S F^-1 S. F is held.lu, the factor of
-    held.A_red or of a sweep matrix, and S = diag(sqrt(d_F / d_A)), with d_F
-    the diagonal of the matrix F factored and d_A that of A: a sweep matrix
-    is close to D^1/2 B D^1/2 for the factored B and a positive diagonal D,
-    and S F^-1 S is then close to its inverse. Returns (x, iterations) once
-    the recomputed relative residual is at most _RTOL / 100, or (None,
-    iterations) when _PCG_MAX iterations have not met it, a ratio d_F / d_A
-    is not positive and finite (0 iterations) or a curvature p.Ap is not.
-    No reference to the factor outlives the call, so the caller can free it
-    before it makes the next one."""
+def _pcg(held, A, b, bnorm, d_A):
+    """Conjugate gradients on A x = b, an A with the held pattern and the
+    diagonal d_A, from held.scaling.x, preconditioned by S F^-1 S. F is
+    held.lu, the factor of held.A_red or of a sweep matrix, and S =
+    diag(sqrt(d_F / d_A)), with d_F the diagonal of the matrix F factored: a
+    sweep matrix is close to D^1/2 B D^1/2 for the factored B and a positive
+    diagonal D, and S F^-1 S is then close to its inverse. Returns (x,
+    iterations) once the recomputed relative residual is at most _PCG_RTOL,
+    or (None, iterations) when _PCG_MAX iterations have not met it, a ratio
+    d_F / d_A is not positive and finite (0 iterations) or a curvature p.Ap
+    is not. No reference to the factor outlives the call, so the caller can
+    free it before it makes the next one."""
     lu, d_F = held.lu, held.lu_diagonal
     if d_F is None:
         d_F = held.A_red.diagonal()
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d_F / A.diagonal()
+        ratio = d_F / d_A
     if not np.all((ratio > 0.0) & (ratio < np.inf)):  # a NaN fails too
         return None, 0
     s = np.sqrt(ratio)
@@ -424,38 +434,39 @@ def _pcg(held, A, b, bnorm):
             return None, k
         x = x + (rz / curvature) * p
         r = b - A @ x
-        if np.linalg.norm(r) <= _RTOL / 100 * bnorm:
+        if np.linalg.norm(r) <= _PCG_RTOL * bnorm:
             return x, k
     return None, _PCG_MAX
 
 
 def _solve_sweep(held, A, b, bnorm):
     """Solve A x = b for A, the sweep matrix of held.scaling; returns (x,
-    CG iterations). Where the scaling holds a solution (a later Picard
-    sweep), CG runs from it (see _pcg), and the held factor stays.
+    CG iterations, a_max of A). Where the scaling holds a solution (a later
+    Picard sweep), CG runs from it (see _pcg), and the held factor stays.
     Otherwise, or when CG gives up, the held factor is dropped and A is
     factored; its factor and diagonal are held for the sweeps after it."""
     scaling = held.scaling
+    d_A = A.diagonal()
     iterations = 0
     if scaling.x is not None:
-        x, iterations = _pcg(held, A, b, bnorm)
+        x, iterations = _pcg(held, A, b, bnorm, d_A)
         if x is not None:
             scaling.x = x
-            return x, iterations
+            return x, iterations, d_A.max()
     held.lu = None  # the held factor goes before the next is made
-    held.lu, held.lu_diagonal = _factor(A), A.diagonal()
+    held.lu, held.lu_diagonal = _factor(A), d_A
     scaling.x = held.lu.solve(b)
-    return scaling.x, iterations
+    return scaling.x, iterations, d_A.max()
 
 
 def _lu(A, b, mesh):
-    """Solve A x = b (A SPD); returns (x, relative residual, CG
-    iterations). When A is the reduced matrix held for mesh, the entry
-    keeps its SuperLU factor and later calls reuse it, unless a sweep
-    factor has taken its slot since. A sweep matrix of the entry's edge
-    scaling is solved by _solve_sweep. Any other A drops the entry and is
-    factored without being held. The entry holds one factor at most, and a
-    failed factorization drops it."""
+    """Solve A x = b (A SPD); returns (x, omega of solve, CG iterations).
+    When A is the reduced matrix held for mesh, the entry keeps its SuperLU
+    factor and later calls reuse it, unless a sweep factor has taken its
+    slot since. A sweep matrix of the entry's edge scaling is solved by
+    _solve_sweep. Any other A drops the entry and is factored without being
+    held. The entry holds one factor at most, and a failed factorization
+    drops it."""
     global _entry
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -465,7 +476,7 @@ def _lu(A, b, mesh):
     iterations = 0
     try:
         if scaling is not None and A is scaling.A_red:
-            x, iterations = _solve_sweep(held, A, b, bnorm)
+            x, iterations, a_max = _solve_sweep(held, A, b, bnorm)
         elif held is not None and A is held.A_red:
             if held.lu is None or held.lu_diagonal is not None:
                 held.lu = held.lu_diagonal = None  # a sweep factor goes first
@@ -473,30 +484,34 @@ def _lu(A, b, mesh):
             x = held.lu.solve(b)
             if scaling is not None:
                 scaling.x = x
+            a_max = held.a_max
         else:
             _entry = held = None  # the held factor goes first: never two at once
             x = _factor(A).solve(b)
+            a_max = A.diagonal().max()
     except NoConvergence:
         _entry = None
         raise
-    return x, float(np.linalg.norm(b - A @ x) / bnorm), iterations
+    omega = np.linalg.norm(b - A @ x) / (a_max * np.linalg.norm(x) + bnorm)
+    return x, float(omega), iterations
 
 
 def solve(system: SparseSystem) -> LinearSolveResult:
     """Solve the assembled system for the nodal field.
 
-    The reduced SPD matrix is solved with a fill-reducing sparse LU, and the
-    relative residual is checked against the fixed bound 1e-12 on every
-    call; a residual above it, or not finite, raises NoConvergence. The
-    factor of the held reduced matrix, the A_red that assemble returns, is
-    held with the entry of the module docstring and reused while
-    system.mesh lives. A reused factor gives results bitwise identical to a
-    fresh one. A Picard sweep matrix of barus_direct is solved by
-    preconditioned CG when the entry holds a sweep solution to start from,
-    and is factored, its factor taking the held one's place, when it does
-    not or CG gives up; result.iterations counts the CG iterations, 0 for a
-    direct solve. Any other matrix, a changed copy of the held one too,
-    drops the entry and is factored without being held.
+    The reduced SPD matrix is solved with a fill-reducing sparse LU, and
+    every solve must pass the backward-error test of the module docstring,
+    omega <= 64 eps; an omega above it, or not finite, raises
+    NoConvergence, and result.residual is omega. The factor of the held
+    reduced matrix, the A_red that assemble returns, is held with the entry
+    of the module docstring and reused while system.mesh lives. A reused
+    factor gives results bitwise identical to a fresh one. A Picard sweep
+    matrix of barus_direct is solved by preconditioned CG when the entry
+    holds a sweep solution to start from, and is factored, its factor
+    taking the held one's place, when it does not or CG gives up;
+    result.iterations counts the CG iterations, 0 for a direct solve. Any
+    other matrix, a changed copy of the held one too, drops the entry and is
+    factored without being held.
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
@@ -512,13 +527,13 @@ def solve(system: SparseSystem) -> LinearSolveResult:
                 "compatibility condition violated"
             )
 
-    x_red, res, iterations = _lu(system.A_red, system.b_red, system.mesh)
-    if not res <= _RTOL:  # also catches a non-finite residual
-        raise NoConvergence(f"linear solve residual {res:.3e} exceeds rtol={_RTOL}")
+    x_red, omega, iterations = _lu(system.A_red, system.b_red, system.mesh)
+    if not omega <= _OMEGA_MAX:  # also catches a non-finite omega
+        raise NoConvergence(f"linear solve backward error {omega:.3e} exceeds {_OMEGA_MAX:.3e}")
 
     values = system.lift.copy()
     values[system.free] = x_red
-    return LinearSolveResult(ScalarField(system.mesh, values), iterations, res)
+    return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega)
 
 
 def recover_velocity(P: ScalarField, mobility: np.ndarray) -> VectorField:

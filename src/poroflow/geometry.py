@@ -235,9 +235,7 @@ def make_reservoir_mesh(L, H, W, nx, ny, well_offset=0.0, pattern="diagonal") ->
         }
     )
     # nodes, triangles and boundary edges are base's, which
-    # make_rectangle_mesh validated; only the labels are new
-    if len(labels) != base.boundary_edges.shape[0]:
-        raise ValueError("one label per boundary edge required")
+    # make_rectangle_mesh validated; only the labels are new, one per edge
     return Mesh(
         nodes=base.nodes,
         triangles=base.triangles,

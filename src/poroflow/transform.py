@@ -1,11 +1,19 @@
-"""Pointwise maps between physical pressure, modified pressure, and the
-transformed variables that linearize the pressure-dependent-viscosity flow
-problem.
+"""Pointwise maps between physical pressure, modified pressure and the
+transformed variable that linearizes the pressure-dependent-viscosity flow
+problem; the exponential viscosity law mu = mu0 * exp[beta * (p/p0 - 1)] is
+the single constitutive input.
 
-All functions accept scalars or numpy arrays and are pure; the exponential
-viscosity law mu = mu0 * exp[beta * (p/p0 - 1)] is the single constitutive
-input. Arguments that would push exp() outside the float64 range raise
-TransformOverflow so downstream assembly never sees non-finite coefficients.
+The one transform kernel is the Kirchhoff pair kirchhoff_forward /
+kirchhoff_inverse: P_K(ptilde; p_ref), the integral of mu0/mu from p_ref,
+with supremum C(p_ref), the kirchhoff_ceiling, which holds the only
+exponential of the law. Every member A*P + B = HC of the two-constant
+family, HC = -(p0/beta) * exp[-beta*(ptilde/p0 - 1)] the Hopf-Cole variable
+(hopf_cole_inverse, A = 1, B = 0), satisfies
+P = (P_K(ptilde; p_ref) - C(p_ref) - B)/A for any p_ref.
+
+All functions accept scalars or numpy arrays and are pure. Arguments that
+would push exp() outside the float64 range raise TransformOverflow so
+downstream assembly never sees non-finite coefficients.
 """
 
 from __future__ import annotations
@@ -90,20 +98,6 @@ class BodyForcePotential:
         return np.atleast_1d(self(points[..., 0], points[..., 1]))
 
 
-@dataclass(frozen=True)
-class TransformConstants:
-    """Integration-constant pair (A, B) selecting a member of the transform
-    family; A=1, B=0 is the main pipeline choice, A=1, B=-p0/beta recovers
-    the Kirchhoff variable."""
-
-    A: float = 1.0
-    B: float = 0.0
-
-    def __post_init__(self):
-        if self.A == 0.0:
-            raise ValueError("A must be non-zero")
-
-
 def _checked_exp(arg, exp=np.exp):
     arg = np.asarray(arg, dtype=float)
     if np.any(np.abs(arg) > EXP_ARG_LIMIT):
@@ -134,57 +128,25 @@ def reference_viscosity_field(xi_value, fluid: FluidModel):
     return _scalar_like(xi_value, fluid.mu0 * _checked_exp(arg))
 
 
-def hopf_cole_forward(P, fluid: FluidModel):
-    """Map the transformed variable P < 0 back to the modified pressure.
-
-    ptilde = p0 * (1 - ln[-beta*P/p0] / beta). Monotonically increasing on
-    (-inf, 0); a non-negative P has no real pre-image and raises
-    DomainViolation (that is exactly how non-existence of a pressure
-    solution manifests).
-    """
+def kirchhoff_ceiling(fluid: FluidModel, p_ref):
+    """Supremum of the Kirchhoff variable measured from p_ref, its limit as
+    ptilde -> inf: C = (p0/beta) * exp[-beta*(p_ref/p0 - 1)]. A transformed
+    value at or above it has no real pressure. Vectorized over p_ref."""
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: transform undefined; use barus_direct.picard_solve")
-    Pa = np.asarray(P, dtype=float)
-    if np.any(Pa >= 0.0):
-        bad = np.flatnonzero(np.atleast_1d(Pa >= 0.0))
-        raise DomainViolation(
-            f"transformed variable must be negative; {bad.size} value(s) >= 0"
-        )
-    # Near P = -p0/beta the log argument rounds away the digits that order
-    # close inputs; there -P - p0/beta is exact (Sterbenz), so log1p of it
-    # keeps them and the map stays monotone in float64.
-    s = fluid.p0 / fluid.beta
-    near = (Pa <= -0.5 * s) & (Pa >= -2.0 * s)
-    z = np.where(near, (-Pa - s) / s, 0.0)
-    log_arg = np.where(near, np.log1p(z), np.log(-fluid.beta * Pa / fluid.p0))
-    out = fluid.p0 * (1.0 - log_arg / fluid.beta)
-    return _scalar_like(P, out)
+    arg = -fluid.beta * (np.asarray(p_ref, dtype=float) / fluid.p0 - 1.0)
+    return _scalar_like(p_ref, (fluid.p0 / fluid.beta) * _checked_exp(arg))
 
 
 def hopf_cole_inverse(p, xi_value, fluid: FluidModel):
-    """Map physical pressure (plus potential xi) to the transformed variable.
-
-    P = -(p0/beta) * exp[-beta*((p + xi)/p0 - 1)]; always strictly negative.
-    """
-    if fluid.is_degenerate:
-        raise Degenerate("beta = 0: transform undefined; use barus_direct.picard_solve")
-    ptilde = np.asarray(p, dtype=float) + np.asarray(xi_value, dtype=float)
-    arg = -fluid.beta * (ptilde / fluid.p0 - 1.0)
-    out = -(fluid.p0 / fluid.beta) * _checked_exp(arg)
-    return _scalar_like(p, out)
+    """Map physical pressure (plus potential xi) to the Hopf-Cole variable
+    P = -(p0/beta) * exp[-beta*((p + xi)/p0 - 1)], the negated
+    kirchhoff_ceiling at p + xi; always strictly negative."""
+    return -kirchhoff_ceiling(fluid, np.add(p, xi_value))
 
 
-def kirchhoff_ceiling(fluid: FluidModel, p_ref=None):
-    """Supremum of the Kirchhoff variable, its limit as ptilde -> inf:
-    (p0/beta) * exp[-beta*(p_ref/p0 - 1)], minus the Hopf-Cole value at
-    p_ref (default p0). A transformed value at or above it has no real
-    pressure."""
-    p_ref = fluid.p0 if p_ref is None else p_ref
-    return float(-hopf_cole_inverse(p_ref, 0.0, fluid))
-
-
-def kirchhoff_forward(ptilde, fluid: FluidModel, p_ref=None):
-    """Kirchhoff variable: integral of 1/g from p_ref (default p0) to ptilde.
+def kirchhoff_forward(ptilde, fluid: FluidModel, p_ref):
+    """Kirchhoff variable: integral of mu0/mu from p_ref to ptilde.
 
     P_K = C * (1 - exp[-beta*(ptilde - p_ref)/p0]) with C the
     kirchhoff_ceiling, evaluated with expm1 so that contrasts to p_ref
@@ -193,13 +155,12 @@ def kirchhoff_forward(ptilde, fluid: FluidModel, p_ref=None):
     the value is C, not an overflow.
     """
     ceiling = kirchhoff_ceiling(fluid, p_ref)
-    p_ref = fluid.p0 if p_ref is None else p_ref
     arg = -fluid.beta * (np.asarray(ptilde, dtype=float) - p_ref) / fluid.p0
     out = -ceiling * _checked_exp(np.maximum(arg, -EXP_ARG_LIMIT), np.expm1)
     return _scalar_like(ptilde, out)
 
 
-def kirchhoff_inverse(P_K, fluid: FluidModel, p_ref=None):
+def kirchhoff_inverse(P_K, fluid: FluidModel, p_ref):
     """Modified pressure from the Kirchhoff variable (inverse of
     kirchhoff_forward with the same p_ref).
 
@@ -207,7 +168,6 @@ def kirchhoff_inverse(P_K, fluid: FluidModel, p_ref=None):
     requires P_K < C, the kirchhoff_ceiling.
     """
     ceiling = kirchhoff_ceiling(fluid, p_ref)
-    p_ref = fluid.p0 if p_ref is None else p_ref
     x = -np.asarray(P_K, dtype=float) / ceiling
     if np.any(x <= -1.0):
         bad = np.flatnonzero(np.atleast_1d(x <= -1.0))
@@ -216,20 +176,3 @@ def kirchhoff_inverse(P_K, fluid: FluidModel, p_ref=None):
         )
     out = p_ref - fluid.p0 * np.log1p(x) / fluid.beta
     return _scalar_like(P_K, out)
-
-
-def family_from_pressure(ptilde, constants: TransformConstants, fluid: FluidModel):
-    """General two-constant transform: ptilde -> P with
-    A*P + B = -(p0/beta) * exp[-beta*(ptilde/p0 - 1)].
-
-    (A=1, B=0) gives the main transformed variable; (A=1, B=-p0/beta) the
-    Kirchhoff one.
-    """
-    return (hopf_cole_inverse(ptilde, 0.0, fluid) - constants.B) / constants.A
-
-
-def family_to_pressure(P, constants: TransformConstants, fluid: FluidModel):
-    """General two-constant transform: P -> ptilde (inverse of
-    family_from_pressure): hopf_cole_forward of A*P + B, which must be
-    negative."""
-    return hopf_cole_forward(constants.A * np.asarray(P, dtype=float) + constants.B, fluid)

@@ -217,9 +217,9 @@ def _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight):
     # Shifting every weight by one constant c changes both sides by the same
     # amount, -c times the summed outflow of the two problems through the
     # velocity segments (each problem conserves mass). Taking c near the
-    # weights removes their common baseline (p0/beta for the Hopf-Cole
-    # variable, ~1 for the Barus weight), which would otherwise swamp the
-    # contrasts in cancellation.
+    # weights removes their common baseline (about p0/beta for both the
+    # Hopf-Cole variable and the Barus weight), which would otherwise swamp
+    # the contrasts in cancellation.
     data = np.concatenate([_prescribed_values(mesh, bcs1), _prescribed_values(mesh, bcs2)])
     ref = float(np.mean(weight(data))) if data.size else 0.0
 
@@ -262,15 +262,14 @@ def reciprocity_residual_barus(
     fluid: FluidModel,
 ) -> float:
     """Relative defect of the nonlinear reciprocal identity, whose
-    integrands weight the fluxes by exp[-beta*(ptilde/p0 - 1)] of the
-    solved / prescribed modified pressures."""
+    integrands weight the fluxes by kirchhoff_ceiling = (p0/beta) *
+    exp[-beta*(ptilde/p0 - 1)] of the solved / prescribed modified
+    pressures; the factor p0/beta cancels in the relative defect."""
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: use reciprocity_residual_darcy")
-
-    def weight(ptilde):
-        return np.exp(-fluid.beta * (np.asarray(ptilde, dtype=float) / fluid.p0 - 1.0))
-
-    return _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight)
+    return _reciprocity(
+        sol1, sol2, bcs1, bcs2, mesh, lambda f: transform.kirchhoff_ceiling(fluid, f)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,16 @@ def dirichlet_values_per_node(mesh, bcs):
     return out
 
 
+def hopf_cole_inverse_by_hand(p, xi_value, fluid):
+    """The Hopf-Cole variable -(p0/beta) * exp[-beta*((p + xi)/p0 - 1)] in
+    its earlier formulation: its own exponential, taken in this order,
+    instead of the negated Kirchhoff ceiling at p + xi."""
+    ptilde = np.asarray(p, dtype=float) + np.asarray(xi_value, dtype=float)
+    arg = -fluid.beta * (ptilde / fluid.p0 - 1.0)
+    out = -(fluid.p0 / fluid.beta) * np.exp(arg)
+    return float(out) if out.ndim == 0 else out
+
+
 def ceiling_flux_constant_by_hand(mesh, fluid, K, p_inj, p_prod):
     """The bounded-flux constant C of a reservoir, from a Kirchhoff solve
     built by hand instead of by solve_transformed_bvp: pressure data

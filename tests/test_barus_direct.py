@@ -177,12 +177,12 @@ class TestPicardSolve:
         assert "diverging" in str(err.value)
 
     def test_propagates_linear_failures(self, monkeypatch):
-        # a residual limit below eps makes every inner solve fail; the
+        # a backward-error limit below eps makes every inner solve fail; the
         # linear kernel's failure must surface unchanged
         fluid = FluidModel(mu0=1.0, beta=60.0, p0=1.0)
         mesh = make_rectangle_mesh(1.0, 0.2, 16, 2)
         K = PermeabilityField.isotropic(mesh, 1.0)
-        monkeypatch.setattr(dl, "_RTOL", 1e-18)
+        monkeypatch.setattr(dl, "_OMEGA_MAX", 1e-18)
         with pytest.raises(NoConvergence):
             bd.picard_solve(mesh, fluid, ZERO_XI, K, strip_bcs(3.0, 1.0))
 
@@ -229,7 +229,7 @@ class TestPicardSolve:
         assert np.abs(report.v.values - transformed.v.values).max() < 5e-9 * speed
 
     def test_extreme_contrast_converges_with_direct_solve(self, monkeypatch):
-        # extreme viscosity contrast on the default residual limit; the
+        # extreme viscosity contrast on the default backward-error limit; the
         # report sums the CG iterations of its linear solves
         fluid = FluidModel(mu0=1.0, beta=60.0, p0=1.0)
         mesh = make_rectangle_mesh(1.0, 0.2, 16, 2)

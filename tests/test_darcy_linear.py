@@ -130,7 +130,7 @@ class TestSolve:
         # the LU residual (about 1e-15 here) cannot meet a limit below eps
         mesh = make_rectangle_mesh(1.0, 1.0, 20, 20)
         system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
-        monkeypatch.setattr(dl, "_RTOL", 1e-18)
+        monkeypatch.setattr(dl, "_OMEGA_MAX", 1e-18)
         with pytest.raises(NoConvergence):
             dl.solve(system)
 
@@ -142,7 +142,9 @@ class TestSolve:
             pressure={"inlet": 10 * table1_fluid.p0, "well": table1_fluid.p0},
             velocity={"wall": 0.0},
         )
-        kbcs = bcs.map_pressure(lambda p, x, y: tr.kirchhoff_forward(p, table1_fluid))
+        kbcs = bcs.map_pressure(
+            lambda p, x, y: tr.kirchhoff_forward(p, table1_fluid, table1_fluid.p0)
+        )
         mobility = dl.mobility_tensors(mesh, table1_fluid, ZERO_XI, K)
         system = dl.assemble(mesh, mobility, kbcs)
         result = dl.solve(system)
@@ -274,7 +276,7 @@ class TestFactorReuse:
     def test_residual_checked_on_reuse(self, splu_calls, monkeypatch):
         _, system = self.strip_system(2.25)
         dl.solve(system)
-        monkeypatch.setattr(dl, "_RTOL", 1e-18)
+        monkeypatch.setattr(dl, "_OMEGA_MAX", 1e-18)
         with pytest.raises(NoConvergence):
             dl.solve(system)
         assert len(splu_calls) == 1
@@ -688,10 +690,9 @@ class TestBoundaryFlux:
 
 
 class TestTransformedBVP:
-    @pytest.mark.xfail(raises=NoConvergence, strict=True)
     def test_fine_strip_meets_residual_bound(self, unit_fluid):
-        # the LU solution is as good as float64 allows, yet its relative
-        # residual, 1.45e-12 here, exceeds the fixed 1e-12 bound
+        # the relative residual of the LU solution, 1.45e-12 here, grows with
+        # the condition number; its backward error stays near eps
         mesh = make_rectangle_mesh(10.0, 3.0, 320, 96)
         K = PermeabilityField.isotropic(mesh, 1.0)
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.01, "top": 0.0, "bottom": 0.0})
@@ -834,7 +835,7 @@ class TestTransformedBVP:
         )
         report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
         assert report.p.values[0] == fluid.p0
-        exact = tr.kirchhoff_inverse(-fluid.mu0 * v0 * mesh.nodes[:, 0] / k, fluid)
+        exact = tr.kirchhoff_inverse(-fluid.mu0 * v0 * mesh.nodes[:, 0] / k, fluid, fluid.p0)
         assert np.max(np.abs(report.p.values - exact)) < 1e-12
 
 

@@ -22,6 +22,7 @@ from poroflow import (
 from poroflow import barus_direct as bd
 from poroflow import darcy_linear as dl
 from poroflow import geometry
+from poroflow import transform as tr
 from poroflow import verification as vf
 
 import _oracles
@@ -129,6 +130,33 @@ class TestKernels:
         for label in mesh.labels:
             got = dl.boundary_flux_direct(v, mesh, label)
             assert got == _oracles.boundary_flux_direct_sorted(v, mesh, label)
+
+
+P_GRID = np.linspace(-2e5, 4e9, 97)
+XI_GRID = np.linspace(-1e6, 3e6, 97)
+TRANSFORM_INPUTS = {
+    "scalar": (2e6, 0.0),
+    "scalar_xi": (2e6, -3e5),
+    "array": (P_GRID, 0.0),
+    "array_xi": (P_GRID, XI_GRID),
+    "scalar_p_array_xi": (2e6, XI_GRID),
+}
+
+
+class TestTransformKernel:
+    """hopf_cole_inverse is the negated kirchhoff_ceiling at p + xi, the
+    one exponential of the law; negation is exact, so it keeps the bits of
+    its own earlier formulation, on scalars and arrays alike."""
+
+    @pytest.mark.parametrize("fluid, unit", [(TABLE1, 1.0), (UNIT, 1e-9)], ids=["table1", "unit"])
+    @pytest.mark.parametrize("case", list(TRANSFORM_INPUTS))
+    def test_hopf_cole_inverse(self, fluid, unit, case):
+        p, xi = (v * unit for v in TRANSFORM_INPUTS[case])
+        got = tr.hopf_cole_inverse(p, xi, fluid)
+        want = _oracles.hopf_cole_inverse_by_hand(p, xi, fluid)
+        assert type(got) is type(want)
+        assert_bitwise(got, want)
+        assert_bitwise(tr.kirchhoff_ceiling(fluid, np.add(p, xi)), -want)
 
 
 class TestTensorChecks:

@@ -382,6 +382,18 @@ class TestReciprocityBarus:
         )
         assert res < 1e-6
 
+    def test_overflowing_weight_raises(self, unit_fluid):
+        # the weight exp[-beta*(ptilde/p0 - 1)] of a modified pressure of
+        # -800 is e^801, beyond float64: an error, not a NaN defect
+        mesh = make_rectangle_mesh(1.0, 1.0, 4, 4)
+        bcs = BoundarySpec(
+            pressure={"right": 1.0}, velocity={"left": -0.5, "top": 0.0, "bottom": 0.0}
+        )
+        field = ScalarField(mesh, np.full(mesh.n_nodes, -800.0))
+        sol = vf.FluxSolution(field=field, reactions=np.zeros(mesh.n_nodes))
+        with pytest.raises(TransformOverflow):
+            vf.reciprocity_residual_barus(sol, sol, bcs, bcs, mesh, unit_fluid)
+
     def test_degenerate_beta(self, table1_fluid):
         mesh, K = reservoir_setup(table1_fluid)
         bcs = reservoir_bcs(2e6, table1_fluid.p0)
