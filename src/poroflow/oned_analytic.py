@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Degenerate, NonExistence, NonFiniteData
-from .transform import FluidModel
+from .transform import FluidModel, _checked_exp
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ class StripProblem:
 
     @property
     def outlet_exp(self) -> float:
-        """exp[-beta*(p_R/p0 - 1)]; equals 1 in the p_R = p0 setup."""
+        """exp[-beta*(p_R/p0 - 1)]; equals 1 in the p_R = p0 setup. Raises
+        TransformOverflow where the exponential leaves float64."""
         f = self.fluid
-        return float(np.exp(-f.beta * (self.p_R / f.p0 - 1.0)))
+        return float(_checked_exp(-f.beta * (self.p_R / f.p0 - 1.0)))
 
 
 def existence_threshold(problem: StripProblem) -> float:

@@ -71,6 +71,23 @@ def boundary_flux_direct_sorted(v, mesh, label):
     return float((v.values[hit // 3] * np.column_stack([d[:, 1], -d[:, 0]])).sum())
 
 
+def velocity_einsum(P, mobility):
+    """v = -M grad(P) as the 2x2 tensor times the P1 gradient, two einsums
+    over (n_tri, 3, 2) gradients and the gathered corner values (the
+    library sums the corner fluxes M grad(phi_j) P_j instead)."""
+    mesh = P.mesh
+    grads, _ = p1_gradients_gathered(mesh)
+    gp = np.einsum("tid,ti->td", grads, P.values[mesh.triangles])
+    return -np.einsum("tab,tb->ta", np.asarray(mobility, dtype=float), gp)
+
+
+def pressure_flux_full_reactions(P, system, label):
+    """Reaction-form flux of a pressure label from the full nodal reaction
+    vector (the library forms only the label's rows)."""
+    nodes = system.mesh.nodes_with_label(label)
+    return float(darcy_linear.nodal_reactions(system, P)[nodes].sum())
+
+
 # Boundary loops in their earlier formulation: one hand-written loop per
 # caller over the edges of a label, with its own copy of the Gauss rule. The
 # library reads boundary data through the geometry helpers instead, and

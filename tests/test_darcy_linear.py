@@ -631,6 +631,58 @@ class TestRecoverVelocity:
         v = dl.recover_velocity(P, mob)
         assert np.allclose(v.values, [-2.0, 0.0], atol=1e-13)
 
+    def test_warm_solve_builds_no_gradients(self, table1_fluid, kernel_calls):
+        # the velocity of a warm solve, and of a Picard solve on the held
+        # system, comes from the held flux operator
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+
+        def bcs(p_inj):
+            return BoundarySpec(pressure={"inlet": p_inj, "well": table1_fluid.p0}, velocity={"wall": 0.0})
+
+        dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs(10.0 * table1_fluid.p0))
+        assert len(kernel_calls) == 1
+        dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs(300.0 * table1_fluid.p0))
+        bd.picard_solve(mesh, table1_fluid, ZERO_XI, K, bcs(3.0 * table1_fluid.p0))
+        assert len(kernel_calls) == 1
+
+
+def held_entry_bytes():
+    """Bytes of the held entry's arrays, each memory block counted once;
+    the SuperLU factor is not counted."""
+    arrays = []
+    for field in dataclasses.fields(dl._entry):
+        value = getattr(dl._entry, field.name)
+        matrices = value if isinstance(value, tuple) else (value,)
+        for m in matrices:
+            if isinstance(m, np.ndarray):
+                arrays.append(m)
+            elif hasattr(m, "indptr"):
+                arrays += [m.data, m.indices, m.indptr]
+    blocks = {(a.__array_interface__["data"][0], a.nbytes) for a in arrays}
+    return sum(nbytes for _, nbytes in blocks)
+
+
+class TestHeldEntryBytes:
+    # The entry of the 80x24 reservoir (3,840 triangles) when it held the P1
+    # gradients in place of the flux operator: mobility, free nodes, the raw
+    # and reduced matrices and the (n_tri, 3, 2) gradients.
+    GRADIENT_ENTRY_BYTES = 567_584
+
+    def test_flux_operator_costs_at_most_16_bytes_per_triangle(self, table1_fluid):
+        # the operator's values replace the gradients byte for byte; its
+        # int32 column indices (12 bytes per triangle) and row pointers (4,
+        # and one closing entry) are shared by Vx and Vy
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 80, 24)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        bcs = BoundarySpec(
+            pressure={"inlet": 10.0 * table1_fluid.p0, "well": table1_fluid.p0}, velocity={"wall": 0.0}
+        )
+        dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
+        assert mesh.n_triangles == 3840
+        assert dl._entry.lu is not None and dl._entry.scaling is None
+        assert held_entry_bytes() <= self.GRADIENT_ENTRY_BYTES + 16 * mesh.n_triangles + 4
+
 
 class TestBoundaryFlux:
     def test_divergence_theorem_on_square(self):

@@ -132,6 +132,89 @@ class TestKernels:
             assert got == _oracles.boundary_flux_direct_sorted(v, mesh, label)
 
 
+def cell_mobility(mesh, anisotropic, seed=11):
+    """Per-cell SPD tensors: random isotropic ones, or random full ones."""
+    rng = np.random.default_rng(seed)
+    n = mesh.n_triangles
+    a = rng.uniform(0.5, 2.0, n)
+    if not anisotropic:
+        return a[:, None, None] * np.eye(2)
+    d = rng.uniform(0.5, 2.0, n)
+    b = rng.uniform(-0.4, 0.4, n) * np.sqrt(a * d)
+    return np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
+
+
+def all_pressure(mesh):
+    """Boundary data with a pressure on every label."""
+    return BoundarySpec(
+        pressure={label: lambda x, y: 1.0 + x - 0.5 * y for label in mesh.labels}, velocity={}
+    )
+
+
+def rough_field(mesh, seed=12):
+    rng = np.random.default_rng(seed)
+    return ScalarField(mesh, 3.0 + rng.standard_normal(mesh.n_nodes))
+
+
+@pytest.mark.parametrize("anisotropic", [False, True], ids=["isotropic", "anisotropic"])
+class TestFluxOperator:
+    """recover_velocity sums the corner fluxes M grad(phi_j) P_j through the
+    flux operator: within rounding of the earlier M (sum_j grad(phi_j) P_j),
+    and the same bits whether the operator is held or built for the call."""
+
+    def test_matches_tensor_times_gradient(self, mesh, anisotropic):
+        mob = cell_mobility(mesh, anisotropic)
+        P = rough_field(mesh)
+        ref = _oracles.velocity_einsum(P, mob)
+        for held in (False, True):
+            if held:
+                dl.assemble(mesh, mob, all_pressure(mesh))
+            v = dl.recover_velocity(P, mob).values
+            assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_cold_and_warm_same_bits(self, mesh, anisotropic, monkeypatch):
+        mob = cell_mobility(mesh, anisotropic)
+        P = rough_field(mesh)
+        assert dl._entry_for(mesh) is None
+        no_entry = dl.recover_velocity(P, mob).values
+        dl.assemble(mesh, 2.0 * mob, all_pressure(mesh))
+        other_mobility = dl.recover_velocity(P, mob).values
+        dl.assemble(mesh, mob.copy(), all_pressure(mesh))
+
+        def no_kernel(mesh):
+            raise AssertionError("the held flux operator builds no gradients")
+
+        monkeypatch.setattr(dl, "p1_gradients", no_kernel)
+        warm = dl.recover_velocity(P, mob).values
+        assert_bitwise(no_entry, warm)
+        assert_bitwise(other_mobility, warm)
+
+    def test_operator_arrays(self, mesh, anisotropic):
+        mob = cell_mobility(mesh, anisotropic)
+        dl.assemble(mesh, mob, all_pressure(mesh))
+        vx, vy = dl._entry.flux_operator
+        assert vx.shape == vy.shape == (mesh.n_triangles, mesh.n_nodes)
+        assert vx.nnz == vy.nnz == 3 * mesh.n_triangles
+        assert vx.indices.dtype == vx.indptr.dtype == np.int32
+        assert np.shares_memory(vx.indices, vy.indices)
+        assert np.shares_memory(vx.indptr, vy.indptr)
+        assert_bitwise(vx.indices, mesh.triangles.astype(np.int32).ravel())
+        fx, fy = dl._corner_fluxes(dl.p1_gradients(mesh)[0], mob)
+        assert_bitwise(vx.data, fx.ravel())
+        assert_bitwise(vy.data, fy.ravel())
+
+
+def test_pressure_flux_reads_its_rows(mesh):
+    # each label's rows of the reactions, summed in the order of the full
+    # reaction vector: the same bits on every pressure label
+    mob = cell_mobility(mesh, True)
+    system = dl.assemble(mesh, mob, all_pressure(mesh))
+    P = rough_field(mesh)
+    for label in mesh.labels:
+        got = dl.boundary_flux(P, system, label)
+        assert got == _oracles.pressure_flux_full_reactions(P, system, label)
+
+
 P_GRID = np.linspace(-2e5, 4e9, 97)
 XI_GRID = np.linspace(-1e6, 3e6, 97)
 TRANSFORM_INPUTS = {
@@ -302,7 +385,7 @@ class TestSolvesBitwise:
 
 
 class TestWarmEntryBitwise:
-    """A solve that finds its system, factor and gradients held gives the
+    """A solve that finds its system, factor and flux operator held gives the
     bits of one that builds them."""
 
     @pytest.mark.parametrize("case", sorted(CASES))

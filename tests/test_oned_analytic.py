@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poroflow import Degenerate, FluidModel, NonExistence, NonFiniteData
+from poroflow import Degenerate, FluidModel, NonExistence, NonFiniteData, TransformOverflow
 from poroflow import oned_analytic as o1
 from poroflow import transform as tr
 
@@ -192,3 +192,17 @@ class TestNonReferenceOutlet:
             x[:5], prob.L, prob.k, prob.fluid, prob.v0, p_R=prob.p_R
         )
         assert np.allclose(o1.direct_pressure_1d(x[:5], prob), oracle, rtol=1e-9)
+
+    def test_far_below_p0_raises_overflow(self):
+        # exp[-beta (p_R/p0 - 1)] = e^801 leaves float64: TransformOverflow,
+        # not inf with an overflow RuntimeWarning
+        prob = o1.StripProblem(L=1.0, k=1.0, fluid=FluidModel(1.0, 1.0, 1.0), v0=0.5, p_R=-800.0)
+        with pytest.raises(TransformOverflow):
+            o1.existence_threshold(prob)
+        with pytest.raises(TransformOverflow):
+            o1.direct_pressure_1d(0.5, prob)
+
+    @pytest.mark.parametrize("p_R", [-700.0, -3.5, 0.25, 2.0, 700.0])
+    def test_outlet_exp_in_range_keeps_its_bits(self, p_R):
+        prob = o1.StripProblem(L=1.0, k=1.0, fluid=FluidModel(1.0, 1.0, 1.0), v0=0.5, p_R=p_R)
+        assert prob.outlet_exp == float(np.exp(-1.0 * (p_R / 1.0 - 1.0)))
