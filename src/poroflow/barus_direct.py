@@ -8,7 +8,9 @@ equations sum_j k_ij s_ij (p~_j - p~_i) = b_i, with P_K the Kirchhoff
 variable and s_ij its secant on [p~_i, p~_j], the mean of mu0~/mu there.
 Both paths measure P_K from one p_ref, chosen by darcy_linear._gauge.
 A sweep freezes s_ij at the previous iterate and solves the linear problem,
-so the fixed point is the nodal solution of the transformed path. The
+so the fixed point is the nodal solution of the transformed path (with
+pure-velocity data, each sweep's p~ is shifted to p_ref at node 0, as that
+path grounds it). The
 stiffness is assembled once; a sweep scales its off-diagonal entries by
 s_ij and sets the diagonal to minus the row sums. A later sweep is solved
 by conjugate gradients from the previous sweep's solution, preconditioned
@@ -83,6 +85,15 @@ def _secant_weights(ptilde, edges, fluid):
     return np.maximum(w[i], w[j]) * mean
 
 
+def _base_system(mesh, fluid, xi, K, bcs):
+    """(xi_nodes, p_ref, base): xi at the nodes, p_ref of darcy_linear._gauge
+    and the K/mu0~ system with pressure data p + xi."""
+    xi_nodes, _, _, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
+    mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
+    base = darcy_linear.assemble(mesh, mobility, bcs.map_pressure(lambda p, x, y: p + xi(x, y)))
+    return xi_nodes, p_ref, base
+
+
 def _secant_system(base, ptilde, fluid):
     """The edge-secant system at ptilde: base, the held K/mu0~ system with
     the data of the modified pressure, with its stiffness scaled by the
@@ -130,16 +141,19 @@ def picard_solve(
     """
     config = config or PicardConfig()
 
-    xi_nodes, _, _, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
-    mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
-    base = darcy_linear.assemble(mesh, mobility, darcy_linear.modified_bcs(bcs, xi))
+    xi_nodes, p_ref, base = _base_system(mesh, fluid, xi, K, bcs)
+
+    def sweep_solution(result):
+        """p~ of a sweep; pure-velocity sweeps pin 0 at node 0, not p_ref."""
+        values = result.field.values
+        return values if base.dirichlet_map else values + p_ref
 
     def finish(ptilde_k, history, converged, lin_iters):
         """Report on iterate ptilde_k."""
         potential = ScalarField(mesh, _kirchhoff(ptilde_k, fluid, p_ref))
         return PicardReport(
             p=ScalarField(mesh, ptilde_k - xi_nodes),
-            v=darcy_linear.recover_velocity(potential, mobility),
+            v=darcy_linear.recover_velocity(potential, base),
             iterations=len(history),
             update_history=history,
             converged=converged,
@@ -150,7 +164,7 @@ def picard_solve(
     if fluid.beta == 0.0:
         # the mobility does not depend on pressure: one system serves all
         result = darcy_linear.solve(base)
-        return finish(result.field.values, [0.0], True, result.iterations)
+        return finish(sweep_solution(result), [0.0], True, result.iterations)
 
     darcy_linear._edge_scaling(base).x = None  # no CG start from an earlier call
     ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
@@ -164,7 +178,7 @@ def picard_solve(
     for _ in range(config.max_iter):
         result = darcy_linear.solve(system)
         lin_total += result.iterations
-        new = (1.0 - omega) * ptilde + omega * result.field.values
+        new = (1.0 - omega) * ptilde + omega * sweep_solution(result)
         upd = float(
             np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300)
         )
@@ -218,10 +232,8 @@ def nonlinear_residual(
     K/mu0~ stiffness and P_K the Kirchhoff variable from the p_ref of the
     transformed path, relative to the norm of the reduced load of the secant
     system at the field (flux-like)."""
-    xi_nodes, _, _, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
+    xi_nodes, p_ref, base = _base_system(mesh, fluid, xi, K, bcs)
     ptilde = p.values + xi_nodes
-    mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
-    base = darcy_linear.assemble(mesh, mobility, darcy_linear.modified_bcs(bcs, xi))
     PK = _kirchhoff(ptilde, fluid, p_ref)
 
     r = (base.raw_matrix @ PK - base.raw_rhs)[base.free]

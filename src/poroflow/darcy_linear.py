@@ -31,11 +31,13 @@ held: the flux operator's data are the products M grad(phi_j) that the
 assembly forms anyway. An assembly with the same mesh, the same mobility
 bits and the same Dirichlet node set builds only the load, the Dirichlet
 values and the reduced right-hand side. Every assembly returns the held
-matrices themselves, read-only: their data, indices and indptr arrays
-cannot be written, so no caller can change what a later call finds. A
-solve of the held reduced matrix reuses its factor; any other matrix drops
-the entry and is factored without being held. So a sweep over pressure
-data on one mesh assembles and factors once.
+matrices and flux operator themselves, read-only: their data, indices and
+indptr arrays cannot be written, so no caller can change what a later call
+finds. A system keeps them alive after the entry is replaced or freed, so
+its velocity never depends on what is held. A solve of the held reduced
+matrix reuses its factor; any other matrix drops the entry and is factored
+without being held. So a sweep over pressure data on one mesh assembles
+and factors once.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
 and other values. The entry keeps the reduced solution of the last solve
@@ -103,7 +105,8 @@ class SparseSystem:
     raw_matrix/raw_rhs hold the unconstrained stiffness and Neumann load
     (needed for reaction fluxes). The Dirichlet-eliminated system is
     A_red @ u[free] = b_red, with u = lift at the constrained nodes; pure-
-    velocity data is grounded there by pinning node 0 to zero.
+    velocity data is grounded there by pinning node 0 to zero. flux_operator
+    is (Vx, Vy), which maps a nodal field to its velocity (recover_velocity).
     """
 
     mesh: Mesh
@@ -115,6 +118,7 @@ class SparseSystem:
     lift: np.ndarray  # nodal values: Dirichlet data, zero at free nodes
     A_red: sp.csr_matrix  # symmetric, int32 indices
     b_red: np.ndarray
+    flux_operator: tuple  # (Vx, Vy), read-only, int32 indices
 
 
 @dataclass
@@ -283,8 +287,6 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
     raw_diagonal = np.bincount(a, diag.ravel(), minlength=n)
     raw = upper + upper.T + sp.diags(raw_diagonal)
     red = raw[free][:, free]
-    for array in (raw.data, raw.indices, raw.indptr, red.data, red.indices, red.indptr):
-        array.setflags(write=False)  # every caller gets these matrices
     a_max = float(raw_diagonal[free].max(initial=0.0))
     del upper, off, diag, raw_diagonal, b  # freed before the flux operator is built
 
@@ -297,6 +299,9 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
         flux_operator=_flux_operator(fx, fy, tri, n),
         a_max=a_max,
     )
+    for m in (raw, red, *_entry.flux_operator):
+        for array in (m.data, m.indices, m.indptr):
+            array.setflags(write=False)  # every caller gets these matrices
     return _entry
 
 
@@ -311,10 +316,10 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
     takes them from the held entry and builds only the load, the Dirichlet
     values and b_red; its result is bitwise that of a fresh assembly. Any
     other call assembles in full and replaces the entry. The returned
-    raw_matrix and A_red are the held matrices, read-only: writing to their
-    data, indices or indptr raises ValueError, and a changed copy is
-    another matrix to solve. The other arrays of the system belong to the
-    caller. A mesh is taken as fixed once built.
+    raw_matrix, A_red and flux_operator are the held matrices, read-only:
+    writing to their data, indices or indptr raises ValueError, and a
+    changed copy is another matrix to solve. The other arrays of the system
+    belong to the caller. A mesh is taken as fixed once built.
     """
     mobility = np.asarray(mobility, dtype=float)
     if mobility.shape != (mesh.n_triangles, 2, 2):
@@ -348,6 +353,7 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
         lift=lift,
         A_red=held.A_red,
         b_red=(raw_rhs - raw @ lift)[free],
+        flux_operator=held.flux_operator,
     )
 
 
@@ -567,28 +573,18 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega)
 
 
-def recover_velocity(P: ScalarField, mobility: np.ndarray) -> VectorField:
-    """Per-triangle velocity v = -M grad(P) from the exact P1 gradient, as
-    v = -(Vx @ P, Vy @ P) with the flux operator of _flux_operator: the sum
-    over the corners j of (M grad(phi_j)) P_j. The operator held for P's
-    mesh is used when mobility has the held mobility's bits; otherwise it
-    is built the same way, so both give the same bits. This sum rounds
-    differently from M (sum_j grad(phi_j) P_j), the product of the 2x2
-    tensor with the gradient: the two differ by at most 2e-15 of max|v| on
-    the 400x120 reservoir and 7.2e-15 on the crossed 40x12 one."""
-    mesh = P.mesh
-    mobility = np.asarray(mobility, dtype=float)
-    held = _entry_for(mesh)
-    if held is not None and _same_bits(held.mobility, mobility):
-        vx, vy = held.flux_operator
-    else:
-        grads, _ = p1_gradients(mesh)
-        tri = mesh.triangles.astype(np.int32)
-        vx, vy = _flux_operator(*_corner_fluxes(grads, mobility), tri, mesh.n_nodes)
-    v = np.empty((mesh.n_triangles, 2))
+def recover_velocity(P: ScalarField, system: SparseSystem) -> VectorField:
+    """Per-triangle velocity v = -M grad(P) from the exact P1 gradient, M
+    the mobility system was assembled with: v = -(Vx @ P, Vy @ P) with
+    system.flux_operator, the sum over the corners j of (M grad(phi_j)) P_j.
+    This sum rounds differently from M (sum_j grad(phi_j) P_j), the product
+    of the 2x2 tensor with the gradient: the two differ by at most 2e-15 of
+    max|v| on the 400x120 reservoir and 7.2e-15 on the crossed 40x12 one."""
+    vx, vy = system.flux_operator
+    v = np.empty((P.mesh.n_triangles, 2))
     np.negative(vx @ P.values, out=v[:, 0])
     np.negative(vy @ P.values, out=v[:, 1])
-    return VectorField(mesh, v)
+    return VectorField(P.mesh, v)
 
 
 def nodal_reactions(system: SparseSystem, P: ScalarField) -> np.ndarray:
@@ -654,12 +650,6 @@ def mobility_tensors(
     return K.tensors / np.asarray(mu0t)[:, None, None]
 
 
-def modified_bcs(bcs: BoundarySpec, xi: BodyForcePotential) -> BoundarySpec:
-    """Pressure data shifted by the body-force potential (p + xi);
-    velocity data is unchanged."""
-    return bcs.map_pressure(lambda p, x, y: p + xi(x, y))
-
-
 def transform_bcs(bcs: BoundarySpec, fluid: FluidModel, xi: BodyForcePotential) -> BoundarySpec:
     """Map physical pressure boundary data to the transformed variable;
     velocity data is unchanged."""
@@ -678,41 +668,6 @@ def _gauge(mesh, fluid, xi, bcs):
     dvals = np.fromiter(prescribed.values(), dtype=float, count=len(prescribed))
     p_ref = float((dvals + xi_nodes[dnodes]).min()) if dnodes.size else fluid.p0
     return xi_nodes, dnodes, dvals, p_ref
-
-
-def _kirchhoff_solve(mesh, fluid, xi, K, bcs):
-    """solve_transformed_bvp up to its Kirchhoff solution, errors included.
-    Returns (system, result, mobility, P, pressure): P the solution in the
-    Hopf-Cole gauge, and pressure() the pressure, mapped back on call."""
-    xi_nodes, dnodes, dvals, p_ref = _gauge(mesh, fluid, xi, bcs)
-    kbcs = bcs.map_pressure(
-        lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
-    )
-    mobility = mobility_tensors(mesh, fluid, xi, K)
-    system = assemble(mesh, mobility, kbcs)
-    result = solve(system)
-    U = result.field.values
-    ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
-
-    inner = np.ones(mesh.n_nodes, dtype=bool)
-    inner[dnodes] = False
-    if np.any(U[inner] >= ceiling):
-        nodes = np.flatnonzero(inner & (U >= ceiling))
-        raise NonExistence(
-            f"transformed solution has no real pressure at {nodes.size} node(s); "
-            "no real pressure solution exists for this boundary data",
-            nodes=nodes,
-        )
-    P = U - ceiling
-    P[dnodes] = transform.hopf_cole_inverse(dvals, xi_nodes[dnodes], fluid)
-
-    def pressure():
-        p = np.empty(mesh.n_nodes)
-        p[inner] = transform.kirchhoff_inverse(U[inner], fluid, p_ref) - xi_nodes[inner]
-        p[dnodes] = dvals
-        return p
-
-    return system, result, mobility, P, pressure
 
 
 def solve_transformed_bvp(
@@ -736,18 +691,41 @@ def solve_transformed_bvp(
     segments take their pressure straight from the data, which may lie
     further above p_ref than float64 can resolve in that variable. Velocity
     and reactions come from the Kirchhoff field; report.P is that field in
-    the Hopf-Cole gauge (P = P_K - kirchhoff_ceiling).
+    the Hopf-Cole gauge (P = P_K - kirchhoff_ceiling). The ceiling-flux
+    calibration of verification is this solve, read at its well reactions.
 
     Pure-velocity data fix the transformed solution up to a constant; the
-    member returned has p = p0 at node 0 (NonExistence if that member has
-    no real pressure).
+    member returned, as by barus_direct.picard_solve, has p = p0 at node 0
+    (NonExistence if that member has no real pressure).
     """
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: use barus_direct.picard_solve (one linear solve)")
-    system, result, mobility, P, pressure = _kirchhoff_solve(mesh, fluid, xi, K, bcs)
+    xi_nodes, dnodes, dvals, p_ref = _gauge(mesh, fluid, xi, bcs)
+    kbcs = bcs.map_pressure(
+        lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
+    )
+    system = assemble(mesh, mobility_tensors(mesh, fluid, xi, K), kbcs)
+    result = solve(system)
+    U = result.field.values
+    ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
+
+    inner = np.ones(mesh.n_nodes, dtype=bool)
+    inner[dnodes] = False
+    if np.any(U[inner] >= ceiling):
+        nodes = np.flatnonzero(inner & (U >= ceiling))
+        raise NonExistence(
+            f"transformed solution has no real pressure at {nodes.size} node(s); "
+            "no real pressure solution exists for this boundary data",
+            nodes=nodes,
+        )
+    P = U - ceiling
+    P[dnodes] = transform.hopf_cole_inverse(dvals, xi_nodes[dnodes], fluid)
+    p = np.empty(mesh.n_nodes)
+    p[inner] = transform.kirchhoff_inverse(U[inner], fluid, p_ref) - xi_nodes[inner]
+    p[dnodes] = dvals
     return SolveReport(
-        p=ScalarField(mesh, pressure()),
-        v=recover_velocity(result.field, mobility),
+        p=ScalarField(mesh, p),
+        v=recover_velocity(result.field, system),
         P=ScalarField(mesh, P),
         residual=result.residual,
         reactions=nodal_reactions(system, result.field),

@@ -613,23 +613,37 @@ class TestSystemReuse:
 
 
 class TestRecoverVelocity:
+    @staticmethod
+    def velocity(P, mobility):
+        """The velocity of P through the flux operator of a system assembled
+        with mobility."""
+        return dl.recover_velocity(P, dl.assemble(P.mesh, mobility, lr_dirichlet(1.0, 0.0)))
+
     def test_linear_field(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
         P = ScalarField.from_function(mesh, lambda x, y: x)
-        v = dl.recover_velocity(P, identity_mobility(mesh))
+        v = self.velocity(P, identity_mobility(mesh))
         assert np.allclose(v.values, [-1.0, 0.0], atol=1e-13)
 
     def test_constant_field(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
-        v = dl.recover_velocity(ScalarField.constant(mesh, 3.0), identity_mobility(mesh))
+        v = self.velocity(ScalarField.constant(mesh, 3.0), identity_mobility(mesh))
         assert np.allclose(v.values, 0.0, atol=1e-13)
 
     def test_anisotropic_mobility(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
         P = ScalarField.from_function(mesh, lambda x, y: x)
         mob = np.broadcast_to(np.diag([2.0, 1.0]), (mesh.n_triangles, 2, 2)).copy()
-        v = dl.recover_velocity(P, mob)
+        v = self.velocity(P, mob)
         assert np.allclose(v.values, [-2.0, 0.0], atol=1e-13)
+
+    def test_flux_operator_read_only(self):
+        mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
+        system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(1.0, 0.0))
+        for matrix in system.flux_operator:
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
     def test_warm_solve_builds_no_gradients(self, table1_fluid, kernel_calls):
         # the velocity of a warm solve, and of a Picard solve on the held
@@ -696,7 +710,7 @@ class TestBoundaryFlux:
         mesh = make_rectangle_mesh(1.0, 1.0, 6, 6)
         system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(1.0, 0.0))
         result = dl.solve(system)
-        v = dl.recover_velocity(result.field, identity_mobility(mesh))
+        v = dl.recover_velocity(result.field, system)
         for label in ("left", "right"):
             consistent = dl.boundary_flux(result.field, system, label)
             direct = dl.boundary_flux_direct(v, mesh, label)
@@ -889,6 +903,12 @@ class TestTransformedBVP:
         assert report.p.values[0] == fluid.p0
         exact = tr.kirchhoff_inverse(-fluid.mu0 * v0 * mesh.nodes[:, 0] / k, fluid, fluid.p0)
         assert np.max(np.abs(report.p.values - exact)) < 1e-12
+        # Picard grounds the same member, with and without a potential
+        # (3.8e-12 and 4.1e-12 apart at its update tolerance of 1e-10)
+        for xi in (ZERO_XI, BodyForcePotential(lambda x, y: 0.3 * y)):
+            transformed = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
+            picard = bd.picard_solve(mesh, fluid, xi, K, bcs)
+            assert np.max(np.abs(picard.p.values - transformed.p.values)) < 1e-11
 
 
 class TestNonFiniteData:

@@ -12,6 +12,7 @@ from poroflow import (
     BoundarySpec,
     FluidModel,
     Mesh,
+    NoConvergence,
     PermeabilityField,
     ScalarField,
     SingularMobility,
@@ -159,35 +160,42 @@ def rough_field(mesh, seed=12):
 @pytest.mark.parametrize("anisotropic", [False, True], ids=["isotropic", "anisotropic"])
 class TestFluxOperator:
     """recover_velocity sums the corner fluxes M grad(phi_j) P_j through the
-    flux operator: within rounding of the earlier M (sum_j grad(phi_j) P_j),
-    and the same bits whether the operator is held or built for the call."""
+    flux operator the system carries: within rounding of the earlier
+    M (sum_j grad(phi_j) P_j), and the same bits after the entry that
+    built it has been replaced or freed."""
 
     def test_matches_tensor_times_gradient(self, mesh, anisotropic):
         mob = cell_mobility(mesh, anisotropic)
         P = rough_field(mesh)
         ref = _oracles.velocity_einsum(P, mob)
-        for held in (False, True):
-            if held:
-                dl.assemble(mesh, mob, all_pressure(mesh))
-            v = dl.recover_velocity(P, mob).values
-            assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+        v = dl.recover_velocity(P, dl.assemble(mesh, mob, all_pressure(mesh))).values
+        assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_cold_and_warm_same_bits(self, mesh, anisotropic, monkeypatch):
+        # cold: the velocity of a system whose entry was replaced (another
+        # mesh assembled) or freed (a failed factorization); warm: that of a
+        # fresh assembly, whose entry is held
         mob = cell_mobility(mesh, anisotropic)
         P = rough_field(mesh)
-        assert dl._entry_for(mesh) is None
-        no_entry = dl.recover_velocity(P, mob).values
-        dl.assemble(mesh, 2.0 * mob, all_pressure(mesh))
-        other_mobility = dl.recover_velocity(P, mob).values
-        dl.assemble(mesh, mob.copy(), all_pressure(mesh))
+        replaced = dl.assemble(mesh, mob, all_pressure(mesh))
+        other = make_rectangle_mesh(1.0, 1.0, 2, 2)
+        dl.assemble(other, cell_mobility(other, anisotropic), all_pressure(other))
+        v_replaced = dl.recover_velocity(P, replaced).values
+        freed = dl.assemble(mesh, mob, all_pressure(mesh))
 
-        def no_kernel(mesh):
-            raise AssertionError("the held flux operator builds no gradients")
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(dl, "p1_gradients", no_kernel)
-        warm = dl.recover_velocity(P, mob).values
-        assert_bitwise(no_entry, warm)
-        assert_bitwise(other_mobility, warm)
+        monkeypatch.setattr(dl.spla, "splu", singular)
+        with pytest.raises(NoConvergence):
+            dl.solve(freed)
+        assert dl._entry is None
+        v_freed = dl.recover_velocity(P, freed).values
+        fresh = dl.assemble(mesh, mob.copy(), all_pressure(mesh))
+        assert fresh.flux_operator[0] is not freed.flux_operator[0]
+        expected = dl.recover_velocity(P, fresh).values
+        assert_bitwise(v_replaced, expected)
+        assert_bitwise(v_freed, expected)
 
     def test_operator_arrays(self, mesh, anisotropic):
         mob = cell_mobility(mesh, anisotropic)

@@ -230,10 +230,11 @@ class TestReciprocityDarcy:
             )
             system = dl.assemble(mesh, mob, bcs)
             result = dl.solve(system)
-            return result.field, dl.nodal_reactions(system, result.field), bcs
+            v = dl.recover_velocity(result.field, system)
+            return result.field, dl.nodal_reactions(system, result.field), bcs, v
 
-        f1, r1, bcs1 = solve_pair(2.0, 0.75)
-        f2, r2, bcs2 = solve_pair(-1.0, -0.25)
+        f1, r1, bcs1, v1 = solve_pair(2.0, 0.75)
+        f2, r2, bcs2, v2 = solve_pair(-1.0, -0.25)
 
         residual = vf.reciprocity_residual_darcy(
             vf.FluxSolution(f1, r1), vf.FluxSolution(f2, r2), bcs1, bcs2, mesh
@@ -250,8 +251,6 @@ class TestReciprocityDarcy:
             a, b = field.values[right[0]], field.values[right[1]]
             return _oracles.edge_integral(a, b, 1.0, lambda s: vn * s)
 
-        v1 = dl.recover_velocity(f1, mob)
-        v2 = dl.recover_velocity(f2, mob)
         vx_left_1 = float(np.mean(v1.values[:, 0]))  # left edge: n = (-1, 0)
         vx_left_2 = float(np.mean(v2.values[:, 0]))
 
