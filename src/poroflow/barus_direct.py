@@ -9,14 +9,13 @@ variable and s_ij its secant on [p~_i, p~_j], the mean of mu0~/mu there.
 Both paths measure P_K from one p_ref, chosen by darcy_linear._gauge.
 A sweep freezes s_ij at the previous iterate and solves the linear problem,
 so the fixed point is the nodal solution of the transformed path (with
-pure-velocity data, each sweep's p~ is shifted to p_ref at node 0, as that
-path grounds it). The
-stiffness is assembled once; a sweep scales its off-diagonal entries by
-s_ij and sets the diagonal to minus the row sums. A later sweep is solved
-by conjugate gradients from the previous sweep's solution, preconditioned
-by the one held factor (of the K/mu0~ system, or else of an earlier sweep
-matrix) rescaled to the sweep's diagonal, and is factored in the held
-factor's place only when CG stalls (see darcy_linear). A sweep matrix is
+pure-velocity data, each sweep's p~ peaks at p_ref, as that path grounds
+it). The stiffness is assembled once; a sweep scales its off-diagonal
+entries by s_ij and sets the diagonal to minus the row sums. A later sweep
+is solved by conjugate gradients from the previous sweep's solution,
+preconditioned by the one held factor (of the K/mu0~ system, or else of an
+earlier sweep matrix) rescaled to the sweep's diagonal, and is factored in
+the held factor's place only when CG stalls (see darcy_linear). A sweep matrix is
 close to D^1/2 A D^1/2, with A the K/mu0~ system and D the nodal mu0~/mu,
 so at xi = 0 the factor of the transformed path's system can serve every
 sweep and outlive the Picard solve.
@@ -144,7 +143,7 @@ def picard_solve(
     xi_nodes, p_ref, base = _base_system(mesh, fluid, xi, K, bcs)
 
     def sweep_solution(result):
-        """p~ of a sweep; pure-velocity sweeps pin 0 at node 0, not p_ref."""
+        """p~ of a sweep; a pure-velocity sweep peaks at 0, not p_ref."""
         values = result.field.values
         return values if base.dirichlet_map else values + p_ref
 

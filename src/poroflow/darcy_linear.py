@@ -49,11 +49,16 @@ of a nodal weight, so the held reduced factor can serve every sweep. CG
 stops once the recomputed relative residual is at most ``_PCG_RTOL`` =
 1e-14, below 64 eps, so every CG exit passes the acceptance test, and gives
 up after ``_PCG_MAX`` = 8 iterations, or on a diagonal ratio or a curvature
-that is not positive and finite. A sweep with no held solution, or where CG
-gives up, is factored, and its factor and diagonal replace the held factor;
-the reduced matrix is refactored on its next solve. The held factor is
-dropped before any new one is made, so there is one factor at most. The
-entry is freed when its mesh is collected or a factorization fails.
+that is not positive and finite. An exit is accepted only when each
+component of r = b - A x meets |r_i| <= 2^16 eps (a_ii |x_i| + |b_i|), and
+CG gives up otherwise. As a_ii |x_i| <= (|A| |x|)_i, an accepted exit has a
+componentwise (Oettli-Prager, Numer. Math. 1964) backward error of at most
+2^16 eps, a bound row scaling leaves intact where a normwise one fails. A
+sweep with no held solution, or where CG gives up, is factored, and its
+factor and diagonal replace the held factor; the reduced matrix is
+refactored on its next solve. The held factor is dropped before any new one
+is made, so there is one factor at most. The entry is freed when its mesh
+is collected or a factorization fails.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ from .geometry import (
     ScalarField,
     VectorField,
     _edge_quadrature,
-    _node_data,
+    _pressure_data,
     _tensor_scale,
     edge_keys,
     triangle_edges,
@@ -94,6 +99,8 @@ from .transform import BodyForcePotential, FluidModel
 _OMEGA_MAX = 64 * np.finfo(float).eps
 # Relative residual at which CG on a Picard sweep stops.
 _PCG_RTOL = 1e-14
+# Bound on the componentwise backward error of a CG exit (see _pcg).
+_PCG_ACCEPT = 2.0**16 * np.finfo(float).eps
 # Iterations CG may take on a Picard sweep before the sweep is factored.
 _PCG_MAX = 8
 
@@ -182,14 +189,11 @@ def _neumann_load(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
     return rhs
 
 
-def _dirichlet_values(mesh: Mesh, bcs: BoundarySpec) -> dict:
-    """{node: prescribed value}; a node on two pressure segments takes the
-    later segment's value."""
-    out = {}
-    for label, data in bcs.pressure.items():
-        nodes, vals = _node_data(mesh, label, data)
-        out.update(zip(nodes.tolist(), vals.tolist()))
-    return out
+def _compatibility(load: np.ndarray):
+    """(compatible, net outflow) of pure-velocity data from their Neumann
+    load: the net load must vanish to 1e-12 of the summed nodal magnitudes."""
+    net = float(load.sum())
+    return abs(net) <= 1e-12 * max(float(np.abs(load).sum()), 1e-300), -net
 
 
 @dataclass
@@ -331,13 +335,12 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
     bcs.validate_partition(mesh)
 
     raw_rhs = _neumann_load(mesh, bcs)
-    dirichlet = _dirichlet_values(mesh, bcs)
-    pinned = dirichlet or {0: 0.0}
+    nodes, values = _pressure_data(mesh, bcs)
     n = mesh.n_nodes
     lift = np.zeros(n)
-    lift[list(pinned)] = list(pinned.values())
+    lift[nodes] = values
     is_free = np.ones(n, dtype=bool)
-    is_free[list(pinned)] = False
+    is_free[nodes if nodes.size else 0] = False  # pure-velocity: node 0 pinned at 0
     free = np.flatnonzero(is_free).astype(np.int32)
     if held is None or not _same_bits(held.free, free):
         held = _hold_system(mesh, mobility, free)
@@ -347,7 +350,7 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
         mesh=mesh,
         raw_matrix=raw,
         raw_rhs=raw_rhs,
-        dirichlet_map=dirichlet,
+        dirichlet_map=dict(zip(nodes.tolist(), values.tolist())),
         bcs=bcs,
         free=free,
         lift=lift,
@@ -445,10 +448,11 @@ def _pcg(held, A, b, bnorm, d_A):
     sweep matrix is close to D^1/2 B D^1/2 for the factored B and a positive
     diagonal D, and S F^-1 S is then close to its inverse. Returns (x,
     iterations) once the recomputed relative residual is at most _PCG_RTOL,
-    or (None, iterations) when _PCG_MAX iterations have not met it, a ratio
-    d_F / d_A is not positive and finite (0 iterations) or a curvature p.Ap
-    is not. No reference to the factor outlives the call, so the caller can
-    free it before it makes the next one."""
+    if x meets the componentwise test of the module docstring, or (None,
+    iterations) when it does not, _PCG_MAX iterations have not met the
+    residual, a ratio d_F / d_A is not positive and finite (0 iterations) or
+    a curvature p.Ap is not. No reference to the factor outlives the call,
+    so the caller can free it before it makes the next one."""
     lu, d_F = held.lu, held.lu_diagonal
     if d_F is None:
         d_F = held.scaling.diagonal
@@ -472,7 +476,8 @@ def _pcg(held, A, b, bnorm, d_A):
         x = x + (rz / curvature) * p
         r = b - A @ x
         if np.linalg.norm(r) <= _PCG_RTOL * bnorm:
-            return x, k
+            accepted = np.all(np.abs(r) <= _PCG_ACCEPT * (d_A * np.abs(x) + np.abs(b)))
+            return (x if accepted else None), k
     return None, _PCG_MAX
 
 
@@ -552,15 +557,14 @@ def solve(system: SparseSystem) -> LinearSolveResult:
 
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
-    then grounded by pinning node 0, so the result is one member of the
-    constant-shifted family.
+    then grounded by pinning node 0; the member of the constant-shifted
+    family returned is the one whose largest value is 0.
     """
     if not system.dirichlet_map:
-        net = float(system.raw_rhs.sum())
-        scale = float(np.abs(system.raw_rhs).sum())
-        if abs(net) > 1e-12 * max(scale, 1e-300):
+        compatible, net = _compatibility(system.raw_rhs)
+        if not compatible:
             raise IncompatibleNeumann(
-                f"pure-velocity data with net boundary flux {-net:.6e}; "
+                f"pure-velocity data with net boundary flux {net:.6e}; "
                 "compatibility condition violated"
             )
 
@@ -570,6 +574,8 @@ def solve(system: SparseSystem) -> LinearSolveResult:
 
     values = system.lift.copy()
     values[system.free] = x_red
+    if not system.dirichlet_map:
+        values -= values.max()
     return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega)
 
 
@@ -663,9 +669,7 @@ def _gauge(mesh, fluid, xi, bcs):
     pressure p + xi (p0 without pressure data), which the Kirchhoff variable
     is measured from."""
     xi_nodes = xi.at_points(mesh.nodes)
-    prescribed = _dirichlet_values(mesh, bcs)
-    dnodes = np.fromiter(prescribed, dtype=np.int64, count=len(prescribed))
-    dvals = np.fromiter(prescribed.values(), dtype=float, count=len(prescribed))
+    dnodes, dvals = _pressure_data(mesh, bcs)
     p_ref = float((dvals + xi_nodes[dnodes]).min()) if dnodes.size else fluid.p0
     return xi_nodes, dnodes, dvals, p_ref
 
@@ -695,8 +699,9 @@ def solve_transformed_bvp(
     calibration of verification is this solve, read at its well reactions.
 
     Pure-velocity data fix the transformed solution up to a constant; the
-    member returned, as by barus_direct.picard_solve, has p = p0 at node 0
-    (NonExistence if that member has no real pressure).
+    member returned, as by barus_direct.picard_solve, has its largest p + xi
+    at p0, where the Kirchhoff variable is 0 (see solve), so it always has a
+    real pressure.
     """
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: use barus_direct.picard_solve (one linear solve)")

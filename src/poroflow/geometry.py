@@ -1,5 +1,7 @@
 """Structured triangular meshes on rectangles, boundary tagging, field
-containers, and the one rule by which boundary data are read.
+containers, and the one rule by which boundary data are read: velocity data
+at the Gauss points of each edge, pressure data at the nodes through
+_pressure_data, each node once.
 
 Meshes are immutable after construction. Boundary edges are oriented
 counter-clockwise around the domain so the outward normal of edge (a, b)
@@ -452,8 +454,14 @@ def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
     return _finite(eval_bc(data, q[:, 0], q[:, 1]), label)
 
 
-def _node_data(mesh: Mesh, label: str, data: BCData):
-    """(nodes, data at those nodes) for the nodes of the edges labeled
-    ``label``."""
-    nodes = mesh.nodes_with_label(label)
-    return nodes, _finite(eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1]), label)
+def _pressure_data(mesh: Mesh, bcs: BoundarySpec):
+    """(nodes, values): the pressure data at each node of the pressure
+    segments, each node once, the later segment's where two meet: the values
+    the assembly eliminates and the theorem checks read."""
+    out = {}
+    for label, data in bcs.pressure.items():
+        nodes = mesh.nodes_with_label(label)
+        vals = _finite(eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1]), label)
+        out.update(zip(nodes.tolist(), vals.tolist()))
+    nodes = np.fromiter(out, dtype=np.int64, count=len(out))
+    return nodes, np.fromiter(out.values(), dtype=float, count=len(out))

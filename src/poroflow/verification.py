@@ -8,7 +8,8 @@ at nodes, so the scan is exact for the discrete field. Boundary data are
 read through the helpers of ``geometry``: the integrals over velocity
 segments use the Gauss points at which ``darcy_linear.assemble`` loads the
 data, sign and ordering hypotheses are tested at the edge ends and those
-points, and pressure data at the segment nodes.
+points, and pressure data are the nodal values ``_pressure_data`` gives,
+the values the assembly eliminates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .geometry import (
     ScalarField,
     _edge_quadrature,
     _edge_samples,
-    _node_data,
+    _pressure_data,
 )
 from .transform import BodyForcePotential, FluidModel
 
@@ -39,21 +40,14 @@ class CompatibilityReport:
 
 
 def compatibility_check(mesh: Mesh, bcs: BoundarySpec) -> CompatibilityReport:
-    """Zero-net-flux requirement for pure-velocity boundary data.
+    """Zero-net-flux requirement for pure-velocity boundary data, by the
+    rule darcy_linear.solve applies to the Neumann load it assembles.
 
     With any pressure segment present the problem is anchored and the check
     always passes; the net flux is reported either way.
     """
-    net = 0.0
-    scale = 0.0
-    for label, data in bcs.velocity.items():
-        for _, _, wl, vn in _edge_quadrature(mesh, label, data):
-            net += float((wl * vn).sum())
-            scale += float((wl * np.abs(vn)).sum())
-    if bcs.pressure:
-        return CompatibilityReport(compatible=True, net_flux=net)
-    ok = abs(net) <= 1e-12 * max(scale, 1e-300) if scale > 0.0 else net == 0.0
-    return CompatibilityReport(compatible=ok, net_flux=net)
+    compatible, net = darcy_linear._compatibility(darcy_linear._neumann_load(mesh, bcs))
+    return CompatibilityReport(compatible=compatible or bool(bcs.pressure), net_flux=net)
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +71,6 @@ def _velocity_sign(mesh: Mesh, bcs: BoundarySpec):
     return float(vn.min()), float(vn.max())
 
 
-def _prescribed_values(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
-    vals = [_node_data(mesh, lab, d)[1] for lab, d in bcs.pressure.items()]
-    return np.concatenate(vals) if vals else np.array([])
-
-
 def _default_tol(values: np.ndarray) -> float:
     """1e-10 of the range of values; of their magnitude, at least 1, when
     they are all equal."""
@@ -101,7 +90,7 @@ def _check_principle(field: ScalarField, bcs: BoundarySpec, lower: bool) -> Prin
         raise NotApplicable(
             f"maximum principle needs v_n >= 0 on the velocity segments (min {vmin:.3g})"
         )
-    prescribed = _prescribed_values(field.mesh, bcs)
+    _, prescribed = _pressure_data(field.mesh, bcs)
     if prescribed.size == 0:
         raise NotApplicable("no pressure segment: no boundary bound to compare against")
     tol = _default_tol(values)
@@ -159,13 +148,10 @@ def check_comparison(
         v2 = _edge_samples(mesh, label, bcs2.velocity[label])
         if np.any(v1 < v2):
             raise NotApplicable(f"hypothesis v_n(1) >= v_n(2) fails on segment {label!r}")
-    for label in bcs1.pressure:
-        _, p1 = _node_data(mesh, label, bcs1.pressure[label])
-        _, p2 = _node_data(mesh, label, bcs2.pressure[label])
-        if np.any(p2 < p1):
-            raise NotApplicable(
-                f"hypothesis p(2) >= p(1) fails on pressure segment {label!r}"
-            )
+    # the same node set for both; sorted, as the labels may come in another order
+    (n1, p1), (n2, p2) = _pressure_data(mesh, bcs1), _pressure_data(mesh, bcs2)
+    if np.any(p2[np.argsort(n2)] < p1[np.argsort(n1)]):
+        raise NotApplicable("hypothesis p(2) >= p(1) fails on the pressure segments")
 
     both = np.concatenate([sol1.values, sol2.values])
     tol = _default_tol(both)
@@ -198,16 +184,6 @@ def _gamma_v_integral(mesh, bcs_other, field_values, weight):
     return total
 
 
-def _gamma_p_sum(mesh, bcs_other, reactions, weight):
-    """Sum over Gamma_p nodes of weight(prescribed datum of the *other*
-    problem) times the consistent nodal flux."""
-    total = 0.0
-    for label, data in bcs_other.pressure.items():
-        nodes, vals = _node_data(mesh, label, data)
-        total += float((weight(vals) * reactions[nodes]).sum())
-    return total
-
-
 def _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight):
     if sol1.field.mesh is not mesh or sol2.field.mesh is not mesh:
         raise PartitionMismatch("solutions must be defined on the given mesh")
@@ -220,16 +196,18 @@ def _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight):
     # weights removes their common baseline (about p0/beta for both the
     # Hopf-Cole variable and the Barus weight), which would otherwise swamp
     # the contrasts in cancellation.
-    data = np.concatenate([_prescribed_values(mesh, bcs1), _prescribed_values(mesh, bcs2)])
+    (nodes1, data1), (nodes2, data2) = _pressure_data(mesh, bcs1), _pressure_data(mesh, bcs2)
+    data = np.concatenate([data1, data2])
     ref = float(np.mean(weight(data))) if data.size else 0.0
 
     def shifted(f):
         return weight(f) - ref
 
+    # over Gamma_p, each node's flux once, weighted by the other problem's datum
     lhs_v = _gamma_v_integral(mesh, bcs2, sol1.field.values, shifted)
-    lhs_p = _gamma_p_sum(mesh, bcs2, sol1.reactions, shifted)
+    lhs_p = float((shifted(data2) * sol1.reactions[nodes2]).sum())
     rhs_v = _gamma_v_integral(mesh, bcs1, sol2.field.values, shifted)
-    rhs_p = _gamma_p_sum(mesh, bcs1, sol2.reactions, shifted)
+    rhs_p = float((shifted(data1) * sol2.reactions[nodes1]).sum())
     lhs = lhs_v - lhs_p
     rhs = rhs_v - rhs_p
     scale = max(abs(lhs), abs(rhs), abs(lhs_v), abs(lhs_p), abs(rhs_v), abs(rhs_p), 1e-300)

@@ -158,13 +158,15 @@ def p1_interpolate(field, point):
 
 
 def dirichlet_values_per_node(mesh, bcs):
+    """(nodes, values) of the pressure data, node by node, the later label
+    overwriting an earlier one's value at a shared node."""
     out = {}
     for label, data in bcs.pressure.items():
         nodes = mesh.nodes_with_label(label)
         vals = eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
         for n, v in zip(nodes, np.atleast_1d(vals)):
             out[int(n)] = float(v)
-    return out
+    return np.array(list(out), dtype=np.int64), np.array(list(out.values()), dtype=float)
 
 
 def hopf_cole_inverse_by_hand(p, xi_value, fluid):

@@ -910,6 +910,29 @@ class TestTransformedBVP:
             picard = bd.picard_solve(mesh, fluid, xi, K, bcs)
             assert np.max(np.abs(picard.p.values - transformed.p.values)) < 1e-11
 
+    def test_pure_velocity_mirrored_grounded_at_its_maximum(self):
+        # inflow on the right: the pressure peaks there, and both paths
+        # return the member whose largest p + xi is p0, where the linear
+        # Kirchhoff variable mu0*v0*(x - 1)/k is zero (with node 0 at p0,
+        # it would reach 1.5, beyond the ceiling of 1)
+        fluid = FluidModel(1.0, 1.0, 1.0)
+        k, v0 = 1.0, 1.5
+        mesh = make_rectangle_mesh(1.0, 0.2, 8, 2)
+        K = PermeabilityField.isotropic(mesh, k)
+        bcs = BoundarySpec(
+            pressure={}, velocity={"left": v0, "right": -v0, "top": 0.0, "bottom": 0.0}
+        )
+        x = mesh.nodes[:, 0]
+        exact = tr.kirchhoff_inverse(fluid.mu0 * v0 * (x - 1.0) / k, fluid, fluid.p0)
+        report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert np.max(np.abs(report.p.values - exact)) < 1e-12
+        # 4.8e-12 and 4.6e-12 apart at Picard's update tolerance of 1e-10
+        for xi in (ZERO_XI, BodyForcePotential(lambda x, y: 0.3 * y)):
+            transformed = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
+            picard = bd.picard_solve(mesh, fluid, xi, K, bcs)
+            assert (transformed.p.values + xi.at_points(mesh.nodes)).max() == fluid.p0
+            assert np.max(np.abs(picard.p.values - transformed.p.values)) < 1e-11
+
 
 class TestNonFiniteData:
     """A NaN or infinite boundary datum is rejected with the label it sits

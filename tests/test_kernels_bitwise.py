@@ -90,7 +90,7 @@ def earlier_kernels(monkeypatch):
             m.setattr(geometry, "_tensor_scale", _oracles.tensor_scale_over_axes)
             m.setattr(dl, "_tensor_scale", _oracles.tensor_scale_over_axes)
             m.setattr(dl, "_neumann_load", _oracles.neumann_load_per_label)
-            m.setattr(dl, "_dirichlet_values", _oracles.dirichlet_values_per_node)
+            m.setattr(dl, "_pressure_data", _oracles.dirichlet_values_per_node)
             yield
 
     return swap
@@ -543,7 +543,7 @@ class TestBoundaryData:
         ref_mesh = jittered(make_rectangle_mesh(3.0, 1.3, 11, 7, pattern), 2)
         with monkeypatch.context() as m:
             m.setattr(dl, "_neumann_load", _oracles.neumann_load_per_label)
-            m.setattr(dl, "_dirichlet_values", _oracles.dirichlet_values_per_node)
+            m.setattr(dl, "_pressure_data", _oracles.dirichlet_values_per_node)
             ref = dl.assemble(ref_mesh, mobility, bcs)
         assert list(got.dirichlet_map.items()) == list(ref.dirichlet_map.items())
         corner = mesh.ny * (mesh.nx + 1)  # grid node (0, 1.3)

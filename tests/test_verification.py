@@ -158,6 +158,23 @@ class TestMinMaxPrinciples:
             val = _oracles.p1_interpolate(report.p, pt)
             assert table1_fluid.p0 - tol <= val <= p_inj + tol
 
+    def test_bound_is_the_eliminated_value_at_a_shared_node(self):
+        # "left" reaches 3.3 only at the corner (0, 1.3) it shares with
+        # "top", whose 1.0 is the value the assembly eliminates there: the
+        # largest datum is left's 2 + 6/7 * 1.3 one node below
+        mesh = make_rectangle_mesh(3.0, 1.3, 11, 7)
+        bcs = BoundarySpec(
+            pressure={"left": lambda x, y: 2.0 + y, "top": lambda x, y: 1.0 - 0.1 * x},
+            velocity={"bottom": 0.0, "right": 0.0},
+        )
+        values = np.ones(mesh.n_nodes)
+        victim = 3 * (mesh.nx + 1) + 5  # an interior node
+        values[victim] = 3.25
+        rep = vf.check_max_principle(ScalarField(mesh, values), bcs)
+        assert rep.bound == pytest.approx(2.0 + 6.0 / 7.0 * 1.3, rel=1e-15)
+        assert not rep.satisfied
+        assert rep.violation_nodes.tolist() == [victim]
+
 
 class TestComparison:
     def test_identical_bcs_ordered(self, table1_fluid):
@@ -206,6 +223,22 @@ def transformed_flux_solution(report):
 def modified_pressure_solution(report, mesh):
     # zero body-force potential: the modified pressure equals the pressure
     return vf.FluxSolution(field=report.p, reactions=report.reactions)
+
+
+def corner_layouts():
+    """Two problems on the unit square with pressure on "left" and
+    "bottom", which meet at (0, 0) and disagree there, and normal velocity
+    on "right" and "top"."""
+    return [
+        BoundarySpec(
+            pressure={"left": lambda x, y: 1.5 + 0.2 * y, "bottom": lambda x, y: 1.0 + 0.3 * x},
+            velocity={"right": 0.1, "top": lambda x, y: -0.2 * x},
+        ),
+        BoundarySpec(
+            pressure={"left": 1.2, "bottom": lambda x, y: 1.4 - 0.3 * x * x},
+            velocity={"right": lambda x, y: 0.05 + 0.1 * y, "top": -0.1},
+        ),
+    ]
 
 
 class TestReciprocityDarcy:
@@ -302,6 +335,21 @@ class TestReciprocityDarcy:
         assert residuals[0] >= residuals[1] >= residuals[2]
         assert residuals[2] < residuals[0]
 
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    def test_pressure_segments_sharing_a_corner(self, pattern):
+        # "left" and "bottom" share the node (0, 0): its reaction enters
+        # each Gamma_p sum once, weighted by the value the assembly
+        # eliminates there
+        mesh = make_rectangle_mesh(1.0, 1.0, 8, 8, pattern)
+        mobility = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2))
+        specs = corner_layouts()
+        sols = []
+        for bcs in specs:
+            system = dl.assemble(mesh, mobility, bcs)
+            field = dl.solve(system).field
+            sols.append(vf.FluxSolution(field, dl.nodal_reactions(system, field)))
+        assert vf.reciprocity_residual_darcy(*sols, *specs, mesh) <= 1e-12
+
     def test_partition_mismatch(self, table1_fluid):
         mesh, K = reservoir_setup(table1_fluid)
         bcs1 = reservoir_bcs(2e6, table1_fluid.p0)
@@ -380,6 +428,23 @@ class TestReciprocityBarus:
             table1_fluid,
         )
         assert res < 1e-6
+
+    def test_pressure_segments_sharing_a_corner_converge(self, unit_fluid):
+        # the nonlinear identity holds up to the discretization error, which
+        # falls as O(h^2) once the corner (0, 0) is read once
+        specs = corner_layouts()
+        residuals = []
+        for n in (8, 16, 32):
+            mesh = make_rectangle_mesh(1.0, 1.0, n, n)
+            K = PermeabilityField.isotropic(mesh, 1.0)
+            sols = [
+                modified_pressure_solution(
+                    dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, bcs), mesh
+                )
+                for bcs in specs
+            ]
+            residuals.append(vf.reciprocity_residual_barus(*sols, *specs, mesh, unit_fluid))
+        assert residuals[0] >= 3.5 * residuals[1] >= 3.5**2 * residuals[2]
 
     def test_overflowing_weight_raises(self, unit_fluid):
         # the weight exp[-beta*(ptilde/p0 - 1)] of a modified pressure of
