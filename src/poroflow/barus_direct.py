@@ -26,7 +26,6 @@ transformed approach is benchmarked against.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,8 +35,6 @@ from . import darcy_linear, transform
 from .errors import NoConvergence, TransformOverflow
 from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, VectorField
 from .transform import BodyForcePotential, FluidModel
-
-log = logging.getLogger("poroflow.picard")
 
 
 @dataclass
@@ -93,13 +90,14 @@ def _base_system(mesh, fluid, xi, K, bcs):
     return xi_nodes, p_ref, base
 
 
-def _secant_system(base, ptilde, fluid):
+def _secant_system(base, ptilde, fluid, start):
     """The edge-secant system at ptilde: base, the held K/mu0~ system with
     the data of the modified pressure, with its stiffness scaled by the
-    weights at ptilde; base itself when every weight is 1."""
+    weights at ptilde and start (reduced, or None) as its CG start; base
+    itself when every weight is 1."""
     scaling = darcy_linear._edge_scaling(base)
     weights = _secant_weights(ptilde, scaling.edges, fluid)
-    return base if np.all(weights == 1.0) else scaling.system(base, weights)
+    return base if np.all(weights == 1.0) else scaling.system(base, weights, start)
 
 
 def picard_solve(
@@ -116,27 +114,27 @@ def picard_solve(
     assembled once (a hit after a transformed solve on the same mesh); a
     sweep refills its values. From p = p0 with xi = 0 every s_ij is 1, so
     the first sweep solves the assembled system and reuses its held factor;
-    with a nonzero xi the first sweep is factored. Each later sweep runs CG
-    from the previous sweep's solution, preconditioned by the one factor the
-    entry holds (that of the assembled system, or of an earlier sweep of
-    this call) rescaled to the sweep's diagonal, and is factored only when
-    CG gives up; report.linear_iterations sums the CG iterations. The sweep
-    solution an earlier call left held is cleared before the first sweep,
-    and a sweep factor it left serves no sweep of this call: the first
-    sweep refactors the assembled system or factors itself. So no bit of
-    the result depends on them.
+    with a nonzero xi the first sweep is factored. The iterate is the last
+    sweep's solution, with no relaxation, and it is where CG starts on the
+    next sweep, preconditioned by the one factor the entry holds (that of
+    the assembled system, or of an earlier sweep of this call) rescaled to
+    the sweep's diagonal; the sweep is factored only when CG gives up, and
+    report.linear_iterations sums the CG iterations. A sweep factor that an
+    earlier call left serves no sweep of this call: the first sweep
+    refactors the assembled system or factors itself. So no bit of the
+    result depends on earlier calls.
 
     The report's velocity and reactions are those of the Kirchhoff variable
     of the final iterate on the K/mu0~ stiffness, measured from the p_ref of
     the transformed path (the lowest prescribed p + xi), so they keep their
     digits where the pressure lies far above p0.
 
-    Divergence guard: the relaxation factor starts at 1; three consecutive
-    growing update norms halve it, and after four halvings the solve raises
-    NoConvergence. An iterate whose viscosity overflows float64 also raises
-    NoConvergence, with the report of the last iterate that had a finite
-    one. beta = 0 is a single linear solve (the viscosity does not depend
-    on pressure, so the first sweep is already the fixed point).
+    Divergence guard: three consecutive growing update norms raise
+    NoConvergence, with the report of the last iterate. An iterate whose
+    viscosity overflows float64 also raises NoConvergence, with the report
+    of the last iterate that had a finite one. beta = 0 is a single linear
+    solve (the viscosity does not depend on pressure, so the first sweep is
+    already the fixed point).
     """
     config = config or PicardConfig()
 
@@ -165,50 +163,40 @@ def picard_solve(
         result = darcy_linear.solve(base)
         return finish(sweep_solution(result), [0.0], True, result.iterations)
 
-    darcy_linear._edge_scaling(base).x = None  # no CG start from an earlier call
     ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
-    system = _secant_system(base, ptilde, fluid)
-    omega = 1.0
+    system = _secant_system(base, ptilde, fluid, None)
     history = []
     lin_total = 0
-    grow = 0
-    halvings = 0
 
     for _ in range(config.max_iter):
         result = darcy_linear.solve(system)
         lin_total += result.iterations
-        new = (1.0 - omega) * ptilde + omega * sweep_solution(result)
+        new = sweep_solution(result)
         upd = float(
             np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300)
         )
+        # CG on the next sweep starts from this one's reduced solution, in
+        # which a pure-velocity sweep has node 0, its pinned node, at 0
+        start = (new if base.dirichlet_map else new - new[0])[base.free]
         try:
             # the system of the next sweep, and the check that new has a report
-            system = _secant_system(base, new, fluid)
+            system = _secant_system(base, new, fluid, start)
         except TransformOverflow as err:
             raise NoConvergence(
                 f"sweep {len(history) + 1} (update {upd:.3e}) gave an iterate whose "
                 f"viscosity overflows: {err}; the report holds iterate {len(history)}",
                 report=finish(ptilde, history, False, lin_total),
             ) from err
-        if history and upd > history[-1]:
-            grow += 1
-        else:
-            grow = 0
         history.append(upd)
-        log.debug("picard sweep %d: update %.3e (omega=%.3f)", len(history), upd, omega)
         ptilde = new
         if upd <= config.tol:
             return finish(ptilde, history, True, lin_total)
-        if grow >= 3:
-            halvings += 1
-            if halvings > 4:
-                raise NoConvergence(
-                    f"update norm diverging after {len(history)} sweeps "
-                    f"despite {halvings - 1} relaxation halvings",
-                    report=finish(ptilde, history, False, lin_total),
-                )
-            omega *= 0.5
-            grow = 0
+        if len(history) > 3 and history[-4] < history[-3] < history[-2] < history[-1]:
+            raise NoConvergence(
+                f"update norm diverging: it grew on each of sweeps "
+                f"{len(history) - 2} to {len(history)}",
+                report=finish(ptilde, history, False, lin_total),
+            )
 
     raise NoConvergence(
         f"no convergence to tol={config.tol} within {config.max_iter} sweeps "
@@ -236,7 +224,7 @@ def nonlinear_residual(
     PK = _kirchhoff(ptilde, fluid, p_ref)
 
     r = (base.raw_matrix @ PK - base.raw_rhs)[base.free]
-    scale = float(np.linalg.norm(_secant_system(base, ptilde, fluid).b_red))
+    scale = float(np.linalg.norm(_secant_system(base, ptilde, fluid, None).b_red))
     if scale == 0.0:
         scale = float(np.linalg.norm(base.raw_matrix @ PK)) or 1.0
     return float(np.linalg.norm(r) / scale)

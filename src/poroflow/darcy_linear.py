@@ -40,8 +40,9 @@ without being held. So a sweep over pressure data on one mesh assembles
 and factors once.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
-and other values. The entry keeps the reduced solution of the last solve
-with that pattern. A sweep runs conjugate gradients (CG) from it,
+and other values. Each comes with its start, the previous sweep's reduced
+solution, which the caller passes (see _EdgeScaling); the entry holds no
+iteration state. A sweep runs conjugate gradients (CG) from its start,
 preconditioned by the held factor rescaled symmetrically by the square root
 of the ratio of the factored matrix's diagonal to the sweep matrix's: a
 sweep matrix is close to the factored one with each edge scaled by the mean
@@ -54,7 +55,7 @@ component of r = b - A x meets |r_i| <= 2^16 eps (a_ii |x_i| + |b_i|), and
 CG gives up otherwise. As a_ii |x_i| <= (|A| |x|)_i, an accepted exit has a
 componentwise (Oettli-Prager, Numer. Math. 1964) backward error of at most
 2^16 eps, a bound row scaling leaves intact where a normwise one fails. A
-sweep with no held solution, or where CG gives up, is factored, and its
+sweep with no start, or where CG gives up, is factored, and its
 factor and diagonal replace the held factor; the reduced matrix is
 refactored on its next solve. The held factor is dropped before any new one
 is made, so there is one factor at most. The entry is freed when its mesh
@@ -138,7 +139,14 @@ class LinearSolveResult:
 @dataclass
 class SolveReport:
     """Outcome of the transformed solution path (beta > 0; at beta = 0 the
-    problem is linear and barus_direct.picard_solve solves it)."""
+    problem is linear and barus_direct.picard_solve solves it).
+
+    p is the physical pressure. P is the Hopf-Cole field U - C, U the solved
+    Kirchhoff field and C its kirchhoff_ceiling, with hopf_cole_inverse of
+    the data at the Dirichlet nodes. v and reactions come from U, not P: on
+    the 400x120 reservoir at Table-1 parameters their net Dirichlet reaction
+    is 2.0e-11 of the well flux, against up to 2.6e-8 (p_inj = 1.6 p0) when
+    P is put through a system assembled in the Hopf-Cole gauge."""
 
     p: ScalarField
     v: VectorField
@@ -367,11 +375,7 @@ class _EdgeScaling:
     free nodes as the held system is. Its maps (scaled pairs, diagonal, and
     the raw data position of each A_red entry) and data arrays are made once
     per entry; a call refills the data and builds no sparse matrix, so the
-    system it returns is overwritten by the next call.
-
-    x, the reduced solution of the last solve with the held pattern, is
-    where CG starts on the next sweep (see _solve_sweep); a Picard solve
-    sets it to None first, so it starts from what it makes itself."""
+    system it returns, and its CG start, are overwritten by the next call."""
 
     def __init__(self, held: _Held):
         raw, red = held.raw_matrix, held.A_red
@@ -394,12 +398,14 @@ class _EdgeScaling:
         self._base = raw.data
         self._raw = sp.csr_matrix((np.empty_like(raw.data), raw.indices, raw.indptr), shape=raw.shape)
         self.A_red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
-        self.x = None
 
-    def system(self, base: SparseSystem, scale: np.ndarray) -> SparseSystem:
+    def system(self, base: SparseSystem, scale: np.ndarray, start=None) -> SparseSystem:
         """base, the held system, with the stiffness scaled by scale (one
         factor per pair of self.edges). The scaled pairs get one product
-        each, so A_red stays bitwise symmetric."""
+        each, so A_red stays bitwise symmetric. start, a reduced solution,
+        is where CG starts on the system's solve (see _solve_sweep); with
+        None the system is factored."""
+        self.start = start
         data = self._raw.data
         off = self._base[self._upper] * scale
         data[self._upper] = off
@@ -442,7 +448,7 @@ def _factor(A):
 
 def _pcg(held, A, b, bnorm, d_A):
     """Conjugate gradients on A x = b, an A with the held pattern and the
-    diagonal d_A, from held.scaling.x, preconditioned by S F^-1 S. F is
+    diagonal d_A, from held.scaling.start, preconditioned by S F^-1 S. F is
     held.lu, the factor of held.A_red or of a sweep matrix, and S =
     diag(sqrt(d_F / d_A)), with d_F the diagonal of the matrix F factored: a
     sweep matrix is close to D^1/2 B D^1/2 for the factored B and a positive
@@ -462,7 +468,7 @@ def _pcg(held, A, b, bnorm, d_A):
         return None, 0
     s = np.sqrt(ratio)
 
-    x = held.scaling.x
+    x = held.scaling.start
     r = b - A @ x
     p, rz = None, 0.0
     for k in range(1, _PCG_MAX + 1):
@@ -483,22 +489,19 @@ def _pcg(held, A, b, bnorm, d_A):
 
 def _solve_sweep(held, A, b, bnorm):
     """Solve A x = b for A, the sweep matrix of held.scaling; returns (x,
-    CG iterations, a_max of A). Where the scaling holds a solution (a later
-    Picard sweep), CG runs from it (see _pcg), and the held factor stays.
+    CG iterations, a_max of A). Where the sweep has a start (a later Picard
+    sweep), CG runs from it (see _pcg), and the held factor stays.
     Otherwise, or when CG gives up, the held factor is dropped and A is
     factored; its factor and diagonal are held for the sweeps after it."""
-    scaling = held.scaling
     d_A = A.diagonal()
     iterations = 0
-    if scaling.x is not None:
+    if held.scaling.start is not None:
         x, iterations = _pcg(held, A, b, bnorm, d_A)
         if x is not None:
-            scaling.x = x
             return x, iterations, d_A.max()
     held.lu = None  # the held factor goes before the next is made
     held.lu, held.lu_diagonal = _factor(A), d_A
-    scaling.x = held.lu.solve(b)
-    return scaling.x, iterations, d_A.max()
+    return held.lu.solve(b), iterations, d_A.max()
 
 
 def _lu(A, b, mesh):
@@ -524,8 +527,6 @@ def _lu(A, b, mesh):
                 held.lu = held.lu_diagonal = None  # a sweep factor goes first
                 held.lu = _factor(A)
             x = held.lu.solve(b)
-            if scaling is not None:
-                scaling.x = x
             a_max = held.a_max
         else:
             _entry = held = None  # the held factor goes first: never two at once
@@ -548,8 +549,8 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     reduced matrix, the A_red that assemble returns, is held with the entry
     of the module docstring and reused while system.mesh lives. A reused
     factor gives results bitwise identical to a fresh one. A Picard sweep
-    matrix of barus_direct is solved by preconditioned CG when the entry
-    holds a sweep solution to start from, and is factored, its factor
+    matrix of barus_direct is solved by preconditioned CG when it comes
+    with a start (see _EdgeScaling.system), and is factored, its factor
     taking the held one's place, when it does not or CG gives up;
     result.iterations counts the CG iterations, 0 for a direct solve. Any
     other matrix, a changed copy of the held one too, drops the entry and is
@@ -606,11 +607,17 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
 
     Pressure segments use the consistent reaction form; velocity segments
     integrate the prescribed normal velocity (what the discrete solution
-    carries there by construction).
+    carries there by construction). A node two pressure segments share
+    belongs to the later one, whose value geometry._pressure_data reads
+    there, so the pressure segments' fluxes sum to the net reaction.
     """
-    if label in system.bcs.pressure:
-        # the label's rows of nodal_reactions, each summed in the same order
+    pressure = list(system.bcs.pressure)
+    if label in pressure:
+        # the label's rows of nodal_reactions, each summed in the same order,
+        # without the nodes of later pressure labels
         nodes = system.mesh.nodes_with_label(label)
+        for other in pressure[pressure.index(label) + 1:]:
+            nodes = nodes[~np.isin(nodes, system.mesh.nodes_with_label(other))]
         return float((system.raw_rhs[nodes] - system.raw_matrix[nodes] @ P.values).sum())
     if label in system.bcs.velocity:
         total = 0.0
@@ -694,9 +701,10 @@ def solve_transformed_bvp(
     3.4e10 at Table-1 parameters and would swamp them. Nodes on pressure
     segments take their pressure straight from the data, which may lie
     further above p_ref than float64 can resolve in that variable. Velocity
-    and reactions come from the Kirchhoff field; report.P is that field in
-    the Hopf-Cole gauge (P = P_K - kirchhoff_ceiling). The ceiling-flux
-    calibration of verification is this solve, read at its well reactions.
+    and reactions come from the Kirchhoff field, report.P is the Hopf-Cole
+    field and report.p the physical pressure (see SolveReport). The
+    ceiling-flux calibration of verification is this solve, read at its
+    well reactions.
 
     Pure-velocity data fix the transformed solution up to a constant; the
     member returned, as by barus_direct.picard_solve, has its largest p + xi

@@ -83,8 +83,13 @@ def velocity_einsum(P, mobility):
 
 def pressure_flux_full_reactions(P, system, label):
     """Reaction-form flux of a pressure label from the full nodal reaction
-    vector (the library forms only the label's rows)."""
-    nodes = system.mesh.nodes_with_label(label)
+    vector (the library forms only the label's rows): the rows of the
+    label's nodes that no later pressure label holds, in ascending order."""
+    labels = list(system.bcs.pressure)
+    owned = set(system.mesh.nodes_with_label(label).tolist())
+    for other in labels[labels.index(label) + 1:]:
+        owned -= set(system.mesh.nodes_with_label(other).tolist())
+    nodes = np.array(sorted(owned), dtype=np.int64)
     return float(darcy_linear.nodal_reactions(system, P)[nodes].sum())
 
 
@@ -301,3 +306,68 @@ def edge_integral(p_a, p_b, length, f, n_panels=2000):
     w[2:-1:2] = 2.0
     h = 1.0 / (2 * n_panels)
     return length * h / 3.0 * float((w * vals).sum())
+
+
+# 2D exact solutions of the nonlinear problem, for the unit fluid (mu0 = beta
+# = p0 = 1), K = I and xi = c y. The reference viscosity is then mu0~ =
+# e^{-c y}, and any Phi > 0 with div(e^{c y} grad Phi) = 0 gives the modified
+# pressure p + xi = 1 - ln Phi and the velocity e^{c y} grad Phi: the
+# transformed equations are Darcy's, with P_K an affine function of Phi.
+
+
+def body_force_phi(shift):
+    """(Phi, grad Phi) for xi = 0.5 y: Phi = shift + 0.15 x + 0.4 e^{-0.5 y},
+    whose flux e^{0.5 y} grad Phi = (0.15 e^{0.5 y}, -0.2) is divergence-free.
+    On [0, 2] x [0, 1], shift = 0.3 keeps Phi positive and shift = -0.3 makes
+    it cross 0 in the upper left."""
+    return (
+        lambda x, y: shift + 0.15 * x + 0.4 * np.exp(-0.5 * y),
+        lambda x, y: (np.full_like(x, 0.15), -0.2 * np.exp(-0.5 * y)),
+    )
+
+
+def saddle_phi():
+    """(Phi, grad Phi) for xi = 0: Phi = 5 - x^2 + y^2 >= 1 on [0, 2] x [0, 1],
+    so P_K is x^2 - y^2 up to a constant."""
+    return lambda x, y: 5.0 - x * x + y * y, lambda x, y: (-2.0 * x, 2.0 * y)
+
+
+def harmonic_barus_solution(phi, grad_phi, xi_slope):
+    """(pressure, velocity) of the exact solution of Phi under xi = xi_slope y:
+    p(x, y) and v(x, y) -> (vx, vy)."""
+
+    def pressure(x, y):
+        return 1.0 - np.log(phi(x, y)) - xi_slope * y
+
+    def velocity(x, y):
+        gx, gy = grad_phi(x, y)
+        w = np.exp(xi_slope * y)
+        return w * gx, w * gy
+
+    return pressure, velocity
+
+
+_RECTANGLE_NORMALS = {"left": (-1.0, 0.0), "right": (1.0, 0.0), "top": (0.0, 1.0), "bottom": (0.0, -1.0)}
+
+
+def rectangle_bcs(pressure, velocity, pressure_labels):
+    """Data of an exact solution on the labels of make_rectangle_mesh: the
+    pressure on pressure_labels, the outward normal velocity on the others."""
+
+    def normal_velocity(label):
+        nx, ny = _RECTANGLE_NORMALS[label]
+
+        def vn(x, y):
+            vx, vy = velocity(x, y)
+            return nx * vx + ny * vy
+
+        return vn
+
+    return BoundarySpec(
+        pressure={label: pressure for label in pressure_labels},
+        velocity={
+            label: normal_velocity(label)
+            for label in _RECTANGLE_NORMALS
+            if label not in pressure_labels
+        },
+    )

@@ -152,8 +152,9 @@ class TestPicardSolve:
         assert len(err.value.report.update_history) == 2
 
     def test_oscillation_detection_and_relaxation(self, table1_fluid, monkeypatch):
-        # synthetic diverging inner solve: update norms must grow, trip the
-        # 3-growth detector, burn through the relaxation halvings, and raise
+        # synthetic diverging inner solve: the update norm grows on sweeps 2,
+        # 3 and 4, so the 3-growth guard raises at sweep 4, with no
+        # relaxation to delay it
         mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)
         K = PermeabilityField.isotropic(mesh, 1.0)
         fluid = FluidModel(mu0=1.0, beta=1e-12, p0=1.0)
@@ -175,6 +176,8 @@ class TestPicardSolve:
                 mesh, fluid, ZERO_XI, K, strip_bcs(1.0, 1.0), bd.PicardConfig(tol=1e-14)
             )
         assert "diverging" in str(err.value)
+        assert state["n"] == 4
+        assert err.value.report.iterations == len(err.value.report.update_history) == 4
 
     def test_propagates_linear_failures(self, monkeypatch):
         # a backward-error limit below eps makes every inner solve fail; the
@@ -186,18 +189,25 @@ class TestPicardSolve:
         with pytest.raises(NoConvergence):
             bd.picard_solve(mesh, fluid, ZERO_XI, K, strip_bcs(3.0, 1.0))
 
-    def test_overflowing_iterate_raises_no_convergence(self, unit_fluid):
-        # v0 = 1.2 v*, beyond the existence bound: the iterates climb until
-        # the viscosity exp(beta*(p/p0 - 1)) of one leaves float64; the
-        # report is the iterate before
+    @staticmethod
+    def beyond_existence(ratio, fluid):
+        """The 10x3 strip on 8x3 cells with inflow ratio * v* on the left."""
         L = 10.0
         mesh = make_rectangle_mesh(L, 3.0, 8, 3)
         K = PermeabilityField.isotropic(mesh, 1.0)
-        v_star = unit_fluid.p0 / (unit_fluid.mu0 * L * unit_fluid.beta)
+        v_star = fluid.p0 / (fluid.mu0 * L * fluid.beta)
         bcs = BoundarySpec(
-            pressure={"right": unit_fluid.p0},
-            velocity={"left": -1.2 * v_star, "top": 0.0, "bottom": 0.0},
+            pressure={"right": fluid.p0},
+            velocity={"left": -ratio * v_star, "top": 0.0, "bottom": 0.0},
         )
+        return mesh, K, bcs
+
+    def test_overflowing_iterate_raises_no_convergence(self, unit_fluid):
+        # v0 = 1.5 v*, beyond the existence bound: the iterates climb until
+        # the viscosity exp(beta*(p/p0 - 1)) of one leaves float64 on sweep
+        # 5, before the update norm has grown three times; the report is
+        # the iterate before
+        mesh, K, bcs = self.beyond_existence(1.5, unit_fluid)
         with pytest.raises(NoConvergence, match="overflows") as err:
             bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, bcs)
         report = err.value.report
@@ -208,6 +218,22 @@ class TestPicardSolve:
         assert np.all(np.isfinite(report.reactions))
         tri_mean = report.p.values[mesh.triangles].mean(axis=1)
         assert np.all(np.isfinite(tr.viscosity(tri_mean, unit_fluid)))
+
+    def test_growing_updates_raise_no_convergence(self, unit_fluid):
+        # v0 = 1.2 v*, beyond the existence bound: the update norm grows on
+        # sweeps 4, 5 and 6, and the divergence guard raises with the report
+        # of sweep 6, whose viscosity is still finite
+        mesh, K, bcs = self.beyond_existence(1.2, unit_fluid)
+        with pytest.raises(NoConvergence, match="diverging") as err:
+            bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, bcs)
+        report = err.value.report
+        assert report is not None and not report.converged
+        assert report.iterations == len(report.update_history) == 6
+        h = report.update_history
+        assert h[2] < h[3] < h[4] < h[5]
+        assert np.all(np.isfinite(report.p.values))
+        assert np.all(np.isfinite(report.v.values))
+        assert np.all(np.isfinite(report.reactions))
 
     def test_near_critical_inflow_converges_to_transformed_path(self, unit_fluid):
         # v0 = 0.99 v*: slow (about 90 sweeps), but the secant iteration

@@ -299,16 +299,16 @@ class TestFactorReuse:
         assert np.max(np.abs(result.field.values - exact)) < 1e-10
 
     def test_zero_weight_sweep_after_cg_start_raises_without_warning(self, splu_calls):
-        # with a solution held the sweep reaches CG first; its zero diagonal
-        # gives a ratio that is not finite, so CG gives up without dividing
-        # into a warning, and the factorization fails as before
+        # with a start the sweep reaches CG first; its zero diagonal gives a
+        # ratio that is not finite, so CG gives up without dividing into a
+        # warning, and the factorization fails as before
         mesh = make_rectangle_mesh(1.0, 1.0, 7, 5)
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.5, "top": 0.0, "bottom": 0.0})
         system = dl.assemble(mesh, 3.5 * identity_mobility(mesh), bcs)
         scaling = dl._edge_scaling(system)
-        dl.solve(system)
-        assert scaling.x is not None
-        sweep = scaling.system(system, np.zeros(scaling.edges[0].size))
+        start = dl.solve(system).field.values[system.free]
+        sweep = scaling.system(system, np.zeros(scaling.edges[0].size), start=start)
+        assert scaling.start is not None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence):
@@ -932,6 +932,73 @@ class TestTransformedBVP:
             picard = bd.picard_solve(mesh, fluid, xi, K, bcs)
             assert (transformed.p.values + xi.at_points(mesh.nodes)).max() == fluid.p0
             assert np.max(np.abs(picard.p.values - transformed.p.values)) < 1e-11
+
+
+class TestExactSolution2D:
+    """2D exact solutions with mixed data (_oracles.harmonic_barus_solution)
+    on [0, 2] x [0, 1], 2n x n cells: both paths converge at order 2 in the
+    nodal max norm, with a body force, and report non-existence where the
+    exact Phi is not positive."""
+
+    XI = BodyForcePotential(lambda x, y: 0.5 * y)
+
+    @staticmethod
+    def solve(path, mesh, fluid, xi, bcs):
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        if path == "transformed":
+            return dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
+        return bd.picard_solve(mesh, fluid, xi, K, bcs, bd.PicardConfig(tol=1e-13))
+
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    @pytest.mark.parametrize("path", ["transformed", "picard"])
+    def test_second_order_with_body_force(self, path, pattern, unit_fluid):
+        # error ratios 3.98 and 4.00 on the diagonal pattern, 3.89 and 3.93
+        # on the crossed one, the same on both paths
+        pressure, velocity = _oracles.harmonic_barus_solution(*_oracles.body_force_phi(0.3), 0.5)
+        bcs = _oracles.rectangle_bcs(pressure, velocity, ("left", "right"))
+        errors = []
+        for n in (8, 16, 32):
+            mesh = make_rectangle_mesh(2.0, 1.0, 2 * n, n, pattern)
+            p = self.solve(path, mesh, unit_fluid, self.XI, bcs).p.values
+            errors.append(np.abs(p - pressure(*mesh.nodes.T)).max())
+        assert errors[0] >= 3.5 * errors[1]
+        assert errors[1] >= 3.5 * errors[2]
+
+    @pytest.mark.parametrize("path", ["transformed", "picard"])
+    def test_saddle_nodally_exact_on_diagonal_pattern(self, path, unit_fluid):
+        # P_K = x^2 - y^2 up to a constant: the P1 stiffness of the diagonal
+        # pattern is exact on it (errors up to 1.6e-14 of the range)
+        pressure, velocity = _oracles.harmonic_barus_solution(*_oracles.saddle_phi(), 0.0)
+        bcs = _oracles.rectangle_bcs(pressure, velocity, ("left", "right"))
+        for n in (8, 16):
+            mesh = make_rectangle_mesh(2.0, 1.0, 2 * n, n)
+            exact = pressure(*mesh.nodes.T)
+            p = self.solve(path, mesh, unit_fluid, ZERO_XI, bcs).p.values
+            assert np.abs(p - exact).max() <= 1e-13 * (exact.max() - exact.min())
+
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    def test_non_existence_where_phi_is_not_positive(self, pattern, unit_fluid):
+        # Phi = -0.3 + 0.15 x + 0.4 e^{-0.5 y} is negative in the upper left;
+        # its P1 solution is within 0.027 h^2 of it, so the nodes without a
+        # real pressure lie in {Phi <= 0} up to a band of 0.1 h^2 (they are
+        # that set exactly here: 10, 28 and 100 nodes on the diagonal pattern)
+        phi, grad_phi = _oracles.body_force_phi(-0.3)
+        pressure, velocity = _oracles.harmonic_barus_solution(phi, grad_phi, 0.5)
+        bcs = _oracles.rectangle_bcs(pressure, velocity, ("right",))
+        for n in (8, 16, 32):
+            mesh = make_rectangle_mesh(2.0, 1.0, 2 * n, n, pattern)
+            with pytest.raises(NonExistence) as err:
+                self.solve("transformed", mesh, unit_fluid, self.XI, bcs)
+            band = 0.1 / n**2
+            f = phi(*mesh.nodes.T)
+            found = np.zeros(mesh.n_nodes, dtype=bool)
+            found[err.value.nodes] = True
+            assert np.any(found)
+            assert np.all(found[f <= -band]) and np.all(f[found] <= band)
+            # Picard has no fixed point to reach: its report holds sweep 6
+            with pytest.raises(NoConvergence) as err:
+                self.solve("picard", mesh, unit_fluid, self.XI, bcs)
+            assert err.value.report.iterations <= 8
 
 
 class TestNonFiniteData:

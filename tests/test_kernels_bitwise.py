@@ -213,8 +213,9 @@ class TestFluxOperator:
 
 
 def test_pressure_flux_reads_its_rows(mesh):
-    # each label's rows of the reactions, summed in the order of the full
-    # reaction vector: the same bits on every pressure label
+    # the rows of the reactions each label owns (every label is a pressure
+    # label here, and a corner belongs to the later one), summed in the
+    # order of the full reaction vector: the same bits on every label
     mob = cell_mobility(mesh, True)
     system = dl.assemble(mesh, mob, all_pressure(mesh))
     P = rough_field(mesh)
@@ -437,12 +438,13 @@ class TestWarmEntryBitwise:
 
 
 class TestPicardHistory:
-    """A Picard solve clears the sweep solution that an earlier call left
-    held and uses no sweep factor it left, so its bits do not depend on the
-    calls before it: cold, after a transformed solve (the first sweep finds
-    the held factor), after a Picard solve with other data (a sweep
-    solution is held) and after one whose CG stalled (a sweep factor is
-    held; at xi = 0 the first sweep, the held A_red, must refactor)."""
+    """A Picard solve passes each sweep's CG start itself, none to the
+    first, and uses no sweep factor an earlier call left, so its bits do not
+    depend on the calls before it: cold, after a transformed solve (the
+    first sweep finds the held factor), after a Picard solve with other data
+    (whose last sweep had a start) and after one whose CG stalled (a sweep
+    factor is held; at xi = 0 the first sweep, the held A_red, must
+    refactor)."""
 
     @staticmethod
     def strip(v0):

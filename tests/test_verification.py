@@ -241,6 +241,21 @@ def corner_layouts():
     ]
 
 
+@pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+@pytest.mark.parametrize("layout", [0, 1])
+def test_pressure_fluxes_sum_to_net_reaction(layout, pattern):
+    # "left" and "bottom" share the node (0, 0), which "bottom", the later
+    # label, owns: counted in both, the sum read 0.28125 on layout 0
+    mesh = make_rectangle_mesh(1.0, 1.0, 8, 8, pattern)
+    mobility = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2))
+    bcs = corner_layouts()[layout]
+    system = dl.assemble(mesh, mobility, bcs)
+    field = dl.solve(system).field
+    reactions = dl.nodal_reactions(system, field)
+    total = sum(dl.boundary_flux(field, system, label) for label in bcs.pressure)
+    assert abs(total - reactions.sum()) <= 1e-13 * np.abs(reactions).max()
+
+
 class TestReciprocityDarcy:
     def test_identical_solutions_zero(self, table1_fluid):
         mesh, K = reservoir_setup(table1_fluid)
