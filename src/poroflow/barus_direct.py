@@ -175,12 +175,10 @@ def picard_solve(
         upd = float(
             np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300)
         )
-        # CG on the next sweep starts from this one's reduced solution, in
-        # which a pure-velocity sweep has node 0, its pinned node, at 0
-        start = (new if base.dirichlet_map else new - new[0])[base.free]
         try:
-            # the system of the next sweep, and the check that new has a report
-            system = _secant_system(base, new, fluid, start)
+            # the system of the next sweep, with CG starting from this one's
+            # reduced solution, and the check that new has a report
+            system = _secant_system(base, new, fluid, result.reduced)
         except TransformOverflow as err:
             raise NoConvergence(
                 f"sweep {len(history) + 1} (update {upd:.3e}) gave an iterate whose "

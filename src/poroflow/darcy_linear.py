@@ -23,21 +23,25 @@ held with the reduced matrix, or read from a sweep's diagonal.
 
 The transformed problem's matrix depends on the mesh, the permeability and
 mu0 but not on the boundary data, so the module holds one entry for the
-last system assembled: its mesh (by weak reference), a copy of its
-mobility, its free nodes, its raw and reduced matrices, its flux operator
-(the two CSR matrices that map nodal values to the per-triangle velocity,
-see recover_velocity) and, once solved, one LU factor. No P1 gradients are
-held: the flux operator's data are the products M grad(phi_j) that the
-assembly forms anyway. An assembly with the same mesh, the same mobility
-bits and the same Dirichlet node set builds only the load, the Dirichlet
-values and the reduced right-hand side. Every assembly returns the held
-matrices and flux operator themselves, read-only: their data, indices and
-indptr arrays cannot be written, so no caller can change what a later call
-finds. A system keeps them alive after the entry is replaced or freed, so
-its velocity never depends on what is held. A solve of the held reduced
-matrix reuses its factor; any other matrix drops the entry and is factored
-without being held. So a sweep over pressure data on one mesh assembles
-and factors once.
+last system assembled: its mesh (by weak reference), its mobility (the
+read-only K/mu0 of mobility_tensors itself, or else a copy), its Dirichlet
+nodes, its raw and reduced matrices, the coupling block of the raw matrix
+(free rows, Dirichlet columns), its flux operator (the two CSR matrices
+that map nodal values to the per-triangle velocity, see recover_velocity)
+and, once solved, one LU factor. No P1 gradients are held: the flux
+operator's data are the products M grad(phi_j) that the assembly forms
+anyway. An assembly on the same mesh, with the held mobility array itself
+or else one of the same bits, and with the same Dirichlet node set builds
+only the load, the Dirichlet values and the reduced right-hand side, the
+last from the coupling block: apart from the n-long arrays it returns
+(load, lift, free nodes), its cost grows with the boundary, not with the
+mesh. Every assembly returns the held matrices and flux operator
+themselves, read-only: their data, indices and indptr arrays cannot be
+written, so no caller can change what a later call finds. A system keeps
+them alive after the entry is replaced or freed, so its velocity never
+depends on what is held. A solve of the held reduced matrix reuses its
+factor; any other matrix drops the entry and is factored without being
+held. So a sweep over pressure data on one mesh assembles and factors once.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
 and other values. Each comes with its start, the previous sweep's reduced
@@ -134,6 +138,7 @@ class LinearSolveResult:
     field: ScalarField
     iterations: int  # CG iterations of the solve; 0 for a direct solve
     residual: float  # normwise backward error of the reduced solve (see solve)
+    reduced: np.ndarray  # the solution at system.free, as solved: no shift, no copy
 
 
 @dataclass
@@ -210,10 +215,11 @@ class _Held:
     made one, its one factor."""
 
     mesh: weakref.ref
-    mobility: np.ndarray
-    free: np.ndarray
+    mobility: np.ndarray  # mobility_tensors' read-only K/mu0, or a copy
+    dirichlet: np.ndarray  # int32, ascending; [0] for pure-velocity data
     raw_matrix: sp.csr_matrix
     A_red: sp.csr_matrix
+    coupling: sp.csc_matrix  # raw[free][:, dirichlet], one column per Dirichlet node
     flux_operator: tuple  # (Vx, Vy) of mobility on mesh; see _flux_operator
     a_max: float  # the largest diagonal entry of A_red
     lu: spla.SuperLU = None  # of A_red, or of the last sweep matrix factored
@@ -222,11 +228,18 @@ class _Held:
 
 
 # The one held entry, or None. One at most. On the 400x120 reservoir (48,521
-# nodes, 96,000 triangles) its arrays come to 15.6 MB: mobility 3.1 MB, free
-# nodes 0.2 MB, raw and reduced matrices 6.2 MB, flux operator 6.1 MB (4.6 MB
-# of values, 1.5 MB of shared indices and indptr). Its factor has 2.48M
-# entries in L and U, about 30 MB.
+# nodes, 96,000 triangles) its arrays come to 15.4 MB: mobility 3.1 MB, which
+# at xi = 0 is mobility_tensors' array, shared and not copied; raw and reduced
+# matrices 6.2 MB; flux operator 6.1 MB (4.6 MB of values, 1.5 MB of shared
+# indices and indptr); the 123 Dirichlet nodes 0.5 kB; the coupling block 2.0
+# kB (125 entries, 12 bytes each, and a 124-entry indptr). Its factor has
+# 2.48M entries in L and U, about 30 MB.
 _entry = None
+
+# The K/mu0 of mobility_tensors at xi = 0, read-only: (weak reference to
+# K.tensors, mu0, K/mu0), or None. One at most, freed with K.tensors; the
+# held entry keeps the same array while it holds the system of that K.
+_mobility = None
 
 
 def _release(ref):
@@ -236,6 +249,14 @@ def _release(ref):
     entry = _entry
     if entry is not None and entry.mesh is ref:
         _entry = None
+
+
+def _forget_mobility(ref):
+    """Weakref callback: a collected K.tensors takes its K/mu0 with it."""
+    global _mobility
+    memo = _mobility
+    if memo is not None and memo[0] is ref:
+        _mobility = None
 
 
 def _entry_for(mesh):
@@ -273,11 +294,24 @@ def _flux_operator(fx, fy, tri: np.ndarray, n: int):
     return tuple(sp.csr_matrix((f.ravel(), indices, indptr), shape=shape) for f in (fx, fy))
 
 
-def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
+def _free_mask(n: int, dirichlet: np.ndarray) -> np.ndarray:
+    """Which of the nodes 0..n-1 are off dirichlet. A gather through this
+    mask takes the free nodes in ascending order, as one through their
+    indices does, and costs about a fifth of one through int32 indices."""
+    is_free = np.ones(n, dtype=bool)
+    is_free[dirichlet] = False
+    return is_free
+
+
+def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, free) -> _Held:
     """Assemble the stiffness of mobility on mesh, reduce it to the free
-    nodes and hold both, with the flux operator, in a new entry."""
+    nodes (those off the int32 ascending dirichlet) and hold both, with the
+    coupling block and the flux operator, in a new entry. mobility_tensors'
+    K/mu0 is held as it is; any other mobility array is copied, as its
+    caller may change it."""
     global _entry
     _entry = None  # the old matrices and factor go before the new ones are built
+    n = mesh.n_nodes
     # Element entries k_ij = area * grad(phi_i) . M grad(phi_j): the diagonal
     # and one of each off-diagonal pair, edges (i, i+1 mod 3). The stiffness
     # is then D + U + U^T, exactly symmetric, so the CSR arrays of A_red are
@@ -294,27 +328,39 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, free: np.ndarray) -> _Held:
     del grads, gx, gy
     tri = mesh.triangles.astype(np.int32)
     a, b = tri.ravel(), tri[:, nxt].ravel()
-    n = mesh.n_nodes
     upper = sp.csr_matrix((off.ravel(), (np.minimum(a, b), np.maximum(a, b))), shape=(n, n))
     raw_diagonal = np.bincount(a, diag.ravel(), minlength=n)
     raw = upper + upper.T + sp.diags(raw_diagonal)
-    red = raw[free][:, free]
+    rows = raw[free]
+    red = rows[:, free]
+    coupling = rows[:, dirichlet].tocsc()
     a_max = float(raw_diagonal[free].max(initial=0.0))
-    del upper, off, diag, raw_diagonal, b  # freed before the flux operator is built
+    del upper, off, diag, raw_diagonal, b, rows  # freed before the flux operator is built
 
+    memo = _mobility
     _entry = _Held(
         mesh=weakref.ref(mesh, _release),
-        mobility=mobility.copy(),
-        free=free.copy(),
+        mobility=mobility if memo is not None and mobility is memo[2] else mobility.copy(),
+        dirichlet=dirichlet,
         raw_matrix=raw,
         A_red=red,
+        coupling=coupling,
         flux_operator=_flux_operator(fx, fy, tri, n),
         a_max=a_max,
     )
-    for m in (raw, red, *_entry.flux_operator):
+    for m in (raw, red, coupling, *_entry.flux_operator):
         for array in (m.data, m.indices, m.indptr):
             array.setflags(write=False)  # every caller gets these matrices
     return _entry
+
+
+def _reduced_rhs(raw_rhs, lift, is_free, dirichlet, coupling):
+    """b_red = raw_rhs[free] - coupling @ lift[dirichlet], with the free
+    nodes given by their mask is_free. Bitwise equal to (raw_rhs - raw @
+    lift)[free]: lift is 0 at the free nodes, so the other products of a row
+    are signed zeros, which leave its sum as it is, and each row adds its
+    Dirichlet products in the same (ascending) column order."""
+    return raw_rhs[is_free] - coupling @ lift[dirichlet]
 
 
 def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSystem:
@@ -322,48 +368,49 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
 
     mobility : (n_tri, 2, 2) symmetric positive-definite tensors.
 
-    The stiffness, its reduction and the flux operator are held for the
-    next call (see the module docstring). A call on the same mesh object,
-    with a mobility of the same bits and the same Dirichlet node set,
-    takes them from the held entry and builds only the load, the Dirichlet
-    values and b_red; its result is bitwise that of a fresh assembly. Any
-    other call assembles in full and replaces the entry. The returned
-    raw_matrix, A_red and flux_operator are the held matrices, read-only:
-    writing to their data, indices or indptr raises ValueError, and a
-    changed copy is another matrix to solve. The other arrays of the system
-    belong to the caller. A mesh is taken as fixed once built.
+    The stiffness, its reduction, its coupling block and the flux operator
+    are held for the next call (see the module docstring). A call on the
+    same mesh object, with the held mobility array itself (the read-only
+    K/mu0 that mobility_tensors returns at xi = 0) or else one of the same
+    bits, and with the same Dirichlet node set, takes them from the held
+    entry and builds only the load, the Dirichlet values and b_red, which it
+    forms from the coupling block; its result is bitwise that of a fresh
+    assembly. Any other call assembles in full and replaces the entry. The
+    returned raw_matrix, A_red and flux_operator are the held matrices,
+    read-only: writing to their data, indices or indptr raises ValueError,
+    and a changed copy is another matrix to solve. The other arrays of the
+    system belong to the caller. A mesh is taken as fixed once built.
     """
     mobility = np.asarray(mobility, dtype=float)
     if mobility.shape != (mesh.n_triangles, 2, 2):
         raise ValueError("one 2x2 mobility tensor per triangle required")
     held = _entry_for(mesh)
-    if held is None or not _same_bits(held.mobility, mobility):
+    if held is None or not (mobility is held.mobility or _same_bits(held.mobility, mobility)):
         held = None
         _check_spd(mobility)
     bcs.validate_partition(mesh)
 
     raw_rhs = _neumann_load(mesh, bcs)
     nodes, values = _pressure_data(mesh, bcs)
-    n = mesh.n_nodes
-    lift = np.zeros(n)
+    lift = np.zeros(mesh.n_nodes)
     lift[nodes] = values
-    is_free = np.ones(n, dtype=bool)
-    is_free[nodes if nodes.size else 0] = False  # pure-velocity: node 0 pinned at 0
+    # pure-velocity data: node 0 pinned at 0
+    dirichlet = np.sort(nodes).astype(np.int32) if nodes.size else np.zeros(1, dtype=np.int32)
+    is_free = _free_mask(mesh.n_nodes, dirichlet)
     free = np.flatnonzero(is_free).astype(np.int32)
-    if held is None or not _same_bits(held.free, free):
-        held = _hold_system(mesh, mobility, free)
+    if held is None or not _same_bits(held.dirichlet, dirichlet):
+        held = _hold_system(mesh, mobility, dirichlet, free)
 
-    raw = held.raw_matrix
     return SparseSystem(
         mesh=mesh,
-        raw_matrix=raw,
+        raw_matrix=held.raw_matrix,
         raw_rhs=raw_rhs,
         dirichlet_map=dict(zip(nodes.tolist(), values.tolist())),
         bcs=bcs,
         free=free,
         lift=lift,
         A_red=held.A_red,
-        b_red=(raw_rhs - raw @ lift)[free],
+        b_red=_reduced_rhs(raw_rhs, lift, is_free, dirichlet, held.coupling),
         flux_operator=held.flux_operator,
     )
 
@@ -373,9 +420,11 @@ class _EdgeScaling:
     each off-diagonal pair k_ij = k_ji scaled by one factor per edge, each
     diagonal entry minus the row sum of the scaled entries, reduced to the
     free nodes as the held system is. Its maps (scaled pairs, diagonal, and
-    the raw data position of each A_red entry) and data arrays are made once
-    per entry; a call refills the data and builds no sparse matrix, so the
-    system it returns, and its CG start, are overwritten by the next call."""
+    the raw data position of each A_red and coupling entry) and data arrays
+    are made once per entry; a call refills the data and builds no sparse
+    matrix, so the system it returns, and its CG start, are overwritten by
+    the next call. b_red comes from the refilled coupling block, by the rule
+    of assemble (_reduced_rhs)."""
 
     def __init__(self, held: _Held):
         raw, red = held.raw_matrix, held.A_red
@@ -391,13 +440,19 @@ class _EdgeScaling:
         self._upper = upper
         self._lower = np.searchsorted(keys, j * n + i)
         self._diag = np.flatnonzero(rows == raw.indices)  # one per node, in order
-        free = held.free.astype(np.int64)
+        self._is_free = _free_mask(n, held.dirichlet)
+        free = np.flatnonzero(self._is_free)
         red_rows = np.repeat(free, np.diff(red.indptr))
         self._to_red = np.searchsorted(keys, red_rows * n + free[red.indices])
+        c = held.coupling
+        c_cols = np.repeat(held.dirichlet.astype(np.int64), np.diff(c.indptr))
+        self._to_coupling = np.searchsorted(keys, free[c.indices] * n + c_cols)
+        self._dirichlet = held.dirichlet
         self.diagonal = red.diagonal()  # of A_red: d_F in _pcg while its factor is held
         self._base = raw.data
         self._raw = sp.csr_matrix((np.empty_like(raw.data), raw.indices, raw.indptr), shape=raw.shape)
         self.A_red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
+        self._coupling = sp.csc_matrix((np.empty_like(c.data), c.indices, c.indptr), shape=c.shape)
 
     def system(self, base: SparseSystem, scale: np.ndarray, start=None) -> SparseSystem:
         """base, the held system, with the stiffness scaled by scale (one
@@ -413,12 +468,9 @@ class _EdgeScaling:
         i, j = self.edges
         data[self._diag] = -(np.bincount(i, off, self.n) + np.bincount(j, off, self.n))
         np.take(data, self._to_red, out=self.A_red.data)
-        return dataclasses.replace(
-            base,
-            raw_matrix=self._raw,
-            A_red=self.A_red,
-            b_red=(base.raw_rhs - self._raw @ base.lift)[base.free],
-        )
+        np.take(data, self._to_coupling, out=self._coupling.data)
+        b_red = _reduced_rhs(base.raw_rhs, base.lift, self._is_free, self._dirichlet, self._coupling)
+        return dataclasses.replace(base, raw_matrix=self._raw, A_red=self.A_red, b_red=b_red)
 
 
 def _edge_scaling(system: SparseSystem) -> _EdgeScaling:
@@ -559,7 +611,9 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     Pure-velocity problems are checked against the zero-net-flux
     compatibility condition first (IncompatibleNeumann if violated) and are
     then grounded by pinning node 0; the member of the constant-shifted
-    family returned is the one whose largest value is 0.
+    family returned is the one whose largest value is 0. result.reduced is
+    the solution at system.free as solved, before that shift: the CG start
+    of barus_direct's next sweep.
     """
     if not system.dirichlet_map:
         compatible, net = _compatibility(system.raw_rhs)
@@ -577,7 +631,7 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     values[system.free] = x_red
     if not system.dirichlet_map:
         values -= values.max()
-    return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega)
+    return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega, x_red)
 
 
 def recover_velocity(P: ScalarField, system: SparseSystem) -> VectorField:
@@ -654,10 +708,21 @@ def mobility_tensors(
 
     With a zero potential the reference viscosity is mu0 everywhere, so the
     result is K / mu0, bit for bit what the centroid evaluation gives
-    (mu0 * exp(-0.0) == mu0), without building the centroids.
+    (mu0 * exp(-0.0) == mu0), without building the centroids. That array is
+    read-only, and the last one made is kept, keyed on K.tensors (read-only
+    too, see PermeabilityField) by weak reference and on mu0: a repeat call
+    returns the same object, which assemble recognises without comparing
+    its bits. With a nonzero potential each call returns a new array that
+    belongs to the caller.
     """
+    global _mobility
     if xi.is_zero:
-        return K.tensors / fluid.mu0
+        memo = _mobility
+        if memo is None or memo[0]() is not K.tensors or memo[1] != fluid.mu0:
+            mobility = K.tensors / fluid.mu0
+            mobility.setflags(write=False)
+            _mobility = memo = (weakref.ref(K.tensors, _forget_mobility), fluid.mu0, mobility)
+        return memo[2]
     cents = mesh.centroids()
     mu0t = transform.reference_viscosity_field(xi.at_points(cents), fluid)
     return K.tensors / np.asarray(mu0t)[:, None, None]

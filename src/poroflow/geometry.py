@@ -320,14 +320,20 @@ def _eig_bounds_2x2(tensors: np.ndarray):
 class PermeabilityField:
     """Symmetric positive-definite 2x2 permeability tensor per triangle,
     with global eigenvalue bounds 0 < k1 <= eig <= k2 checked at
-    construction."""
+    construction.
+
+    tensors is the field's own read-only copy of the array it was built
+    from: the caller's array stays writable, and a change to it does not
+    reach the field. So the field's tensors never change, and
+    darcy_linear.mobility_tensors keys its K/mu0 on that array."""
 
     tensors: np.ndarray
     k1: float
     k2: float
 
     def __post_init__(self):
-        t = np.asarray(self.tensors, dtype=float)
+        t = np.array(self.tensors, dtype=float, order="C")
+        t.setflags(write=False)
         object.__setattr__(self, "tensors", t)
         if t.ndim != 3 or t.shape[1:] != (2, 2):
             raise ValueError(f"expected (n, 2, 2) tensors, got shape {t.shape}")
@@ -345,7 +351,7 @@ class PermeabilityField:
 
     @staticmethod
     def isotropic(mesh: Mesh, k: float) -> "PermeabilityField":
-        t = np.broadcast_to(k * np.eye(2), (mesh.n_triangles, 2, 2)).copy()
+        t = np.broadcast_to(k * np.eye(2), (mesh.n_triangles, 2, 2))
         return PermeabilityField(t, k1=float(k), k2=float(k))
 
     @staticmethod
@@ -360,7 +366,7 @@ class PermeabilityField:
     def uniform_tensor(mesh: Mesh, kxx, kxy, kyy) -> "PermeabilityField":
         one = np.array([[kxx, kxy], [kxy, kyy]], dtype=float)
         lo, hi = _eig_bounds_2x2(one[None])
-        t = np.broadcast_to(one, (mesh.n_triangles, 2, 2)).copy()
+        t = np.broadcast_to(one, (mesh.n_triangles, 2, 2))
         return PermeabilityField(t, k1=float(lo[0]), k2=float(hi[0]))
 
 

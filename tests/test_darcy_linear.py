@@ -31,6 +31,7 @@ from poroflow import oned_analytic as o1
 from poroflow import transform as tr
 
 import _oracles
+from test_verification import corner_layouts
 
 UNIT_FLUID = FluidModel(mu0=1.0, beta=0.0, p0=1.0)
 ZERO_XI = BodyForcePotential.zero()
@@ -592,6 +593,42 @@ class TestSystemReuse:
         dl.assemble(mesh, mob, self.data())
         assert len(kernel_calls) == 1
 
+    @staticmethod
+    def assert_reduced_raw_load(system):
+        """b_red is (raw_rhs - raw_matrix @ lift)[free], bit for bit."""
+        ref = (system.raw_rhs - system.raw_matrix @ system.lift)[system.free]
+        assert system.b_red.dtype == ref.dtype and system.b_red.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    def test_b_red_is_the_reduced_raw_load(self, pattern):
+        # pressure segments that meet at a corner, on a miss and on a hit
+        mesh = make_rectangle_mesh(1.0, 1.0, 8, 8, pattern)
+        mob = self.mobility(mesh)
+        for bcs in corner_layouts():
+            self.assert_reduced_raw_load(dl.assemble(mesh, mob, bcs))
+        # pure-velocity data, grounded at node 0
+        pure = BoundarySpec(
+            pressure={}, velocity={"left": 0.4, "right": -0.4, "top": 0.0, "bottom": 0.0}
+        )
+        self.assert_reduced_raw_load(dl.assemble(mesh, mob, pure))
+
+    @pytest.mark.parametrize("data", ["pressure", "pure_velocity"])
+    def test_sweep_b_red_is_the_reduced_raw_load(self, data, unit_fluid):
+        mesh = make_rectangle_mesh(10.0, 3.0, 8, 3, "crossed")
+        K = PermeabilityField.uniform_tensor(mesh, 1.0, 0.3, 0.5)
+        xi = BodyForcePotential(lambda x, y: 0.3 * y)
+        if data == "pressure":
+            bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.05, "top": 0.0, "bottom": 0.0})
+        else:
+            bcs = BoundarySpec(
+                pressure={}, velocity={"left": 0.05, "right": -0.05, "top": 0.0, "bottom": 0.0}
+            )
+        _, _, base = bd._base_system(mesh, unit_fluid, xi, K, bcs)
+        ptilde = 1.0 + 0.05 * mesh.nodes[:, 0] + 0.3 * mesh.nodes[:, 1]
+        sweep = bd._secant_system(base, ptilde, unit_fluid, None)
+        assert sweep is not base
+        self.assert_reduced_raw_load(sweep)
+
     def test_reservoir_op_runs_kernel_and_factorization_once(
         self, table1_fluid, kernel_calls, splu_calls
     ):
@@ -610,6 +647,92 @@ class TestSystemReuse:
         dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs(300.0 * fluid.p0))
         assert len(kernel_calls) == 1
         assert len(splu_calls) == 1
+
+
+class TestSharedMobility:
+    """mobility_tensors keeps one read-only K/mu0 at xi = 0, and assemble
+    recognises that array without comparing its bits."""
+
+    @staticmethod
+    def mobility_bits_compared(monkeypatch):
+        """Shapes of the mobility arrays _same_bits compares."""
+        calls = []
+        same_bits = dl._same_bits
+
+        def spy(a, b):
+            if a.ndim == 3:
+                calls.append(a.shape)
+            return same_bits(a, b)
+
+        monkeypatch.setattr(dl, "_same_bits", spy)
+        return calls
+
+    def test_zero_potential_mobility_is_one_read_only_array(self):
+        mesh = make_rectangle_mesh(2.0, 1.0, 6, 3)
+        K = PermeabilityField.uniform_tensor(mesh, 2.0, 0.3, 1.0)
+        fluid = FluidModel(mu0=0.7, beta=1.0, p0=1.0)
+        first = dl.mobility_tensors(mesh, fluid, ZERO_XI, K)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+        assert dl.mobility_tensors(mesh, fluid, ZERO_XI, K) is first
+        assert first.tobytes() == (K.tensors / fluid.mu0).tobytes()
+        # another K of the same values, then another mu0: new arrays
+        other_K = PermeabilityField.uniform_tensor(mesh, 2.0, 0.3, 1.0)
+        again = dl.mobility_tensors(mesh, fluid, ZERO_XI, other_K)
+        assert again is not first and again.tobytes() == first.tobytes()
+        other_mu0 = FluidModel(mu0=0.9, beta=1.0, p0=1.0)
+        scaled = dl.mobility_tensors(mesh, other_mu0, ZERO_XI, other_K)
+        assert scaled is not again and not scaled.flags.writeable
+        assert scaled.tobytes() == (K.tensors / 0.9).tobytes()
+        # a nonzero potential: a new array of the caller's each time
+        xi = BodyForcePotential(lambda x, y: 0.1 * y)
+        a, b = (dl.mobility_tensors(mesh, fluid, xi, K) for _ in range(2))
+        assert a is not b and a.flags.writeable
+
+    def test_mobility_freed_with_permeability(self):
+        mesh = make_rectangle_mesh(2.0, 1.0, 6, 3)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        dl.mobility_tensors(mesh, FluidModel(1.0, 1.0, 1.0), ZERO_XI, K)
+        assert dl._mobility is not None
+        del K
+        gc.collect()
+        assert dl._mobility is None
+
+    def test_permeability_keeps_its_own_read_only_copy(self):
+        mesh = make_rectangle_mesh(2.0, 1.0, 6, 3)
+        tensors = identity_mobility(mesh) * 2.0
+        K = PermeabilityField(tensors, k1=2.0, k2=2.0)
+        assert tensors.flags.writeable
+        assert not np.shares_memory(K.tensors, tensors)
+        assert not K.tensors.flags.writeable
+        tensors *= 3.0
+        assert np.all(K.tensors == identity_mobility(mesh) * 2.0)
+
+    def test_identity_hit_compares_no_mobility_bits(self, monkeypatch, kernel_calls):
+        compared = self.mobility_bits_compared(monkeypatch)
+        mesh = TestSystemReuse.mesh()
+        K = PermeabilityField.uniform_tensor(mesh, 1.5, 0.2, 0.8)
+        fluid = FluidModel(mu0=0.7, beta=1.0, p0=1.0)
+        data = TestSystemReuse.data
+        dl.assemble(mesh, dl.mobility_tensors(mesh, fluid, ZERO_XI, K), data())
+        assert dl._entry.mobility is dl.mobility_tensors(mesh, fluid, ZERO_XI, K)
+        hit = dl.assemble(mesh, dl.mobility_tensors(mesh, fluid, ZERO_XI, K), data(2.5, -1.0, 0.7))
+        assert len(kernel_calls) == 1 and compared == []
+        cold = dl.assemble(
+            TestSystemReuse.mesh(), K.tensors / fluid.mu0, data(2.5, -1.0, 0.7)
+        )
+        TestSystemReuse.assert_same_system(hit, cold)
+
+    def test_writable_mobility_copied_and_compared(self, monkeypatch, kernel_calls):
+        compared = self.mobility_bits_compared(monkeypatch)
+        mesh = TestSystemReuse.mesh()
+        mob = TestSystemReuse.mobility(mesh)
+        dl.assemble(mesh, mob, TestSystemReuse.data())
+        assert dl._entry.mobility is not mob
+        assert not np.shares_memory(dl._entry.mobility, mob)
+        dl.assemble(mesh, mob, TestSystemReuse.data(2.5, -1.0, 0.7))
+        assert len(kernel_calls) == 1 and len(compared) == 1
 
 
 class TestRecoverVelocity:
