@@ -84,9 +84,10 @@ def _secant_weights(ptilde, edges, fluid):
 def _base_system(mesh, fluid, xi, K, bcs):
     """(xi_nodes, p_ref, base): xi at the nodes, p_ref of darcy_linear._gauge
     and the K/mu0~ system with pressure data p + xi."""
-    xi_nodes, _, _, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
+    xi_nodes, dnodes, dvals, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
     mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
-    base = darcy_linear.assemble(mesh, mobility, bcs.map_pressure(lambda p, x, y: p + xi(x, y)))
+    modified = bcs.map_pressure(lambda p, x, y: p + xi(x, y))
+    base = darcy_linear._assemble(mesh, mobility, modified, dnodes, dvals + xi_nodes[dnodes])
     return xi_nodes, p_ref, base
 
 

@@ -34,14 +34,20 @@ anyway. An assembly on the same mesh, with the held mobility array itself
 or else one of the same bits, and with the same Dirichlet node set builds
 only the load, the Dirichlet values and the reduced right-hand side, the
 last from the coupling block: apart from the n-long arrays it returns
-(load, lift, free nodes), its cost grows with the boundary, not with the
-mesh. Every assembly returns the held matrices and flux operator
-themselves, read-only: their data, indices and indptr arrays cannot be
-written, so no caller can change what a later call finds. A system keeps
-them alive after the entry is replaced or freed, so its velocity never
-depends on what is held. A solve of the held reduced matrix reuses its
-factor; any other matrix drops the entry and is factored without being
-held. So a sweep over pressure data on one mesh assembles and factors once.
+(load, lift, free nodes and their mask), its cost grows with the boundary,
+not with the mesh. The load and the Dirichlet values read the boundary
+geometry the mesh keeps (see geometry), and the load skips a velocity
+segment whose datum is the constant 0. The solution paths read the
+pressure data once, for their gauge (_gauge), and hand the mapped values to
+the assembly (_assemble), so a warm transformed solve evaluates each datum
+once and computes no boundary geometry. Every assembly returns the held
+matrices and flux operator themselves, read-only: their data, indices and
+indptr arrays cannot be written, so no caller can change what a later call
+finds. A system keeps them alive after the entry is replaced or freed, so
+its velocity never depends on what is held. A solve of the held reduced
+matrix reuses its factor; any other matrix drops the entry and is factored
+without being held. So a sweep over pressure data on one mesh assembles and
+factors once.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
 and other values. Each comes with its start, the previous sweep's reduced
@@ -92,6 +98,7 @@ from .geometry import (
     ScalarField,
     VectorField,
     _edge_quadrature,
+    _finite,
     _pressure_data,
     _tensor_scale,
     edge_keys,
@@ -127,6 +134,7 @@ class SparseSystem:
     dirichlet_map: dict
     bcs: BoundarySpec
     free: np.ndarray  # int32 indices of the unknown nodes
+    is_free: np.ndarray  # bool mask of the same nodes
     lift: np.ndarray  # nodal values: Dirichlet data, zero at free nodes
     A_red: sp.csr_matrix  # symmetric, int32 indices
     b_red: np.ndarray
@@ -193,9 +201,14 @@ def _check_spd(mobility: np.ndarray):
 
 
 def _neumann_load(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
-    """rhs_i = -integral over velocity segments of phi_i * v_n (2-pt Gauss)."""
+    """rhs_i = -integral over velocity segments of phi_i * v_n (2-pt Gauss).
+    A segment whose datum is the constant 0 is skipped: its terms are signed
+    zeros, and adding one leaves every entry as it is (the entries start at
+    +0.0 and so never become -0.0)."""
     rhs = np.zeros(mesh.n_nodes)
     for label, data in bcs.velocity.items():
+        if not callable(data) and float(data) == 0.0:
+            continue
         for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
             np.add.at(rhs, edges[:, 0], -wl * vn * (1.0 - t))
             np.add.at(rhs, edges[:, 1], -wl * vn * t)
@@ -381,6 +394,17 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
     and a changed copy is another matrix to solve. The other arrays of the
     system belong to the caller. A mesh is taken as fixed once built.
     """
+    return _assemble(mesh, mobility, bcs, *_pressure_data(mesh, bcs))
+
+
+def _assemble(
+    mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec, nodes: np.ndarray, values: np.ndarray
+) -> SparseSystem:
+    """assemble with the pressure data already read: values at nodes, as
+    geometry._pressure_data gives them for bcs, or their image under a
+    pointwise map (the solution paths read the data once, for their gauge,
+    and map the values). values must be finite."""
+    _finite(values, ", ".join(bcs.pressure))
     mobility = np.asarray(mobility, dtype=float)
     if mobility.shape != (mesh.n_triangles, 2, 2):
         raise ValueError("one 2x2 mobility tensor per triangle required")
@@ -391,7 +415,6 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
     bcs.validate_partition(mesh)
 
     raw_rhs = _neumann_load(mesh, bcs)
-    nodes, values = _pressure_data(mesh, bcs)
     lift = np.zeros(mesh.n_nodes)
     lift[nodes] = values
     # pure-velocity data: node 0 pinned at 0
@@ -408,6 +431,7 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
         dirichlet_map=dict(zip(nodes.tolist(), values.tolist())),
         bcs=bcs,
         free=free,
+        is_free=is_free,
         lift=lift,
         A_red=held.A_red,
         b_red=_reduced_rhs(raw_rhs, lift, is_free, dirichlet, held.coupling),
@@ -628,7 +652,7 @@ def solve(system: SparseSystem) -> LinearSolveResult:
         raise NoConvergence(f"linear solve backward error {omega:.3e} exceeds {_OMEGA_MAX:.3e}")
 
     values = system.lift.copy()
-    values[system.free] = x_red
+    values[system.is_free] = x_red
     if not system.dirichlet_map:
         values -= values.max()
     return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega, x_red)
@@ -655,6 +679,19 @@ def nodal_reactions(system: SparseSystem, P: ScalarField) -> np.ndarray:
     return system.raw_rhs - system.raw_matrix @ P.values
 
 
+def _rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """matrix[rows] for a CSR matrix: the same entries in the same order,
+    gathered through slices of its indptr, at about half the cost of
+    scipy's row indexing."""
+    start = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - start
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)
+    shape = (rows.size, matrix.shape[1])
+    return sp.csr_matrix((matrix.data[take], matrix.indices[take], indptr), shape=shape)
+
+
 def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
     """Outward volumetric flux through one boundary segment (positive =
     outflow).
@@ -672,7 +709,7 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
         nodes = system.mesh.nodes_with_label(label)
         for other in pressure[pressure.index(label) + 1:]:
             nodes = nodes[~np.isin(nodes, system.mesh.nodes_with_label(other))]
-        return float((system.raw_rhs[nodes] - system.raw_matrix[nodes] @ P.values).sum())
+        return float((system.raw_rhs[nodes] - _rows(system.raw_matrix, nodes) @ P.values).sum())
     if label in system.bcs.velocity:
         total = 0.0
         for _, _, wl, vn in _edge_quadrature(system.mesh, label, system.bcs.velocity[label]):
@@ -782,7 +819,8 @@ def solve_transformed_bvp(
     kbcs = bcs.map_pressure(
         lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
     )
-    system = assemble(mesh, mobility_tensors(mesh, fluid, xi, K), kbcs)
+    kvals = transform.kirchhoff_forward(dvals + xi_nodes[dnodes], fluid, p_ref)
+    system = _assemble(mesh, mobility_tensors(mesh, fluid, xi, K), kbcs, dnodes, kvals)
     result = solve(system)
     U = result.field.values
     ceiling = transform.kirchhoff_ceiling(fluid, p_ref)

@@ -3,6 +3,14 @@ containers, and the one rule by which boundary data are read: velocity data
 at the Gauss points of each edge, pressure data at the nodes through
 _pressure_data, each node once.
 
+The geometry of those reads is computed once per mesh, on first use, and
+kept with it (Mesh._segments, one _Segment per label): each label's edges,
+its nodes with their coordinates, and per Gauss point the weight times the
+edge length and the point coordinates. Its arrays are read-only and take
+O(boundary) memory (125 kB on a 400x120 rectangle, whose nodes alone take
+776 kB), so a read of boundary data evaluates the data and does nothing
+else.
+
 Meshes are immutable after construction. Boundary edges are oriented
 counter-clockwise around the domain so the outward normal of edge (a, b)
 is (t_y, -t_x) for the unit tangent t.
@@ -50,25 +58,35 @@ class Mesh:
         return self.triangles.shape[0]
 
     @cached_property
-    def _label_rows(self) -> dict:
-        """{label: its boundary-edge rows}, in first-seen label order."""
+    def _segments(self) -> dict:
+        """{label: its _Segment}, in first-seen label order: the geometry
+        of every labelled segment, computed on first use and kept with the
+        mesh (O(boundary) memory)."""
         rows = {}
         for i, lab in enumerate(self.edge_labels):
             rows.setdefault(lab, []).append(i)
-        return {lab: np.array(r) for lab, r in rows.items()}
+        return {lab: _Segment.of(self, np.array(r)) for lab, r in rows.items()}
+
+    def _segment(self, label: str) -> "_Segment":
+        """The _Segment of label; UnknownLabel if no edge carries it."""
+        segment = self._segments.get(label)
+        if segment is None:
+            raise UnknownLabel(f"no boundary segment labeled {label!r}")
+        return segment
 
     @property
     def labels(self) -> tuple:
-        return tuple(self._label_rows)
+        return tuple(self._segments)
 
     def edges_with_label(self, label: str) -> np.ndarray:
-        rows = self._label_rows.get(label)
-        if rows is None:
-            raise UnknownLabel(f"no boundary segment labeled {label!r}")
-        return self.boundary_edges[rows]
+        """(m, 2) boundary edges labelled label, in boundary order; the
+        mesh's own read-only array."""
+        return self._segment(label).edges
 
     def nodes_with_label(self, label: str) -> np.ndarray:
-        return np.unique(self.edges_with_label(label))
+        """Nodes of the edges labelled label, ascending, each once; the
+        mesh's own read-only array."""
+        return self._segment(label).nodes
 
     def _corner_coordinates(self):
         """(x, y), each (3, n_tri): row i holds corner i of every triangle.
@@ -433,6 +451,51 @@ _GAUSS2_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS2_W = np.array([0.5, 0.5])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _coordinates(points: np.ndarray) -> tuple:
+    """(x, y) of the (m, 2) points, each contiguous and read-only."""
+    return tuple(_read_only(points[:, k].copy()) for k in range(2))
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """The geometry of the edges of one label that boundary data are read
+    at, computed once per mesh: the edges, their nodes (ascending, each
+    once) with coordinates, and per Gauss point t of _GAUSS2_T the weight
+    times the edge length and the point coordinates. Every array is
+    read-only: callers and boundary-data callables share them."""
+
+    edges: np.ndarray
+    nodes: np.ndarray
+    node_xy: tuple  # (x, y) of nodes
+    gauss: tuple  # ((t, w * length, x, y) per Gauss point)
+    samples: tuple  # (x, y): the edge starts, the edge ends, then the Gauss points
+
+    @staticmethod
+    def of(mesh: Mesh, rows: np.ndarray) -> "_Segment":
+        edges = mesh.boundary_edges[rows]
+        nodes = np.unique(edges)
+        a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+        length = np.hypot(*(b - a).T)
+        x, y = _coordinates(np.concatenate([a, b] + [a + t * (b - a) for t in _GAUSS2_T]))
+        m = len(edges)
+        return _Segment(
+            edges=_read_only(edges),
+            nodes=_read_only(nodes),
+            node_xy=_coordinates(mesh.nodes[nodes]),
+            # the Gauss points are the samples after the edge ends (views)
+            gauss=tuple(
+                (t, _read_only(w * length), x[k * m:(k + 1) * m], y[k * m:(k + 1) * m])
+                for k, t, w in zip((2, 3), _GAUSS2_T, _GAUSS2_W)
+            ),
+            samples=(x, y),
+        )
+
+
 def _finite(values: np.ndarray, label: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NonFiniteData(f"boundary data on {label!r} evaluated to a non-finite value")
@@ -443,21 +506,15 @@ def _edge_quadrature(mesh: Mesh, label: str, data: BCData):
     """For each Gauss point t of the edges labeled ``label``, yield
     (edges, t, w * length, data at the point): the integral of f * data
     over the segment is the sum over points of (w * length * data * f)."""
-    edges = mesh.edges_with_label(label)
-    a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-    length = np.hypot(*(b - a).T)
-    for t, w in zip(_GAUSS2_T, _GAUSS2_W):
-        q = a + t * (b - a)
-        yield edges, t, w * length, _finite(eval_bc(data, q[:, 0], q[:, 1]), label)
+    segment = mesh._segment(label)
+    for t, wl, x, y in segment.gauss:
+        yield segment.edges, t, wl, _finite(eval_bc(data, x, y), label)
 
 
 def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
     """Data at both ends and at the Gauss points of each edge labeled
     ``label``, as one flat array in a fixed point order."""
-    edges = mesh.edges_with_label(label)
-    a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-    q = np.concatenate([a, b] + [a + t * (b - a) for t in _GAUSS2_T])
-    return _finite(eval_bc(data, q[:, 0], q[:, 1]), label)
+    return _finite(eval_bc(data, *mesh._segment(label).samples), label)
 
 
 def _pressure_data(mesh: Mesh, bcs: BoundarySpec):
@@ -466,8 +523,8 @@ def _pressure_data(mesh: Mesh, bcs: BoundarySpec):
     the assembly eliminates and the theorem checks read."""
     out = {}
     for label, data in bcs.pressure.items():
-        nodes = mesh.nodes_with_label(label)
-        vals = _finite(eval_bc(data, mesh.nodes[nodes, 0], mesh.nodes[nodes, 1]), label)
-        out.update(zip(nodes.tolist(), vals.tolist()))
+        segment = mesh._segment(label)
+        vals = _finite(eval_bc(data, *segment.node_xy), label)
+        out.update(zip(segment.nodes.tolist(), vals.tolist()))
     nodes = np.fromiter(out, dtype=np.int64, count=len(out))
     return nodes, np.fromiter(out.values(), dtype=float, count=len(out))

@@ -118,6 +118,23 @@ def neumann_load_per_label(mesh, bcs):
     return rhs
 
 
+def label_geometry_uncached(mesh, label):
+    """The boundary geometry of one label as every read of boundary data
+    computed it before the mesh kept it: (edges, nodes, (x, y) of the nodes,
+    [(t, w * length, x, y) per Gauss point], (x, y) of the samples: edge
+    starts, edge ends, then the Gauss points)."""
+    edges = edges_with_label_scan(mesh, label)
+    nodes = np.unique(edges)
+    a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    length = np.hypot(*(b - a).T)
+    gauss = []
+    for t, w in zip(_GAUSS2_T, _GAUSS2_W):
+        q = a + t * (b - a)
+        gauss.append((t, w * length, q[:, 0], q[:, 1]))
+    q = np.concatenate([a, b] + [a + t * (b - a) for t in _GAUSS2_T])
+    return edges, nodes, (mesh.nodes[nodes, 0], mesh.nodes[nodes, 1]), gauss, (q[:, 0], q[:, 1])
+
+
 def edges_with_label_scan(mesh, label):
     """Boundary edges of one label by a scan of every edge label (the
     library looks the rows up in a per-mesh index)."""
@@ -309,10 +326,10 @@ def edge_integral(p_a, p_b, length, f, n_panels=2000):
 
 
 # 2D exact solutions of the nonlinear problem, for the unit fluid (mu0 = beta
-# = p0 = 1), K = I and xi = c y. The reference viscosity is then mu0~ =
-# e^{-c y}, and any Phi > 0 with div(e^{c y} grad Phi) = 0 gives the modified
-# pressure p + xi = 1 - ln Phi and the velocity e^{c y} grad Phi: the
-# transformed equations are Darcy's, with P_K an affine function of Phi.
+# = p0 = 1), a constant K and xi = c y. The reference viscosity is then mu0~ =
+# e^{-c y}, and any Phi > 0 with div(e^{c y} K grad Phi) = 0 gives the
+# modified pressure p + xi = 1 - ln Phi and the velocity e^{c y} K grad Phi:
+# the transformed equations are Darcy's, with P_K an affine function of Phi.
 
 
 def body_force_phi(shift):
@@ -326,15 +343,42 @@ def body_force_phi(shift):
     )
 
 
+def exponential_phi():
+    """(Phi, grad Phi) for xi = 0 and K = I: Phi = 3 + e^{x/2} cos(y/2), which
+    is harmonic, at least 3.8 on [0, 2] x [0, 1] and not a polynomial, so
+    that no P1 pattern is exact on it."""
+    return (
+        lambda x, y: 3.0 + np.exp(0.5 * x) * np.cos(0.5 * y),
+        lambda x, y: (
+            0.5 * np.exp(0.5 * x) * np.cos(0.5 * y),
+            -0.5 * np.exp(0.5 * x) * np.sin(0.5 * y),
+        ),
+    )
+
+
+def anisotropic_quadratic_phi(tensor, a, b, c, shift):
+    """(Phi, grad Phi) for xi = 0 and the constant K = ((kxx, kxy), (kxy,
+    kyy)) = tensor: Phi = shift + a x^2 + 2 b x y + c y^2, with
+    div(K grad Phi) = 2 (kxx a + 2 kxy b + kyy c) = 0."""
+    kxx, kxy, kyy = tensor
+    assert kxx * a + 2.0 * kxy * b + kyy * c == 0.0
+    return (
+        lambda x, y: shift + a * x * x + 2.0 * b * x * y + c * y * y,
+        lambda x, y: (2.0 * (a * x + b * y), 2.0 * (b * x + c * y)),
+    )
+
+
 def saddle_phi():
     """(Phi, grad Phi) for xi = 0: Phi = 5 - x^2 + y^2 >= 1 on [0, 2] x [0, 1],
     so P_K is x^2 - y^2 up to a constant."""
     return lambda x, y: 5.0 - x * x + y * y, lambda x, y: (-2.0 * x, 2.0 * y)
 
 
-def harmonic_barus_solution(phi, grad_phi, xi_slope):
-    """(pressure, velocity) of the exact solution of Phi under xi = xi_slope y:
-    p(x, y) and v(x, y) -> (vx, vy)."""
+def harmonic_barus_solution(phi, grad_phi, xi_slope, tensor=(1.0, 0.0, 1.0)):
+    """(pressure, velocity) of the exact solution of Phi under xi = xi_slope y
+    and the constant K = ((kxx, kxy), (kxy, kyy)) = tensor: p(x, y) and
+    v(x, y) -> (vx, vy)."""
+    kxx, kxy, kyy = tensor
 
     def pressure(x, y):
         return 1.0 - np.log(phi(x, y)) - xi_slope * y
@@ -342,7 +386,7 @@ def harmonic_barus_solution(phi, grad_phi, xi_slope):
     def velocity(x, y):
         gx, gy = grad_phi(x, y)
         w = np.exp(xi_slope * y)
-        return w * gx, w * gy
+        return w * (kxx * gx + kxy * gy), w * (kxy * gx + kyy * gy)
 
     return pressure, velocity
 

@@ -133,6 +133,72 @@ class TestKernels:
             assert got == _oracles.boundary_flux_direct_sorted(v, mesh, label)
 
 
+class TestLabelGeometry:
+    """The boundary geometry each mesh keeps per label is the geometry every
+    read computed before, bit for bit, and it is read-only."""
+
+    @staticmethod
+    def assert_uncached(mesh):
+        for label in mesh.labels:
+            segment = mesh._segment(label)
+            edges, nodes, node_xy, gauss, samples = _oracles.label_geometry_uncached(mesh, label)
+            assert_bitwise(segment.edges, edges)
+            assert_bitwise(segment.nodes, nodes)
+            assert_bitwise(mesh.edges_with_label(label), edges)
+            assert_bitwise(mesh.nodes_with_label(label), nodes)
+            for got, want in zip(segment.node_xy + segment.samples, node_xy + samples):
+                assert_bitwise(got, want)
+            assert len(segment.gauss) == len(gauss) == 2
+            for got, want in zip(segment.gauss, gauss):
+                for a, b in zip(got, want):
+                    assert_bitwise(a, b)
+
+    def test_cached_equals_uncached(self, mesh):
+        self.assert_uncached(mesh)
+
+    def test_cached_arrays_read_only(self, mesh):
+        for label in mesh.labels:
+            segment = mesh._segment(label)
+            assert mesh.nodes_with_label(label) is segment.nodes
+            assert mesh.edges_with_label(label) is segment.edges
+            arrays = [segment.edges, segment.nodes, *segment.node_xy, *segment.samples]
+            arrays += [a for _, *point in segment.gauss for a in point]
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+
+    def test_callable_cannot_change_the_geometry(self, mesh):
+        def writes(x, y):
+            x += 1.0
+            return x
+
+        label = mesh.labels[0]
+        bcs = BoundarySpec(pressure={label: writes}, velocity={})
+        with pytest.raises(ValueError):
+            geometry._pressure_data(mesh, bcs)
+        with pytest.raises(ValueError):
+            list(geometry._edge_quadrature(mesh, label, writes))
+        with pytest.raises(ValueError):
+            geometry._edge_samples(mesh, label, writes)
+        self.assert_uncached(mesh)
+
+
+def test_row_gather_matches_scipy_indexing(mesh):
+    # the rows boundary_flux sums: the same entries in the same order as
+    # scipy's row indexing, for any row set, the empty one too
+    system = dl.assemble(mesh, cell_mobility(mesh, True), all_pressure(mesh))
+    rng = np.random.default_rng(4)
+    raw = system.raw_matrix
+    for rows in (np.array([], dtype=np.int64), mesh.nodes_with_label(mesh.labels[-1]),
+                 np.sort(rng.choice(mesh.n_nodes, 17, replace=False))):
+        got, want = dl._rows(raw, rows), raw[rows]
+        assert got.shape == want.shape
+        assert_bitwise(got.indptr.astype(np.int64), want.indptr.astype(np.int64))
+        assert_bitwise(got.indices.astype(np.int64), want.indices.astype(np.int64))
+        assert_bitwise(got.data, want.data)
+
+
 def cell_mobility(mesh, anisotropic, seed=11):
     """Per-cell SPD tensors: random isotropic ones, or random full ones."""
     rng = np.random.default_rng(seed)
