@@ -44,10 +44,12 @@ once and computes no boundary geometry. Every assembly returns the held
 matrices and flux operator themselves, read-only: their data, indices and
 indptr arrays cannot be written, so no caller can change what a later call
 finds. A system keeps them alive after the entry is replaced or freed, so
-its velocity never depends on what is held. A solve of the held reduced
-matrix reuses its factor; any other matrix drops the entry and is factored
-without being held. So a sweep over pressure data on one mesh assembles and
-factors once.
+its velocity never depends on what is held. The transformed solve computes
+no velocity: its report keeps U and the flux operator, not the system, and
+computes v from them on first read (see SolveReport). A solve of the held
+reduced matrix reuses its factor; any other matrix drops the entry and is
+factored without being held. So a sweep over pressure data on one mesh
+assembles and factors once.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
 and other values. Each comes with its start, the previous sweep's reduced
@@ -75,6 +77,7 @@ is collected or a factorization fails.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -154,18 +157,29 @@ class SolveReport:
     """Outcome of the transformed solution path (beta > 0; at beta = 0 the
     problem is linear and barus_direct.picard_solve solves it).
 
-    p is the physical pressure. P is the Hopf-Cole field U - C, U the solved
-    Kirchhoff field and C its kirchhoff_ceiling, with hopf_cole_inverse of
-    the data at the Dirichlet nodes. v and reactions come from U, not P: on
-    the 400x120 reservoir at Table-1 parameters their net Dirichlet reaction
-    is 2.0e-11 of the well flux, against up to 2.6e-8 (p_inj = 1.6 p0) when
-    P is put through a system assembled in the Hopf-Cole gauge."""
+    p is the physical pressure. U is the solved Kirchhoff field and P the
+    Hopf-Cole field U - C, C the kirchhoff_ceiling, with hopf_cole_inverse
+    of the data at the Dirichlet nodes. v and reactions come from U, not P:
+    on the 400x120 reservoir at Table-1 parameters their net Dirichlet
+    reaction is 2.0e-11 of the well flux, against up to 2.6e-8 (p_inj = 1.6
+    p0) when P is put through a system assembled in the Hopf-Cole gauge.
+
+    v is computed from U on its first read, by the flux operator of the
+    system solved, which the report holds (read-only, shared with the held
+    entry while that lives, and kept alive by the report after the entry
+    moves on: 6.1 MB at 400x120); later reads return the same VectorField.
+    Its bits are those of recover_velocity(U, system)."""
 
     p: ScalarField
-    v: VectorField
+    U: ScalarField
     P: ScalarField
     residual: float  # normwise backward error of the linear solve
     reactions: np.ndarray
+    _flux_operator: tuple = dataclasses.field(repr=False, compare=False)  # (Vx, Vy)
+
+    @functools.cached_property
+    def v(self) -> VectorField:
+        return _velocity(self.U, self._flux_operator)
 
 
 def p1_gradients(mesh: Mesh):
@@ -200,6 +214,13 @@ def _check_spd(mobility: np.ndarray):
         )
 
 
+def _zero_datum(data) -> bool:
+    """Whether a velocity datum is the constant 0 (+0.0, -0.0 or int 0),
+    which adds nothing to a load or a flux and is not evaluated. A NaN or
+    infinite constant and every callable are evaluated, and so checked."""
+    return not callable(data) and float(data) == 0.0
+
+
 def _neumann_load(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
     """rhs_i = -integral over velocity segments of phi_i * v_n (2-pt Gauss).
     A segment whose datum is the constant 0 is skipped: its terms are signed
@@ -207,7 +228,7 @@ def _neumann_load(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
     +0.0 and so never become -0.0)."""
     rhs = np.zeros(mesh.n_nodes)
     for label, data in bcs.velocity.items():
-        if not callable(data) and float(data) == 0.0:
+        if _zero_datum(data):
             continue
         for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
             np.add.at(rhs, edges[:, 0], -wl * vn * (1.0 - t))
@@ -665,7 +686,12 @@ def recover_velocity(P: ScalarField, system: SparseSystem) -> VectorField:
     This sum rounds differently from M (sum_j grad(phi_j) P_j), the product
     of the 2x2 tensor with the gradient: the two differ by at most 2e-15 of
     max|v| on the 400x120 reservoir and 7.2e-15 on the crossed 40x12 one."""
-    vx, vy = system.flux_operator
+    return _velocity(P, system.flux_operator)
+
+
+def _velocity(P: ScalarField, flux_operator) -> VectorField:
+    """The velocity kernel: -(Vx @ P, Vy @ P) for flux_operator (Vx, Vy)."""
+    vx, vy = flux_operator
     v = np.empty((P.mesh.n_triangles, 2))
     np.negative(vx @ P.values, out=v[:, 0])
     np.negative(vy @ P.values, out=v[:, 1])
@@ -698,7 +724,8 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
 
     Pressure segments use the consistent reaction form; velocity segments
     integrate the prescribed normal velocity (what the discrete solution
-    carries there by construction). A node two pressure segments share
+    carries there by construction), and one whose datum is the constant 0
+    has flux 0.0 without evaluating it. A node two pressure segments share
     belongs to the later one, whose value geometry._pressure_data reads
     there, so the pressure segments' fluxes sum to the net reaction.
     """
@@ -711,8 +738,11 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
             nodes = nodes[~np.isin(nodes, system.mesh.nodes_with_label(other))]
         return float((system.raw_rhs[nodes] - _rows(system.raw_matrix, nodes) @ P.values).sum())
     if label in system.bcs.velocity:
+        data = system.bcs.velocity[label]
         total = 0.0
-        for _, _, wl, vn in _edge_quadrature(system.mesh, label, system.bcs.velocity[label]):
+        if _zero_datum(data):
+            return total
+        for _, _, wl, vn in _edge_quadrature(system.mesh, label, data):
             total += float((wl * vn).sum())
         return total
     raise UnknownLabel(f"label {label!r} not present in the boundary spec")
@@ -803,8 +833,10 @@ def solve_transformed_bvp(
     3.4e10 at Table-1 parameters and would swamp them. Nodes on pressure
     segments take their pressure straight from the data, which may lie
     further above p_ref than float64 can resolve in that variable. Velocity
-    and reactions come from the Kirchhoff field, report.P is the Hopf-Cole
-    field and report.p the physical pressure (see SolveReport). The
+    and reactions come from the Kirchhoff field report.U, report.P is the
+    Hopf-Cole field and report.p the physical pressure (see SolveReport).
+    The reactions are computed here; report.v is computed from U on its
+    first read, so a caller that never reads it does not pay for it. The
     ceiling-flux calibration of verification is this solve, read at its
     well reactions.
 
@@ -816,18 +848,19 @@ def solve_transformed_bvp(
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: use barus_direct.picard_solve (one linear solve)")
     xi_nodes, dnodes, dvals, p_ref = _gauge(mesh, fluid, xi, bcs)
+    ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
     kbcs = bcs.map_pressure(
-        lambda p, x, y: transform.kirchhoff_forward(p + xi(x, y), fluid, p_ref)
+        lambda p, x, y: transform._kirchhoff_forward(p + xi(x, y), fluid, p_ref, ceiling)
     )
-    kvals = transform.kirchhoff_forward(dvals + xi_nodes[dnodes], fluid, p_ref)
+    kvals = transform._kirchhoff_forward(dvals + xi_nodes[dnodes], fluid, p_ref, ceiling)
     system = _assemble(mesh, mobility_tensors(mesh, fluid, xi, K), kbcs, dnodes, kvals)
     result = solve(system)
     U = result.field.values
-    ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
 
     inner = np.ones(mesh.n_nodes, dtype=bool)
     inner[dnodes] = False
-    if np.any(U[inner] >= ceiling):
+    U_inner = U[inner]
+    if np.any(U_inner >= ceiling):
         nodes = np.flatnonzero(inner & (U >= ceiling))
         raise NonExistence(
             f"transformed solution has no real pressure at {nodes.size} node(s); "
@@ -837,12 +870,13 @@ def solve_transformed_bvp(
     P = U - ceiling
     P[dnodes] = transform.hopf_cole_inverse(dvals, xi_nodes[dnodes], fluid)
     p = np.empty(mesh.n_nodes)
-    p[inner] = transform.kirchhoff_inverse(U[inner], fluid, p_ref) - xi_nodes[inner]
+    p[inner] = transform._kirchhoff_inverse(U_inner, fluid, p_ref, ceiling) - xi_nodes[inner]
     p[dnodes] = dvals
     return SolveReport(
         p=ScalarField(mesh, p),
-        v=recover_velocity(result.field, system),
+        U=result.field,
         P=ScalarField(mesh, P),
         residual=result.residual,
         reactions=nodal_reactions(system, result.field),
+        _flux_operator=system.flux_operator,
     )

@@ -154,7 +154,11 @@ def kirchhoff_forward(ptilde, fluid: FluidModel, p_ref):
     -EXP_ARG_LIMIT from below, where expm1 is already -1: far above p_ref
     the value is C, not an overflow.
     """
-    ceiling = kirchhoff_ceiling(fluid, p_ref)
+    return _kirchhoff_forward(ptilde, fluid, p_ref, kirchhoff_ceiling(fluid, p_ref))
+
+
+def _kirchhoff_forward(ptilde, fluid: FluidModel, p_ref, ceiling):
+    """kirchhoff_forward with its kirchhoff_ceiling C(p_ref) given."""
     arg = -fluid.beta * (np.asarray(ptilde, dtype=float) - p_ref) / fluid.p0
     out = -ceiling * _checked_exp(np.maximum(arg, -EXP_ARG_LIMIT), np.expm1)
     return _scalar_like(ptilde, out)
@@ -167,7 +171,11 @@ def kirchhoff_inverse(P_K, fluid: FluidModel, p_ref):
     ptilde = p_ref - (p0/beta) * ln[1 - P_K/C], evaluated with log1p;
     requires P_K < C, the kirchhoff_ceiling.
     """
-    ceiling = kirchhoff_ceiling(fluid, p_ref)
+    return _kirchhoff_inverse(P_K, fluid, p_ref, kirchhoff_ceiling(fluid, p_ref))
+
+
+def _kirchhoff_inverse(P_K, fluid: FluidModel, p_ref, ceiling):
+    """kirchhoff_inverse with its kirchhoff_ceiling C(p_ref) given."""
     x = -np.asarray(P_K, dtype=float) / ceiling
     if np.any(x <= -1.0):
         bad = np.flatnonzero(np.atleast_1d(x <= -1.0))

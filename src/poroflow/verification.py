@@ -288,10 +288,11 @@ def calibrate_ceiling_flux(
 
     The mesh carries the labels make_reservoir_mesh writes: pressure
     p_inj_calibration on "inlet", p_prod on "well", no flow through "wall".
-    Q_well is the summed nodal reaction of the well. The solve has no body
-    force (the linear-decomposition argument needs constant transformed
-    boundary data), and the calibration pressure must differ from the
-    production pressure.
+    Q_well is the summed nodal reaction of the well. The calibration reads
+    no velocity, so none is computed (report.v is computed on first read).
+    The solve has no body force (the linear-decomposition argument needs
+    constant transformed boundary data), and the calibration pressure must
+    differ from the production pressure.
     """
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: the flux grows linearly, no ceiling exists")

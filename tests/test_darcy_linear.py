@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from poroflow import barus_direct as bd
 from poroflow import darcy_linear as dl
 from poroflow import oned_analytic as o1
 from poroflow import transform as tr
+from poroflow import verification as vf
 
 import _oracles
 from test_verification import corner_layouts
@@ -737,8 +739,8 @@ class TestSharedMobility:
 
 class TestBoundaryReads:
     """A solve reads each datum once; a velocity label whose datum is the
-    constant 0 adds nothing to the load and is not evaluated, while a
-    non-finite datum is still rejected."""
+    constant 0 adds nothing to the load, has flux +0.0 and is not evaluated,
+    while a non-finite datum is still rejected."""
 
     @staticmethod
     def counted(calls, f):
@@ -783,10 +785,17 @@ class TestBoundaryReads:
         assert read == ["left", "bottom"]
         want = _oracles.neumann_load_per_label(mesh, bcs)
         assert load.tobytes() == want.tobytes()
-        # a callable that returns zeros is still evaluated
+        system = dl.assemble(mesh, identity_mobility(mesh), bcs)
+        P = dl.solve(system).field
         del read[:]
-        dl._neumann_load(mesh, BoundarySpec(pressure={}, velocity={"top": lambda x, y: 0.0 * x}))
+        assert np.float64(dl.boundary_flux(P, system, "top")).tobytes() == np.float64(0.0).tobytes()
+        assert read == []
+        # a callable that returns zeros is still evaluated
+        callable_zero = BoundarySpec(pressure={}, velocity={"top": lambda x, y: 0.0 * x})
+        dl._neumann_load(mesh, callable_zero)
         assert read == ["top"]
+        assert dl.boundary_flux(P, dataclasses.replace(system, bcs=callable_zero), "top") == 0.0
+        assert read == ["top", "top"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_constant_velocity_still_rejected(self, bad):
@@ -796,6 +805,10 @@ class TestBoundaryReads:
             dl.assemble(mesh, identity_mobility(mesh), bcs)
         with pytest.raises(NonFiniteData, match=repr("top")):
             dl._neumann_load(mesh, bcs)
+        finite = BoundarySpec(pressure={"right": 1.0}, velocity={"left": 0.0, "top": 0.0, "bottom": 0.0})
+        system = dl.assemble(mesh, identity_mobility(mesh), finite)
+        with pytest.raises(NonFiniteData, match=repr("top")):
+            dl.boundary_flux(dl.solve(system).field, dataclasses.replace(system, bcs=bcs), "top")
 
     def test_free_mask_is_the_free_nodes(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 8, 8)
@@ -860,6 +873,75 @@ class TestRecoverVelocity:
         dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs(300.0 * table1_fluid.p0))
         bd.picard_solve(mesh, table1_fluid, ZERO_XI, K, bcs(3.0 * table1_fluid.p0))
         assert len(kernel_calls) == 1
+
+
+class TestVelocityOnDemand:
+    """A transformed solve computes no velocity: its report computes v from
+    U on the first read, by the flux operator of the system solved, and
+    keeps that operator alone, not the system."""
+
+    @staticmethod
+    def reservoir():
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        return mesh, PermeabilityField.isotropic(mesh, 1e-12)
+
+    @staticmethod
+    def bcs(fluid, p_inj):
+        return BoundarySpec(pressure={"inlet": p_inj, "well": fluid.p0}, velocity={"wall": 0.0})
+
+    @pytest.fixture
+    def velocity_calls(self, monkeypatch):
+        calls = []
+        kernel = dl._velocity
+
+        def counting(P, flux_operator):
+            calls.append(P)
+            return kernel(P, flux_operator)
+
+        monkeypatch.setattr(dl, "_velocity", counting)
+        return calls
+
+    @staticmethod
+    def record_systems(monkeypatch, keep):
+        """Each system dl.solve is called with, through keep (a strong or a
+        weak reference)."""
+        systems = []
+        solve = dl.solve
+
+        def recording(system):
+            systems.append(keep(system))
+            return solve(system)
+
+        monkeypatch.setattr(dl, "solve", recording)
+        return systems
+
+    def test_computed_on_first_read_only(self, table1_fluid, velocity_calls):
+        mesh, K = self.reservoir()
+        vf.calibrate_ceiling_flux(mesh, table1_fluid, K, 10.0 * table1_fluid.p0)
+        report = dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, self.bcs(table1_fluid, 3e6))
+        assert velocity_calls == []
+        v = report.v
+        assert report.v is v
+        assert len(velocity_calls) == 1 and velocity_calls[0] is report.U
+
+    def test_same_bits_after_the_entry_moved(self, table1_fluid, monkeypatch):
+        mesh, K = self.reservoir()
+        systems = self.record_systems(monkeypatch, lambda system: system)
+        report = dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, self.bcs(table1_fluid, 3e6))
+        other, K_other = self.reservoir()
+        dl.solve_transformed_bvp(other, table1_fluid, ZERO_XI, K_other, self.bcs(table1_fluid, 5e6))
+        assert dl._entry_for(mesh) is None
+        (system, _) = systems
+        want = dl.recover_velocity(report.U, system).values
+        assert report.v.values.tobytes() == want.tobytes()
+
+    def test_report_keeps_no_system(self, table1_fluid, monkeypatch):
+        mesh, K = self.reservoir()
+        refs = self.record_systems(monkeypatch, weakref.ref)
+        report = dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, self.bcs(table1_fluid, 3e6))
+        (ref,) = refs
+        assert ref() is None
+        assert report._flux_operator is dl._entry.flux_operator
 
 
 def held_entry_bytes():
@@ -965,6 +1047,18 @@ class TestTransformedBVP:
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.01, "top": 0.0, "bottom": 0.0})
         report = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, bcs)
         assert report.residual <= 1e-12
+
+    def test_one_ceiling_per_solve(self, table1_fluid, monkeypatch):
+        # the forward map, the existence test and the back-map share C(p_ref);
+        # the other call is the Hopf-Cole map of the data (at p + xi)
+        calls = []
+        ceiling = tr.kirchhoff_ceiling
+        monkeypatch.setattr(tr, "kirchhoff_ceiling", lambda f, p: calls.append(np.ndim(p)) or ceiling(f, p))
+        mesh = make_rectangle_mesh(10.0, 2.0, 10, 2)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        bcs = lr_dirichlet(3.0 * table1_fluid.p0, table1_fluid.p0)
+        dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
+        assert sorted(calls) == [0, 1]
 
     def test_no_driving_force(self, table1_fluid):
         mesh = make_rectangle_mesh(10.0, 2.0, 10, 2)
