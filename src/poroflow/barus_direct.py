@@ -84,11 +84,11 @@ def _secant_weights(ptilde, edges, fluid):
 def _base_system(mesh, fluid, xi, K, bcs):
     """(xi_nodes, p_ref, base): xi at the nodes, p_ref of darcy_linear._gauge
     and the K/mu0~ system with pressure data p + xi."""
-    xi_nodes, dnodes, dvals, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
+    xi_nodes, dnodes, _, modified, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
     mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
-    modified = bcs.map_pressure(lambda p, x, y: p + xi(x, y))
-    base = darcy_linear._assemble(mesh, mobility, modified, dnodes, dvals + xi_nodes[dnodes])
-    return xi_nodes, p_ref, base
+    modified_bcs = bcs.map_pressure(lambda p, x, y: p + xi(x, y))
+    base = darcy_linear._assemble(mesh, mobility, modified_bcs, dnodes, modified)
+    return (np.zeros(mesh.n_nodes) if xi_nodes is None else xi_nodes), p_ref, base
 
 
 def _secant_system(base, ptilde, fluid, start):

@@ -19,18 +19,20 @@ system A x = b (Rigal and Gaches; Higham, ch. 7): omega = ||b - A x||_2 /
 (a_max ||x||_2 + ||b||_2) <= 64 eps, a_max the largest diagonal entry of A,
 a lower bound on ||A||_2 that makes the test stricter. A relative residual
 grows with the condition number as meshes refine; omega does not. a_max is
-held with the reduced matrix, or read from a sweep's diagonal.
+held with the reduced matrix, or read from a sweep's diagonal. r = b - A x
+is formed once per solve (a CG sweep passes on the one it stopped at), and
+the transformed solve's reactions at the free nodes are this r.
 
 The transformed problem's matrix depends on the mesh, the permeability and
 mu0 but not on the boundary data, so the module holds one entry for the
 last system assembled: its mesh (by weak reference), its mobility (the
 read-only K/mu0 of mobility_tensors itself, or else a copy), its Dirichlet
 nodes, its raw and reduced matrices, the coupling block of the raw matrix
-(free rows, Dirichlet columns), its flux operator (the two CSR matrices
-that map nodal values to the per-triangle velocity, see recover_velocity)
-and, once solved, one LU factor. No P1 gradients are held: the flux
-operator's data are the products M grad(phi_j) that the assembly forms
-anyway. An assembly on the same mesh, with the held mobility array itself
+(free rows, Dirichlet columns) and its Dirichlet rows, its flux operator
+(the two CSR matrices that map nodal values to the per-triangle velocity,
+see recover_velocity) and, once solved, one LU factor. No P1 gradients are
+held: the flux operator's data are the products M grad(phi_j) that the
+assembly forms anyway. An assembly on the same mesh, with the held mobility array itself
 or else one of the same bits, and with the same Dirichlet node set builds
 only the load, the Dirichlet values and the reduced right-hand side, the
 last from the coupling block: apart from the n-long arrays it returns
@@ -45,11 +47,11 @@ matrices and flux operator themselves, read-only: their data, indices and
 indptr arrays cannot be written, so no caller can change what a later call
 finds. A system keeps them alive after the entry is replaced or freed, so
 its velocity never depends on what is held. The transformed solve computes
-no velocity: its report keeps U and the flux operator, not the system, and
-computes v from them on first read (see SolveReport). A solve of the held
-reduced matrix reuses its factor; any other matrix drops the entry and is
-factored without being held. So a sweep over pressure data on one mesh
-assembles and factors once.
+no velocity and maps no node back: its report keeps U, the flux operator
+(not the system) and the pressure data, and computes v and p from them on
+first read (see SolveReport). A solve of the held reduced matrix reuses its
+factor; any other matrix drops the entry and is factored without being
+held. So a sweep over pressure data on one mesh assembles and factors once.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
 and other values. Each comes with its start, the previous sweep's reduced
@@ -150,6 +152,8 @@ class LinearSolveResult:
     iterations: int  # CG iterations of the solve; 0 for a direct solve
     residual: float  # normwise backward error of the reduced solve (see solve)
     reduced: np.ndarray  # the solution at system.free, as solved: no shift, no copy
+    # b_red - A_red @ reduced, the residual omega is computed from
+    _r: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -157,29 +161,49 @@ class SolveReport:
     """Outcome of the transformed solution path (beta > 0; at beta = 0 the
     problem is linear and barus_direct.picard_solve solves it).
 
-    p is the physical pressure. U is the solved Kirchhoff field and P the
-    Hopf-Cole field U - C, C the kirchhoff_ceiling, with hopf_cole_inverse
-    of the data at the Dirichlet nodes. v and reactions come from U, not P:
-    on the 400x120 reservoir at Table-1 parameters their net Dirichlet
-    reaction is 2.0e-11 of the well flux, against up to 2.6e-8 (p_inj = 1.6
-    p0) when P is put through a system assembled in the Hopf-Cole gauge.
+    U is the solved Kirchhoff field and P the Hopf-Cole field U - C, C the
+    kirchhoff_ceiling, with hopf_cole_inverse of the data at the Dirichlet
+    nodes. v and reactions come from U, not P: on the 400x120 reservoir at
+    Table-1 parameters their net Dirichlet reaction is 2.0e-11 of the well
+    flux, against up to 2.6e-8 (p_inj = 1.6 p0) when P is put through a
+    system assembled in the Hopf-Cole gauge.
 
     v is computed from U on its first read, by the flux operator of the
     system solved, which the report holds (read-only, shared with the held
     entry while that lives, and kept alive by the report after the entry
     moves on: 6.1 MB at 400x120); later reads return the same VectorField.
-    Its bits are those of recover_velocity(U, system)."""
+    Its bits are those of recover_velocity(U, system). Likewise p, the
+    physical pressure: the data on the pressure segments, elsewhere the
+    kirchhoff_inverse of U minus xi, from the pressure data, p_ref, C and, for
+    a nonzero potential only, xi at the nodes. The solve has checked that U
+    is below C there, so a read cannot raise. reactions are those of
+    nodal_reactions(system, U) at the pressure nodes (node 0 for pure-velocity
+    data), and elsewhere b_red - A_red x, the residual omega is computed from;
+    the two forms differ by rounding."""
 
-    p: ScalarField
     U: ScalarField
     P: ScalarField
     residual: float  # normwise backward error of the linear solve
     reactions: np.ndarray
     _flux_operator: tuple = dataclasses.field(repr=False, compare=False)  # (Vx, Vy)
+    # (fluid, p_ref, C, xi at the nodes or None, pressure nodes, their data)
+    _back_map: tuple = dataclasses.field(repr=False, compare=False)
 
     @functools.cached_property
     def v(self) -> VectorField:
         return _velocity(self.U, self._flux_operator)
+
+    @functools.cached_property
+    def p(self) -> ScalarField:
+        fluid, p_ref, ceiling, xi_nodes, dnodes, dvals = self._back_map
+        U = self.U.values
+        inner = np.ones(U.size, dtype=bool)
+        inner[dnodes] = False
+        p = np.empty(U.size)
+        p_inner = transform._kirchhoff_inverse(U[inner], fluid, p_ref, ceiling)
+        p[inner] = p_inner if xi_nodes is None else p_inner - xi_nodes[inner]
+        p[dnodes] = dvals
+        return ScalarField(self.U.mesh, p)
 
 
 def p1_gradients(mesh: Mesh):
@@ -254,6 +278,7 @@ class _Held:
     raw_matrix: sp.csr_matrix
     A_red: sp.csr_matrix
     coupling: sp.csc_matrix  # raw[free][:, dirichlet], one column per Dirichlet node
+    dirichlet_rows: sp.csr_matrix  # raw[dirichlet], for the reactions there
     flux_operator: tuple  # (Vx, Vy) of mobility on mesh; see _flux_operator
     a_max: float  # the largest diagonal entry of A_red
     lu: spla.SuperLU = None  # of A_red, or of the last sweep matrix factored
@@ -266,8 +291,8 @@ class _Held:
 # at xi = 0 is mobility_tensors' array, shared and not copied; raw and reduced
 # matrices 6.2 MB; flux operator 6.1 MB (4.6 MB of values, 1.5 MB of shared
 # indices and indptr); the 123 Dirichlet nodes 0.5 kB; the coupling block 2.0
-# kB (125 entries, 12 bytes each, and a 124-entry indptr). Its factor has
-# 2.48M entries in L and U, about 30 MB.
+# kB (125 entries, 12 bytes each, and a 124-entry indptr); the Dirichlet rows
+# 6.4 kB (490 entries). Its factor has 2.48M entries in L and U, about 30 MB.
 _entry = None
 
 # The K/mu0 of mobility_tensors at xi = 0, read-only: (weak reference to
@@ -379,10 +404,11 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, free) -> _Held:
         raw_matrix=raw,
         A_red=red,
         coupling=coupling,
+        dirichlet_rows=_rows(raw, dirichlet),
         flux_operator=_flux_operator(fx, fy, tri, n),
         a_max=a_max,
     )
-    for m in (raw, red, coupling, *_entry.flux_operator):
+    for m in (raw, red, coupling, _entry.dirichlet_rows, *_entry.flux_operator):
         for array in (m.data, m.indices, m.indptr):
             array.setflags(write=False)  # every caller gets these matrices
     return _entry
@@ -549,20 +575,20 @@ def _pcg(held, A, b, bnorm, d_A):
     held.lu, the factor of held.A_red or of a sweep matrix, and S =
     diag(sqrt(d_F / d_A)), with d_F the diagonal of the matrix F factored: a
     sweep matrix is close to D^1/2 B D^1/2 for the factored B and a positive
-    diagonal D, and S F^-1 S is then close to its inverse. Returns (x,
-    iterations) once the recomputed relative residual is at most _PCG_RTOL,
-    if x meets the componentwise test of the module docstring, or (None,
-    iterations) when it does not, _PCG_MAX iterations have not met the
-    residual, a ratio d_F / d_A is not positive and finite (0 iterations) or
-    a curvature p.Ap is not. No reference to the factor outlives the call,
-    so the caller can free it before it makes the next one."""
+    diagonal D, and S F^-1 S is then close to its inverse. Returns (x, r,
+    iterations), r = b - A x as recomputed, once its relative size is at most
+    _PCG_RTOL, if x meets the componentwise test of the module docstring, or
+    (None, None, iterations) when it does not, _PCG_MAX iterations have not
+    met the residual, a ratio d_F / d_A is not positive and finite (0
+    iterations) or a curvature p.Ap is not. No reference to the factor
+    outlives the call, so the caller can free it before it makes the next."""
     lu, d_F = held.lu, held.lu_diagonal
     if d_F is None:
         d_F = held.scaling.diagonal
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_F / d_A
     if not np.all((ratio > 0.0) & (ratio < np.inf)):  # a NaN fails too
-        return None, 0
+        return None, None, 0
     s = np.sqrt(ratio)
 
     x = held.scaling.start
@@ -575,50 +601,51 @@ def _pcg(held, A, b, bnorm, d_A):
         Ap = A @ p
         curvature = float(p @ Ap)
         if not 0.0 < curvature < np.inf:
-            return None, k
+            return None, None, k
         x = x + (rz / curvature) * p
         r = b - A @ x
         if np.linalg.norm(r) <= _PCG_RTOL * bnorm:
             accepted = np.all(np.abs(r) <= _PCG_ACCEPT * (d_A * np.abs(x) + np.abs(b)))
-            return (x if accepted else None), k
-    return None, _PCG_MAX
+            return (x, r, k) if accepted else (None, None, k)
+    return None, None, _PCG_MAX
 
 
 def _solve_sweep(held, A, b, bnorm):
-    """Solve A x = b for A, the sweep matrix of held.scaling; returns (x,
-    CG iterations, a_max of A). Where the sweep has a start (a later Picard
+    """Solve A x = b for A, the sweep matrix of held.scaling; returns (x, r,
+    CG iterations, a_max of A), r = b - A x from an accepted CG exit, None
+    for a factored sweep. Where the sweep has a start (a later Picard
     sweep), CG runs from it (see _pcg), and the held factor stays.
     Otherwise, or when CG gives up, the held factor is dropped and A is
     factored; its factor and diagonal are held for the sweeps after it."""
     d_A = A.diagonal()
     iterations = 0
     if held.scaling.start is not None:
-        x, iterations = _pcg(held, A, b, bnorm, d_A)
+        x, r, iterations = _pcg(held, A, b, bnorm, d_A)
         if x is not None:
-            return x, iterations, d_A.max()
+            return x, r, iterations, d_A.max()
     held.lu = None  # the held factor goes before the next is made
     held.lu, held.lu_diagonal = _factor(A), d_A
-    return held.lu.solve(b), iterations, d_A.max()
+    return held.lu.solve(b), None, iterations, d_A.max()
 
 
 def _lu(A, b, mesh):
-    """Solve A x = b (A SPD); returns (x, omega of solve, CG iterations).
-    When A is the reduced matrix held for mesh, the entry keeps its SuperLU
-    factor and later calls reuse it, unless a sweep factor has taken its
-    slot since. A sweep matrix of the entry's edge scaling is solved by
-    _solve_sweep. Any other A drops the entry and is factored without being
-    held. The entry holds one factor at most, and a failed factorization
-    drops it."""
+    """Solve A x = b (A SPD); returns (x, r, omega of solve, CG
+    iterations), r = b - A x, which omega is computed from. When A is the
+    reduced matrix held for mesh, the entry keeps its SuperLU factor and
+    later calls reuse it, unless a sweep factor has taken its slot since. A
+    sweep matrix of the entry's edge scaling is solved by _solve_sweep. Any
+    other A drops the entry and is factored without being held. The entry
+    holds one factor at most, and a failed factorization drops it."""
     global _entry
     bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0.0, 0
+    if bnorm == 0.0:  # x = 0, and b - A x is b itself
+        return np.zeros_like(b), b, 0.0, 0
     held = _entry_for(mesh)
     scaling = held.scaling if held is not None else None
-    iterations = 0
+    r, iterations = None, 0
     try:
         if scaling is not None and A is scaling.A_red:
-            x, iterations, a_max = _solve_sweep(held, A, b, bnorm)
+            x, r, iterations, a_max = _solve_sweep(held, A, b, bnorm)
         elif held is not None and A is held.A_red:
             if held.lu is None or held.lu_diagonal is not None:
                 held.lu = held.lu_diagonal = None  # a sweep factor goes first
@@ -632,8 +659,10 @@ def _lu(A, b, mesh):
     except NoConvergence:
         _entry = None
         raise
-    omega = np.linalg.norm(b - A @ x) / (a_max * np.linalg.norm(x) + bnorm)
-    return x, float(omega), iterations
+    if r is None:
+        r = b - A @ x
+    omega = np.linalg.norm(r) / (a_max * np.linalg.norm(x) + bnorm)
+    return x, r, float(omega), iterations
 
 
 def solve(system: SparseSystem) -> LinearSolveResult:
@@ -668,7 +697,7 @@ def solve(system: SparseSystem) -> LinearSolveResult:
                 "compatibility condition violated"
             )
 
-    x_red, omega, iterations = _lu(system.A_red, system.b_red, system.mesh)
+    x_red, r, omega, iterations = _lu(system.A_red, system.b_red, system.mesh)
     if not omega <= _OMEGA_MAX:  # also catches a non-finite omega
         raise NoConvergence(f"linear solve backward error {omega:.3e} exceeds {_OMEGA_MAX:.3e}")
 
@@ -676,7 +705,7 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     values[system.is_free] = x_red
     if not system.dirichlet_map:
         values -= values.max()
-    return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega, x_red)
+    return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega, x_red, r)
 
 
 def recover_velocity(P: ScalarField, system: SparseSystem) -> VectorField:
@@ -803,14 +832,15 @@ def transform_bcs(bcs: BoundarySpec, fluid: FluidModel, xi: BodyForcePotential) 
 
 def _gauge(mesh, fluid, xi, bcs):
     """The Kirchhoff gauge of both solution paths. Returns (xi_nodes,
-    dnodes, dvals, p_ref): xi at the nodes, the Dirichlet nodes and their
-    prescribed pressures, and p_ref, the lowest prescribed modified
-    pressure p + xi (p0 without pressure data), which the Kirchhoff variable
-    is measured from."""
-    xi_nodes = xi.at_points(mesh.nodes)
+    dnodes, dvals, modified, p_ref): xi at the nodes (None for the zero
+    potential), the Dirichlet nodes, their prescribed pressures p and p + xi,
+    and p_ref, the lowest p + xi (p0 without pressure data), which the
+    Kirchhoff variable is measured from."""
+    xi_nodes = None if xi.is_zero else xi.at_points(mesh.nodes)
     dnodes, dvals = _pressure_data(mesh, bcs)
-    p_ref = float((dvals + xi_nodes[dnodes]).min()) if dnodes.size else fluid.p0
-    return xi_nodes, dnodes, dvals, p_ref
+    modified = dvals + (0.0 if xi_nodes is None else xi_nodes[dnodes])
+    p_ref = float(modified.min()) if dnodes.size else fluid.p0
+    return xi_nodes, dnodes, dvals, modified, p_ref
 
 
 def solve_transformed_bvp(
@@ -835,10 +865,10 @@ def solve_transformed_bvp(
     further above p_ref than float64 can resolve in that variable. Velocity
     and reactions come from the Kirchhoff field report.U, report.P is the
     Hopf-Cole field and report.p the physical pressure (see SolveReport).
-    The reactions are computed here; report.v is computed from U on its
-    first read, so a caller that never reads it does not pay for it. The
-    ceiling-flux calibration of verification is this solve, read at its
-    well reactions.
+    The reactions and the existence test are computed here; report.v and
+    report.p are computed on their first read, so a caller that never reads
+    them does not pay for them. The ceiling-flux calibration of verification
+    is this solve, read at its well reactions.
 
     Pure-velocity data fix the transformed solution up to a constant; the
     member returned, as by barus_direct.picard_solve, has its largest p + xi
@@ -847,36 +877,39 @@ def solve_transformed_bvp(
     """
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: use barus_direct.picard_solve (one linear solve)")
-    xi_nodes, dnodes, dvals, p_ref = _gauge(mesh, fluid, xi, bcs)
+    xi_nodes, dnodes, dvals, modified, p_ref = _gauge(mesh, fluid, xi, bcs)
     ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
     kbcs = bcs.map_pressure(
         lambda p, x, y: transform._kirchhoff_forward(p + xi(x, y), fluid, p_ref, ceiling)
     )
-    kvals = transform._kirchhoff_forward(dvals + xi_nodes[dnodes], fluid, p_ref, ceiling)
+    kvals = transform._kirchhoff_forward(modified, fluid, p_ref, ceiling)
     system = _assemble(mesh, mobility_tensors(mesh, fluid, xi, K), kbcs, dnodes, kvals)
     result = solve(system)
     U = result.field.values
 
-    inner = np.ones(mesh.n_nodes, dtype=bool)
-    inner[dnodes] = False
-    U_inner = U[inner]
-    if np.any(U_inner >= ceiling):
+    if U.max() >= ceiling:  # else no node is at or above C
+        inner = np.ones(mesh.n_nodes, dtype=bool)
+        inner[dnodes] = False
         nodes = np.flatnonzero(inner & (U >= ceiling))
-        raise NonExistence(
-            f"transformed solution has no real pressure at {nodes.size} node(s); "
-            "no real pressure solution exists for this boundary data",
-            nodes=nodes,
-        )
+        if nodes.size:
+            raise NonExistence(
+                f"transformed solution has no real pressure at {nodes.size} node(s); "
+                "no real pressure solution exists for this boundary data",
+                nodes=nodes,
+            )
     P = U - ceiling
-    P[dnodes] = transform.hopf_cole_inverse(dvals, xi_nodes[dnodes], fluid)
-    p = np.empty(mesh.n_nodes)
-    p[inner] = transform._kirchhoff_inverse(U_inner, fluid, p_ref, ceiling) - xi_nodes[inner]
-    p[dnodes] = dvals
+    P[dnodes] = transform.hopf_cole_inverse(modified, 0.0, fluid)
+    # nodal_reactions at the pressure nodes, the residual of omega at the others
+    reactions = np.empty(mesh.n_nodes)
+    reactions[system.is_free] = result._r
+    held = _entry_for(mesh)  # kept by solve: it holds the matrices of system
+    d = held.dirichlet
+    reactions[d] = system.raw_rhs[d] - held.dirichlet_rows @ U
     return SolveReport(
-        p=ScalarField(mesh, p),
         U=result.field,
         P=ScalarField(mesh, P),
         residual=result.residual,
-        reactions=nodal_reactions(system, result.field),
+        reactions=reactions,
         _flux_operator=system.flux_operator,
+        _back_map=(fluid, p_ref, ceiling, xi_nodes, dnodes, dvals),
     )

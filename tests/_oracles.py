@@ -201,6 +201,23 @@ def hopf_cole_inverse_by_hand(p, xi_value, fluid):
     return float(out) if out.ndim == 0 else out
 
 
+def pressure_mapped_back_eagerly(report, mesh, fluid, xi, bcs):
+    """The physical pressure of a transformed report as the solve formed it
+    before it was computed on first read: the data, node by node, on the
+    pressure segments, and elsewhere the public kirchhoff_inverse of U from
+    the lowest prescribed p + xi (p0 without pressure data), minus xi
+    evaluated at every node, the zero potential too."""
+    xi_nodes = xi.at_points(mesh.nodes)
+    nodes, values = dirichlet_values_per_node(mesh, bcs)
+    p_ref = float((values + xi_nodes[nodes]).min()) if nodes.size else fluid.p0
+    inner = np.ones(mesh.n_nodes, dtype=bool)
+    inner[nodes] = False
+    p = np.empty(mesh.n_nodes)
+    p[inner] = transform.kirchhoff_inverse(report.U.values[inner], fluid, p_ref) - xi_nodes[inner]
+    p[nodes] = values
+    return p
+
+
 def ceiling_flux_constant_by_hand(mesh, fluid, K, p_inj, p_prod):
     """The bounded-flux constant C of a reservoir, from a Kirchhoff solve
     built by hand instead of by solve_transformed_bvp: pressure data

@@ -796,6 +796,22 @@ class TestBoundaryReads:
         assert read == ["top"]
         assert dl.boundary_flux(P, dataclasses.replace(system, bcs=callable_zero), "top") == 0.0
         assert read == ["top", "top"]
+        # the reciprocity integrals skip the constant-0 label with the same bits
+        monkeypatch.setattr(vf, "_edge_quadrature", spy)
+        other = BoundarySpec(pressure={"right": 2.0}, velocity={"left": -0.3, "top": zero, "bottom": 0.1})
+        other_system = dl.assemble(mesh, identity_mobility(mesh), other)
+        Q = dl.solve(other_system).field
+        sols = [vf.FluxSolution(F, dl.nodal_reactions(s, F)) for F, s in ((P, system), (Q, other_system))]
+        del read[:]
+        got = vf.reciprocity_residual_darcy(*sols, bcs, other, mesh)
+        assert read == ["left", "bottom"] * 2
+        evaluated = [
+            dataclasses.replace(b, velocity={**b.velocity, "top": lambda x, y: zero * x})
+            for b in (bcs, other)
+        ]
+        want = vf.reciprocity_residual_darcy(*sols, *evaluated, mesh)
+        assert read == ["left", "bottom"] * 2 + ["left", "top", "bottom"] * 2
+        assert 0.0 < got < 1e-12 and np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_constant_velocity_still_rejected(self, bad):
@@ -942,6 +958,127 @@ class TestVelocityOnDemand:
         (ref,) = refs
         assert ref() is None
         assert report._flux_operator is dl._entry.flux_operator
+
+
+def strip_bcs(v0):
+    """Inflow v0 on the left of the unit-fluid 10x3 strip, p0 = 1 on the
+    right, top and bottom sealed."""
+    return BoundarySpec(pressure={"right": 1.0}, velocity={"left": -v0, "top": 0.0, "bottom": 0.0})
+
+
+class TestPressureOnDemand:
+    """A transformed solve maps no node back to the physical pressure: its
+    report computes p on the first read, from U, the pressure data, p_ref
+    and C, with the bits of the eager back-map. The existence test stays in
+    the call."""
+
+    GRAVITY_XI = BodyForcePotential(lambda x, y: 0.3 * y)
+    PURE_VELOCITY = BoundarySpec(
+        pressure={}, velocity={"left": -0.05, "right": 0.05, "top": 0.0, "bottom": 0.0}
+    )
+
+    @pytest.fixture
+    def inverse_calls(self, monkeypatch):
+        calls = []
+        inverse = tr._kirchhoff_inverse
+
+        def counting(P_K, fluid, p_ref, ceiling):
+            calls.append(np.size(P_K))
+            return inverse(P_K, fluid, p_ref, ceiling)
+
+        monkeypatch.setattr(tr, "_kirchhoff_inverse", counting)
+        return calls
+
+    def test_computed_on_first_read_only(self, table1_fluid, inverse_calls, monkeypatch):
+        mesh, K = TestVelocityOnDemand.reservoir()
+        at_points = []
+        evaluate = BodyForcePotential.at_points
+        monkeypatch.setattr(
+            BodyForcePotential, "at_points", lambda xi, pts: at_points.append(xi) or evaluate(xi, pts)
+        )
+        vf.calibrate_ceiling_flux(mesh, table1_fluid, K, 10.0 * table1_fluid.p0)
+        bcs = TestVelocityOnDemand.bcs(table1_fluid, 3e6)
+        report = dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
+        assert inverse_calls == [] and at_points == []  # the zero potential is not evaluated
+        p = report.p
+        assert report.p is p
+        pressure_nodes = np.union1d(mesh.nodes_with_label("inlet"), mesh.nodes_with_label("well"))
+        assert inverse_calls == [mesh.n_nodes - pressure_nodes.size]
+
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    @pytest.mark.parametrize("data", ["xi0", "xi03y", "pure_velocity"])
+    def test_same_bits_as_the_eager_back_map(self, pattern, data, unit_fluid):
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12, pattern)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        xi = self.GRAVITY_XI if data == "xi03y" else ZERO_XI
+        bcs = self.PURE_VELOCITY if data == "pure_velocity" else strip_bcs(0.063)
+        report = dl.solve_transformed_bvp(mesh, unit_fluid, xi, K, bcs)
+        want = _oracles.pressure_mapped_back_eagerly(report, mesh, unit_fluid, xi, bcs)
+        assert report.p.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("xi", [ZERO_XI, GRAVITY_XI], ids=["xi0", "xi03y"])
+    def test_non_existence_raised_by_the_call(self, xi, unit_fluid, inverse_calls):
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        with pytest.raises(NonExistence) as err:
+            dl.solve_transformed_bvp(mesh, unit_fluid, xi, K, strip_bcs(0.12))  # v* = 0.1
+        assert err.value.nodes.size > 0 and inverse_calls == []
+
+    def test_ceiling_flux_calibration_unchanged(self, table1_fluid):
+        # the C of the 400x120 reservoir when every transformed solve mapped
+        # p back and formed its reactions in full
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 400, 120)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        model = vf.calibrate_ceiling_flux(mesh, table1_fluid, K, 10.0 * table1_fluid.p0)
+        assert model.C == 5.580044297040453e-09
+
+
+class TestOneResidual:
+    """A solve forms r = b_red - A_red x once: omega comes from it, a CG
+    sweep passes on the residual it stopped at, and a transformed solve
+    takes the free rows of its reactions from it, forming only the rows of
+    the pressure nodes."""
+
+    @staticmethod
+    def recorded_solves(monkeypatch):
+        """(system, result, b_red - A_red @ result.reduced) of each dl.solve,
+        the residual formed while the system's arrays are current."""
+        solves = []
+        solve = dl.solve
+
+        def recording(system):
+            result = solve(system)
+            solves.append((system, result, system.b_red - system.A_red @ result.reduced))
+            return result
+
+        monkeypatch.setattr(dl, "solve", recording)
+        return solves
+
+    def test_cg_sweeps_pass_on_their_residual(self, monkeypatch):
+        solves = self.recorded_solves(monkeypatch)
+        mesh, fluid, K, bcs = TestFactorReuse.picard_strip()
+        report = bd.picard_solve(mesh, fluid, BodyForcePotential(lambda x, y: 0.3 * y), K, bcs)
+        assert report.converged and report.linear_iterations > 0
+        for system, result, r in solves:
+            assert result._r.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("case", ["reservoir", "strip_gravity_crossed"])
+    def test_reactions(self, case, table1_fluid, unit_fluid, monkeypatch):
+        if case == "reservoir":
+            mesh, K = TestVelocityOnDemand.reservoir()
+            fluid, xi, bcs = table1_fluid, ZERO_XI, TestVelocityOnDemand.bcs(table1_fluid, 3e6)
+        else:
+            mesh = make_rectangle_mesh(10.0, 3.0, 40, 12, "crossed")
+            K = PermeabilityField.isotropic(mesh, 1.0)
+            fluid, xi, bcs = unit_fluid, TestPressureOnDemand.GRAVITY_XI, strip_bcs(0.063)
+        solves = self.recorded_solves(monkeypatch)
+        report = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
+        ((system, result, r),) = solves
+        want = dl.nodal_reactions(system, report.U)
+        pinned = ~system.is_free
+        assert report.reactions[pinned].tobytes() == want[pinned].tobytes()
+        assert report.reactions[system.is_free].tobytes() == r.tobytes()
+        assert np.abs(report.reactions - want).max() <= 1e-13 * np.abs(report.reactions).max()
 
 
 def held_entry_bytes():
