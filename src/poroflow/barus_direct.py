@@ -10,15 +10,18 @@ Both paths measure P_K from one p_ref, chosen by darcy_linear._gauge.
 A sweep freezes s_ij at the previous iterate and solves the linear problem,
 so the fixed point is the nodal solution of the transformed path (with
 pure-velocity data, each sweep's p~ peaks at p_ref, as that path grounds
-it). The stiffness is assembled once; a sweep scales its off-diagonal
-entries by s_ij and sets the diagonal to minus the row sums. A later sweep
-is solved by conjugate gradients from the previous sweep's solution,
+it). The stiffness is assembled once, with the modified pressures p + xi
+that darcy_linear._gauge reads as its Dirichlet values; a sweep scales its
+off-diagonal entries by s_ij, sets the diagonal to minus the row sums and
+reduces the result as the assembly does. A later sweep's system carries
+its start, the previous sweep's solution, so the held entry keeps no
+iterate. It is solved by conjugate gradients from that start,
 preconditioned by the one held factor (of the K/mu0~ system, or else of an
 earlier sweep matrix) rescaled to the sweep's diagonal, and is factored in
-the held factor's place only when CG stalls (see darcy_linear). A sweep matrix is
-close to D^1/2 A D^1/2, with A the K/mu0~ system and D the nodal mu0~/mu,
-so at xi = 0 the factor of the transformed path's system can serve every
-sweep and outlive the Picard solve.
+the held factor's place only when CG stalls (see darcy_linear). A sweep
+matrix is close to D^1/2 A D^1/2, with A the K/mu0~ system and D the nodal
+mu0~/mu, so at xi = 0 the factor of the transformed path's system can serve
+every sweep and outlive the Picard solve.
 
 This is the baseline "solve the nonlinear model directly" path that the
 transformed approach is benchmarked against.
@@ -56,8 +59,8 @@ class PicardReport:
     iterations: int
     update_history: list
     converged: bool
-    reactions: np.ndarray = None
-    linear_iterations: int = 0  # CG iterations summed over the sweeps
+    reactions: np.ndarray
+    linear_iterations: int  # CG iterations summed over the sweeps
 
 
 def _kirchhoff(ptilde, fluid, p_ref):
@@ -83,11 +86,11 @@ def _secant_weights(ptilde, edges, fluid):
 
 def _base_system(mesh, fluid, xi, K, bcs):
     """(xi_nodes, p_ref, base): xi at the nodes, p_ref of darcy_linear._gauge
-    and the K/mu0~ system with pressure data p + xi."""
+    and the K/mu0~ system with pressure data p + xi, on the partition and
+    velocity data of bcs."""
     xi_nodes, dnodes, _, modified, p_ref = darcy_linear._gauge(mesh, fluid, xi, bcs)
     mobility = darcy_linear.mobility_tensors(mesh, fluid, xi, K)
-    modified_bcs = bcs.map_pressure(lambda p, x, y: p + xi(x, y))
-    base = darcy_linear._assemble(mesh, mobility, modified_bcs, dnodes, modified)
+    base = darcy_linear._assemble(mesh, mobility, bcs, dnodes, modified)
     return (np.zeros(mesh.n_nodes) if xi_nodes is None else xi_nodes), p_ref, base
 
 

@@ -27,39 +27,40 @@ The transformed problem's matrix depends on the mesh, the permeability and
 mu0 but not on the boundary data, so the module holds one entry for the
 last system assembled: its mesh (by weak reference), its mobility (the
 read-only K/mu0 of mobility_tensors itself, or else a copy), its Dirichlet
-nodes, its raw and reduced matrices, the coupling block of the raw matrix
-(free rows, Dirichlet columns) and its Dirichlet rows, its flux operator
-(the two CSR matrices that map nodal values to the per-triangle velocity,
-see recover_velocity) and, once solved, one LU factor. No P1 gradients are
-held: the flux operator's data are the products M grad(phi_j) that the
-assembly forms anyway. An assembly on the same mesh, with the held mobility array itself
-or else one of the same bits, and with the same Dirichlet node set builds
-only the load, the Dirichlet values and the reduced right-hand side, the
-last from the coupling block: apart from the n-long arrays it returns
-(load, lift, free nodes and their mask), its cost grows with the boundary,
-not with the mesh. The load and the Dirichlet values read the boundary
-geometry the mesh keeps (see geometry), and the load skips a velocity
-segment whose datum is the constant 0. The solution paths read the
-pressure data once, for their gauge (_gauge), and hand the mapped values to
-the assembly (_assemble), so a warm transformed solve evaluates each datum
-once and computes no boundary geometry. Every assembly returns the held
-matrices and flux operator themselves, read-only: their data, indices and
-indptr arrays cannot be written, so no caller can change what a later call
-finds. A system keeps them alive after the entry is replaced or freed, so
-its velocity never depends on what is held. The transformed solve computes
-no velocity and maps no node back: its report keeps U, the flux operator
-(not the system) and the pressure data, and computes v and p from them on
-first read (see SolveReport). A solve of the held reduced matrix reuses its
+nodes, its raw and reduced matrices, the raw matrix's Dirichlet rows (held
+once, as CSR, with their transpose, the Dirichlet columns, a CSC view of
+the same arrays), its flux operator (the two CSR matrices that map nodal
+values to the per-triangle velocity, see recover_velocity) and, once
+solved, one LU factor. No P1 gradients are held: the flux operator's data
+are the products M grad(phi_j) that the assembly forms anyway. An assembly
+on the same mesh, with the held mobility array itself or else one of the
+same bits, and with the same Dirichlet node set builds only the load, the
+Dirichlet values and the reduced right-hand side, the last from the
+Dirichlet columns (_reduced_rhs): apart from n-long vector operations, its
+cost grows with the boundary, not with the mesh. The load and the
+Dirichlet values read the boundary geometry the mesh keeps (see geometry).
+The solution paths read the pressure data once, for their gauge (_gauge),
+and hand the caller's spec, for its partition and velocity data, and the
+mapped values to the assembly (_assemble), so a warm transformed solve
+evaluates each datum once, builds no BoundarySpec and computes no boundary
+geometry. Every assembly returns the held matrices and flux operator
+themselves, read-only: their data, indices and indptr arrays cannot be
+written, so no caller can change what a later call finds. A system keeps
+them alive after the entry is replaced or freed, so its velocity never
+depends on what is held. The transformed solve computes no velocity and
+maps no node back: its report keeps U, the flux operator (not the system)
+and the pressure data, and computes v and p from them on first read (see
+SolveReport). A solve of the held reduced matrix reuses its
 factor; any other matrix drops the entry and is factored without being
 held. So a sweep over pressure data on one mesh assembles and factors once.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
-and other values. Each comes with its start, the previous sweep's reduced
-solution, which the caller passes (see _EdgeScaling); the entry holds no
-iteration state. A sweep runs conjugate gradients (CG) from its start,
-preconditioned by the held factor rescaled symmetrically by the square root
-of the ratio of the factored matrix's diagonal to the sweep matrix's: a
-sweep matrix is close to the factored one with each edge scaled by the mean
+and other values. Each sweep system carries its start, the previous
+sweep's reduced solution, which the caller passes (see _EdgeScaling); the
+entry holds no iteration state. A sweep runs conjugate gradients (CG) from
+its start, preconditioned by the held factor rescaled symmetrically by the
+square root of the ratio of the factored matrix's diagonal to the sweep
+matrix's: a sweep matrix is close to the factored one with each edge scaled by the mean
 of a nodal weight, so the held reduced factor can serve every sweep. CG
 stops once the recomputed relative residual is at most ``_PCG_RTOL`` =
 1e-14, below 64 eps, so every CG exit passes the acceptance test, and gives
@@ -129,8 +130,11 @@ class SparseSystem:
     raw_matrix/raw_rhs hold the unconstrained stiffness and Neumann load
     (needed for reaction fluxes). The Dirichlet-eliminated system is
     A_red @ u[free] = b_red, with u = lift at the constrained nodes; pure-
-    velocity data is grounded there by pinning node 0 to zero. flux_operator
-    is (Vx, Vy), which maps a nodal field to its velocity (recover_velocity).
+    velocity data is grounded there by pinning node 0 to zero. bcs gives the
+    partition and the velocity data; the pressure values eliminated are
+    those in lift (and dirichlet_map), which the solution paths map from the
+    caller's data. flux_operator is (Vx, Vy), which maps a nodal field to
+    its velocity (recover_velocity).
     """
 
     mesh: Mesh
@@ -144,6 +148,8 @@ class SparseSystem:
     A_red: sp.csr_matrix  # symmetric, int32 indices
     b_red: np.ndarray
     flux_operator: tuple  # (Vx, Vy), read-only, int32 indices
+    # a Picard sweep's CG start, a reduced solution (see _EdgeScaling.system)
+    _start: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -238,22 +244,10 @@ def _check_spd(mobility: np.ndarray):
         )
 
 
-def _zero_datum(data) -> bool:
-    """Whether a velocity datum is the constant 0 (+0.0, -0.0 or int 0),
-    which adds nothing to a load or a flux and is not evaluated. A NaN or
-    infinite constant and every callable are evaluated, and so checked."""
-    return not callable(data) and float(data) == 0.0
-
-
 def _neumann_load(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
-    """rhs_i = -integral over velocity segments of phi_i * v_n (2-pt Gauss).
-    A segment whose datum is the constant 0 is skipped: its terms are signed
-    zeros, and adding one leaves every entry as it is (the entries start at
-    +0.0 and so never become -0.0)."""
+    """rhs_i = -integral over velocity segments of phi_i * v_n (2-pt Gauss)."""
     rhs = np.zeros(mesh.n_nodes)
     for label, data in bcs.velocity.items():
-        if _zero_datum(data):
-            continue
         for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
             np.add.at(rhs, edges[:, 0], -wl * vn * (1.0 - t))
             np.add.at(rhs, edges[:, 1], -wl * vn * t)
@@ -277,8 +271,10 @@ class _Held:
     dirichlet: np.ndarray  # int32, ascending; [0] for pure-velocity data
     raw_matrix: sp.csr_matrix
     A_red: sp.csr_matrix
-    coupling: sp.csc_matrix  # raw[free][:, dirichlet], one column per Dirichlet node
     dirichlet_rows: sp.csr_matrix  # raw[dirichlet], for the reactions there
+    # raw[:, dirichlet], for b_red: by symmetry the transpose of
+    # dirichlet_rows, a CSC view of its data, indices and indptr
+    dirichlet_columns: sp.csc_matrix
     flux_operator: tuple  # (Vx, Vy) of mobility on mesh; see _flux_operator
     a_max: float  # the largest diagonal entry of A_red
     lu: spla.SuperLU = None  # of A_red, or of the last sweep matrix factored
@@ -290,9 +286,9 @@ class _Held:
 # nodes, 96,000 triangles) its arrays come to 15.4 MB: mobility 3.1 MB, which
 # at xi = 0 is mobility_tensors' array, shared and not copied; raw and reduced
 # matrices 6.2 MB; flux operator 6.1 MB (4.6 MB of values, 1.5 MB of shared
-# indices and indptr); the 123 Dirichlet nodes 0.5 kB; the coupling block 2.0
-# kB (125 entries, 12 bytes each, and a 124-entry indptr); the Dirichlet rows
-# 6.4 kB (490 entries). Its factor has 2.48M entries in L and U, about 30 MB.
+# indices and indptr); the 123 Dirichlet nodes 0.5 kB; the Dirichlet rows,
+# and the columns that share their arrays, 6.4 kB (490 entries). Its factor
+# has 2.48M entries in L and U, about 30 MB.
 _entry = None
 
 # The K/mu0 of mobility_tensors at xi = 0, read-only: (weak reference to
@@ -353,19 +349,10 @@ def _flux_operator(fx, fy, tri: np.ndarray, n: int):
     return tuple(sp.csr_matrix((f.ravel(), indices, indptr), shape=shape) for f in (fx, fy))
 
 
-def _free_mask(n: int, dirichlet: np.ndarray) -> np.ndarray:
-    """Which of the nodes 0..n-1 are off dirichlet. A gather through this
-    mask takes the free nodes in ascending order, as one through their
-    indices does, and costs about a fifth of one through int32 indices."""
-    is_free = np.ones(n, dtype=bool)
-    is_free[dirichlet] = False
-    return is_free
-
-
 def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, free) -> _Held:
     """Assemble the stiffness of mobility on mesh, reduce it to the free
     nodes (those off the int32 ascending dirichlet) and hold both, with the
-    coupling block and the flux operator, in a new entry. mobility_tensors'
+    Dirichlet rows and the flux operator, in a new entry. mobility_tensors'
     K/mu0 is held as it is; any other mobility array is copied, as its
     caller may change it."""
     global _entry
@@ -390,11 +377,10 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, free) -> _Held:
     upper = sp.csr_matrix((off.ravel(), (np.minimum(a, b), np.maximum(a, b))), shape=(n, n))
     raw_diagonal = np.bincount(a, diag.ravel(), minlength=n)
     raw = upper + upper.T + sp.diags(raw_diagonal)
-    rows = raw[free]
-    red = rows[:, free]
-    coupling = rows[:, dirichlet].tocsc()
+    red = raw[free][:, free]
     a_max = float(raw_diagonal[free].max(initial=0.0))
-    del upper, off, diag, raw_diagonal, b, rows  # freed before the flux operator is built
+    del upper, off, diag, raw_diagonal, b  # freed before the flux operator is built
+    dirichlet_rows = _rows(raw, dirichlet)
 
     memo = _mobility
     _entry = _Held(
@@ -403,24 +389,25 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, free) -> _Held:
         dirichlet=dirichlet,
         raw_matrix=raw,
         A_red=red,
-        coupling=coupling,
-        dirichlet_rows=_rows(raw, dirichlet),
+        dirichlet_rows=dirichlet_rows,
+        dirichlet_columns=dirichlet_rows.T,
         flux_operator=_flux_operator(fx, fy, tri, n),
         a_max=a_max,
     )
-    for m in (raw, red, coupling, _entry.dirichlet_rows, *_entry.flux_operator):
+    for m in (raw, red, dirichlet_rows, _entry.dirichlet_columns, *_entry.flux_operator):
         for array in (m.data, m.indices, m.indptr):
             array.setflags(write=False)  # every caller gets these matrices
     return _entry
 
 
-def _reduced_rhs(raw_rhs, lift, is_free, dirichlet, coupling):
-    """b_red = raw_rhs[free] - coupling @ lift[dirichlet], with the free
+def _reduced_rhs(raw_rhs, lift, is_free, dirichlet, columns):
+    """b_red = (raw_rhs - columns @ lift[dirichlet])[is_free], with columns
+    the raw matrix's Dirichlet columns raw[:, dirichlet] (CSC) and the free
     nodes given by their mask is_free. Bitwise equal to (raw_rhs - raw @
     lift)[free]: lift is 0 at the free nodes, so the other products of a row
     are signed zeros, which leave its sum as it is, and each row adds its
-    Dirichlet products in the same (ascending) column order."""
-    return raw_rhs[is_free] - coupling @ lift[dirichlet]
+    Dirichlet products in ascending column order, from +0.0."""
+    return (raw_rhs - columns @ lift[dirichlet])[is_free]
 
 
 def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSystem:
@@ -428,18 +415,18 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
 
     mobility : (n_tri, 2, 2) symmetric positive-definite tensors.
 
-    The stiffness, its reduction, its coupling block and the flux operator
+    The stiffness, its reduction, its Dirichlet rows and the flux operator
     are held for the next call (see the module docstring). A call on the
     same mesh object, with the held mobility array itself (the read-only
     K/mu0 that mobility_tensors returns at xi = 0) or else one of the same
     bits, and with the same Dirichlet node set, takes them from the held
-    entry and builds only the load, the Dirichlet values and b_red, which it
-    forms from the coupling block; its result is bitwise that of a fresh
-    assembly. Any other call assembles in full and replaces the entry. The
-    returned raw_matrix, A_red and flux_operator are the held matrices,
-    read-only: writing to their data, indices or indptr raises ValueError,
-    and a changed copy is another matrix to solve. The other arrays of the
-    system belong to the caller. A mesh is taken as fixed once built.
+    entry and builds only the load, the Dirichlet values and b_red (see
+    _reduced_rhs); its result is bitwise that of a fresh assembly. Any other
+    call assembles in full and replaces the entry. The returned raw_matrix,
+    A_red and flux_operator are the held matrices, read-only: writing to
+    their data, indices or indptr raises ValueError, and a changed copy is
+    another matrix to solve. The other arrays of the system belong to the
+    caller. A mesh is taken as fixed once built.
     """
     return _assemble(mesh, mobility, bcs, *_pressure_data(mesh, bcs))
 
@@ -450,7 +437,8 @@ def _assemble(
     """assemble with the pressure data already read: values at nodes, as
     geometry._pressure_data gives them for bcs, or their image under a
     pointwise map (the solution paths read the data once, for their gauge,
-    and map the values). values must be finite."""
+    and map the values). bcs gives the partition and the velocity data, and
+    its pressure data are not evaluated. values must be finite."""
     _finite(values, ", ".join(bcs.pressure))
     mobility = np.asarray(mobility, dtype=float)
     if mobility.shape != (mesh.n_triangles, 2, 2):
@@ -466,7 +454,10 @@ def _assemble(
     lift[nodes] = values
     # pure-velocity data: node 0 pinned at 0
     dirichlet = np.sort(nodes).astype(np.int32) if nodes.size else np.zeros(1, dtype=np.int32)
-    is_free = _free_mask(mesh.n_nodes, dirichlet)
+    # a gather through this mask takes the free nodes in ascending order, as
+    # one through their indices does, at about a fifth of the cost
+    is_free = np.ones(mesh.n_nodes, dtype=bool)
+    is_free[dirichlet] = False
     free = np.flatnonzero(is_free).astype(np.int32)
     if held is None or not _same_bits(held.dirichlet, dirichlet):
         held = _hold_system(mesh, mobility, dirichlet, free)
@@ -481,7 +472,7 @@ def _assemble(
         is_free=is_free,
         lift=lift,
         A_red=held.A_red,
-        b_red=_reduced_rhs(raw_rhs, lift, is_free, dirichlet, held.coupling),
+        b_red=_reduced_rhs(raw_rhs, lift, is_free, dirichlet, held.dirichlet_columns),
         flux_operator=held.flux_operator,
     )
 
@@ -490,48 +481,47 @@ class _EdgeScaling:
     """The systems of a held system's pattern with other stiffness values:
     each off-diagonal pair k_ij = k_ji scaled by one factor per edge, each
     diagonal entry minus the row sum of the scaled entries, reduced to the
-    free nodes as the held system is. Its maps (scaled pairs, diagonal, and
-    the raw data position of each A_red and coupling entry) and data arrays
-    are made once per entry; a call refills the data and builds no sparse
-    matrix, so the system it returns, and its CG start, are overwritten by
-    the next call. b_red comes from the refilled coupling block, by the rule
-    of assemble (_reduced_rhs)."""
+    free nodes as the held system is. Its maps and data arrays are made once
+    per entry: the scaled pairs, each found with its transpose by a key
+    search, the diagonal, and the free mask's selections of the raw data,
+    the entries of a free row and a free column for A_red and those of the
+    other rows for the Dirichlet rows. A call refills the data and builds no
+    sparse matrix, so the system it returns is overwritten by the next call.
+    b_red comes from the refilled Dirichlet columns, by the rule of assemble
+    (_reduced_rhs)."""
 
-    def __init__(self, held: _Held):
-        raw, red = held.raw_matrix, held.A_red
+    def __init__(self, held: _Held, is_free: np.ndarray):
+        raw, red, columns = held.raw_matrix, held.A_red, held.dirichlet_columns
         n = raw.shape[0]
-        # raw is canonical (rows ascending, columns sorted in each row), so
-        # the keys row * n + col of its entries ascend
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(raw.indptr))
-        keys = rows * n + raw.indices
         upper = np.flatnonzero(rows < raw.indices)
         i, j = rows[upper], raw.indices[upper].astype(np.int64)
         self.edges = (i, j)
         self.n = n
         self._upper = upper
-        self._lower = np.searchsorted(keys, j * n + i)
+        # raw is canonical (rows ascending, columns sorted in each row), so
+        # the keys row * n + col of its entries ascend
+        self._lower = np.searchsorted(rows * n + raw.indices, j * n + i)
         self._diag = np.flatnonzero(rows == raw.indices)  # one per node, in order
-        self._is_free = _free_mask(n, held.dirichlet)
-        free = np.flatnonzero(self._is_free)
-        red_rows = np.repeat(free, np.diff(red.indptr))
-        self._to_red = np.searchsorted(keys, red_rows * n + free[red.indices])
-        c = held.coupling
-        c_cols = np.repeat(held.dirichlet.astype(np.int64), np.diff(c.indptr))
-        self._to_coupling = np.searchsorted(keys, free[c.indices] * n + c_cols)
+        # A_red's entries are raw's of a free row and a free column, and the
+        # Dirichlet rows' those of the other rows, each in raw's order
+        self._to_red = np.flatnonzero(is_free[rows] & is_free[raw.indices])
+        self._to_dirichlet_rows = np.flatnonzero(~is_free[rows])
         self._dirichlet = held.dirichlet
         self.diagonal = red.diagonal()  # of A_red: d_F in _pcg while its factor is held
         self._base = raw.data
         self._raw = sp.csr_matrix((np.empty_like(raw.data), raw.indices, raw.indptr), shape=raw.shape)
         self.A_red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
-        self._coupling = sp.csc_matrix((np.empty_like(c.data), c.indices, c.indptr), shape=c.shape)
+        self._columns = sp.csc_matrix(
+            (np.empty_like(columns.data), columns.indices, columns.indptr), shape=columns.shape
+        )
 
     def system(self, base: SparseSystem, scale: np.ndarray, start=None) -> SparseSystem:
         """base, the held system, with the stiffness scaled by scale (one
         factor per pair of self.edges). The scaled pairs get one product
         each, so A_red stays bitwise symmetric. start, a reduced solution,
-        is where CG starts on the system's solve (see _solve_sweep); with
-        None the system is factored."""
-        self.start = start
+        is where CG starts on the system's solve (see _solve_sweep), and the
+        system returned carries it; with None the system is factored."""
         data = self._raw.data
         off = self._base[self._upper] * scale
         data[self._upper] = off
@@ -539,9 +529,12 @@ class _EdgeScaling:
         i, j = self.edges
         data[self._diag] = -(np.bincount(i, off, self.n) + np.bincount(j, off, self.n))
         np.take(data, self._to_red, out=self.A_red.data)
-        np.take(data, self._to_coupling, out=self._coupling.data)
-        b_red = _reduced_rhs(base.raw_rhs, base.lift, self._is_free, self._dirichlet, self._coupling)
-        return dataclasses.replace(base, raw_matrix=self._raw, A_red=self.A_red, b_red=b_red)
+        # the Dirichlet rows in CSR order are the Dirichlet columns in CSC order
+        np.take(data, self._to_dirichlet_rows, out=self._columns.data)
+        b_red = _reduced_rhs(base.raw_rhs, base.lift, base.is_free, self._dirichlet, self._columns)
+        return dataclasses.replace(
+            base, raw_matrix=self._raw, A_red=self.A_red, b_red=b_red, _start=start
+        )
 
 
 def _edge_scaling(system: SparseSystem) -> _EdgeScaling:
@@ -549,7 +542,7 @@ def _edge_scaling(system: SparseSystem) -> _EdgeScaling:
     held = _entry_for(system.mesh)
     assert held is not None and held.raw_matrix is system.raw_matrix
     if held.scaling is None:
-        held.scaling = _EdgeScaling(held)
+        held.scaling = _EdgeScaling(held, system.is_free)
     return held.scaling
 
 
@@ -569,10 +562,10 @@ def _factor(A):
         raise NoConvergence(f"sparse LU factorization failed: {err}") from err
 
 
-def _pcg(held, A, b, bnorm, d_A):
+def _pcg(held, A, b, bnorm, d_A, start):
     """Conjugate gradients on A x = b, an A with the held pattern and the
-    diagonal d_A, from held.scaling.start, preconditioned by S F^-1 S. F is
-    held.lu, the factor of held.A_red or of a sweep matrix, and S =
+    diagonal d_A, from start, preconditioned by S F^-1 S. F is held.lu,
+    the factor of held.A_red or of a sweep matrix, and S =
     diag(sqrt(d_F / d_A)), with d_F the diagonal of the matrix F factored: a
     sweep matrix is close to D^1/2 B D^1/2 for the factored B and a positive
     diagonal D, and S F^-1 S is then close to its inverse. Returns (x, r,
@@ -591,7 +584,7 @@ def _pcg(held, A, b, bnorm, d_A):
         return None, None, 0
     s = np.sqrt(ratio)
 
-    x = held.scaling.start
+    x = start
     r = b - A @ x
     p, rz = None, 0.0
     for k in range(1, _PCG_MAX + 1):
@@ -610,7 +603,7 @@ def _pcg(held, A, b, bnorm, d_A):
     return None, None, _PCG_MAX
 
 
-def _solve_sweep(held, A, b, bnorm):
+def _solve_sweep(held, A, b, bnorm, start):
     """Solve A x = b for A, the sweep matrix of held.scaling; returns (x, r,
     CG iterations, a_max of A), r = b - A x from an accepted CG exit, None
     for a factored sweep. Where the sweep has a start (a later Picard
@@ -619,8 +612,8 @@ def _solve_sweep(held, A, b, bnorm):
     factored; its factor and diagonal are held for the sweeps after it."""
     d_A = A.diagonal()
     iterations = 0
-    if held.scaling.start is not None:
-        x, r, iterations = _pcg(held, A, b, bnorm, d_A)
+    if start is not None:
+        x, r, iterations = _pcg(held, A, b, bnorm, d_A, start)
         if x is not None:
             return x, r, iterations, d_A.max()
     held.lu = None  # the held factor goes before the next is made
@@ -628,14 +621,15 @@ def _solve_sweep(held, A, b, bnorm):
     return held.lu.solve(b), None, iterations, d_A.max()
 
 
-def _lu(A, b, mesh):
+def _lu(A, b, mesh, start):
     """Solve A x = b (A SPD); returns (x, r, omega of solve, CG
     iterations), r = b - A x, which omega is computed from. When A is the
     reduced matrix held for mesh, the entry keeps its SuperLU factor and
     later calls reuse it, unless a sweep factor has taken its slot since. A
-    sweep matrix of the entry's edge scaling is solved by _solve_sweep. Any
-    other A drops the entry and is factored without being held. The entry
-    holds one factor at most, and a failed factorization drops it."""
+    sweep matrix of the entry's edge scaling is solved by _solve_sweep, with
+    CG from start when that is not None. Any other A drops the entry and is
+    factored without being held. The entry holds one factor at most, and a
+    failed factorization drops it."""
     global _entry
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:  # x = 0, and b - A x is b itself
@@ -645,7 +639,7 @@ def _lu(A, b, mesh):
     r, iterations = None, 0
     try:
         if scaling is not None and A is scaling.A_red:
-            x, r, iterations, a_max = _solve_sweep(held, A, b, bnorm)
+            x, r, iterations, a_max = _solve_sweep(held, A, b, bnorm, start)
         elif held is not None and A is held.A_red:
             if held.lu is None or held.lu_diagonal is not None:
                 held.lu = held.lu_diagonal = None  # a sweep factor goes first
@@ -697,7 +691,7 @@ def solve(system: SparseSystem) -> LinearSolveResult:
                 "compatibility condition violated"
             )
 
-    x_red, r, omega, iterations = _lu(system.A_red, system.b_red, system.mesh)
+    x_red, r, omega, iterations = _lu(system.A_red, system.b_red, system.mesh, system._start)
     if not omega <= _OMEGA_MAX:  # also catches a non-finite omega
         raise NoConvergence(f"linear solve backward error {omega:.3e} exceeds {_OMEGA_MAX:.3e}")
 
@@ -753,8 +747,7 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
 
     Pressure segments use the consistent reaction form; velocity segments
     integrate the prescribed normal velocity (what the discrete solution
-    carries there by construction), and one whose datum is the constant 0
-    has flux 0.0 without evaluating it. A node two pressure segments share
+    carries there by construction). A node two pressure segments share
     belongs to the later one, whose value geometry._pressure_data reads
     there, so the pressure segments' fluxes sum to the net reaction.
     """
@@ -767,11 +760,8 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
             nodes = nodes[~np.isin(nodes, system.mesh.nodes_with_label(other))]
         return float((system.raw_rhs[nodes] - _rows(system.raw_matrix, nodes) @ P.values).sum())
     if label in system.bcs.velocity:
-        data = system.bcs.velocity[label]
         total = 0.0
-        if _zero_datum(data):
-            return total
-        for _, _, wl, vn in _edge_quadrature(system.mesh, label, data):
+        for _, _, wl, vn in _edge_quadrature(system.mesh, label, system.bcs.velocity[label]):
             total += float((wl * vn).sum())
         return total
     raise UnknownLabel(f"label {label!r} not present in the boundary spec")
@@ -879,11 +869,8 @@ def solve_transformed_bvp(
         raise Degenerate("beta = 0: use barus_direct.picard_solve (one linear solve)")
     xi_nodes, dnodes, dvals, modified, p_ref = _gauge(mesh, fluid, xi, bcs)
     ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
-    kbcs = bcs.map_pressure(
-        lambda p, x, y: transform._kirchhoff_forward(p + xi(x, y), fluid, p_ref, ceiling)
-    )
     kvals = transform._kirchhoff_forward(modified, fluid, p_ref, ceiling)
-    system = _assemble(mesh, mobility_tensors(mesh, fluid, xi, K), kbcs, dnodes, kvals)
+    system = _assemble(mesh, mobility_tensors(mesh, fluid, xi, K), bcs, dnodes, kvals)
     result = solve(system)
     U = result.field.values
 

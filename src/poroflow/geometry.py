@@ -19,7 +19,7 @@ is (t_y, -t_x) for the unit tangent t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Union
 
@@ -256,16 +256,7 @@ def make_reservoir_mesh(L, H, W, nx, ny, well_offset=0.0, pattern="diagonal") ->
     )
     # nodes, triangles and boundary edges are base's, which
     # make_rectangle_mesh validated; only the labels are new, one per edge
-    return Mesh(
-        nodes=base.nodes,
-        triangles=base.triangles,
-        boundary_edges=base.boundary_edges,
-        edge_labels=tuple(labels),
-        nx=nx,
-        ny=ny,
-        extent=base.extent,
-        metadata=meta,
-    )
+    return replace(base, edge_labels=tuple(labels), metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +496,14 @@ def _finite(values: np.ndarray, label: str) -> np.ndarray:
 def _edge_quadrature(mesh: Mesh, label: str, data: BCData):
     """For each Gauss point t of the edges labeled ``label``, yield
     (edges, t, w * length, data at the point): the integral of f * data
-    over the segment is the sum over points of (w * length * data * f)."""
+    over the segment is the sum over points of (w * length * data * f).
+
+    A datum that is the constant 0 (+0.0, -0.0 or int 0) yields nothing and
+    is not evaluated: its terms are signed zeros, which leave a sum that
+    starts at +0.0 as it is. A NaN or infinite constant and every callable
+    are evaluated, and so checked."""
+    if not callable(data) and float(data) == 0.0:
+        return
     segment = mesh._segment(label)
     for t, wl, x, y in segment.gauss:
         yield segment.edges, t, wl, _finite(eval_bc(data, x, y), label)

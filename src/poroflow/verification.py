@@ -175,13 +175,9 @@ class FluxSolution:
 
 def _gamma_v_integral(mesh, bcs_other, field_values, weight):
     """integral over Gamma_v of v_n(other) * weight(field) with the P1
-    trace interpolated to the quadrature points. A segment whose datum is
-    the constant 0 is skipped (darcy_linear._zero_datum): its terms are
-    signed zeros, which leave the +0.0 total as it is."""
+    trace interpolated to the quadrature points."""
     total = 0.0
     for label, data in bcs_other.velocity.items():
-        if darcy_linear._zero_datum(data):
-            continue
         for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
             fa, fb = field_values[edges[:, 0]], field_values[edges[:, 1]]
             total += float((wl * vn * weight(fa + t * (fb - fa))).sum())

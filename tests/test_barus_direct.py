@@ -415,6 +415,24 @@ class TestNonlinearResidual:
         report = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
         assert bd.nonlinear_residual(report.p, mesh, fluid, xi, K, bcs) <= 1e-12
 
+    def test_zero_secant_load_scales_by_the_stiffness(self, unit_fluid):
+        # zero pressure data and sealed walls give the secant system a zero
+        # load: the residual is then relative to ||raw_K P_K||, or absolute
+        # when that is zero too
+        mesh = make_rectangle_mesh(10.0, 3.0, 8, 3)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bcs = BoundarySpec(pressure={"left": 0.0, "right": 0.0}, velocity={"top": 0.0, "bottom": 0.0})
+        zero = ScalarField.constant(mesh, 0.0)
+        assert bd.nonlinear_residual(zero, mesh, unit_fluid, ZERO_XI, K, bcs) == 0.0
+        x, y = mesh.nodes.T
+        p = ScalarField(mesh, 0.05 * np.sin(x) * y)
+        system = dl.assemble(mesh, dl.mobility_tensors(mesh, unit_fluid, ZERO_XI, K), bcs)
+        flux = system.raw_matrix @ tr.kirchhoff_forward(p.values, unit_fluid, 0.0)
+        want = np.linalg.norm(flux[system.free]) / np.linalg.norm(flux)
+        assert 0.1 < want < 1.0
+        got = bd.nonlinear_residual(p, mesh, unit_fluid, ZERO_XI, K, bcs)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_random_field_large_residual(self, table1_fluid):
         mesh = make_rectangle_mesh(10.0, 2.0, 8, 2)
         K = PermeabilityField.isotropic(mesh, 1e-12)

@@ -4,11 +4,13 @@ consistent boundary fluxes, and the three-step transformed solution path."""
 import dataclasses
 import gc
 import sys
+import types
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from poroflow import (
     BodyForcePotential,
@@ -28,6 +30,7 @@ from poroflow import (
 )
 from poroflow import barus_direct as bd
 from poroflow import darcy_linear as dl
+from poroflow import geometry
 from poroflow import oned_analytic as o1
 from poroflow import transform as tr
 from poroflow import verification as vf
@@ -301,6 +304,26 @@ class TestFactorReuse:
         exact = 1.0 + 0.2 * (1.0 - mesh.nodes[:, 0])  # v = (0.5, 0) = -2.5 grad p
         assert np.max(np.abs(result.field.values - exact)) < 1e-10
 
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    def test_sweep_system_reduces_the_scaled_stiffness(self, pattern):
+        # A_red and b_red of a sweep, and of the system it scales, are
+        # bitwise a fresh reduction of their raw matrix, (raw_rhs - raw @
+        # lift)[free] for b_red
+        mesh = make_rectangle_mesh(3.0, 1.3, 11, 7, pattern)
+        bcs = BoundarySpec(
+            pressure={"left": lambda x, y: 2.0 + y, "top": -1.5}, velocity={"bottom": -0.2, "right": 0.3}
+        )
+        system = dl.assemble(mesh, 4.5 * identity_mobility(mesh), bcs)
+        scaling = dl._edge_scaling(system)
+        sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
+        assert not np.array_equal(sweep.A_red.data, system.A_red.data)
+        for s in (system, sweep):
+            want = s.raw_matrix[s.free][:, s.free]
+            for a in ("indptr", "indices", "data"):
+                assert getattr(s.A_red, a).tobytes() == getattr(want, a).tobytes()
+            b_red = (s.raw_rhs - s.raw_matrix @ s.lift)[s.free]
+            assert s.b_red.tobytes() == b_red.tobytes()
+
     def test_zero_weight_sweep_after_cg_start_raises_without_warning(self, splu_calls):
         # with a start the sweep reaches CG first; its zero diagonal gives a
         # ratio that is not finite, so CG gives up without dividing into a
@@ -311,7 +334,7 @@ class TestFactorReuse:
         scaling = dl._edge_scaling(system)
         start = dl.solve(system).field.values[system.free]
         sweep = scaling.system(system, np.zeros(scaling.edges[0].size), start=start)
-        assert scaling.start is not None
+        assert sweep._start is start
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence):
@@ -334,6 +357,32 @@ class TestFactorReuse:
         assert report.iterations >= 3
         assert len(splu_calls) == 1
         assert dl._entry.lu is not None
+
+    def test_picard_leaves_no_vector_on_the_entry(self, monkeypatch):
+        # each sweep system carries its CG start: once picard_solve returns,
+        # no array reachable from the held entry is a start, solution,
+        # residual or right-hand side of the call
+        fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
+        mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.063, "top": 0.0, "bottom": 0.0})
+        vectors = []
+        solve = dl.solve
+
+        def recording(system):
+            result = solve(system)
+            vectors.extend([system.b_red, system._start, result.reduced, result._r, result.field.values])
+            return result
+
+        monkeypatch.setattr(dl, "solve", recording)
+        report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
+        assert report.iterations >= 3 and dl._entry.scaling is not None
+        starts = [v for v in vectors[1::5] if v is not None]
+        assert len(starts) == report.iterations - 1
+        held = reachable_arrays(dl._entry)
+        assert any(a is dl._entry.scaling.A_red.data for a in held)
+        for v in vectors:
+            assert v is None or not any(np.shares_memory(v, a) for a in held)
 
     @pytest.mark.parametrize("r, sweeps", [(0.26, 9), (0.63, 13), (0.95, 20)])
     def test_benchmark_strip_keeps_transformed_factor(self, r, sweeps, splu_calls):
@@ -387,6 +436,19 @@ class TestFactorReuse:
                             found[id(obj)] = obj
             frame = frame.f_back
         return len(found)
+
+    @pytest.mark.parametrize(
+        "off, b", [(2.0, [1.0, -1.0]), (np.inf, [1.0, 1.0]), (np.nan, [1.0, 1.0])],
+        ids=["negative", "infinite", "nan"],
+    )
+    def test_cg_gives_up_on_a_curvature_not_positive_and_finite(self, off, b):
+        # a positive diagonal passes the preconditioner's test, but the first
+        # step's p.Ap is -2 (an indefinite A), +inf or NaN
+        A = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
+        held = types.SimpleNamespace(lu=dl._factor(sp.identity(2, format="csr")), lu_diagonal=np.ones(2))
+        b = np.array(b)
+        x, r, iterations = dl._pcg(held, A, b, np.linalg.norm(b), A.diagonal(), np.zeros(2))
+        assert x is None and r is None and iterations == 1
 
     def test_without_cg_every_later_sweep_factors(self, monkeypatch, splu_calls):
         monkeypatch.setattr(dl, "_PCG_MAX", 0)
@@ -751,7 +813,16 @@ class TestBoundaryReads:
         return datum
 
     @pytest.mark.parametrize("path", ["transformed", "picard"])
-    def test_callable_pressure_evaluated_once_per_warm_solve(self, path, unit_fluid):
+    def test_callable_pressure_evaluated_once_per_warm_solve(self, path, unit_fluid, monkeypatch):
+        # the solve maps the values it reads and builds no mapped BoundarySpec
+        mapped = []
+        original = BoundarySpec.map_pressure
+
+        def map_pressure(spec, fn):
+            mapped.append(fn)
+            return original(spec, fn)
+
+        monkeypatch.setattr(BoundarySpec, "map_pressure", map_pressure)
         mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
         K = PermeabilityField.isotropic(mesh, 1.0)
         calls = []
@@ -765,52 +836,55 @@ class TestBoundaryReads:
         del calls[:]
         solver(mesh, unit_fluid, xi, K, bcs)  # warm
         assert calls == [mesh.ny + 1]
+        assert mapped == []
 
     @pytest.mark.parametrize("zero", [0.0, -0.0, 0], ids=["zero", "negative_zero", "int_zero"])
     def test_zero_velocity_label_adds_nothing(self, zero, monkeypatch):
         mesh = make_rectangle_mesh(3.0, 1.3, 11, 7, "crossed")
         read = []
-        quadrature = dl._edge_quadrature
+        evaluate = geometry.eval_bc
 
-        def spy(mesh, label, data):
-            read.append(label)
-            return quadrature(mesh, label, data)
+        def spy(data, x, y):
+            read.append(data)
+            return evaluate(data, x, y)
 
-        monkeypatch.setattr(dl, "_edge_quadrature", spy)
-        bcs = BoundarySpec(
-            pressure={"right": 1.0},
-            velocity={"left": lambda x, y: -0.1 - 0.2 * y, "top": zero, "bottom": 0.3},
-        )
+        def constant_zeros_read():
+            return [d for d in read if not callable(d) and float(d) == 0.0]
+
+        monkeypatch.setattr(geometry, "eval_bc", spy)
+        left = lambda x, y: -0.1 - 0.2 * y
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": left, "top": zero, "bottom": 0.3})
         load = dl._neumann_load(mesh, bcs)
-        assert read == ["left", "bottom"]
+        assert read == [left, left, 0.3, 0.3]  # one read per Gauss point
         want = _oracles.neumann_load_per_label(mesh, bcs)
         assert load.tobytes() == want.tobytes()
         system = dl.assemble(mesh, identity_mobility(mesh), bcs)
         P = dl.solve(system).field
+        assert constant_zeros_read() == []
         del read[:]
         assert np.float64(dl.boundary_flux(P, system, "top")).tobytes() == np.float64(0.0).tobytes()
         assert read == []
         # a callable that returns zeros is still evaluated
-        callable_zero = BoundarySpec(pressure={}, velocity={"top": lambda x, y: 0.0 * x})
-        dl._neumann_load(mesh, callable_zero)
-        assert read == ["top"]
-        assert dl.boundary_flux(P, dataclasses.replace(system, bcs=callable_zero), "top") == 0.0
-        assert read == ["top", "top"]
+        callable_zero = lambda x, y: 0.0 * x
+        spec = BoundarySpec(pressure={}, velocity={"top": callable_zero})
+        dl._neumann_load(mesh, spec)
+        assert read == [callable_zero] * 2
+        assert dl.boundary_flux(P, dataclasses.replace(system, bcs=spec), "top") == 0.0
+        assert read == [callable_zero] * 4
         # the reciprocity integrals skip the constant-0 label with the same bits
-        monkeypatch.setattr(vf, "_edge_quadrature", spy)
         other = BoundarySpec(pressure={"right": 2.0}, velocity={"left": -0.3, "top": zero, "bottom": 0.1})
         other_system = dl.assemble(mesh, identity_mobility(mesh), other)
         Q = dl.solve(other_system).field
         sols = [vf.FluxSolution(F, dl.nodal_reactions(s, F)) for F, s in ((P, system), (Q, other_system))]
         del read[:]
         got = vf.reciprocity_residual_darcy(*sols, bcs, other, mesh)
-        assert read == ["left", "bottom"] * 2
+        assert read and constant_zeros_read() == []
         evaluated = [
             dataclasses.replace(b, velocity={**b.velocity, "top": lambda x, y: zero * x})
             for b in (bcs, other)
         ]
         want = vf.reciprocity_residual_darcy(*sols, *evaluated, mesh)
-        assert read == ["left", "bottom"] * 2 + ["left", "top", "bottom"] * 2
+        assert sum(d is evaluated[0].velocity["top"] for d in read) == 2
         assert 0.0 < got < 1e-12 and np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1081,6 +1155,27 @@ class TestOneResidual:
         assert np.abs(report.reactions - want).max() <= 1e-13 * np.abs(report.reactions).max()
 
 
+def reachable_arrays(root):
+    """Every numpy array reachable from root through object attributes,
+    tuples, lists and dicts; weak references, SuperLU factors and functions
+    are not followed."""
+    arrays, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__") and not callable(obj):
+            stack.extend(vars(obj).values())
+    return arrays
+
+
 def held_entry_bytes():
     """Bytes of the held entry's arrays, each memory block counted once;
     the SuperLU factor is not counted."""
@@ -1116,6 +1211,20 @@ class TestHeldEntryBytes:
         assert mesh.n_triangles == 3840
         assert dl._entry.lu is not None and dl._entry.scaling is None
         assert held_entry_bytes() <= self.GRADIENT_ENTRY_BYTES + 16 * mesh.n_triangles + 4
+
+    def test_dirichlet_rows_held_once(self):
+        # the Dirichlet columns that b_red is formed from are the transpose
+        # of the Dirichlet rows, a view of the same three arrays
+        mesh = make_rectangle_mesh(3.0, 1.3, 11, 7)
+        system = dl.assemble(mesh, 5.5 * identity_mobility(mesh), lr_dirichlet(1.0, 2.0))
+        rows, columns = dl._entry.dirichlet_rows, dl._entry.dirichlet_columns
+        d = dl._entry.dirichlet
+        assert rows.format == "csr" and columns.format == "csc"
+        for a in ("data", "indices", "indptr"):
+            x, y = getattr(rows, a), getattr(columns, a)
+            assert x.__array_interface__["data"] == y.__array_interface__["data"] and x.size == y.size
+        assert np.array_equal(rows.toarray(), system.raw_matrix[d].toarray())
+        assert np.array_equal(columns.toarray(), system.raw_matrix[:, d].toarray())
 
 
 class TestBoundaryFlux:

@@ -84,6 +84,19 @@ class TestMinMaxPrinciples:
         assert vf.check_min_principle(field, bcs).satisfied
         assert vf.check_max_principle(field, bcs).satisfied
 
+    def test_pressure_only_data(self):
+        # no velocity segment: both principles apply, with no sign to test
+        mesh = make_rectangle_mesh(1.0, 1.0, 6, 6)
+        bcs = BoundarySpec(
+            pressure={"left": 2.0, "right": 1.0, "top": lambda x, y: 2.0 - x, "bottom": lambda x, y: 2.0 - x},
+            velocity={},
+        )
+        system = dl.assemble(mesh, np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)), bcs)
+        field = dl.solve(system).field
+        lo, hi = vf.check_min_principle(field, bcs), vf.check_max_principle(field, bcs)
+        assert lo.satisfied and hi.satisfied
+        assert (lo.bound, hi.bound) == (1.0, 2.0)
+
     def test_strip_inflow_minimum_at_outlet(self, table1_fluid):
         # inflow at the left (v.n = -v0 < 0): minimum principle applies and
         # the minimum sits on the pressure boundary
