@@ -54,6 +54,23 @@ SolveReport). A solve of the held reduced matrix reuses its
 factor; any other matrix drops the entry and is factored without being
 held. So a sweep over pressure data on one mesh assembles and factors once.
 
+The transformed problem is linear in its variable, so where its mapped data
+are constant on every label its reduced solution is x = sum of c_l H_l, c_l
+the datum of label l and H_l the reduced solution for unit data on l alone
+(the linear-decomposition argument of verification.calibrate_ceiling_flux).
+The entry holds one H_l per label with nonzero data, for one partition of
+the labels (the pressure and velocity labels, each in spec order), made on
+first need by the held factor of the reduced matrix (see _superpose). A
+transformed solve whose pressure labels each take one value at the nodes
+they own (a node two pressure labels share is the later one's), whose
+velocity data are constants and which has a pressure node forms x from
+them, r = b - A x once and omega by the formula above; it makes no
+triangular solve once its responses are held. An omega above 64 eps, any
+other data and every solve outside the transformed path take solve. The
+responses are solutions of the reduced matrix, not of the factor, so a
+sweep factor that takes the slot leaves them held; a call with another
+partition replaces them, and they go with the entry.
+
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
 and other values. Each sweep system carries its start, the previous
 sweep's reduced solution, which the caller passes (see _EdgeScaling); the
@@ -169,10 +186,14 @@ class SolveReport:
 
     U is the solved Kirchhoff field and P the Hopf-Cole field U - C, C the
     kirchhoff_ceiling, with hopf_cole_inverse of the data at the Dirichlet
-    nodes. v and reactions come from U, not P: on the 400x120 reservoir at
-    Table-1 parameters their net Dirichlet reaction is 2.0e-11 of the well
-    flux, against up to 2.6e-8 (p_inj = 1.6 p0) when P is put through a
-    system assembled in the Hopf-Cole gauge.
+    nodes. Where the mapped data are constant on every label, U is the sum
+    of the held per-label responses scaled by the data (see _superpose),
+    and differs from that of solve by rounding: at most 2.2e-15 of max|U|
+    over 40 log-uniform injection pressures in [1.6e5, 4e9] Pa on the
+    400x120 Table-1 reservoir. v and reactions come from U, not P: on that
+    reservoir their net Dirichlet reaction is 2.0e-11 of the well flux,
+    against up to 2.6e-8 (p_inj = 1.6 p0) when P is put through a system
+    assembled in the Hopf-Cole gauge.
 
     v is computed from U on its first read, by the flux operator of the
     system solved, which the report holds (read-only, shared with the held
@@ -184,8 +205,8 @@ class SolveReport:
     a nonzero potential only, xi at the nodes. The solve has checked that U
     is below C there, so a read cannot raise. reactions are those of
     nodal_reactions(system, U) at the pressure nodes (node 0 for pure-velocity
-    data), and elsewhere b_red - A_red x, the residual omega is computed from;
-    the two forms differ by rounding."""
+    data), and elsewhere b_red - A_red x, the residual omega is computed from,
+    x superposed or solved; the two forms differ by rounding."""
 
     U: ScalarField
     P: ScalarField
@@ -248,10 +269,15 @@ def _neumann_load(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
     """rhs_i = -integral over velocity segments of phi_i * v_n (2-pt Gauss)."""
     rhs = np.zeros(mesh.n_nodes)
     for label, data in bcs.velocity.items():
-        for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
-            np.add.at(rhs, edges[:, 0], -wl * vn * (1.0 - t))
-            np.add.at(rhs, edges[:, 1], -wl * vn * t)
+        _add_label_load(rhs, mesh, label, data)
     return rhs
+
+
+def _add_label_load(rhs: np.ndarray, mesh: Mesh, label: str, data) -> None:
+    """Add one velocity label's part of the Neumann load to rhs, in place."""
+    for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
+        np.add.at(rhs, edges[:, 0], -wl * vn * (1.0 - t))
+        np.add.at(rhs, edges[:, 1], -wl * vn * t)
 
 
 def _compatibility(load: np.ndarray):
@@ -259,6 +285,19 @@ def _compatibility(load: np.ndarray):
     load: the net load must vanish to 1e-12 of the summed nodal magnitudes."""
     net = float(load.sum())
     return abs(net) <= 1e-12 * max(float(np.abs(load).sum()), 1e-300), -net
+
+
+@dataclass
+class _Responses:
+    """The reduced solutions of A_red for unit data on one label each, of
+    one partition of the labels: a pressure label's response has lift 1 at
+    the nodes it owns (a node two pressure labels share is the later one's)
+    and no load, a velocity label's the load of normal velocity 1 on it and
+    no lift. Each is made on first need, read-only."""
+
+    partition: tuple  # (pressure labels, velocity labels), each in spec order
+    nodes: dict  # pressure label -> the nodes it owns, ascending
+    H: dict  # label -> its response
 
 
 @dataclass
@@ -280,6 +319,7 @@ class _Held:
     lu: spla.SuperLU = None  # of A_red, or of the last sweep matrix factored
     lu_diagonal: np.ndarray = None  # that sweep matrix's diagonal; None for A_red
     scaling: "_EdgeScaling" = None  # of barus_direct's sweeps, made on first need
+    responses: _Responses = None  # of the last partition superposed (see _superpose)
 
 
 # The one held entry, or None. One at most. On the 400x120 reservoir (48,521
@@ -287,7 +327,8 @@ class _Held:
 # at xi = 0 is mobility_tensors' array, shared and not copied; raw and reduced
 # matrices 6.2 MB; flux operator 6.1 MB (4.6 MB of values, 1.5 MB of shared
 # indices and indptr); the 123 Dirichlet nodes 0.5 kB; the Dirichlet rows,
-# and the columns that share their arrays, 6.4 kB (490 entries). Its factor
+# and the columns that share their arrays, 6.4 kB (490 entries); the one
+# inlet response of a pressure sweep 0.39 MB (48,398 free nodes). Its factor
 # has 2.48M entries in L and U, about 30 MB.
 _entry = None
 
@@ -547,7 +588,9 @@ def _edge_scaling(system: SparseSystem) -> _EdgeScaling:
 
 
 def _factor(A):
-    """SuperLU factor of the SPD matrix A, in its own fill-reducing order."""
+    """SuperLU factor of the SPD matrix A, in its own fill-reducing order. A
+    failed factorization drops the held entry and raises NoConvergence."""
+    global _entry
     try:
         # A is symmetric: its CSR arrays, read as CSC, are A itself (no copy)
         return spla.splu(
@@ -559,6 +602,7 @@ def _factor(A):
             options={"SymmetricMode": True},
         )
     except RuntimeError as err:  # SuperLU reports an exactly singular factor
+        _entry = None
         raise NoConvergence(f"sparse LU factorization failed: {err}") from err
 
 
@@ -621,6 +665,15 @@ def _solve_sweep(held, A, b, bnorm, start):
     return held.lu.solve(b), None, iterations, d_A.max()
 
 
+def _reduced_factor(held):
+    """The factor of held.A_red, made in the slot if it is empty or holds a
+    sweep factor, which goes first."""
+    if held.lu is None or held.lu_diagonal is not None:
+        held.lu = held.lu_diagonal = None
+        held.lu = _factor(held.A_red)
+    return held.lu
+
+
 def _lu(A, b, mesh, start):
     """Solve A x = b (A SPD); returns (x, r, omega of solve, CG
     iterations), r = b - A x, which omega is computed from. When A is the
@@ -629,7 +682,7 @@ def _lu(A, b, mesh, start):
     sweep matrix of the entry's edge scaling is solved by _solve_sweep, with
     CG from start when that is not None. Any other A drops the entry and is
     factored without being held. The entry holds one factor at most, and a
-    failed factorization drops it."""
+    failed factorization drops it (see _factor)."""
     global _entry
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:  # x = 0, and b - A x is b itself
@@ -637,22 +690,15 @@ def _lu(A, b, mesh, start):
     held = _entry_for(mesh)
     scaling = held.scaling if held is not None else None
     r, iterations = None, 0
-    try:
-        if scaling is not None and A is scaling.A_red:
-            x, r, iterations, a_max = _solve_sweep(held, A, b, bnorm, start)
-        elif held is not None and A is held.A_red:
-            if held.lu is None or held.lu_diagonal is not None:
-                held.lu = held.lu_diagonal = None  # a sweep factor goes first
-                held.lu = _factor(A)
-            x = held.lu.solve(b)
-            a_max = held.a_max
-        else:
-            _entry = held = None  # the held factor goes first: never two at once
-            x = _factor(A).solve(b)
-            a_max = A.diagonal().max()
-    except NoConvergence:
-        _entry = None
-        raise
+    if scaling is not None and A is scaling.A_red:
+        x, r, iterations, a_max = _solve_sweep(held, A, b, bnorm, start)
+    elif held is not None and A is held.A_red:
+        x = _reduced_factor(held).solve(b)
+        a_max = held.a_max
+    else:
+        _entry = held = None  # the held factor goes first: never two at once
+        x = _factor(A).solve(b)
+        a_max = A.diagonal().max()
     if r is None:
         r = b - A @ x
     omega = np.linalg.norm(r) / (a_max * np.linalg.norm(x) + bnorm)
@@ -833,6 +879,83 @@ def _gauge(mesh, fluid, xi, bcs):
     return xi_nodes, dnodes, dvals, modified, p_ref
 
 
+def _responses(held: _Held, system: SparseSystem) -> _Responses:
+    """The responses held for the partition of system, a fresh empty set
+    (which replaces the held one) if they belong to another."""
+    bcs = system.bcs
+    partition = (tuple(bcs.pressure), tuple(bcs.velocity))
+    responses = held.responses
+    if responses is None or responses.partition != partition:
+        owned, taken = {}, np.zeros(system.mesh.n_nodes, dtype=bool)
+        for label in reversed(partition[0]):
+            nodes = system.mesh._segment(label).nodes
+            owned[label] = nodes[~taken[nodes]]
+            taken[nodes] = True
+        held.responses = responses = _Responses(partition, dict(reversed(owned.items())), {})
+    return responses
+
+
+def _response(held: _Held, responses: _Responses, system: SparseSystem, label: str) -> np.ndarray:
+    """The held response of label, solved by the held factor of A_red on
+    first need (see _Responses)."""
+    H = responses.H.get(label)
+    if H is None:
+        n = system.mesh.n_nodes
+        load, lift = np.zeros(n), np.zeros(n)
+        if label in responses.nodes:
+            lift[responses.nodes[label]] = 1.0
+        else:
+            _add_label_load(load, system.mesh, label, 1.0)
+        b = _reduced_rhs(load, lift, system.is_free, held.dirichlet, held.dirichlet_columns)
+        H = _reduced_factor(held).solve(b)
+        H.setflags(write=False)
+        responses.H[label] = H
+    return H
+
+
+def _superpose(system: SparseSystem):
+    """Solve system, assembled on the held A_red, as x = sum of c_l H_l in
+    spec order (pressure labels, then velocity labels): c_l the constant
+    datum of label l, H_l its held response (see _Responses); labels with
+    datum 0 add nothing. Returns the LinearSolveResult of solve, or None
+    where that takes solve itself: pure-velocity data, a callable velocity
+    datum, a pressure label whose values differ between its nodes, data
+    that are 0 on every label or a b_red of norm 0, or an x that fails
+    solve's test (its norm must also be finite). A first response made
+    with a sweep factor in the slot refactors A_red, as solve does."""
+    bcs = system.bcs
+    held = _entry_for(system.mesh)
+    if (not bcs.pressure or held is None or system.A_red is not held.A_red
+            or any(callable(data) for data in bcs.velocity.values())):
+        return None
+    responses = _responses(held, system)
+    terms = []
+    for label, nodes in responses.nodes.items():
+        values = system.lift[nodes]
+        if values.size and not np.all(values == values[0]):
+            return None
+        if values.size and values[0] != 0.0:
+            terms.append((label, values[0]))
+    terms += [(label, float(data)) for label, data in bcs.velocity.items() if float(data) != 0.0]
+    b = system.b_red
+    bnorm = np.linalg.norm(b)
+    if not terms or bnorm == 0.0:
+        return None
+    x = None
+    for label, c in terms:
+        cH = c * _response(held, responses, system, label)
+        x = cH if x is None else np.add(x, cH, out=x)
+    r = b - system.A_red @ x
+    xnorm = np.linalg.norm(x)
+    omega = float(np.linalg.norm(r) / (held.a_max * xnorm + bnorm))
+    if not (omega <= _OMEGA_MAX and xnorm < np.inf):
+        return None
+    values = system.lift.copy()
+    values[system.is_free] = x
+    # x passed the test, so it is finite, and the lift was checked on assembly
+    return LinearSolveResult(ScalarField._of_finite(system.mesh, values), 0, omega, x, r)
+
+
 def solve_transformed_bvp(
     mesh: Mesh,
     fluid: FluidModel,
@@ -860,6 +983,16 @@ def solve_transformed_bvp(
     them does not pay for them. The ceiling-flux calibration of verification
     is this solve, read at its well reactions.
 
+    Where each pressure label takes one mapped value at the nodes it owns
+    (a node two pressure labels share is the later one's), each velocity
+    datum is a constant and there is a pressure node, the reduced solution
+    is superposed from the per-label responses the held entry keeps, each
+    made once by one triangular solve (see _superpose and the module
+    docstring), and is accepted by the backward-error test of solve. Data
+    that vary along a label (a callable that does, or any nonzero xi that
+    varies along a pressure label), callable velocity data, pure-velocity
+    data and a superposed solution that fails the test are solved by solve.
+
     Pure-velocity data fix the transformed solution up to a constant; the
     member returned, as by barus_direct.picard_solve, has its largest p + xi
     at p0, where the Kirchhoff variable is 0 (see solve), so it always has a
@@ -871,7 +1004,10 @@ def solve_transformed_bvp(
     ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
     kvals = transform._kirchhoff_forward(modified, fluid, p_ref, ceiling)
     system = _assemble(mesh, mobility_tensors(mesh, fluid, xi, K), bcs, dnodes, kvals)
-    result = solve(system)
+    result = _superpose(system)
+    superposed = result is not None
+    if not superposed:
+        result = solve(system)
     U = result.field.values
 
     if U.max() >= ceiling:  # else no node is at or above C
@@ -894,7 +1030,8 @@ def solve_transformed_bvp(
     reactions[d] = system.raw_rhs[d] - held.dirichlet_rows @ U
     return SolveReport(
         U=result.field,
-        P=ScalarField(mesh, P),
+        # a superposed x has a finite norm, so no U - C overflows
+        P=ScalarField._of_finite(mesh, P) if superposed else ScalarField(mesh, P),
         residual=result.residual,
         reactions=reactions,
         _flux_operator=system.flux_operator,

@@ -281,6 +281,16 @@ class ScalarField:
             raise ValueError("scalar field contains non-finite values")
 
     @staticmethod
+    def _of_finite(mesh: Mesh, values: np.ndarray) -> "ScalarField":
+        """The field of values, a float64 array of one value per node that
+        the caller knows to be finite, built without the scan of
+        __post_init__."""
+        field = object.__new__(ScalarField)
+        object.__setattr__(field, "mesh", mesh)
+        object.__setattr__(field, "values", values)
+        return field
+
+    @staticmethod
     def from_function(mesh: Mesh, f: Callable) -> "ScalarField":
         return ScalarField(mesh, np.asarray(f(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float))
 

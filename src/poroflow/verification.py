@@ -293,6 +293,17 @@ def calibrate_ceiling_flux(
     The solve has no body force (the linear-decomposition argument needs
     constant transformed boundary data), and the calibration pressure must
     differ from the production pressure.
+
+    The law is the superposition the transformed solve itself makes on
+    these data: the one label with nonzero Kirchhoff data (the inlet, or
+    the well when p_inj_calibration lies below p_prod, where the gauge
+    moves to it) contributes its datum times its held unit response, so
+    the reactions, and Q, are that datum times those of the response. The
+    calibration solve
+    makes that response; later transformed solves on the mesh with
+    constant data superpose it without a triangular solve, and solves
+    with data that vary along a label fall back to a direct solve (see
+    darcy_linear.solve_transformed_bvp).
     """
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: the flux grows linearly, no ceiling exists")

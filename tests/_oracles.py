@@ -13,7 +13,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from poroflow import darcy_linear, transform
-from poroflow.geometry import BoundarySpec, edge_keys, eval_bc, triangle_edges
+from poroflow.geometry import BoundarySpec, ScalarField, edge_keys, eval_bc, triangle_edges
 from poroflow.transform import BodyForcePotential
 
 
@@ -220,15 +220,36 @@ def pressure_mapped_back_eagerly(report, mesh, fluid, xi, bcs):
 
 def ceiling_flux_constant_by_hand(mesh, fluid, K, p_inj, p_prod):
     """The bounded-flux constant C of a reservoir, from a Kirchhoff solve
-    built by hand instead of by solve_transformed_bvp: pressure data
-    P_K(p_inj) on the inlet and 0 on the well, both measured from p_prod,
-    and Q the reaction-form flux of the well."""
-    dP = transform.kirchhoff_forward(p_inj, fluid, p_prod)
-    bcs = BoundarySpec(pressure={"inlet": float(dP), "well": 0.0}, velocity={"wall": 0.0})
-    mobility = darcy_linear.mobility_tensors(mesh, fluid, BodyForcePotential.zero(), K)
-    system = darcy_linear.assemble(mesh, mobility, bcs)
+    superposed by hand instead of by solve_transformed_bvp: with pressure
+    data P_K(p_inj) on the inlet and 0 on the well, both measured from
+    p_prod, and no flow through the wall, only the inlet has nonzero data,
+    so the reduced solution is P_K(p_inj) H, H that of lift 1 on the inlet
+    nodes off the well, by a fresh factor of A_red. Q is the reaction-form
+    flux of the well."""
+    dP = float(transform.kirchhoff_forward(p_inj, fluid, p_prod))
+    system = _ceiling_flux_system(mesh, fluid, K, dP)
+    unit = np.zeros(mesh.n_nodes)
+    unit[np.setdiff1d(mesh.nodes_with_label("inlet"), mesh.nodes_with_label("well"))] = 1.0
+    b = (np.zeros(mesh.n_nodes) - system.raw_matrix @ unit)[system.free]
+    values = system.lift.copy()
+    values[system.free] = dP * darcy_linear._factor(system.A_red).solve(b)
+    field = ScalarField(mesh, values)
+    return float(darcy_linear.boundary_flux(field, system, "well")) / dP
+
+
+def ceiling_flux_constant_direct(mesh, fluid, K, p_inj, p_prod):
+    """ceiling_flux_constant_by_hand with the Kirchhoff system solved
+    directly, by darcy_linear.solve of its right-hand side."""
+    dP = float(transform.kirchhoff_forward(p_inj, fluid, p_prod))
+    system = _ceiling_flux_system(mesh, fluid, K, dP)
     result = darcy_linear.solve(system)
     return float(darcy_linear.boundary_flux(result.field, system, "well")) / dP
+
+
+def _ceiling_flux_system(mesh, fluid, K, dP):
+    bcs = BoundarySpec(pressure={"inlet": dP, "well": 0.0}, velocity={"wall": 0.0})
+    mobility = darcy_linear.mobility_tensors(mesh, fluid, BodyForcePotential.zero(), K)
+    return darcy_linear.assemble(mesh, mobility, bcs)
 
 
 def jacobi_cg(A, b, rtol):

@@ -993,16 +993,18 @@ class TestVelocityOnDemand:
 
     @staticmethod
     def record_systems(monkeypatch, keep):
-        """Each system dl.solve is called with, through keep (a strong or a
-        weak reference)."""
+        """Each system a transformed solve superposes (see dl._superpose),
+        through keep (a strong or a weak reference)."""
         systems = []
-        solve = dl.solve
+        superpose = dl._superpose
 
         def recording(system):
+            result = superpose(system)
+            assert result is not None
             systems.append(keep(system))
-            return solve(system)
+            return result
 
-        monkeypatch.setattr(dl, "solve", recording)
+        monkeypatch.setattr(dl, "_superpose", recording)
         return systems
 
     def test_computed_on_first_read_only(self, table1_fluid, velocity_calls):
@@ -1099,12 +1101,13 @@ class TestPressureOnDemand:
         assert err.value.nodes.size > 0 and inverse_calls == []
 
     def test_ceiling_flux_calibration_unchanged(self, table1_fluid):
-        # the C of the 400x120 reservoir when every transformed solve mapped
-        # p back and formed its reactions in full
+        # the C of the 400x120 reservoir since the solve superposes its one
+        # held inlet response (5.580044297040453e-09, 2 ulp below, when it
+        # solved its right-hand side), whether or not p is mapped back
         mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 400, 120)
         K = PermeabilityField.isotropic(mesh, 1e-12)
         model = vf.calibrate_ceiling_flux(mesh, table1_fluid, K, 10.0 * table1_fluid.p0)
-        assert model.C == 5.580044297040453e-09
+        assert model.C == 5.580044297040455e-09
 
 
 class TestOneResidual:
@@ -1115,17 +1118,22 @@ class TestOneResidual:
 
     @staticmethod
     def recorded_solves(monkeypatch):
-        """(system, result, b_red - A_red @ result.reduced) of each dl.solve,
-        the residual formed while the system's arrays are current."""
+        """(system, result, b_red - A_red @ result.reduced) of each dl.solve
+        and each superposed solve (dl._superpose), the residual formed while
+        the system's arrays are current."""
         solves = []
-        solve = dl.solve
 
-        def recording(system):
-            result = solve(system)
-            solves.append((system, result, system.b_red - system.A_red @ result.reduced))
-            return result
+        def recording(solver):
+            def solve(system):
+                result = solver(system)
+                if result is not None:
+                    solves.append((system, result, system.b_red - system.A_red @ result.reduced))
+                return result
 
-        monkeypatch.setattr(dl, "solve", recording)
+            return solve
+
+        for name in ("solve", "_superpose"):
+            monkeypatch.setattr(dl, name, recording(getattr(dl, name)))
         return solves
 
     def test_cg_sweeps_pass_on_their_residual(self, monkeypatch):
@@ -1155,6 +1163,195 @@ class TestOneResidual:
         assert np.abs(report.reactions - want).max() <= 1e-13 * np.abs(report.reactions).max()
 
 
+class TestSuperposition:
+    """A transformed solve on the held A_red whose mapped data are constant
+    on every label is x = sum of c_l H_l over the held per-label responses
+    H_l, and makes no triangular solve once they are held; other data, and
+    an x that fails the backward-error test, take dl.solve."""
+
+    @staticmethod
+    def superposed(monkeypatch):
+        """(system, result) of each solve dl._superpose returns, and None
+        for each system it hands back to dl.solve."""
+        calls = []
+        superpose = dl._superpose
+
+        def recording(system):
+            result = superpose(system)
+            calls.append(None if result is None else (system, result))
+            return result
+
+        monkeypatch.setattr(dl, "_superpose", recording)
+        return calls
+
+    @pytest.fixture
+    def lu_solves(self, monkeypatch):
+        """Triangular solves (SuperLU.solve calls) of every factor made."""
+        calls = []
+        factor = dl._factor
+
+        class Counting:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                calls.append(b.size)
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(dl, "_factor", lambda A: Counting(factor(A)))
+        return calls
+
+    @staticmethod
+    def reservoir(fluid, p_inj, shape=(40, 12)):
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, *shape)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        return mesh, fluid, K, TestVelocityOnDemand.bcs(fluid, p_inj)
+
+    @staticmethod
+    def two_pressure_labels(fluid):
+        # "left" and "top" share the corner (0, 3), which is top's; the
+        # gauge puts top at 0, and left and right carry data
+        mesh = make_rectangle_mesh(10.0, 3.0, 20, 6)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bcs = BoundarySpec(pressure={"left": 1.5, "top": 1.2}, velocity={"right": -0.02, "bottom": 0.0})
+        return mesh, fluid, K, bcs
+
+    def check_against_direct(self, monkeypatch, mesh, fluid, K, bcs, terms):
+        calls = self.superposed(monkeypatch)
+        report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        ((system, result),) = calls
+        held = dl._entry.responses
+        assert sorted(held.H) == sorted(terms)
+        for H in held.H.values():
+            assert H.size == system.free.size and not H.flags.writeable
+        direct = dl.solve(system)
+        U = report.U.values
+        assert report.residual == result.residual <= dl._OMEGA_MAX
+        assert np.abs(U - direct.field.values).max() <= 1e-14 * np.abs(U).max()
+
+    @pytest.mark.parametrize("p_inj", np.geomspace(1.6e5, 4e9, 6))
+    def test_reservoir_agrees_with_the_direct_solve(self, p_inj, table1_fluid, monkeypatch):
+        self.check_against_direct(monkeypatch, *self.reservoir(table1_fluid, p_inj), ["inlet"])
+
+    def test_strip_with_velocity_data(self, unit_fluid, monkeypatch):
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        self.check_against_direct(monkeypatch, mesh, unit_fluid, K, strip_bcs(0.063), ["left"])
+
+    def test_two_pressure_labels_and_a_velocity_label(self, unit_fluid, monkeypatch):
+        case = self.two_pressure_labels(unit_fluid)
+        self.check_against_direct(monkeypatch, *case, ["left", "right"])
+
+    def test_another_partition_replaces_the_responses(self, unit_fluid, monkeypatch):
+        # with the pressure labels swapped the corner (0, 3) is left's: the
+        # nodes each label owns, and so its response, change
+        mesh, fluid, K, bcs = self.two_pressure_labels(unit_fluid)
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        swapped = dataclasses.replace(bcs, pressure={"top": 1.2, "left": 1.5})
+        self.check_against_direct(monkeypatch, mesh, fluid, K, swapped, ["left", "right"])
+        assert dl._entry.responses.partition == (("top", "left"), ("right", "bottom"))
+
+    def test_cold_and_warm_bitwise_after_a_sweep_factor(self, unit_fluid, splu_calls):
+        # Picard at r = 0.99 factors a sweep into the slot; the responses are
+        # solutions of A_red, not of that factor, and stay held
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        v_star = 0.1
+        cold = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.63 * v_star))
+        assert len(splu_calls) == 1
+        warm = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.63 * v_star))
+        report = bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.99 * v_star))
+        assert report.converged and dl._entry.lu_diagonal is not None
+        factored = len(splu_calls)
+        after = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.63 * v_star))
+        assert len(splu_calls) == factored
+        assert dl._entry.lu_diagonal is not None  # the sweep factor stays
+        for a in (warm, after):
+            for name in ("U", "P", "p"):
+                assert getattr(a, name).values.tobytes() == getattr(cold, name).values.tobytes()
+            assert a.reactions.tobytes() == cold.reactions.tobytes()
+            assert a.residual == cold.residual
+
+    def test_first_response_after_a_sweep_factor_refactors(self, unit_fluid, splu_calls, monkeypatch):
+        # another partition clears the responses: its first solve refactors
+        # A_red in the sweep factor's place, as dl.solve does
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.099))
+        assert dl._entry.lu_diagonal is not None
+        factored = len(splu_calls)
+        calls = self.superposed(monkeypatch)
+        reordered = BoundarySpec(pressure={"right": 1.0}, velocity={"top": 0.0, "bottom": 0.0, "left": -0.063})
+        report = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, reordered)
+        assert calls[0] is not None
+        assert len(splu_calls) == factored + 1 and dl._entry.lu_diagonal is None
+        assert dl._entry.responses.partition == (("right",), ("top", "bottom", "left"))
+        want = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.063))
+        assert np.abs(report.U.values - want.U.values).max() <= 1e-14 * np.abs(want.U.values).max()
+
+    def test_warm_reservoir_makes_no_triangular_solve(self, table1_fluid, splu_calls, lu_solves):
+        mesh, fluid, K, _ = self.reservoir(table1_fluid, 0.0)
+        vf.calibrate_ceiling_flux(mesh, fluid, K, 10.0 * fluid.p0)
+        assert len(splu_calls) == 1 and len(lu_solves) == 1
+        for p_inj in (1.6e5, 3e6, 4e9):
+            dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, TestVelocityOnDemand.bcs(fluid, p_inj))
+        assert len(splu_calls) == 1 and len(lu_solves) == 1
+
+    def test_warm_solve_scans_no_field(self, table1_fluid, monkeypatch):
+        # U passed the backward-error test with a finite norm, so U and
+        # P = U - C are finite and neither is scanned again
+        mesh, fluid, K, bcs = self.reservoir(table1_fluid, 3e6)
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        scans = []
+        check = ScalarField.__post_init__
+        monkeypatch.setattr(ScalarField, "__post_init__", lambda f: scans.append(f) or check(f))
+        report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert scans == []
+        monkeypatch.undo()
+        for field in (report.U, report.P):
+            assert field.mesh is mesh and field.values.dtype == float
+            ScalarField(mesh, field.values)  # finite, of one value per node
+
+    @pytest.mark.parametrize("case", ["varying", "gravity", "pure_velocity", "callable_velocity"])
+    def test_other_data_take_the_direct_solve(self, case, unit_fluid, monkeypatch):
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        xi, bcs = ZERO_XI, strip_bcs(0.063)
+        if case == "varying":
+            bcs = dataclasses.replace(bcs, pressure={"right": lambda x, y: 1.0 + 0.01 * y})
+        elif case == "gravity":
+            xi = TestPressureOnDemand.GRAVITY_XI
+        elif case == "pure_velocity":
+            bcs = TestPressureOnDemand.PURE_VELOCITY
+        else:
+            bcs = dataclasses.replace(bcs, velocity={**bcs.velocity, "left": lambda x, y: -0.063 + 0.0 * x})
+        dl.solve_transformed_bvp(mesh, unit_fluid, xi, K, bcs)  # cold
+        calls = self.superposed(monkeypatch)
+        solves = TestOneResidual.recorded_solves(monkeypatch)
+        report = dl.solve_transformed_bvp(mesh, unit_fluid, xi, K, bcs)
+        ((system, result, _),) = solves
+        assert calls == [None]
+        assert report.U is result.field
+        assert result.field.values.tobytes() == dl.solve(system).field.values.tobytes()
+
+    def test_failed_test_takes_the_direct_solve(self, table1_fluid, monkeypatch):
+        mesh, fluid, K, bcs = self.reservoir(table1_fluid, 3e6)
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        calls = self.superposed(monkeypatch)
+        monkeypatch.setattr(dl, "_OMEGA_MAX", 1e-30)
+        with pytest.raises(NoConvergence):
+            dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert calls == [None]
+
+    def test_responses_go_with_the_entry(self, table1_fluid):
+        mesh, fluid, K, bcs = self.reservoir(table1_fluid, 3e6)
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        responses = weakref.ref(dl._entry.responses)
+        del mesh, K
+        gc.collect()
+        assert dl._entry is None and responses() is None
+
+
 def reachable_arrays(root):
     """Every numpy array reachable from root through object attributes,
     tuples, lists and dicts; weak references, SuperLU factors and functions
@@ -1177,11 +1374,14 @@ def reachable_arrays(root):
 
 
 def held_entry_bytes():
-    """Bytes of the held entry's arrays, each memory block counted once;
-    the SuperLU factor is not counted."""
+    """Bytes of the held entry's arrays, each memory block counted once,
+    the held responses and their label nodes included; the SuperLU factor
+    and the edge scaling are not counted."""
     arrays = []
     for field in dataclasses.fields(dl._entry):
         value = getattr(dl._entry, field.name)
+        if isinstance(value, dl._Responses):
+            value = (*value.nodes.values(), *value.H.values())
         matrices = value if isinstance(value, tuple) else (value,)
         for m in matrices:
             if isinstance(m, np.ndarray):
@@ -1210,7 +1410,16 @@ class TestHeldEntryBytes:
         dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
         assert mesh.n_triangles == 3840
         assert dl._entry.lu is not None and dl._entry.scaling is None
-        assert held_entry_bytes() <= self.GRADIENT_ENTRY_BYTES + 16 * mesh.n_triangles + 4
+        # the responses held, one per label with nonzero data, at most 8
+        # bytes per free node each; the rest within the bound of the entry
+        # without them
+        responses = list(dl._entry.responses.H.values())
+        n_free = dl._entry.A_red.shape[0]
+        assert len(responses) == 1
+        response_bytes = sum(H.nbytes for H in responses)
+        assert response_bytes <= 8 * n_free * len(responses)
+        rest = held_entry_bytes() - response_bytes
+        assert rest <= self.GRADIENT_ENTRY_BYTES + 16 * mesh.n_triangles + 4
 
     def test_dirichlet_rows_held_once(self):
         # the Dirichlet columns that b_red is formed from are the transpose

@@ -213,8 +213,9 @@ class TestFields:
         mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
             ScalarField(mesh, np.zeros(3))
-        with pytest.raises(ValueError):
-            ScalarField(mesh, np.full(mesh.n_nodes, np.inf))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                ScalarField(mesh, np.full(mesh.n_nodes, bad))
 
     def test_vector_field_validation(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)

@@ -651,11 +651,12 @@ class TestBoundaryData:
 
 class TestCeilingFluxCalibration:
     """calibrate_ceiling_flux through solve_transformed_bvp gives the C of
-    the Kirchhoff solve built by hand: the same bits when the injection
+    the Kirchhoff solve superposed by hand: the same bits when the injection
     pressure lies above the production pressure (the gauge is then
-    p_prod in both), rounding apart when it lies below (the gauge moves to
-    p_inj, and a constant shift leaves the reactions unchanged only in
-    exact arithmetic)."""
+    p_prod in both, and the inlet the one label with nonzero data),
+    rounding apart when it lies below (the gauge moves to p_inj, the well
+    takes the data, and a constant shift leaves the reactions unchanged only
+    in exact arithmetic)."""
 
     @staticmethod
     def check(got, ref, above):
@@ -683,3 +684,12 @@ class TestCeilingFluxCalibration:
         got = vf.calibrate_ceiling_flux(mesh, fluid, K, p_prod + dp, p_prod=p_prod)
         ref = _oracles.ceiling_flux_constant_by_hand(ref_mesh, fluid, K, p_prod + dp, p_prod)
         self.check(got, ref, dp > 0.0)
+
+    def test_within_4_ulp_of_the_direct_solve(self):
+        # the superposed solve of the 400x120 reservoir against the one
+        # solve of its right-hand side: 2 ulp apart
+        mesh, ref_mesh = (make_reservoir_mesh(100.0, 30.0, 0.2, 400, 120) for _ in range(2))
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        got = vf.calibrate_ceiling_flux(mesh, TABLE1, K, 10.0 * TABLE1.p0)
+        ref = _oracles.ceiling_flux_constant_direct(ref_mesh, TABLE1, K, 10.0 * TABLE1.p0, TABLE1.p0)
+        assert abs(got.C - ref) <= 4 * np.spacing(abs(ref))
