@@ -29,6 +29,7 @@ transformed approach is benchmarked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +39,11 @@ from . import darcy_linear, transform
 from .errors import NoConvergence, TransformOverflow
 from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, VectorField
 from .transform import BodyForcePotential, FluidModel
+
+
+# Sweeps in a row whose contraction predicts more than max_iter sweeps that
+# stop Picard (see picard_solve).
+_SLOW_SWEEPS = 3
 
 
 @dataclass
@@ -134,7 +140,13 @@ def picard_solve(
     digits where the pressure lies far above p0.
 
     Divergence guard: three consecutive growing update norms raise
-    NoConvergence, with the report of the last iterate. An iterate whose
+    NoConvergence, with the report of the last iterate. Contraction guard
+    (after the contraction monitors of Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004): an update norm h_k below the last one
+    predicts convergence after k + log(tol/h_k)/log(h_k/h_{k-1}) sweeps, and
+    three predictions in a row above max_iter raise NoConvergence, with the
+    report of the last iterate. On data with no solution the norm can fall
+    ever more slowly, never growing; this guard stops it. An iterate whose
     viscosity overflows float64 also raises NoConvergence, with the report
     of the last iterate that had a finite one. beta = 0 is a single linear
     solve (the viscosity does not depend on pressure, so the first sweep is
@@ -147,7 +159,7 @@ def picard_solve(
     def sweep_solution(result):
         """p~ of a sweep; a pure-velocity sweep peaks at 0, not p_ref."""
         values = result.field.values
-        return values if base.dirichlet_map else values + p_ref
+        return values if bcs.pressure else values + p_ref
 
     def finish(ptilde_k, history, converged, lin_iters):
         """Report on iterate ptilde_k."""
@@ -171,6 +183,7 @@ def picard_solve(
     system = _secant_system(base, ptilde, fluid, None)
     history = []
     lin_total = 0
+    slow = 0  # sweeps in a row that predict more than max_iter
 
     for _ in range(config.max_iter):
         result = darcy_linear.solve(system)
@@ -199,6 +212,18 @@ def picard_solve(
                 f"{len(history) - 2} to {len(history)}",
                 report=finish(ptilde, history, False, lin_total),
             )
+        k = len(history)
+        rho = upd / history[-2] if k > 1 else 1.0
+        # contraction at the last ratio rho < 1 meets tol after `predicted`
+        # sweeps; a sweep that does not contract is left to the growth guard
+        predicted = k + math.log(config.tol / upd) / math.log(rho) if rho < 1.0 else k
+        slow = slow + 1 if predicted > config.max_iter else 0
+        if slow == _SLOW_SWEEPS:
+            raise NoConvergence(
+                f"update norm contracting too slowly: on each of sweeps {k - 2} to {k} "
+                f"its ratio predicted more than max_iter={config.max_iter} sweeps",
+                report=finish(ptilde, history, False, lin_total),
+            )
 
     raise NoConvergence(
         f"no convergence to tol={config.tol} within {config.max_iter} sweeps "
@@ -225,7 +250,7 @@ def nonlinear_residual(
     ptilde = p.values + xi_nodes
     PK = _kirchhoff(ptilde, fluid, p_ref)
 
-    r = (base.raw_matrix @ PK - base.raw_rhs)[base.free]
+    r = (base.raw_matrix @ PK - base.raw_rhs)[base.is_free]
     scale = float(np.linalg.norm(_secant_system(base, ptilde, fluid, None).b_red))
     if scale == 0.0:
         scale = float(np.linalg.norm(base.raw_matrix @ PK)) or 1.0

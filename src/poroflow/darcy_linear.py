@@ -10,14 +10,19 @@ are extracted from the unconstrained residual (reaction form), which is
 discretely conservative. Boundary data enter through the one boundary
 rule of ``geometry`` (2-point Gauss on each velocity edge, nodal values on
 pressure segments), the rule the theorem checks in ``verification`` use too.
+A system describes its Dirichlet nodes once: the mask is_free of the other
+nodes, and the lift, its data there. A node two pressure labels share is
+the later one's (geometry._owned), and data with no pressure label are
+pure-velocity data, grounded by pinning node 0.
 
 The constant-viscosity (beta = 0) problem is ``barus_direct.picard_solve``,
 which solves it with one linear solve.
 
-Every solve is accepted by its normwise backward error on the reduced
-system A x = b (Rigal and Gaches; Higham, ch. 7): omega = ||b - A x||_2 /
-(a_max ||x||_2 + ||b||_2) <= 64 eps, a_max the largest diagonal entry of A,
-a lower bound on ||A||_2 that makes the test stricter. A relative residual
+Every reduced solution, solved or superposed, is accepted by one test
+(_accept), its normwise backward error on the reduced system A x = b (Rigal
+and Gaches; Higham, ch. 7): omega = ||b - A x||_2 / (a_max ||x||_2 +
+||b||_2) <= 64 eps, a_max the largest diagonal entry of A, a lower bound on
+||A||_2 that makes the test stricter, and a finite x. A relative residual
 grows with the condition number as meshes refine; omega does not. a_max is
 held with the reduced matrix, or read from a sweep's diagonal. r = b - A x
 is formed once per solve (a CG sweep passes on the one it stopped at), and
@@ -50,9 +55,9 @@ them alive after the entry is replaced or freed, so its velocity never
 depends on what is held. The transformed solve computes no velocity and
 maps no node back: its report keeps U, the flux operator (not the system)
 and the pressure data, and computes v and p from them on first read (see
-SolveReport). A solve of the held reduced matrix reuses its
-factor; any other matrix drops the entry and is factored without being
-held. So a sweep over pressure data on one mesh assembles and factors once.
+SolveReport). A solve of the held reduced matrix reuses its factor; any
+other matrix drops the entry and is factored without being held. So a sweep
+over pressure data on one mesh assembles and factors once.
 
 The transformed problem is linear in its variable, so where its mapped data
 are constant on every label its reduced solution is x = sum of c_l H_l, c_l
@@ -62,14 +67,13 @@ The entry holds one H_l per label with nonzero data, for one partition of
 the labels (the pressure and velocity labels, each in spec order), made on
 first need by the held factor of the reduced matrix (see _superpose). A
 transformed solve whose pressure labels each take one value at the nodes
-they own (a node two pressure labels share is the later one's), whose
-velocity data are constants and which has a pressure node forms x from
-them, r = b - A x once and omega by the formula above; it makes no
-triangular solve once its responses are held. An omega above 64 eps, any
-other data and every solve outside the transformed path take solve. The
-responses are solutions of the reduced matrix, not of the factor, so a
-sweep factor that takes the slot leaves them held; a call with another
-partition replaces them, and they go with the entry.
+they own, whose velocity data are constants and which has a pressure node
+forms x from them and r = b - A x once, and makes no triangular solve once
+its responses are held. An x the test rejects, any other data and every
+solve outside the transformed path take solve. The responses are solutions
+of the reduced matrix, not of the factor, so a sweep factor that takes the
+slot leaves them held; a call with another partition replaces them, and
+they go with the entry.
 
 The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
 and other values. Each sweep system carries its start, the previous
@@ -122,6 +126,7 @@ from .geometry import (
     VectorField,
     _edge_quadrature,
     _finite,
+    _owned,
     _pressure_data,
     _tensor_scale,
     edge_keys,
@@ -145,22 +150,20 @@ class SparseSystem:
     """Assembled discrete problem.
 
     raw_matrix/raw_rhs hold the unconstrained stiffness and Neumann load
-    (needed for reaction fluxes). The Dirichlet-eliminated system is
-    A_red @ u[free] = b_red, with u = lift at the constrained nodes; pure-
-    velocity data is grounded there by pinning node 0 to zero. bcs gives the
-    partition and the velocity data; the pressure values eliminated are
-    those in lift (and dirichlet_map), which the solution paths map from the
-    caller's data. flux_operator is (Vx, Vy), which maps a nodal field to
-    its velocity (recover_velocity).
-    """
+    (needed for reaction fluxes). The Dirichlet-eliminated system is A_red
+    @ u[is_free] = b_red, with u = lift at the other nodes (see the module
+    docstring). bcs gives the partition and the velocity data; lift holds
+    the pressure values eliminated, which the solution paths map from the
+    caller's data, and dirichlet_map the same as a dict, which nothing in
+    the package reads. flux_operator is (Vx, Vy), which maps a nodal field
+    to its velocity (recover_velocity)."""
 
     mesh: Mesh
     raw_matrix: sp.csr_matrix
     raw_rhs: np.ndarray
     dirichlet_map: dict
     bcs: BoundarySpec
-    free: np.ndarray  # int32 indices of the unknown nodes
-    is_free: np.ndarray  # bool mask of the same nodes
+    is_free: np.ndarray  # bool mask of the unknown nodes
     lift: np.ndarray  # nodal values: Dirichlet data, zero at free nodes
     A_red: sp.csr_matrix  # symmetric, int32 indices
     b_red: np.ndarray
@@ -174,7 +177,7 @@ class LinearSolveResult:
     field: ScalarField
     iterations: int  # CG iterations of the solve; 0 for a direct solve
     residual: float  # normwise backward error of the reduced solve (see solve)
-    reduced: np.ndarray  # the solution at system.free, as solved: no shift, no copy
+    reduced: np.ndarray  # at the free nodes, ascending, as solved: no shift, no copy
     # b_red - A_red @ reduced, the residual omega is computed from
     _r: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
 
@@ -291,9 +294,9 @@ def _compatibility(load: np.ndarray):
 class _Responses:
     """The reduced solutions of A_red for unit data on one label each, of
     one partition of the labels: a pressure label's response has lift 1 at
-    the nodes it owns (a node two pressure labels share is the later one's)
-    and no load, a velocity label's the load of normal velocity 1 on it and
-    no lift. Each is made on first need, read-only."""
+    the nodes it owns (geometry._owned) and no load, a velocity label's the
+    load of normal velocity 1 on it and no lift. Each is made on first need,
+    read-only."""
 
     partition: tuple  # (pressure labels, velocity labels), each in spec order
     nodes: dict  # pressure label -> the nodes it owns, ascending
@@ -390,12 +393,12 @@ def _flux_operator(fx, fy, tri: np.ndarray, n: int):
     return tuple(sp.csr_matrix((f.ravel(), indices, indptr), shape=shape) for f in (fx, fy))
 
 
-def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, free) -> _Held:
+def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, is_free) -> _Held:
     """Assemble the stiffness of mobility on mesh, reduce it to the free
-    nodes (those off the int32 ascending dirichlet) and hold both, with the
-    Dirichlet rows and the flux operator, in a new entry. mobility_tensors'
-    K/mu0 is held as it is; any other mobility array is copied, as its
-    caller may change it."""
+    nodes (the mask is_free of those off the int32 ascending dirichlet) and
+    hold both, with the Dirichlet rows and the flux operator, in a new
+    entry. mobility_tensors' K/mu0 is held as it is; any other mobility
+    array is copied, as its caller may change it."""
     global _entry
     _entry = None  # the old matrices and factor go before the new ones are built
     n = mesh.n_nodes
@@ -418,6 +421,7 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, free) -> _Held:
     upper = sp.csr_matrix((off.ravel(), (np.minimum(a, b), np.maximum(a, b))), shape=(n, n))
     raw_diagonal = np.bincount(a, diag.ravel(), minlength=n)
     raw = upper + upper.T + sp.diags(raw_diagonal)
+    free = np.flatnonzero(is_free).astype(np.int32)
     red = raw[free][:, free]
     a_max = float(raw_diagonal[free].max(initial=0.0))
     del upper, off, diag, raw_diagonal, b  # freed before the flux operator is built
@@ -495,13 +499,11 @@ def _assemble(
     lift[nodes] = values
     # pure-velocity data: node 0 pinned at 0
     dirichlet = np.sort(nodes).astype(np.int32) if nodes.size else np.zeros(1, dtype=np.int32)
-    # a gather through this mask takes the free nodes in ascending order, as
-    # one through their indices does, at about a fifth of the cost
+    # a gather through this mask takes the free nodes in ascending order
     is_free = np.ones(mesh.n_nodes, dtype=bool)
     is_free[dirichlet] = False
-    free = np.flatnonzero(is_free).astype(np.int32)
     if held is None or not _same_bits(held.dirichlet, dirichlet):
-        held = _hold_system(mesh, mobility, dirichlet, free)
+        held = _hold_system(mesh, mobility, dirichlet, is_free)
 
     return SparseSystem(
         mesh=mesh,
@@ -509,7 +511,6 @@ def _assemble(
         raw_rhs=raw_rhs,
         dirichlet_map=dict(zip(nodes.tolist(), values.tolist())),
         bcs=bcs,
-        free=free,
         is_free=is_free,
         lift=lift,
         A_red=held.A_red,
@@ -674,44 +675,35 @@ def _reduced_factor(held):
     return held.lu
 
 
-def _lu(A, b, mesh, start):
-    """Solve A x = b (A SPD); returns (x, r, omega of solve, CG
-    iterations), r = b - A x, which omega is computed from. When A is the
-    reduced matrix held for mesh, the entry keeps its SuperLU factor and
-    later calls reuse it, unless a sweep factor has taken its slot since. A
-    sweep matrix of the entry's edge scaling is solved by _solve_sweep, with
-    CG from start when that is not None. Any other A drops the entry and is
-    factored without being held. The entry holds one factor at most, and a
-    failed factorization drops it (see _factor)."""
-    global _entry
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:  # x = 0, and b - A x is b itself
-        return np.zeros_like(b), b, 0.0, 0
-    held = _entry_for(mesh)
-    scaling = held.scaling if held is not None else None
-    r, iterations = None, 0
-    if scaling is not None and A is scaling.A_red:
-        x, r, iterations, a_max = _solve_sweep(held, A, b, bnorm, start)
-    elif held is not None and A is held.A_red:
-        x = _reduced_factor(held).solve(b)
-        a_max = held.a_max
-    else:
-        _entry = held = None  # the held factor goes first: never two at once
-        x = _factor(A).solve(b)
-        a_max = A.diagonal().max()
-    if r is None:
-        r = b - A @ x
-    omega = np.linalg.norm(r) / (a_max * np.linalg.norm(x) + bnorm)
-    return x, r, float(omega), iterations
+def _accept(system, x, r, a_max, bnorm, iterations, field):
+    """The LinearSolveResult of x, the reduced solution of system, r = b_red
+    - A_red x, a_max the largest diagonal entry of A_red and bnorm ||b_red||,
+    if x passes the test of the module docstring, else NoConvergence. Its
+    field, built by field, is the lift with x at the free nodes, for
+    pure-velocity data shifted to peak at 0. x is scanned only where its
+    norm is not finite."""
+    # Python floats: a non-finite x gives a NaN omega, not a warning; the
+    # denominator is 0 only where b_red = 0 is solved by x = 0
+    xnorm = float(np.linalg.norm(x))
+    denominator = float(a_max) * xnorm + bnorm
+    omega = float(np.linalg.norm(r)) / denominator if denominator else 0.0
+    if not (omega <= _OMEGA_MAX and (xnorm < np.inf or np.isfinite(x).all())):
+        raise NoConvergence(
+            f"linear solve backward error {omega:.3e} (bound {_OMEGA_MAX:.3e}), ||x|| {xnorm:.3e}"
+        )
+    values = system.lift.copy()
+    values[system.is_free] = x
+    if not system.bcs.pressure:
+        values -= values.max()
+    return LinearSolveResult(field(system.mesh, values), iterations, omega, x, r)
 
 
 def solve(system: SparseSystem) -> LinearSolveResult:
     """Solve the assembled system for the nodal field.
 
     The reduced SPD matrix is solved with a fill-reducing sparse LU, and
-    every solve must pass the backward-error test of the module docstring,
-    omega <= 64 eps; an omega above it, or not finite, raises
-    NoConvergence, and result.residual is omega. The factor of the held
+    the solution must pass the test of the module docstring (_accept), else
+    NoConvergence; result.residual is omega. The factor of the held
     reduced matrix, the A_red that assemble returns, is held with the entry
     of the module docstring and reused while system.mesh lives. A reused
     factor gives results bitwise identical to a fresh one. A Picard sweep
@@ -720,32 +712,40 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     taking the held one's place, when it does not or CG gives up;
     result.iterations counts the CG iterations, 0 for a direct solve. Any
     other matrix, a changed copy of the held one too, drops the entry and is
-    factored without being held.
+    factored without being held. result.field is scanned, as the system is
+    the caller's: a non-finite lift value raises ValueError.
 
-    Pure-velocity problems are checked against the zero-net-flux
-    compatibility condition first (IncompatibleNeumann if violated) and are
-    then grounded by pinning node 0; the member of the constant-shifted
-    family returned is the one whose largest value is 0. result.reduced is
-    the solution at system.free as solved, before that shift: the CG start
-    of barus_direct's next sweep.
+    Pure-velocity problems (no pressure label) are checked against the
+    zero-net-flux compatibility condition first (IncompatibleNeumann if
+    violated) and are then grounded by pinning node 0; the member of the
+    constant-shifted family returned is the one whose largest value is 0.
+    result.reduced is the solution at the free nodes as solved, before that
+    shift: the CG start of barus_direct's next sweep.
     """
-    if not system.dirichlet_map:
+    global _entry
+    if not system.bcs.pressure:
         compatible, net = _compatibility(system.raw_rhs)
         if not compatible:
             raise IncompatibleNeumann(
                 f"pure-velocity data with net boundary flux {net:.6e}; "
                 "compatibility condition violated"
             )
-
-    x_red, r, omega, iterations = _lu(system.A_red, system.b_red, system.mesh, system._start)
-    if not omega <= _OMEGA_MAX:  # also catches a non-finite omega
-        raise NoConvergence(f"linear solve backward error {omega:.3e} exceeds {_OMEGA_MAX:.3e}")
-
-    values = system.lift.copy()
-    values[system.is_free] = x_red
-    if not system.dirichlet_map:
-        values -= values.max()
-    return LinearSolveResult(ScalarField(system.mesh, values), iterations, omega, x_red, r)
+    A, b = system.A_red, system.b_red
+    bnorm = float(np.linalg.norm(b))
+    held = _entry_for(system.mesh)
+    r, a_max, iterations = None, 0.0, 0
+    if bnorm == 0.0:  # x = 0, and b - A x is b itself
+        x, r = np.zeros_like(b), b
+    elif held is not None and held.scaling is not None and A is held.scaling.A_red:
+        x, r, iterations, a_max = _solve_sweep(held, A, b, bnorm, system._start)
+    elif held is not None and A is held.A_red:
+        x, a_max = _reduced_factor(held).solve(b), held.a_max
+    else:
+        _entry = None  # the held factor goes first: never two at once
+        x, a_max = _factor(A).solve(b), A.diagonal().max()
+    if r is None:
+        r = b - A @ x
+    return _accept(system, x, r, a_max, bnorm, iterations, ScalarField)
 
 
 def recover_velocity(P: ScalarField, system: SparseSystem) -> VectorField:
@@ -791,19 +791,16 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
     """Outward volumetric flux through one boundary segment (positive =
     outflow).
 
-    Pressure segments use the consistent reaction form; velocity segments
-    integrate the prescribed normal velocity (what the discrete solution
-    carries there by construction). A node two pressure segments share
-    belongs to the later one, whose value geometry._pressure_data reads
-    there, so the pressure segments' fluxes sum to the net reaction.
+    Pressure segments use the consistent reaction form, summed over the
+    nodes the label owns (geometry._owned: a node two pressure segments
+    share belongs to the later one, whose value geometry._pressure_data
+    reads there), so the pressure segments' fluxes sum to the net reaction.
+    Velocity segments integrate the prescribed normal velocity (what the
+    discrete solution carries there by construction).
     """
-    pressure = list(system.bcs.pressure)
-    if label in pressure:
-        # the label's rows of nodal_reactions, each summed in the same order,
-        # without the nodes of later pressure labels
-        nodes = system.mesh.nodes_with_label(label)
-        for other in pressure[pressure.index(label) + 1:]:
-            nodes = nodes[~np.isin(nodes, system.mesh.nodes_with_label(other))]
+    if label in system.bcs.pressure:
+        # the label's rows of nodal_reactions, each summed in the same order
+        nodes = _owned(system.mesh, system.bcs.pressure)[label]
         return float((system.raw_rhs[nodes] - _rows(system.raw_matrix, nodes) @ P.values).sum())
     if label in system.bcs.velocity:
         total = 0.0
@@ -886,12 +883,7 @@ def _responses(held: _Held, system: SparseSystem) -> _Responses:
     partition = (tuple(bcs.pressure), tuple(bcs.velocity))
     responses = held.responses
     if responses is None or responses.partition != partition:
-        owned, taken = {}, np.zeros(system.mesh.n_nodes, dtype=bool)
-        for label in reversed(partition[0]):
-            nodes = system.mesh._segment(label).nodes
-            owned[label] = nodes[~taken[nodes]]
-            taken[nodes] = True
-        held.responses = responses = _Responses(partition, dict(reversed(owned.items())), {})
+        held.responses = responses = _Responses(partition, _owned(system.mesh, partition[0]), {})
     return responses
 
 
@@ -921,8 +913,8 @@ def _superpose(system: SparseSystem):
     where that takes solve itself: pure-velocity data, a callable velocity
     datum, a pressure label whose values differ between its nodes, data
     that are 0 on every label or a b_red of norm 0, or an x that fails
-    solve's test (its norm must also be finite). A first response made
-    with a sweep factor in the slot refactors A_red, as solve does."""
+    the test of solve (_accept). A first response made with a sweep factor
+    in the slot refactors A_red, as solve does."""
     bcs = system.bcs
     held = _entry_for(system.mesh)
     if (not bcs.pressure or held is None or system.A_red is not held.A_red
@@ -937,23 +929,19 @@ def _superpose(system: SparseSystem):
         if values.size and values[0] != 0.0:
             terms.append((label, values[0]))
     terms += [(label, float(data)) for label, data in bcs.velocity.items() if float(data) != 0.0]
-    b = system.b_red
-    bnorm = np.linalg.norm(b)
+    bnorm = float(np.linalg.norm(system.b_red))
     if not terms or bnorm == 0.0:
         return None
     x = None
     for label, c in terms:
         cH = c * _response(held, responses, system, label)
         x = cH if x is None else np.add(x, cH, out=x)
-    r = b - system.A_red @ x
-    xnorm = np.linalg.norm(x)
-    omega = float(np.linalg.norm(r) / (held.a_max * xnorm + bnorm))
-    if not (omega <= _OMEGA_MAX and xnorm < np.inf):
+    r = system.b_red - system.A_red @ x
+    try:
+        # the lift of a system assemble has just built is finite
+        return _accept(system, x, r, held.a_max, bnorm, 0, ScalarField._of_finite)
+    except NoConvergence:
         return None
-    values = system.lift.copy()
-    values[system.is_free] = x
-    # x passed the test, so it is finite, and the lift was checked on assembly
-    return LinearSolveResult(ScalarField._of_finite(system.mesh, values), 0, omega, x, r)
 
 
 def solve_transformed_bvp(
@@ -984,11 +972,11 @@ def solve_transformed_bvp(
     is this solve, read at its well reactions.
 
     Where each pressure label takes one mapped value at the nodes it owns
-    (a node two pressure labels share is the later one's), each velocity
-    datum is a constant and there is a pressure node, the reduced solution
-    is superposed from the per-label responses the held entry keeps, each
-    made once by one triangular solve (see _superpose and the module
-    docstring), and is accepted by the backward-error test of solve. Data
+    (geometry._owned), each velocity datum is a constant and there is a
+    pressure node, the reduced solution is superposed from the per-label
+    responses the held entry keeps, each made once by one triangular solve
+    (see _superpose and the module docstring), and is accepted by the test
+    of solve (_accept). Data
     that vary along a label (a callable that does, or any nonzero xi that
     varies along a pressure label), callable velocity data, pure-velocity
     data and a superposed solution that fails the test are solved by solve.
@@ -1004,10 +992,7 @@ def solve_transformed_bvp(
     ceiling = transform.kirchhoff_ceiling(fluid, p_ref)
     kvals = transform._kirchhoff_forward(modified, fluid, p_ref, ceiling)
     system = _assemble(mesh, mobility_tensors(mesh, fluid, xi, K), bcs, dnodes, kvals)
-    result = _superpose(system)
-    superposed = result is not None
-    if not superposed:
-        result = solve(system)
+    result = _superpose(system) or solve(system)
     U = result.field.values
 
     if U.max() >= ceiling:  # else no node is at or above C
@@ -1030,8 +1015,8 @@ def solve_transformed_bvp(
     reactions[d] = system.raw_rhs[d] - held.dirichlet_rows @ U
     return SolveReport(
         U=result.field,
-        # a superposed x has a finite norm, so no U - C overflows
-        P=ScalarField._of_finite(mesh, P) if superposed else ScalarField(mesh, P),
+        # U is finite (see _accept), and so is P = U - C
+        P=ScalarField._of_finite(mesh, P),
         residual=result.residual,
         reactions=reactions,
         _flux_operator=system.flux_operator,

@@ -525,6 +525,18 @@ def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
     return _finite(eval_bc(data, *mesh._segment(label).samples), label)
 
 
+def _owned(mesh: Mesh, labels) -> dict:
+    """{label: the nodes it owns, ascending} for the pressure labels in spec
+    order: a node two labels share is the later one's, whose value
+    _pressure_data reads there, so the sets partition its nodes."""
+    owned, taken = {}, np.zeros(mesh.n_nodes, dtype=bool)
+    for label in reversed(labels):
+        nodes = mesh._segment(label).nodes
+        owned[label] = nodes[~taken[nodes]]
+        taken[nodes] = True
+    return dict(reversed(owned.items()))
+
+
 def _pressure_data(mesh: Mesh, bcs: BoundarySpec):
     """(nodes, values): the pressure data at each node of the pressure
     segments, each node once, the later segment's where two meet: the values

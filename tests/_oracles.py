@@ -230,9 +230,9 @@ def ceiling_flux_constant_by_hand(mesh, fluid, K, p_inj, p_prod):
     system = _ceiling_flux_system(mesh, fluid, K, dP)
     unit = np.zeros(mesh.n_nodes)
     unit[np.setdiff1d(mesh.nodes_with_label("inlet"), mesh.nodes_with_label("well"))] = 1.0
-    b = (np.zeros(mesh.n_nodes) - system.raw_matrix @ unit)[system.free]
+    b = (np.zeros(mesh.n_nodes) - system.raw_matrix @ unit)[system.is_free]
     values = system.lift.copy()
-    values[system.free] = dP * darcy_linear._factor(system.A_red).solve(b)
+    values[system.is_free] = dP * darcy_linear._factor(system.A_red).solve(b)
     field = ScalarField(mesh, values)
     return float(darcy_linear.boundary_flux(field, system, "well")) / dP
 

@@ -155,7 +155,7 @@ class TestSolve:
         system = dl.assemble(mesh, mobility, kbcs)
         result = dl.solve(system)
         assert result.iterations == 0
-        direct = result.field.values[system.free]
+        direct = result.field.values[system.is_free]
         cg = _oracles.jacobi_cg(system.A_red, system.b_red, rtol=1e-12)
         assert np.max(np.abs(direct - cg)) <= 1e-10 * np.max(np.abs(cg))
 
@@ -235,8 +235,8 @@ class TestFactorReuse:
         result = dl.solve(dataclasses.replace(system, A_red=scaled, b_red=d * system.b_red))
         assert len(splu_calls) == 2
         assert dl._entry is None
-        x = result.field.values[system.free]
-        assert np.max(np.abs(d * x - mesh.nodes[system.free, 0])) < 1e-10
+        x = result.field.values[system.is_free]
+        assert np.max(np.abs(d * x - mesh.nodes[system.is_free, 0])) < 1e-10
         assert result.residual <= 1e-12
 
     def test_unstarted_sweep_factored_into_the_one_slot(self, monkeypatch):
@@ -260,7 +260,7 @@ class TestFactorReuse:
         assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
         assert result.iterations == 0
         assert np.array_equal(dl._entry.lu_diagonal, sweep.A_red.diagonal())
-        x = result.field.values[system.free]
+        x = result.field.values[system.is_free]
         expected = dl.spla.spsolve(sweep.A_red.tocsc(), sweep.b_red)
         assert np.max(np.abs(x - expected)) < 1e-10
         assert result.residual <= 1e-12
@@ -318,10 +318,10 @@ class TestFactorReuse:
         sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
         assert not np.array_equal(sweep.A_red.data, system.A_red.data)
         for s in (system, sweep):
-            want = s.raw_matrix[s.free][:, s.free]
+            want = s.raw_matrix[s.is_free][:, s.is_free]
             for a in ("indptr", "indices", "data"):
                 assert getattr(s.A_red, a).tobytes() == getattr(want, a).tobytes()
-            b_red = (s.raw_rhs - s.raw_matrix @ s.lift)[s.free]
+            b_red = (s.raw_rhs - s.raw_matrix @ s.lift)[s.is_free]
             assert s.b_red.tobytes() == b_red.tobytes()
 
     def test_zero_weight_sweep_after_cg_start_raises_without_warning(self, splu_calls):
@@ -332,7 +332,7 @@ class TestFactorReuse:
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.5, "top": 0.0, "bottom": 0.0})
         system = dl.assemble(mesh, 3.5 * identity_mobility(mesh), bcs)
         scaling = dl._edge_scaling(system)
-        start = dl.solve(system).field.values[system.free]
+        start = dl.solve(system).field.values[system.is_free]
         sweep = scaling.system(system, np.zeros(scaling.edges[0].size), start=start)
         assert sweep._start is start
         with warnings.catch_warnings():
@@ -571,7 +571,7 @@ class TestSystemReuse:
         for a, b in ((got.raw_matrix, ref.raw_matrix), (got.A_red, ref.A_red)):
             for name in ("indptr", "indices", "data"):
                 same(getattr(a, name), getattr(b, name))
-        for name in ("raw_rhs", "lift", "free", "b_red"):
+        for name in ("raw_rhs", "lift", "is_free", "b_red"):
             same(getattr(got, name), getattr(ref, name))
 
     def test_hit_equals_cold_assembly(self, kernel_calls):
@@ -624,7 +624,7 @@ class TestSystemReuse:
                     getattr(matrix, name)[:] = 0
         with pytest.raises(ValueError):
             first.raw_matrix.data *= 2.0
-        first.free[:] = 0
+        first.is_free[:] = False
         first.lift[:] = 7.0
         again = dl.assemble(mesh, mob, self.data())
         assert len(kernel_calls) == 1
@@ -660,7 +660,7 @@ class TestSystemReuse:
     @staticmethod
     def assert_reduced_raw_load(system):
         """b_red is (raw_rhs - raw_matrix @ lift)[free], bit for bit."""
-        ref = (system.raw_rhs - system.raw_matrix @ system.lift)[system.free]
+        ref = (system.raw_rhs - system.raw_matrix @ system.lift)[system.is_free]
         assert system.b_red.dtype == ref.dtype and system.b_red.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
@@ -906,11 +906,9 @@ class TestBoundaryReads:
             BoundarySpec(pressure={}, velocity={"left": 0.4, "right": -0.4, "top": 0.0, "bottom": 0.0})
         ]:
             system = dl.assemble(mesh, identity_mobility(mesh), bcs)
-            assert system.free.dtype == np.int32 and system.is_free.dtype == bool
-            assert np.array_equal(np.flatnonzero(system.is_free), system.free)
             result = dl.solve(system)
             values = system.lift.copy()
-            values[system.free] = result.reduced
+            values[system.is_free] = result.reduced
             if not system.dirichlet_map:
                 values -= values.max()
             assert result.field.values.tobytes() == values.tobytes()
@@ -1223,7 +1221,7 @@ class TestSuperposition:
         held = dl._entry.responses
         assert sorted(held.H) == sorted(terms)
         for H in held.H.values():
-            assert H.size == system.free.size and not H.flags.writeable
+            assert H.size == np.count_nonzero(system.is_free) and not H.flags.writeable
         direct = dl.solve(system)
         U = report.U.values
         assert report.residual == result.residual <= dl._OMEGA_MAX
@@ -1350,6 +1348,68 @@ class TestSuperposition:
         del mesh, K
         gc.collect()
         assert dl._entry is None and responses() is None
+
+
+class TestOneAcceptance:
+    """solve and the superposition accept a reduced solution by one test
+    (dl._accept): omega <= 64 eps and a finite x. The field of solve, whose
+    system belongs to the caller, is scanned; P = U - C never is."""
+
+    @staticmethod
+    def returning(monkeypatch, bad):
+        """Every factor made from now on solves to bad at every node."""
+        factor = dl._factor
+
+        class Bad:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return np.full_like(self.lu.solve(b), bad)
+
+        monkeypatch.setattr(dl, "_factor", lambda A: Bad(factor(A)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_solve_raises(self, bad, monkeypatch):
+        mesh = make_rectangle_mesh(1.0, 1.0, 6, 6)
+        system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(1.0, 0.0))
+        self.returning(monkeypatch, bad)
+        with pytest.raises(NoConvergence):
+            dl.solve(system)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_superposition_falls_back_and_raises(self, bad, table1_fluid, monkeypatch):
+        mesh, fluid, K, bcs = TestSuperposition.reservoir(table1_fluid, 3e6)
+        self.returning(monkeypatch, bad)
+        calls = TestSuperposition.superposed(monkeypatch)
+        with pytest.raises(NoConvergence):
+            dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert calls == [None]
+
+    def test_nan_in_the_callers_lift_raises(self):
+        mesh = make_rectangle_mesh(1.0, 1.0, 6, 6)
+        system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(1.0, 0.0))
+        system.lift[np.flatnonzero(~system.is_free)[0]] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            dl.solve(system)
+
+    @pytest.mark.parametrize("path", ["superposed", "solved"])
+    def test_P_is_built_without_a_scan(self, path, unit_fluid, monkeypatch):
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        xi = ZERO_XI if path == "superposed" else TestPressureOnDemand.GRAVITY_XI
+        dl.solve_transformed_bvp(mesh, unit_fluid, xi, K, strip_bcs(0.063))  # cold
+        calls = TestSuperposition.superposed(monkeypatch)
+        scans = []
+        check = ScalarField.__post_init__
+        monkeypatch.setattr(ScalarField, "__post_init__", lambda f: scans.append(f) or check(f))
+        report = dl.solve_transformed_bvp(mesh, unit_fluid, xi, K, strip_bcs(0.063))
+        assert (calls != [None]) == (path == "superposed")
+        assert all(f is not report.P for f in scans)
+        # the field of solve is scanned, a superposed one is not
+        assert [f is report.U for f in scans] == ([] if path == "superposed" else [True])
+        monkeypatch.undo()
+        ScalarField(mesh, report.P.values)  # finite, of one value per node
 
 
 def reachable_arrays(root):
@@ -1491,6 +1551,57 @@ class TestBoundaryFlux:
         result = dl.solve(system)
         with pytest.raises(UnknownLabel):
             dl.boundary_flux(result.field, system, "nope")
+
+
+# The first n labels of the rectangle, counter-clockwise around it, in each
+# cyclic order, for n = 2, 3 and 4.
+RECTANGLE_LABELS = ("bottom", "right", "top", "left")
+PRESSURE_ORDERS = [
+    RECTANGLE_LABELS[:n][k:] + RECTANGLE_LABELS[:n][:k] for n in (2, 3, 4) for k in range(n)
+]
+
+
+@pytest.mark.parametrize("order", PRESSURE_ORDERS, ids="-".join)
+class TestOwnerRule:
+    """geometry._owned gives each pressure label the nodes it owns, a node
+    two labels share being the later one's: the assembly's lift and
+    boundary_flux agree with it in every order of the labels."""
+
+    @staticmethod
+    def system(order):
+        mesh = make_rectangle_mesh(10.0, 3.0, 20, 6)
+        pressure = {label: 1.0 + 0.5 * i for i, label in enumerate(order)}
+        velocity = {label: 0.01 for label in RECTANGLE_LABELS if label not in order}
+        bcs = BoundarySpec(pressure=pressure, velocity=velocity)
+        return mesh, bcs, dl.assemble(mesh, identity_mobility(mesh), bcs)
+
+    def test_owned_partitions_the_pressure_nodes(self, order):
+        mesh, bcs, _ = self.system(order)
+        owned = geometry._owned(mesh, bcs.pressure)
+        assert tuple(owned) == order
+        nodes, _ = geometry._pressure_data(mesh, bcs)
+        together = np.concatenate(list(owned.values()))
+        assert together.size == nodes.size  # no node owned twice
+        assert np.array_equal(np.sort(together), np.sort(nodes))
+        for i, (label, own) in enumerate(owned.items()):
+            assert np.all(np.diff(own) > 0)
+            for later in order[i + 1:]:
+                assert np.intersect1d(own, mesh.nodes_with_label(later)).size == 0
+
+    def test_each_owned_node_takes_its_labels_datum(self, order):
+        mesh, bcs, system = self.system(order)
+        for label, own in geometry._owned(mesh, bcs.pressure).items():
+            assert np.all(system.lift[own] == bcs.pressure[label])
+
+    def test_pressure_fluxes_sum_to_the_net_dirichlet_reaction(self, order):
+        mesh, bcs, system = self.system(order)
+        field = dl.solve(system).field
+        reactions = dl.nodal_reactions(system, field)
+        fluxes = {label: dl.boundary_flux(field, system, label) for label in order}
+        for label, own in geometry._owned(mesh, bcs.pressure).items():
+            assert fluxes[label] == reactions[own].sum()
+        net = reactions[geometry._pressure_data(mesh, bcs)[0]].sum()
+        assert abs(sum(fluxes.values()) - net) <= 1e-14 * np.abs(reactions).sum()
 
 
 class TestTransformedBVP:

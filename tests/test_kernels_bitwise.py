@@ -618,7 +618,7 @@ class TestBoundaryData:
         assert got.dirichlet_map[corner] == 1.0  # top's value, not left's 3.3
         assert_bitwise(got.raw_rhs, ref.raw_rhs)
         assert_bitwise(got.lift, ref.lift)
-        assert_bitwise(got.free, ref.free)
+        assert_bitwise(got.is_free, ref.is_free)
         for a in ("indptr", "indices", "data"):
             assert_bitwise(getattr(got.A_red, a), getattr(ref.A_red, a))
         assert_bitwise(got.b_red, ref.b_red)

@@ -352,7 +352,7 @@ class TestReciprocityDarcy:
 
         def cg_solution(system, rtol):
             values = system.lift.copy()
-            values[system.free] = _oracles.jacobi_cg(system.A_red, system.b_red, rtol)
+            values[system.is_free] = _oracles.jacobi_cg(system.A_red, system.b_red, rtol)
             field = ScalarField(mesh, values)
             return vf.FluxSolution(field=field, reactions=dl.nodal_reactions(system, field))
 
