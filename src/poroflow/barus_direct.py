@@ -6,8 +6,8 @@ The P1 stiffness k_ij of K/mu0~ has zero row sums, so the discrete
 transformed equations sum_j k_ij (P_K(p~_j) - P_K(p~_i)) = b_i are the
 equations sum_j k_ij s_ij (p~_j - p~_i) = b_i, with P_K the Kirchhoff
 variable and s_ij its secant on [p~_i, p~_j], the mean of mu0~/mu there.
-Both paths measure P_K from one p_ref, chosen by darcy_linear._gauge.
-A sweep freezes s_ij at the previous iterate and solves the linear problem,
+Both paths measure P_K from one p_ref, chosen by darcy_linear._gauge. A
+sweep freezes s_ij at the previous iterate and solves the linear problem,
 so the fixed point is the nodal solution of the transformed path (with
 pure-velocity data, each sweep's p~ peaks at p_ref, as that path grounds
 it). The stiffness is assembled once, with the modified pressures p + xi
@@ -18,10 +18,14 @@ its start, the previous sweep's solution, so the held entry keeps no
 iterate. It is solved by conjugate gradients from that start,
 preconditioned by the one held factor (of the K/mu0~ system, or else of an
 earlier sweep matrix) rescaled to the sweep's diagonal, and is factored in
-the held factor's place only when CG stalls (see darcy_linear). A sweep
-matrix is close to D^1/2 A D^1/2, with A the K/mu0~ system and D the nodal
-mu0~/mu, so at xi = 0 the factor of the transformed path's system can serve
-every sweep and outlive the Picard solve.
+the held factor's place only when CG stalls (see darcy_linear). That
+factor is banded Cholesky where the mesh's half-bandwidth in
+darcy_linear's coordinate order is at most 64 (the 80x24 strip: kd = 25),
+else SuperLU's sparse LU; the sweeps share the pattern, so every factor of
+one mesh is of one kind. A sweep matrix is close to D^1/2 A D^1/2, with A
+the K/mu0~ system and D the nodal mu0~/mu, so at xi = 0 the factor of the
+transformed path's system can serve every sweep and outlive the Picard
+solve.
 
 This is the baseline "solve the nonlinear model directly" path that the
 transformed approach is benchmarked against.
@@ -150,7 +154,12 @@ def picard_solve(
     viscosity overflows float64 also raises NoConvergence, with the report
     of the last iterate that had a finite one. beta = 0 is a single linear
     solve (the viscosity does not depend on pressure, so the first sweep is
-    already the fixed point).
+    already the fixed point). A later sweep whose linear solve fails (its
+    factorization, or its backward error; see darcy_linear.solve) raises
+    NoConvergence with the report of the last iterate; a failure of the
+    first sweep surfaces unchanged. On a mesh whose stiffness is not an
+    M-matrix (obtuse triangles, anisotropic K) a sweep matrix can be
+    indefinite, which banded Cholesky, unlike sparse LU, cannot factor.
     """
     config = config or PicardConfig()
 
@@ -186,12 +195,22 @@ def picard_solve(
     slow = 0  # sweeps in a row that predict more than max_iter
 
     for _ in range(config.max_iter):
-        result = darcy_linear.solve(system)
+        try:
+            result = darcy_linear.solve(system)
+        except NoConvergence as err:
+            if not history:  # no iterate to report
+                raise
+            raise NoConvergence(
+                f"sweep {len(history) + 1} has no accepted linear solve: {err}; "
+                f"the report holds iterate {len(history)}",
+                report=finish(ptilde, history, False, lin_total),
+            ) from err
         lin_total += result.iterations
         new = sweep_solution(result)
-        upd = float(
-            np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300)
-        )
+        # a huge but finite iterate overflows these norms: upd is then inf
+        # or NaN, without a warning, and the guards below see it
+        with np.errstate(over="ignore", invalid="ignore"):
+            upd = float(np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300))
         try:
             # the system of the next sweep, with CG starting from this one's
             # reduced solution, and the check that new has a report

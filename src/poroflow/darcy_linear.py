@@ -5,11 +5,12 @@ model.
 
 M is the per-triangle mobility tensor (permeability over viscosity).
 Dirichlet rows are removed by symmetric elimination, the reduced SPD system
-is solved with a fill-reducing sparse LU factorization, and boundary fluxes
-are extracted from the unconstrained residual (reaction form), which is
-discretely conservative. Boundary data enter through the one boundary
-rule of ``geometry`` (2-point Gauss on each velocity edge, nodal values on
-pressure segments), the rule the theorem checks in ``verification`` use too.
+is solved with a direct factor, banded Cholesky or sparse LU (see below),
+and boundary fluxes are extracted from the unconstrained residual (reaction
+form), which is discretely conservative. Boundary data enter through the
+one boundary rule of ``geometry`` (2-point Gauss on each velocity edge,
+nodal values on pressure segments), the rule the theorem checks in
+``verification`` use too.
 A system describes its Dirichlet nodes once: the mask is_free of the other
 nodes, and the lift, its data there. A node two pressure labels share is
 the later one's (geometry._owned), and data with no pressure label are
@@ -28,6 +29,34 @@ held with the reduced matrix, or read from a sweep's diagonal. r = b - A x
 is formed once per solve (a CG sweep passes on the one it stopped at), and
 the transformed solve's reactions at the free nodes are this r.
 
+Every factorization follows one rule (_factor), which reads the matrix's
+pattern and its nodes' coordinates and nothing else, so a matrix gets the
+same kind of factor cold, warm or after a Picard sweep. The unknowns are
+numbered by their coordinate along the longer side of their bounding box,
+the other coordinate breaking ties. On a structured rectangle longer in x
+that gives a half-bandwidth kd = ny + 1 (2 ny + 1 on a crossed mesh with
+anisotropic K). Where kd <= _BAND_MAX = 64, LAPACK's banded Cholesky
+factors the matrix in upper band storage (dpbtrf; the band method of George
+and Liu, Computer Solution of Large Sparse Positive Definite Systems,
+1981); elsewhere SuperLU does, in its own fill-reducing order. 64 lies
+between kd 49, where the band's n (kd + 1) doubles equal SuperLU's L and U
+bytes, and kd 97, where they are 1.45 times as many: past 64 the band still
+factors faster, but it is the larger factor, and the largest meshes set the
+memory peak. On the Table-1 reservoirs (in-process, one BLAS thread, best
+of 12 to 30, 2 shared vCPUs; band times for the two SuperLU meshes with the
+rule's bound lifted):
+
+    mesh      kd    factor    SuperLU    band      bytes, SuperLU vs band
+    40x12     13    band       1.26 ms    0.27 ms   106 vs 58 kB
+    80x24     25    band       4.35 ms    1.19 ms   585 vs 416 kB
+    160x48    49    band       19.2 ms    8.7 ms    3.2 vs 3.1 MB
+    320x96    97    SuperLU    98 ms      67 ms     17 vs 24 MB
+    400x120   121   SuperLU    177 ms     131 ms    30 vs 47 MB
+
+The band's triangular solve takes as long as SuperLU's or less. The two
+factors' solutions differ by rounding: 1e-14 to 3e-12 of max|x| on these
+meshes.
+
 The transformed problem's matrix depends on the mesh, the permeability and
 mu0 but not on the boundary data, so the module holds one entry for the
 last system assembled: its mesh (by weak reference), its mobility (the
@@ -36,28 +65,28 @@ nodes, its raw and reduced matrices, the raw matrix's Dirichlet rows (held
 once, as CSR, with their transpose, the Dirichlet columns, a CSC view of
 the same arrays), its flux operator (the two CSR matrices that map nodal
 values to the per-triangle velocity, see recover_velocity) and, once
-solved, one LU factor. No P1 gradients are held: the flux operator's data
-are the products M grad(phi_j) that the assembly forms anyway. An assembly
-on the same mesh, with the held mobility array itself or else one of the
-same bits, and with the same Dirichlet node set builds only the load, the
-Dirichlet values and the reduced right-hand side, the last from the
-Dirichlet columns (_reduced_rhs): apart from n-long vector operations, its
-cost grows with the boundary, not with the mesh. The load and the
-Dirichlet values read the boundary geometry the mesh keeps (see geometry).
-The solution paths read the pressure data once, for their gauge (_gauge),
-and hand the caller's spec, for its partition and velocity data, and the
-mapped values to the assembly (_assemble), so a warm transformed solve
-evaluates each datum once, builds no BoundarySpec and computes no boundary
-geometry. Every assembly returns the held matrices and flux operator
-themselves, read-only: their data, indices and indptr arrays cannot be
-written, so no caller can change what a later call finds. A system keeps
-them alive after the entry is replaced or freed, so its velocity never
-depends on what is held. The transformed solve computes no velocity and
-maps no node back: its report keeps U, the flux operator (not the system)
-and the pressure data, and computes v and p from them on first read (see
-SolveReport). A solve of the held reduced matrix reuses its factor; any
-other matrix drops the entry and is factored without being held. So a sweep
-over pressure data on one mesh assembles and factors once.
+solved, one factor, of either kind. No P1 gradients are held: the flux
+operator's data are the products M grad(phi_j) that the assembly forms
+anyway. An assembly on the same mesh, with the held mobility array itself
+or else one of the same bits, and with the same Dirichlet node set builds
+only the load, the Dirichlet values and the reduced right-hand side, the
+last from the Dirichlet columns (_reduced_rhs): apart from n-long vector
+operations, its cost grows with the boundary, not with the mesh. The load
+and the Dirichlet values read the boundary geometry the mesh keeps (see
+geometry). The solution paths read the pressure data once, for their gauge
+(_gauge), and hand the caller's spec, for its partition and velocity data,
+and the mapped values to the assembly (_assemble), so a warm transformed
+solve evaluates each datum once, builds no BoundarySpec and computes no
+boundary geometry. Every assembly returns the held matrices and flux
+operator themselves, read-only: their data, indices and indptr arrays
+cannot be written, so no caller can change what a later call finds. A
+system keeps them alive after the entry is replaced or freed, so its
+velocity never depends on what is held. The transformed solve computes no
+velocity and maps no node back: its report keeps U, the flux operator (not
+the system) and the pressure data, and computes v and p from them on first
+read (see SolveReport). A solve of the held reduced matrix reuses its
+factor; any other matrix drops the entry and is factored without being
+held. So a sweep over pressure data on one mesh assembles and factors once.
 
 The transformed problem is linear in its variable, so where its mapped data
 are constant on every label its reduced solution is x = sum of c_l H_l, c_l
@@ -108,6 +137,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import transform
 from .errors import (
@@ -143,6 +173,8 @@ _PCG_RTOL = 1e-14
 _PCG_ACCEPT = 2.0**16 * np.finfo(float).eps
 # Iterations CG may take on a Picard sweep before the sweep is factored.
 _PCG_MAX = 8
+# Largest half-bandwidth factored by banded Cholesky (see _factor).
+_BAND_MAX = 64
 
 
 @dataclass
@@ -319,7 +351,10 @@ class _Held:
     dirichlet_columns: sp.csc_matrix
     flux_operator: tuple  # (Vx, Vy) of mobility on mesh; see _flux_operator
     a_max: float  # the largest diagonal entry of A_red
-    lu: spla.SuperLU = None  # of A_red, or of the last sweep matrix factored
+    # of A_red, or of the last sweep matrix factored: a _BandFactor where kd
+    # <= _BAND_MAX in the coordinate order, else a SuperLU (see _factor); one
+    # pattern, so one kind, for both
+    lu: "_BandFactor | spla.SuperLU" = None
     lu_diagonal: np.ndarray = None  # that sweep matrix's diagonal; None for A_red
     scaling: "_EdgeScaling" = None  # of barus_direct's sweeps, made on first need
     responses: _Responses = None  # of the last partition superposed (see _superpose)
@@ -331,8 +366,11 @@ class _Held:
 # matrices 6.2 MB; flux operator 6.1 MB (4.6 MB of values, 1.5 MB of shared
 # indices and indptr); the 123 Dirichlet nodes 0.5 kB; the Dirichlet rows,
 # and the columns that share their arrays, 6.4 kB (490 entries); the one
-# inlet response of a pressure sweep 0.39 MB (48,398 free nodes). Its factor
-# has 2.48M entries in L and U, about 30 MB.
+# inlet response of a pressure sweep 0.39 MB (48,398 free nodes). Its factor,
+# SuperLU's (kd = 121 > _BAND_MAX), has 2.48M entries in L and U, about 30 MB;
+# the band would take 47 MB. On the banded meshes the factor is the band's
+# n (kd + 1) doubles: 58 kB at 40x12, 0.42 MB at 80x24 and 3.1 MB at 160x48,
+# against SuperLU's 106 kB, 0.59 MB and 3.2 MB.
 _entry = None
 
 # The K/mu0 of mobility_tensors at xi = 0, read-only: (weak reference to
@@ -588,10 +626,65 @@ def _edge_scaling(system: SparseSystem) -> _EdgeScaling:
     return held.scaling
 
 
-def _factor(A):
-    """SuperLU factor of the SPD matrix A, in its own fill-reducing order. A
-    failed factorization drops the held entry and raises NoConvergence."""
+class _BandFactor:
+    """Cholesky factor of an SPD matrix in LAPACK's upper band storage (the
+    (kd + 1, n) Fortran array of dpbtrf), with the order its unknowns were
+    numbered in; solve(b) is the solution in the matrix's own order, as
+    SuperLU's is, and leaves b as it is."""
+
+    __slots__ = ("band", "order")
+
+    def __init__(self, band: np.ndarray, order: np.ndarray):
+        self.band, self.order = band, order
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y, _ = lapack.dpbtrs(self.band, b[self.order], overwrite_b=1)  # the gather is a copy
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
+def _factor(A, nodes, is_free):
+    """Factor of the SPD matrix A, whose unknowns are the nodes (n x 2
+    coordinates) where is_free holds, in ascending order: a _BandFactor
+    where its half-bandwidth kd in the coordinate order is at most
+    _BAND_MAX, else SuperLU's in its own fill-reducing order. The
+    coordinate order numbers the unknowns by their coordinate along the
+    longer side of their bounding box, the other coordinate breaking ties;
+    the band holds A's upper triangle in that order, entry (i, j) at [kd + i
+    - j, j], and dpbtrf factors it in place. The rule depends on A's pattern
+    and the coordinates only, so one matrix gets one kind of factor whenever
+    it is factored. A failed factorization (a leading minor that is not
+    positive, or SuperLU's exactly singular factor) drops the held entry and
+    raises NoConvergence."""
     global _entry
+    points = np.compress(is_free, nodes, axis=0)
+    x, y = points.T
+    if np.ptp(y) > np.ptp(x):
+        x, y = y, x
+    order = np.lexsort((y, x))
+    new = np.empty(order.size, dtype=np.int32)  # new[k]: the place of unknown k in order
+    new[order] = np.arange(order.size, dtype=np.int32)
+    # the spread of one row bounds kd from below, so a mesh too wide for the
+    # band is told by its middle row, without a scan of every entry
+    m = order.size // 2
+    if np.abs(new[A.indices[A.indptr[m]:A.indptr[m + 1]]] - new[m]).max(initial=0) <= _BAND_MAX:
+        i, j = np.repeat(new, np.diff(A.indptr)), np.take(new, A.indices)  # (row, column) in order
+        upper = i <= j
+        i, j = i[upper], j[upper]
+        kd = int((j - i).max(initial=0))
+        if kd <= _BAND_MAX:
+            band = np.zeros((order.size, kd + 1))  # its transpose is the Fortran band
+            band[j, kd + i - j] = A.data[upper]
+            band, info = lapack.dpbtrf(band.T, overwrite_ab=1)
+            if info == 0:
+                return _BandFactor(band, order)
+            _entry = None
+            raise NoConvergence(
+                f"banded Cholesky factorization failed: leading minor {info} not positive"
+            )
+        del i, j, upper
+    del points, x, y, order, new  # gone before SuperLU's peak
     try:
         # A is symmetric: its CSR arrays, read as CSC, are A itself (no copy)
         return spla.splu(
@@ -648,30 +741,31 @@ def _pcg(held, A, b, bnorm, d_A, start):
     return None, None, _PCG_MAX
 
 
-def _solve_sweep(held, A, b, bnorm, start):
-    """Solve A x = b for A, the sweep matrix of held.scaling; returns (x, r,
-    CG iterations, a_max of A), r = b - A x from an accepted CG exit, None
-    for a factored sweep. Where the sweep has a start (a later Picard
-    sweep), CG runs from it (see _pcg), and the held factor stays.
-    Otherwise, or when CG gives up, the held factor is dropped and A is
-    factored; its factor and diagonal are held for the sweeps after it."""
+def _solve_sweep(held, system, bnorm):
+    """Solve system, whose A = A_red is the sweep matrix of held.scaling;
+    returns (x, r, CG iterations, a_max of A), r = b_red - A x from an
+    accepted CG exit, None for a factored sweep. Where the sweep has a start
+    (a later Picard sweep), CG runs from it (see _pcg), and the held factor
+    stays. Otherwise, or when CG gives up, the held factor is dropped and A
+    is factored; its factor and diagonal are held for the sweeps after it."""
+    A, b = system.A_red, system.b_red
     d_A = A.diagonal()
     iterations = 0
-    if start is not None:
-        x, r, iterations = _pcg(held, A, b, bnorm, d_A, start)
+    if system._start is not None:
+        x, r, iterations = _pcg(held, A, b, bnorm, d_A, system._start)
         if x is not None:
             return x, r, iterations, d_A.max()
     held.lu = None  # the held factor goes before the next is made
-    held.lu, held.lu_diagonal = _factor(A), d_A
+    held.lu, held.lu_diagonal = _factor(A, system.mesh.nodes, system.is_free), d_A
     return held.lu.solve(b), None, iterations, d_A.max()
 
 
-def _reduced_factor(held):
-    """The factor of held.A_red, made in the slot if it is empty or holds a
-    sweep factor, which goes first."""
+def _reduced_factor(held, system):
+    """The factor of held.A_red, the reduced matrix of system, made in the
+    slot if it is empty or holds a sweep factor, which goes first."""
     if held.lu is None or held.lu_diagonal is not None:
         held.lu = held.lu_diagonal = None
-        held.lu = _factor(held.A_red)
+        held.lu = _factor(held.A_red, system.mesh.nodes, system.is_free)
     return held.lu
 
 
@@ -683,10 +777,13 @@ def _accept(system, x, r, a_max, bnorm, iterations, field):
     pure-velocity data shifted to peak at 0. x is scanned only where its
     norm is not finite."""
     # Python floats: a non-finite x gives a NaN omega, not a warning; the
-    # denominator is 0 only where b_red = 0 is solved by x = 0
-    xnorm = float(np.linalg.norm(x))
+    # denominator is 0 only where b_red = 0 is solved by x = 0. A huge but
+    # finite x or r overflows its norm to inf, without a warning either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xnorm = float(np.linalg.norm(x))
+        rnorm = float(np.linalg.norm(r))
     denominator = float(a_max) * xnorm + bnorm
-    omega = float(np.linalg.norm(r)) / denominator if denominator else 0.0
+    omega = rnorm / denominator if denominator else 0.0
     if not (omega <= _OMEGA_MAX and (xnorm < np.inf or np.isfinite(x).all())):
         raise NoConvergence(
             f"linear solve backward error {omega:.3e} (bound {_OMEGA_MAX:.3e}), ||x|| {xnorm:.3e}"
@@ -701,10 +798,13 @@ def _accept(system, x, r, a_max, bnorm, iterations, field):
 def solve(system: SparseSystem) -> LinearSolveResult:
     """Solve the assembled system for the nodal field.
 
-    The reduced SPD matrix is solved with a fill-reducing sparse LU, and
-    the solution must pass the test of the module docstring (_accept), else
-    NoConvergence; result.residual is omega. The factor of the held
-    reduced matrix, the A_red that assemble returns, is held with the entry
+    The reduced SPD matrix is solved with the factor the rule of the module
+    docstring gives it (_factor): banded Cholesky where its half-bandwidth
+    in the coordinate order is at most _BAND_MAX = 64, else a fill-reducing
+    sparse LU. The solution must pass the test of the module docstring
+    (_accept), else NoConvergence; result.residual is omega. A factorization
+    that fails raises NoConvergence and drops the entry. The factor of the
+    held reduced matrix, the A_red that assemble returns, is held with the entry
     of the module docstring and reused while system.mesh lives. A reused
     factor gives results bitwise identical to a fresh one. A Picard sweep
     matrix of barus_direct is solved by preconditioned CG when it comes
@@ -737,12 +837,12 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     if bnorm == 0.0:  # x = 0, and b - A x is b itself
         x, r = np.zeros_like(b), b
     elif held is not None and held.scaling is not None and A is held.scaling.A_red:
-        x, r, iterations, a_max = _solve_sweep(held, A, b, bnorm, system._start)
+        x, r, iterations, a_max = _solve_sweep(held, system, bnorm)
     elif held is not None and A is held.A_red:
-        x, a_max = _reduced_factor(held).solve(b), held.a_max
+        x, a_max = _reduced_factor(held, system).solve(b), held.a_max
     else:
         _entry = None  # the held factor goes first: never two at once
-        x, a_max = _factor(A).solve(b), A.diagonal().max()
+        x, a_max = _factor(A, system.mesh.nodes, system.is_free).solve(b), A.diagonal().max()
     if r is None:
         r = b - A @ x
     return _accept(system, x, r, a_max, bnorm, iterations, ScalarField)
@@ -899,7 +999,7 @@ def _response(held: _Held, responses: _Responses, system: SparseSystem, label: s
         else:
             _add_label_load(load, system.mesh, label, 1.0)
         b = _reduced_rhs(load, lift, system.is_free, held.dirichlet, held.dirichlet_columns)
-        H = _reduced_factor(held).solve(b)
+        H = _reduced_factor(held, system).solve(b)
         H.setflags(write=False)
         responses.H[label] = H
     return H

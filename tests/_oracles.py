@@ -232,7 +232,8 @@ def ceiling_flux_constant_by_hand(mesh, fluid, K, p_inj, p_prod):
     unit[np.setdiff1d(mesh.nodes_with_label("inlet"), mesh.nodes_with_label("well"))] = 1.0
     b = (np.zeros(mesh.n_nodes) - system.raw_matrix @ unit)[system.is_free]
     values = system.lift.copy()
-    values[system.is_free] = dP * darcy_linear._factor(system.A_red).solve(b)
+    factor = darcy_linear._factor(system.A_red, mesh.nodes, system.is_free)
+    values[system.is_free] = dP * factor.solve(b)
     field = ScalarField(mesh, values)
     return float(darcy_linear.boundary_flux(field, system, "well")) / dP
 

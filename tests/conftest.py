@@ -30,14 +30,16 @@ def unit_fluid():
 
 
 @pytest.fixture
-def splu_calls(monkeypatch):
-    """Shapes of the matrices the solver factors, one per factorization."""
+def factor_calls(monkeypatch):
+    """Shapes of the matrices the solver factors, one per factorization of
+    either kind (banded Cholesky or SuperLU), counted at darcy_linear._factor
+    before it runs, so a factorization that fails counts too."""
     calls = []
-    splu = darcy_linear.spla.splu
+    factor = darcy_linear._factor
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
+    def counting(A, *args):
+        calls.append(A.shape)
+        return factor(A, *args)
 
-    monkeypatch.setattr(darcy_linear.spla, "splu", counting)
+    monkeypatch.setattr(darcy_linear, "_factor", counting)
     return calls

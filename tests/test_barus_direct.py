@@ -1,5 +1,7 @@
 """Picard iteration on the nonlinear system and its a-posteriori residual."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,51 @@ class TestPicardSolve:
         tri_mean = report.p.values[mesh.triangles].mean(axis=1)
         assert np.all(np.isfinite(tr.viscosity(tri_mean, unit_fluid)))
 
+    def test_huge_finite_iterate_raises_no_convergence_without_warning(self, unit_fluid):
+        # v0 = 1.233 v* on the 40x12 strip with anisotropic K and xi = 0.1 x:
+        # a sweep solution is finite but so large that its norm overflows;
+        # under warnings as errors the norms raise no RuntimeWarning, and
+        # the viscosity overflow of that iterate ends the run with a report
+        L = 10.0
+        mesh = make_rectangle_mesh(L, 3.0, 40, 12)
+        K = PermeabilityField.uniform_tensor(mesh, 1.0, 0.3, 0.5)
+        xi = BodyForcePotential(lambda x, y: 0.1 * x)
+        v_star = unit_fluid.p0 / (unit_fluid.mu0 * L * unit_fluid.beta)
+        bcs = BoundarySpec(
+            pressure={"right": unit_fluid.p0},
+            velocity={"left": -1.233 * v_star, "top": 0.0, "bottom": 0.0},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence) as err:
+                bd.picard_solve(mesh, unit_fluid, xi, K, bcs)
+        report = err.value.report
+        assert report is not None and not report.converged
+        assert report.iterations == len(report.update_history) >= 1
+        assert np.all(np.isfinite(report.p.values))
+
+    def test_failed_later_sweep_raises_with_the_last_iterate(self, unit_fluid):
+        # r = 7/6 on the 10x3 strip on 8x3 crossed cells: the cells are wider
+        # than tall, so the stiffness is not an M-matrix, and the secant
+        # weights of iterate 5 make sweep 6 indefinite, with a diagonal
+        # entry that is not positive; CG gives up on it and its banded
+        # Cholesky factorization fails. The report is that of iterate 5.
+        L = 10.0
+        mesh = make_rectangle_mesh(L, 3.0, 8, 3, "crossed")
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        v_star = unit_fluid.p0 / (unit_fluid.mu0 * L * unit_fluid.beta)
+        bcs = BoundarySpec(
+            pressure={"right": unit_fluid.p0},
+            velocity={"left": -(7.0 / 6.0) * v_star, "top": 0.0, "bottom": 0.0},
+        )
+        with pytest.raises(NoConvergence, match="sweep 6 has no accepted linear solve") as err:
+            bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, bcs)
+        assert isinstance(err.value.__cause__, NoConvergence)
+        report = err.value.report
+        assert report is not None and not report.converged
+        assert report.iterations == len(report.update_history) == 5
+        assert np.all(np.isfinite(report.p.values))
+
     def test_growing_updates_raise_no_convergence(self, unit_fluid):
         # v0 = 1.2 v*, beyond the existence bound: the update norm grows on
         # sweeps 4, 5 and 6, and the divergence guard raises with the report
@@ -260,7 +307,7 @@ class TestPicardSolve:
         assert "slowly" in str(err.value)
         assert err.value.report.iterations <= 50
 
-    def test_pure_velocity_sweeps_start_from_the_reduced_solution(self, unit_fluid, splu_calls):
+    def test_pure_velocity_sweeps_start_from_the_reduced_solution(self, unit_fluid, factor_calls):
         # the mirrored 1x0.2 strip at xi = 0: every later sweep starts CG from
         # the previous sweep's reduced solution as solved, and no sweep is
         # factored; a start rebuilt from the nodal field, which solve shifts
@@ -272,7 +319,7 @@ class TestPicardSolve:
         )
         report = bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, bcs)
         assert report.converged
-        assert len(splu_calls) == 1  # the assembled system's, for sweep 1
+        assert len(factor_calls) == 1  # the assembled system's, for sweep 1
         assert report.linear_iterations == 77
 
     def test_near_critical_inflow_converges_to_transformed_path(self, unit_fluid):

@@ -1,4 +1,4 @@
-"""Linear P1 kernel: assembly, sparse-LU solve, velocity recovery,
+"""Linear P1 kernel: assembly, direct solve, velocity recovery,
 consistent boundary fluxes, and the three-step transformed solution path."""
 
 import dataclasses
@@ -133,7 +133,7 @@ class TestSolve:
         assert np.max(np.abs(result.field.values - mesh.nodes[:, 0])) < 1e-10
 
     def test_no_convergence_reported(self, monkeypatch):
-        # the LU residual (about 1e-15 here) cannot meet a limit below eps
+        # the direct solve's backward error cannot meet a limit below eps
         mesh = make_rectangle_mesh(1.0, 1.0, 20, 20)
         system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
         monkeypatch.setattr(dl, "_OMEGA_MAX", 1e-18)
@@ -141,7 +141,8 @@ class TestSolve:
             dl.solve(system)
 
     def test_direct_and_cg_agree(self, table1_fluid):
-        # the transformed reservoir system, solved by LU and by reference CG
+        # the transformed reservoir system, solved by its factor (banded
+        # Cholesky at 40x12) and by reference CG
         mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
         K = PermeabilityField.isotropic(mesh, 1e-12)
         bcs = BoundarySpec(
@@ -198,7 +199,7 @@ def kernel_calls(monkeypatch):
 
 
 class TestFactorReuse:
-    """solve keeps the LU factor of the last reduced matrix while its mesh
+    """solve keeps the factor of the last reduced matrix while its mesh
     lives. Each test draws its own mobility scale, so no entry left by
     another test can match its matrix."""
 
@@ -207,19 +208,19 @@ class TestFactorReuse:
         mesh = make_rectangle_mesh(1.0, 1.0, nx, 5)
         return mesh, dl.assemble(mesh, scale * identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
 
-    def test_second_solve_reuses_factor_bitwise(self, splu_calls):
+    def test_second_solve_reuses_factor_bitwise(self, factor_calls):
         mesh, system = self.strip_system(1.25)
         first = dl.solve(system).field.values
         again = dl.solve(system).field.values
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         _, other = self.strip_system(1.25, nx=6)
         dl.solve(other)  # another matrix replaces the entry
         fresh = dl.solve(system).field.values
-        assert len(splu_calls) == 3
+        assert len(factor_calls) == 3
         assert np.array_equal(again, fresh) and np.array_equal(first, fresh)
         assert np.max(np.abs(fresh - mesh.nodes[:, 0])) < 1e-10
 
-    def test_values_changed_in_place_refactor(self, splu_calls):
+    def test_values_changed_in_place_refactor(self, factor_calls):
         # the held A_red refuses a write, so a cache keyed on identity cannot
         # return a factor of old values; a writable copy changed to D A D is
         # another matrix: one factorization, not held
@@ -233,7 +234,7 @@ class TestFactorReuse:
         scaled = A.copy()
         scaled.data *= d[rows] * d[A.indices]
         result = dl.solve(dataclasses.replace(system, A_red=scaled, b_red=d * system.b_red))
-        assert len(splu_calls) == 2
+        assert len(factor_calls) == 2
         assert dl._entry is None
         x = result.field.values[system.is_free]
         assert np.max(np.abs(d * x - mesh.nodes[system.is_free, 0])) < 1e-10
@@ -241,23 +242,24 @@ class TestFactorReuse:
 
     def test_unstarted_sweep_factored_into_the_one_slot(self, monkeypatch):
         # a sweep matrix has A_red's pattern and other values; with no held
-        # solution to start CG from it is factored once in its own order,
-        # and its factor and diagonal take the slot of the A_red factor,
-        # which a later solve of A_red then refactors
-        specs = []
-        splu = dl.spla.splu
+        # solution to start CG from it is factored once, by the kind of
+        # factor A_red gets, and its factor and diagonal take the slot of the
+        # A_red factor, which a later solve of A_red then refactors
+        kinds = []
+        factor = dl._factor
 
-        def recording(A, **kwargs):
-            specs.append(kwargs["permc_spec"])
-            return splu(A, **kwargs)
+        def recording(*args):
+            lu = factor(*args)
+            kinds.append(type(lu))
+            return lu
 
-        monkeypatch.setattr(dl.spla, "splu", recording)
+        monkeypatch.setattr(dl, "_factor", recording)
         mesh, system = self.strip_system(2.75)
         dl.solve(system)
         scaling = dl._edge_scaling(system)
         sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
         result = dl.solve(sweep)
-        assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+        assert kinds == [dl._BandFactor, dl._BandFactor]
         assert result.iterations == 0
         assert np.array_equal(dl._entry.lu_diagonal, sweep.A_red.diagonal())
         x = result.field.values[system.is_free]
@@ -265,10 +267,10 @@ class TestFactorReuse:
         assert np.max(np.abs(x - expected)) < 1e-10
         assert result.residual <= 1e-12
         again = dl.solve(system)
-        assert len(specs) == 3 and dl._entry.lu_diagonal is None
+        assert kinds == [dl._BandFactor] * 3 and dl._entry.lu_diagonal is None
         assert np.max(np.abs(again.field.values - mesh.nodes[:, 0])) < 1e-10
 
-    def test_entry_released_with_mesh(self, splu_calls):
+    def test_entry_released_with_mesh(self, factor_calls):
         mesh, system = self.strip_system(1.75)
         result = dl.solve(system)
         del mesh, system, result
@@ -277,17 +279,17 @@ class TestFactorReuse:
         # the same matrix on a new mesh finds nothing to reuse
         _, system = self.strip_system(1.75)
         dl.solve(system)
-        assert len(splu_calls) == 2
+        assert len(factor_calls) == 2
 
-    def test_residual_checked_on_reuse(self, splu_calls, monkeypatch):
+    def test_residual_checked_on_reuse(self, factor_calls, monkeypatch):
         _, system = self.strip_system(2.25)
         dl.solve(system)
         monkeypatch.setattr(dl, "_OMEGA_MAX", 1e-18)
         with pytest.raises(NoConvergence):
             dl.solve(system)
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
 
-    def test_singular_matrix_leaves_no_entry(self, splu_calls):
+    def test_singular_matrix_leaves_no_entry(self, factor_calls):
         # a Picard sweep matrix with every edge weight zero is singular; the
         # inflow keeps its load nonzero, so the solve reaches the factorization
         mesh = make_rectangle_mesh(1.0, 1.0, 7, 5)
@@ -300,7 +302,7 @@ class TestFactorReuse:
             dl.solve(sweep)
         assert dl._entry is None
         result = dl.solve(system)
-        assert len(splu_calls) == 3
+        assert len(factor_calls) == 3
         exact = 1.0 + 0.2 * (1.0 - mesh.nodes[:, 0])  # v = (0.5, 0) = -2.5 grad p
         assert np.max(np.abs(result.field.values - exact)) < 1e-10
 
@@ -324,7 +326,7 @@ class TestFactorReuse:
             b_red = (s.raw_rhs - s.raw_matrix @ s.lift)[s.is_free]
             assert s.b_red.tobytes() == b_red.tobytes()
 
-    def test_zero_weight_sweep_after_cg_start_raises_without_warning(self, splu_calls):
+    def test_zero_weight_sweep_after_cg_start_raises_without_warning(self, factor_calls):
         # with a start the sweep reaches CG first; its zero diagonal gives a
         # ratio that is not finite, so CG gives up without dividing into a
         # warning, and the factorization fails as before
@@ -340,9 +342,9 @@ class TestFactorReuse:
             with pytest.raises(NoConvergence):
                 dl.solve(sweep)
         assert dl._entry is None
-        assert len(splu_calls) == 2
+        assert len(factor_calls) == 2
 
-    def test_picard_after_transformed_factors_later_sweeps_only(self, splu_calls):
+    def test_picard_after_transformed_factors_later_sweeps_only(self, factor_calls):
         # from p = p0 the first sweep is the transformed system: its factor
         # is reused, and the later sweeps run CG preconditioned by that
         # factor rescaled to each sweep's diagonal; CG solves every one of
@@ -352,10 +354,10 @@ class TestFactorReuse:
         K = PermeabilityField.isotropic(mesh, 1.0)
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.063, "top": 0.0, "bottom": 0.0})
         dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
         assert report.iterations >= 3
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         assert dl._entry.lu is not None
 
     def test_picard_leaves_no_vector_on_the_entry(self, monkeypatch):
@@ -385,7 +387,7 @@ class TestFactorReuse:
             assert v is None or not any(np.shares_memory(v, a) for a in held)
 
     @pytest.mark.parametrize("r, sweeps", [(0.26, 9), (0.63, 13), (0.95, 20)])
-    def test_benchmark_strip_keeps_transformed_factor(self, r, sweeps, splu_calls):
+    def test_benchmark_strip_keeps_transformed_factor(self, r, sweeps, factor_calls):
         # the 80 x 24 strip at v0 = r v*: the factor of the transformed solve
         # preconditions every Picard sweep, so neither Picard nor the
         # transformed solve after it factors
@@ -395,14 +397,14 @@ class TestFactorReuse:
         v_star = fluid.p0 / (fluid.mu0 * 10.0 * fluid.beta)
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -r * v_star, "top": 0.0, "bottom": 0.0})
         dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
         assert report.converged and report.iterations == sweeps
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
 
-    def test_sweep_factor_rescaled_by_its_own_diagonal(self, splu_calls):
+    def test_sweep_factor_rescaled_by_its_own_diagonal(self, factor_calls):
         # at xi = 0.3 y the first sweep is factored; the later sweeps are
         # close to that sweep matrix rescaled, so CG stalls on few of them
         # (rescaled by the A_red diagonal instead, every sweep factors)
@@ -411,7 +413,7 @@ class TestFactorReuse:
         report = bd.picard_solve(mesh, fluid, xi, K, bcs)
         assert report.converged and report.iterations == 22
         # the first sweep and two stalls
-        assert len(splu_calls) <= 4
+        assert len(factor_calls) <= 4
 
     @staticmethod
     def picard_strip(v0=0.063):
@@ -432,7 +434,7 @@ class TestFactorReuse:
                 for value in list(frame.f_locals.values()):
                     cells = getattr(value, "__closure__", None) or ()
                     for obj in (value, getattr(value, "__self__", None), *(c.cell_contents for c in cells)):
-                        if isinstance(obj, dl.spla.SuperLU):
+                        if isinstance(obj, (dl._BandFactor, dl.spla.SuperLU)):
                             found[id(obj)] = obj
             frame = frame.f_back
         return len(found)
@@ -445,18 +447,19 @@ class TestFactorReuse:
         # a positive diagonal passes the preconditioner's test, but the first
         # step's p.Ap is -2 (an indefinite A), +inf or NaN
         A = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
-        held = types.SimpleNamespace(lu=dl._factor(sp.identity(2, format="csr")), lu_diagonal=np.ones(2))
+        lu = dl._factor(sp.identity(2, format="csr"), np.array([[0.0, 0.0], [1.0, 0.0]]), np.ones(2, bool))
+        held = types.SimpleNamespace(lu=lu, lu_diagonal=np.ones(2))
         b = np.array(b)
         x, r, iterations = dl._pcg(held, A, b, np.linalg.norm(b), A.diagonal(), np.zeros(2))
         assert x is None and r is None and iterations == 1
 
-    def test_without_cg_every_later_sweep_factors(self, monkeypatch, splu_calls):
+    def test_without_cg_every_later_sweep_factors(self, monkeypatch, factor_calls):
         monkeypatch.setattr(dl, "_PCG_MAX", 0)
         mesh, fluid, K, bcs = self.picard_strip()
         dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
         report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
         assert report.converged and report.iterations >= 3
-        assert len(splu_calls) == 1 + report.iterations - 1
+        assert len(factor_calls) == 1 + report.iterations - 1
         assert report.linear_iterations == 0
 
     def sweep_slot_use(self, monkeypatch, y_coef):
@@ -466,11 +469,11 @@ class TestFactorReuse:
         before a new one is made; after every sweep the entry holds one."""
         xi = BodyForcePotential(lambda x, y: y_coef * y) if y_coef else ZERO_XI
         held_at_factor, held_after, sweep_slot_used = [], [], []
-        splu, solve = dl.spla.splu, dl.solve
+        factor, solve = dl._factor, dl.solve
 
-        def factoring(*args, **kwargs):
+        def factoring(*args):
             held_at_factor.append(self.live_factors())
-            return splu(*args, **kwargs)
+            return factor(*args)
 
         def solving(system):
             result = solve(system)
@@ -478,7 +481,7 @@ class TestFactorReuse:
             sweep_slot_used.append(dl._entry.lu_diagonal is not None)
             return result
 
-        monkeypatch.setattr(dl.spla, "splu", factoring)
+        monkeypatch.setattr(dl, "_factor", factoring)
         monkeypatch.setattr(dl, "solve", solving)
         mesh, fluid, K, bcs = self.picard_strip(0.09)
         report = bd.picard_solve(mesh, fluid, xi, K, bcs)
@@ -499,14 +502,14 @@ class TestFactorReuse:
         monkeypatch.setattr(dl, "_PCG_MAX", 1)
         assert any(self.sweep_slot_use(monkeypatch, 0.0))
 
-    def test_cold_picard_factors_no_held_matrix(self, splu_calls):
+    def test_cold_picard_factors_no_held_matrix(self, factor_calls):
         # at xi = 0.3 y on a fresh strip: the first sweep, which has no
         # solution to start CG from, and one stall; A_red is never factored
         xi = BodyForcePotential(lambda x, y: 0.3 * y)
         mesh, fluid, K, bcs = self.picard_strip()
         report = bd.picard_solve(mesh, fluid, xi, K, bcs)
         assert report.converged and report.iterations == 13
-        assert len(splu_calls) == 2
+        assert len(factor_calls) == 2
 
     def test_transformed_after_picard_drops_sweep_factor(self, monkeypatch):
         xi = BodyForcePotential(lambda x, y: 0.3 * y)
@@ -514,18 +517,18 @@ class TestFactorReuse:
         bd.picard_solve(mesh, fluid, xi, K, bcs)
         assert dl._entry.lu is not None and dl._entry.lu_diagonal is not None
         held_at_factor = []
-        splu = dl.spla.splu
+        factor = dl._factor
 
-        def factoring(*args, **kwargs):
+        def factoring(*args):
             held_at_factor.append(self.live_factors())
-            return splu(*args, **kwargs)
+            return factor(*args)
 
-        monkeypatch.setattr(dl.spla, "splu", factoring)
+        monkeypatch.setattr(dl, "_factor", factoring)
         dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
         assert held_at_factor == [0]
         assert dl._entry.lu is not None and dl._entry.lu_diagonal is None
 
-    def test_warm_transformed_solve_compares_no_matrix(self, table1_fluid, splu_calls):
+    def test_warm_transformed_solve_compares_no_matrix(self, table1_fluid, factor_calls):
         # the solve gets the held A_red itself, found by identity, and a
         # workload that never changes the matrix makes no sweep machinery
         mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 20, 6)
@@ -536,8 +539,96 @@ class TestFactorReuse:
                 velocity={"wall": 0.0},
             )
             dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         assert dl._entry.scaling is None and dl._entry.lu_diagonal is None
+
+
+class TestFactorKind:
+    """_factor gives a matrix whose half-bandwidth kd in the coordinate order
+    (along the longer side) is at most _BAND_MAX a banded Cholesky factor,
+    and any other matrix SuperLU's. The kind depends on the pattern and the
+    node coordinates only, so a mesh gets one kind cold, warm, for a Picard
+    sweep and when A_red is refactored after it."""
+
+    RESERVOIR_BCS = BoundarySpec(pressure={"inlet": 10.0, "well": 1.0}, velocity={"wall": 0.0})
+    STRIP_BCS = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.063, "top": 0.0, "bottom": 0.0})
+    # name: (mesh, boundary data, permeability, kd in the coordinate order)
+    CASES = {
+        "reservoir_40x12": (lambda: make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12), "reservoir", "iso", 13),
+        "reservoir_80x24": (lambda: make_reservoir_mesh(100.0, 30.0, 0.2, 80, 24), "reservoir", "iso", 25),
+        "reservoir_160x48": (lambda: make_reservoir_mesh(100.0, 30.0, 0.2, 160, 48), "reservoir", "iso", 49),
+        "reservoir_320x96": (lambda: make_reservoir_mesh(100.0, 30.0, 0.2, 320, 96), "reservoir", "iso", None),
+        "reservoir_400x120": (lambda: make_reservoir_mesh(100.0, 30.0, 0.2, 400, 120), "reservoir", "iso", None),
+        "strip_80x24": (lambda: make_rectangle_mesh(10.0, 3.0, 80, 24), "strip", "iso", 25),
+        # an anisotropic K couples the cell corners across each side: kd = 2 ny + 1
+        "crossed_80x24": (lambda: make_rectangle_mesh(10.0, 3.0, 80, 24, "crossed"), "strip", "aniso", 49),
+    }
+
+    @classmethod
+    def system(cls, name):
+        build, data, k, _ = cls.CASES[name]
+        mesh = build()
+        tensor = np.eye(2) if k == "iso" else np.array([[1.0, 0.3], [0.3, 0.5]])
+        mobility = np.broadcast_to(tensor, (mesh.n_triangles, 2, 2)).copy()
+        bcs = cls.RESERVOIR_BCS if data == "reservoir" else cls.STRIP_BCS
+        return mesh, dl.assemble(mesh, mobility, bcs)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_kind_cold_warm_and_after_a_sweep_factor(self, name, monkeypatch):
+        kd = self.CASES[name][3]
+        kind = dl._BandFactor if kd is not None else dl.spla.SuperLU
+        kinds = []
+        factor = dl._factor
+
+        def recording(*args):
+            lu = factor(*args)
+            kinds.append(type(lu))
+            return lu
+
+        monkeypatch.setattr(dl, "_factor", recording)
+        mesh, system = self.system(name)
+        cold = dl.solve(system)
+        warm = dl.solve(system)  # the held factor
+        assert warm.field.values.tobytes() == cold.field.values.tobytes()
+        assert kinds == [kind] and isinstance(dl._entry.lu, kind)
+        if kd is not None:
+            assert dl._entry.lu.band.shape == (kd + 1, system.A_red.shape[0])
+            assert cold.residual <= dl._OMEGA_MAX
+        scaling = dl._edge_scaling(system)
+        sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
+        dl.solve(sweep)  # no start: factored into the slot
+        assert kinds == [kind] * 2 and dl._entry.lu_diagonal is not None
+        again = dl.solve(system)  # A_red refactored
+        assert kinds == [kind] * 3 and dl._entry.lu_diagonal is None
+        assert again.field.values.tobytes() == cold.field.values.tobytes()
+
+    def test_band_solve_leaves_its_argument(self):
+        _, system = self.system("strip_80x24")
+        lu = dl._factor(system.A_red, system.mesh.nodes, system.is_free)
+        assert isinstance(lu, dl._BandFactor)
+        b = np.random.default_rng(3).standard_normal(system.A_red.shape[0])
+        kept = b.copy()
+        x = lu.solve(b)
+        assert b.tobytes() == kept.tobytes()
+        a_max = system.A_red.diagonal().max()
+        omega = np.linalg.norm(b - system.A_red @ x) / (a_max * np.linalg.norm(x) + np.linalg.norm(b))
+        assert omega <= dl._OMEGA_MAX
+
+    def test_indefinite_matrix_of_the_held_pattern_raises(self):
+        # a sweep matrix with edge weights of both signs is symmetric and
+        # indefinite; its banded Cholesky factorization fails, which drops
+        # the entry, as SuperLU's singular factor does
+        mesh = make_rectangle_mesh(1.0, 1.0, 7, 5)
+        system = dl.assemble(mesh, 1.25 * identity_mobility(mesh), self.STRIP_BCS)
+        dl.solve(system)
+        scaling = dl._edge_scaling(system)
+        weights = np.where(np.arange(scaling.edges[0].size) % 2, 1.0, -1.0)
+        sweep = scaling.system(system, weights)
+        eigenvalues = np.linalg.eigvalsh(sweep.A_red.toarray())
+        assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+        with pytest.raises(NoConvergence, match="banded Cholesky"):
+            dl.solve(sweep)
+        assert dl._entry is None
 
 
 class TestSystemReuse:
@@ -694,7 +785,7 @@ class TestSystemReuse:
         self.assert_reduced_raw_load(sweep)
 
     def test_reservoir_op_runs_kernel_and_factorization_once(
-        self, table1_fluid, kernel_calls, splu_calls
+        self, table1_fluid, kernel_calls, factor_calls
     ):
         # the benchmark's reservoir op: a solve, the flux system with the
         # Hopf-Cole data, then the next solve in the sweep
@@ -710,7 +801,7 @@ class TestSystemReuse:
         dl.assemble(mesh, mobility, dl.transform_bcs(bcs(10.0 * fluid.p0), fluid, ZERO_XI))
         dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs(300.0 * fluid.p0))
         assert len(kernel_calls) == 1
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
 
 
 class TestSharedMobility:
@@ -1184,7 +1275,7 @@ class TestSuperposition:
 
     @pytest.fixture
     def lu_solves(self, monkeypatch):
-        """Triangular solves (SuperLU.solve calls) of every factor made."""
+        """Triangular solves (factor.solve calls) of every factor made."""
         calls = []
         factor = dl._factor
 
@@ -1196,7 +1287,7 @@ class TestSuperposition:
                 calls.append(b.size)
                 return self.lu.solve(b)
 
-        monkeypatch.setattr(dl, "_factor", lambda A: Counting(factor(A)))
+        monkeypatch.setattr(dl, "_factor", lambda *args: Counting(factor(*args)))
         return calls
 
     @staticmethod
@@ -1249,20 +1340,20 @@ class TestSuperposition:
         self.check_against_direct(monkeypatch, mesh, fluid, K, swapped, ["left", "right"])
         assert dl._entry.responses.partition == (("top", "left"), ("right", "bottom"))
 
-    def test_cold_and_warm_bitwise_after_a_sweep_factor(self, unit_fluid, splu_calls):
+    def test_cold_and_warm_bitwise_after_a_sweep_factor(self, unit_fluid, factor_calls):
         # Picard at r = 0.99 factors a sweep into the slot; the responses are
         # solutions of A_red, not of that factor, and stay held
         mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
         K = PermeabilityField.isotropic(mesh, 1.0)
         v_star = 0.1
         cold = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.63 * v_star))
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         warm = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.63 * v_star))
         report = bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.99 * v_star))
         assert report.converged and dl._entry.lu_diagonal is not None
-        factored = len(splu_calls)
+        factored = len(factor_calls)
         after = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.63 * v_star))
-        assert len(splu_calls) == factored
+        assert len(factor_calls) == factored
         assert dl._entry.lu_diagonal is not None  # the sweep factor stays
         for a in (warm, after):
             for name in ("U", "P", "p"):
@@ -1270,30 +1361,30 @@ class TestSuperposition:
             assert a.reactions.tobytes() == cold.reactions.tobytes()
             assert a.residual == cold.residual
 
-    def test_first_response_after_a_sweep_factor_refactors(self, unit_fluid, splu_calls, monkeypatch):
+    def test_first_response_after_a_sweep_factor_refactors(self, unit_fluid, factor_calls, monkeypatch):
         # another partition clears the responses: its first solve refactors
         # A_red in the sweep factor's place, as dl.solve does
         mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
         K = PermeabilityField.isotropic(mesh, 1.0)
         bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.099))
         assert dl._entry.lu_diagonal is not None
-        factored = len(splu_calls)
+        factored = len(factor_calls)
         calls = self.superposed(monkeypatch)
         reordered = BoundarySpec(pressure={"right": 1.0}, velocity={"top": 0.0, "bottom": 0.0, "left": -0.063})
         report = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, reordered)
         assert calls[0] is not None
-        assert len(splu_calls) == factored + 1 and dl._entry.lu_diagonal is None
+        assert len(factor_calls) == factored + 1 and dl._entry.lu_diagonal is None
         assert dl._entry.responses.partition == (("right",), ("top", "bottom", "left"))
         want = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, strip_bcs(0.063))
         assert np.abs(report.U.values - want.U.values).max() <= 1e-14 * np.abs(want.U.values).max()
 
-    def test_warm_reservoir_makes_no_triangular_solve(self, table1_fluid, splu_calls, lu_solves):
+    def test_warm_reservoir_makes_no_triangular_solve(self, table1_fluid, factor_calls, lu_solves):
         mesh, fluid, K, _ = self.reservoir(table1_fluid, 0.0)
         vf.calibrate_ceiling_flux(mesh, fluid, K, 10.0 * fluid.p0)
-        assert len(splu_calls) == 1 and len(lu_solves) == 1
+        assert len(factor_calls) == 1 and len(lu_solves) == 1
         for p_inj in (1.6e5, 3e6, 4e9):
             dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, TestVelocityOnDemand.bcs(fluid, p_inj))
-        assert len(splu_calls) == 1 and len(lu_solves) == 1
+        assert len(factor_calls) == 1 and len(lu_solves) == 1
 
     def test_warm_solve_scans_no_field(self, table1_fluid, monkeypatch):
         # U passed the backward-error test with a finite norm, so U and
@@ -1367,7 +1458,7 @@ class TestOneAcceptance:
             def solve(self, b):
                 return np.full_like(self.lu.solve(b), bad)
 
-        monkeypatch.setattr(dl, "_factor", lambda A: Bad(factor(A)))
+        monkeypatch.setattr(dl, "_factor", lambda *args: Bad(factor(*args)))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_non_finite_solve_raises(self, bad, monkeypatch):
@@ -1414,8 +1505,8 @@ class TestOneAcceptance:
 
 def reachable_arrays(root):
     """Every numpy array reachable from root through object attributes,
-    tuples, lists and dicts; weak references, SuperLU factors and functions
-    are not followed."""
+    tuples, lists and dicts; weak references, factors (neither kind has a
+    __dict__) and functions are not followed."""
     arrays, seen, stack = [], set(), [root]
     while stack:
         obj = stack.pop()
@@ -1435,8 +1526,8 @@ def reachable_arrays(root):
 
 def held_entry_bytes():
     """Bytes of the held entry's arrays, each memory block counted once,
-    the held responses and their label nodes included; the SuperLU factor
-    and the edge scaling are not counted."""
+    the held responses and their label nodes included; the factor and the
+    edge scaling are not counted."""
     arrays = []
     for field in dataclasses.fields(dl._entry):
         value = getattr(dl._entry, field.name)
@@ -1751,8 +1842,8 @@ class TestTransformedBVP:
 
     def test_pure_velocity_grounded_at_p0(self):
         # the transformed solution is fixed up to a constant; the member
-        # returned has p = p0 at node 0, where the linear Kirchhoff
-        # variable -mu0*v0*x/k is zero
+        # returned has its largest p at p0, on x = 0, where the linear
+        # Kirchhoff variable -mu0*v0*x/k is zero
         fluid = FluidModel(1.0, 1.0, 1.0)
         k, v0 = 1.0, 0.5
         mesh = make_rectangle_mesh(1.0, 0.2, 8, 2)
@@ -1761,7 +1852,14 @@ class TestTransformedBVP:
             pressure={}, velocity={"left": -v0, "right": v0, "top": 0.0, "bottom": 0.0}
         )
         report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
-        assert report.p.values[0] == fluid.p0
+        # the largest p is p0, on x = 0; which node of x = 0 holds it, and
+        # whether node 0 reads p0 exactly, is up to the factor's rounding,
+        # which keeps the other nodes there within 16 eps of the contrast
+        # (2.5 and 3 ulp of p0 below it; 4 and 5.5 with SuperLU's factor)
+        p = report.p.values
+        inlet = mesh.nodes[:, 0] == 0.0
+        assert p.max() == fluid.p0 and p[inlet].max() == fluid.p0
+        assert np.all(fluid.p0 - p[inlet] <= 16 * np.finfo(float).eps * (p.max() - p.min()))
         exact = tr.kirchhoff_inverse(-fluid.mu0 * v0 * mesh.nodes[:, 0] / k, fluid, fluid.p0)
         assert np.max(np.abs(report.p.values - exact)) < 1e-12
         # Picard grounds the same member, with and without a potential

@@ -249,10 +249,13 @@ class TestFluxOperator:
         v_replaced = dl.recover_velocity(P, replaced).values
         freed = dl.assemble(mesh, mob, all_pressure(mesh))
 
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+        factor = dl._factor
 
-        monkeypatch.setattr(dl.spla, "splu", singular)
+        def singular(A, *args):
+            # the real factorization of A with every value zeroed: it fails
+            return factor(0.0 * A, *args)
+
+        monkeypatch.setattr(dl, "_factor", singular)
         with pytest.raises(NoConvergence):
             dl.solve(freed)
         assert dl._entry is None
@@ -464,16 +467,16 @@ class TestWarmEntryBitwise:
     bits of one that builds them."""
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_transformed_cold_then_warm(self, case, splu_calls):
+    def test_transformed_cold_then_warm(self, case, factor_calls):
         problem, xi, _ = CASES[case]
         mesh, fluid, _, K, bcs = problem(xi)
         cold = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
         warm = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         assert_same_transformed(warm, cold)
 
     @pytest.mark.parametrize("mult", [300.0, 0.5])
-    def test_transformed_sweep(self, mult, splu_calls):
+    def test_transformed_sweep(self, mult, factor_calls):
         # warm: after another injection pressure on the same mesh; below p0
         # the Kirchhoff variable is measured from p_inj instead of p0
         def bcs(p_inj):
@@ -482,24 +485,24 @@ class TestWarmEntryBitwise:
         mesh, fluid, xi, K, _ = reservoir_problem(ZERO_XI)
         dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs(10.0 * TABLE1.p0))
         warm = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs(mult * TABLE1.p0))
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         mesh, fluid, xi, K, _ = reservoir_problem(ZERO_XI)
         cold = dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs(mult * TABLE1.p0))
         assert_same_transformed(warm, cold)
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_picard_after_transformed(self, case, splu_calls):
+    def test_picard_after_transformed(self, case, factor_calls):
         problem, xi, _ = CASES[case]
         mesh, fluid, _, K, bcs = problem(xi)
         alone = bd.picard_solve(mesh, fluid, xi, K, bcs)
-        factored_alone = len(splu_calls)
+        factored_alone = len(factor_calls)
         mesh, fluid, _, K, bcs = problem(xi)
         dl.solve_transformed_bvp(mesh, fluid, xi, K, bcs)
-        del splu_calls[:]
+        del factor_calls[:]
         after = bd.picard_solve(mesh, fluid, xi, K, bcs)
         if xi.is_zero:
             # from p = p0 the first sweep's mobility is K/mu0: the held system
-            assert len(splu_calls) == factored_alone - 1
+            assert len(factor_calls) == factored_alone - 1
         assert_same_picard(after, alone)
 
 

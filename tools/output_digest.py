@@ -20,12 +20,14 @@ The script imports poroflow from the src directory next to it. Its grid:
 Outputs: transformed U, P, p, v, reactions and residual; Picard p, v,
 reactions, update history, sweep and CG counts; for every other linear
 solve (Picard's sweeps and the reciprocity solves) its field, CG count,
-backward error and the boundary_flux of each label of its system; and the
-number of factorizations, per case and in total. The transformed path's
-own linear solve is digested only as its transformed/ outputs, whether it
-superposed held responses or called dl.solve, so the solves numbered in a
-case are the same in two checkouts that differ in that choice. It runs in
-a few seconds on one core and prints about 3,900 lines.
+backward error and the boundary_flux of each label of its system; the
+number of factorizations, per case and in total; and, as plain text, the
+kind of each factorization of a case in turn ("_BandFactor" for banded
+Cholesky, "SuperLU"), so a listing shows which solver each mesh got. The
+transformed path's own linear solve is digested only as its transformed/
+outputs, whether it superposed held responses or called dl.solve, so the
+solves numbered in a case are the same in two checkouts that differ in that
+choice. It runs in a few seconds on one core and prints about 4,000 lines.
 """
 
 from __future__ import annotations
@@ -71,13 +73,14 @@ class Recorder:
     """Wraps dl.solve and dl._factor: every linear solve outside a
     transformed solve (see transformed_bvp) is digested under the current
     case name as it returns (a Picard sweep's matrices are refilled by the
-    next sweep), and factorizations are counted."""
+    next sweep), and factorizations are counted, with their kinds."""
 
     def __init__(self):
         self.lines = []
         self.case = ""
         self.solves = 0
         self.factors = 0
+        self.kinds = []
         self.total_factors = 0
         self.muted = False
         self._solve, self._factor = dl.solve, dl._factor
@@ -86,10 +89,12 @@ class Recorder:
     def emit(self, name, value):
         self.lines.append(f"{self.case}/{name} {digest(value)}")
 
-    def factor(self, A):
+    def factor(self, *args):
         self.factors += 1
         self.total_factors += 1
-        return self._factor(A)
+        lu = self._factor(*args)
+        self.kinds.append(type(lu).__name__)
+        return lu
 
     def solve(self, system):
         result = self._solve(system)
@@ -115,10 +120,11 @@ class Recorder:
             self.muted = False
 
     def start(self, case):
-        self.case, self.solves, self.factors = case, 0, 0
+        self.case, self.solves, self.factors, self.kinds = case, 0, 0, []
 
     def end(self):
         self.emit("factorizations", self.factors)
+        self.lines.append(f"{self.case}/factor_kinds {' '.join(self.kinds) or '-'}")
 
 
 def strip_bcs(v0):
