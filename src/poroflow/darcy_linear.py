@@ -40,22 +40,10 @@ factors the matrix in upper band storage (dpbtrf; the band method of George
 and Liu, Computer Solution of Large Sparse Positive Definite Systems,
 1981); elsewhere SuperLU does, in its own fill-reducing order. 64 lies
 between kd 49, where the band's n (kd + 1) doubles equal SuperLU's L and U
-bytes, and kd 97, where they are 1.45 times as many: past 64 the band still
-factors faster, but it is the larger factor, and the largest meshes set the
-memory peak. On the Table-1 reservoirs (in-process, one BLAS thread, best
-of 12 to 30, 2 shared vCPUs; band times for the two SuperLU meshes with the
-rule's bound lifted):
-
-    mesh      kd    factor    SuperLU    band      bytes, SuperLU vs band
-    40x12     13    band       1.26 ms    0.27 ms   106 vs 58 kB
-    80x24     25    band       4.35 ms    1.19 ms   585 vs 416 kB
-    160x48    49    band       19.2 ms    8.7 ms    3.2 vs 3.1 MB
-    320x96    97    SuperLU    98 ms      67 ms     17 vs 24 MB
-    400x120   121   SuperLU    177 ms     131 ms    30 vs 47 MB
-
-The band's triangular solve takes as long as SuperLU's or less. The two
-factors' solutions differ by rounding: 1e-14 to 3e-12 of max|x| on these
-meshes.
+bytes on the Table-1 reservoirs, and kd 97, where they are 1.45 times as
+many: past 64 the band still factors faster, but it is the larger factor,
+and the largest meshes set the memory peak. The two factors' solutions
+differ by rounding.
 
 The transformed problem's matrix depends on the mesh, the permeability and
 mu0 but not on the boundary data, so the module holds one entry for the
@@ -160,6 +148,7 @@ from .geometry import (
     _pressure_data,
     _tensor_scale,
     edge_keys,
+    eval_bc,
     triangle_edges,
 )
 from .transform import BodyForcePotential, FluidModel
@@ -186,14 +175,12 @@ class SparseSystem:
     @ u[is_free] = b_red, with u = lift at the other nodes (see the module
     docstring). bcs gives the partition and the velocity data; lift holds
     the pressure values eliminated, which the solution paths map from the
-    caller's data, and dirichlet_map the same as a dict, which nothing in
-    the package reads. flux_operator is (Vx, Vy), which maps a nodal field
-    to its velocity (recover_velocity)."""
+    caller's data. flux_operator is (Vx, Vy), which maps a nodal field to
+    its velocity (recover_velocity)."""
 
     mesh: Mesh
     raw_matrix: sp.csr_matrix
     raw_rhs: np.ndarray
-    dirichlet_map: dict
     bcs: BoundarySpec
     is_free: np.ndarray  # bool mask of the unknown nodes
     lift: np.ndarray  # nodal values: Dirichlet data, zero at free nodes
@@ -202,6 +189,14 @@ class SparseSystem:
     flux_operator: tuple  # (Vx, Vy), read-only, int32 indices
     # a Picard sweep's CG start, a reduced solution (see _EdgeScaling.system)
     _start: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
+
+    @property
+    def dirichlet_map(self) -> dict:
+        """{node: its eliminated value} in ascending node order, from
+        is_free and lift; empty for pure-velocity data. Built on each read:
+        nothing in the package reads it."""
+        nodes = np.flatnonzero(~self.is_free) if self.bcs.pressure else np.zeros(0, dtype=int)
+        return dict(zip(nodes.tolist(), self.lift[nodes].tolist()))
 
 
 @dataclass
@@ -360,17 +355,10 @@ class _Held:
     responses: _Responses = None  # of the last partition superposed (see _superpose)
 
 
-# The one held entry, or None. One at most. On the 400x120 reservoir (48,521
-# nodes, 96,000 triangles) its arrays come to 15.4 MB: mobility 3.1 MB, which
-# at xi = 0 is mobility_tensors' array, shared and not copied; raw and reduced
-# matrices 6.2 MB; flux operator 6.1 MB (4.6 MB of values, 1.5 MB of shared
-# indices and indptr); the 123 Dirichlet nodes 0.5 kB; the Dirichlet rows,
-# and the columns that share their arrays, 6.4 kB (490 entries); the one
-# inlet response of a pressure sweep 0.39 MB (48,398 free nodes). Its factor,
-# SuperLU's (kd = 121 > _BAND_MAX), has 2.48M entries in L and U, about 30 MB;
-# the band would take 47 MB. On the banded meshes the factor is the band's
-# n (kd + 1) doubles: 58 kB at 40x12, 0.42 MB at 80x24 and 3.1 MB at 160x48,
-# against SuperLU's 106 kB, 0.59 MB and 3.2 MB.
+# The one held entry, or None. One at most. Its mobility at xi = 0 is
+# mobility_tensors' array, shared and not copied; the Dirichlet columns share
+# the arrays of the Dirichlet rows, and the flux operator's two matrices their
+# indices and indptr.
 _entry = None
 
 # The K/mu0 of mobility_tensors at xi = 0, read-only: (weak reference to
@@ -547,7 +535,6 @@ def _assemble(
         mesh=mesh,
         raw_matrix=held.raw_matrix,
         raw_rhs=raw_rhs,
-        dirichlet_map=dict(zip(nodes.tolist(), values.tolist())),
         bcs=bcs,
         is_free=is_free,
         lift=lift,
@@ -958,9 +945,14 @@ def mobility_tensors(
 
 
 def transform_bcs(bcs: BoundarySpec, fluid: FluidModel, xi: BodyForcePotential) -> BoundarySpec:
-    """Map physical pressure boundary data to the transformed variable;
+    """The same partition with each pressure datum p replaced by its
+    Hopf-Cole image hopf_cole_inverse(p, xi, fluid), a callable of (x, y);
     velocity data is unchanged."""
-    return bcs.map_pressure(lambda p, x, y: transform.hopf_cole_inverse(p, xi(x, y), fluid))
+
+    def mapped(data):
+        return lambda x, y: transform.hopf_cole_inverse(eval_bc(data, x, y), xi(x, y), fluid)
+
+    return dataclasses.replace(bcs, pressure={label: mapped(d) for label, d in bcs.pressure.items()})
 
 
 def _gauge(mesh, fluid, xi, bcs):
@@ -1017,8 +1009,8 @@ def _superpose(system: SparseSystem):
     in the slot refactors A_red, as solve does."""
     bcs = system.bcs
     held = _entry_for(system.mesh)
-    if (not bcs.pressure or held is None or system.A_red is not held.A_red
-            or any(callable(data) for data in bcs.velocity.values())):
+    assert held is not None and held.A_red is system.A_red  # system was just assembled
+    if not bcs.pressure or any(callable(data) for data in bcs.velocity.values()):
         return None
     responses = _responses(held, system)
     terms = []
@@ -1055,8 +1047,9 @@ def solve_transformed_bvp(
     map pressure data to the transformed variable, solve the linear
     problem, map the nodal solution back.
 
-    Raises NonExistence (with the violating node set) when the transformed
-    solution has no real pressure at some node off the pressure segments.
+    Raises NonExistence (with the violating node set, and U/C in its
+    message) when the transformed solution U reaches the ceiling C at some
+    node off the pressure segments, where it has no real pressure.
 
     The solve runs in the Kirchhoff variable measured from p_ref, the lowest
     prescribed modified pressure (p0 for pure-velocity data). Its boundary
@@ -1101,8 +1094,9 @@ def solve_transformed_bvp(
         nodes = np.flatnonzero(inner & (U >= ceiling))
         if nodes.size:
             raise NonExistence(
-                f"transformed solution has no real pressure at {nodes.size} node(s); "
-                "no real pressure solution exists for this boundary data",
+                f"Kirchhoff solution U at or above its ceiling C at {nodes.size} node(s) "
+                f"off the pressure segments (largest U/C {float(U[nodes].max()) / ceiling:.6g}), "
+                "which no real pressure maps to",
                 nodes=nodes,
             )
     P = U - ceiling

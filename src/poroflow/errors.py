@@ -49,7 +49,11 @@ class IncompatibleNeumann(PoroflowError):
 
 
 class NonExistence(PoroflowError):
-    """Transformed solution has non-negative nodal values: no real pressure."""
+    """A transformed value at or above the Kirchhoff ceiling (U >= C in the
+    gauge of the solve), which no real pressure maps to. nodes holds where
+    it was found; on a mesh whose stiffness has positive off-diagonal
+    entries the discrete solution can overshoot data that have a
+    solution."""
 
     def __init__(self, message, nodes=None):
         super().__init__(message)

@@ -417,18 +417,6 @@ class BoundarySpec:
             )
         return self
 
-    def map_pressure(self, fn: Callable) -> "BoundarySpec":
-        """Same partition with each pressure datum p replaced by
-        fn(p, x, y); velocity data is unchanged."""
-
-        def mapped(data):
-            return lambda x, y: fn(eval_bc(data, x, y), x, y)
-
-        return BoundarySpec(
-            pressure={lab: mapped(d) for lab, d in self.pressure.items()},
-            velocity=dict(self.velocity),
-        )
-
     def same_partition(self, other: "BoundarySpec") -> bool:
         return set(self.pressure) == set(other.pressure) and set(self.velocity) == set(
             other.velocity
@@ -527,8 +515,10 @@ def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
 
 def _owned(mesh: Mesh, labels) -> dict:
     """{label: the nodes it owns, ascending} for the pressure labels in spec
-    order: a node two labels share is the later one's, whose value
-    _pressure_data reads there, so the sets partition its nodes."""
+    order: a node two labels share is the later one's, so the sets partition
+    the pressure nodes. The one rule for shared nodes: _pressure_data takes
+    each node's datum from its owner, and boundary_flux sums its reaction
+    there."""
     owned, taken = {}, np.zeros(mesh.n_nodes, dtype=bool)
     for label in reversed(labels):
         nodes = mesh._segment(label).nodes
@@ -539,12 +529,15 @@ def _owned(mesh: Mesh, labels) -> dict:
 
 def _pressure_data(mesh: Mesh, bcs: BoundarySpec):
     """(nodes, values): the pressure data at each node of the pressure
-    segments, each node once, the later segment's where two meet: the values
-    the assembly eliminates and the theorem checks read."""
-    out = {}
+    segments, each node once, with its owner's datum (_owned): the values
+    the assembly eliminates and the theorem checks read. One block per
+    label in spec order, the nodes it owns ascending. Every node of every
+    label is read and checked, shared ones too."""
+    read = []  # every node of every label, in spec order
     for label, data in bcs.pressure.items():
-        segment = mesh._segment(label)
-        vals = _finite(eval_bc(data, *segment.node_xy), label)
-        out.update(zip(segment.nodes.tolist(), vals.tolist()))
-    nodes = np.fromiter(out, dtype=np.int64, count=len(out))
-    return nodes, np.fromiter(out.values(), dtype=float, count=len(out))
+        read.append(_finite(eval_bc(data, *mesh._segment(label).node_xy), label))
+    nodes, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for data, (label, own) in zip(read, _owned(mesh, bcs.pressure).items()):
+        nodes.append(own)
+        values.append(data[np.searchsorted(mesh._segment(label).nodes, own)])
+    return np.concatenate(nodes), np.concatenate(values)

@@ -149,8 +149,12 @@ class TestSolve:
             pressure={"inlet": 10 * table1_fluid.p0, "well": table1_fluid.p0},
             velocity={"wall": 0.0},
         )
-        kbcs = bcs.map_pressure(
-            lambda p, x, y: tr.kirchhoff_forward(p, table1_fluid, table1_fluid.p0)
+        kbcs = BoundarySpec(
+            pressure={
+                label: tr.kirchhoff_forward(p, table1_fluid, table1_fluid.p0)
+                for label, p in bcs.pressure.items()
+            },
+            velocity=bcs.velocity,
         )
         mobility = dl.mobility_tensors(mesh, table1_fluid, ZERO_XI, K)
         system = dl.assemble(mesh, mobility, kbcs)
@@ -906,14 +910,13 @@ class TestBoundaryReads:
     @pytest.mark.parametrize("path", ["transformed", "picard"])
     def test_callable_pressure_evaluated_once_per_warm_solve(self, path, unit_fluid, monkeypatch):
         # the solve maps the values it reads and builds no mapped BoundarySpec
-        mapped = []
-        original = BoundarySpec.map_pressure
+        built = []
+        original = BoundarySpec.__post_init__
 
-        def map_pressure(spec, fn):
-            mapped.append(fn)
-            return original(spec, fn)
+        def post_init(spec):
+            built.append(spec)
+            original(spec)
 
-        monkeypatch.setattr(BoundarySpec, "map_pressure", map_pressure)
         mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
         K = PermeabilityField.isotropic(mesh, 1.0)
         calls = []
@@ -925,9 +928,10 @@ class TestBoundaryReads:
         solver = dl.solve_transformed_bvp if path == "transformed" else bd.picard_solve
         solver(mesh, unit_fluid, xi, K, bcs)  # cold
         del calls[:]
+        monkeypatch.setattr(BoundarySpec, "__post_init__", post_init)
         solver(mesh, unit_fluid, xi, K, bcs)  # warm
         assert calls == [mesh.ny + 1]
-        assert mapped == []
+        assert built == []
 
     @pytest.mark.parametrize("zero", [0.0, -0.0, 0], ids=["zero", "negative_zero", "int_zero"])
     def test_zero_velocity_label_adds_nothing(self, zero, monkeypatch):
@@ -1670,10 +1674,12 @@ class TestOwnerRule:
         mesh, bcs, _ = self.system(order)
         owned = geometry._owned(mesh, bcs.pressure)
         assert tuple(owned) == order
-        nodes, _ = geometry._pressure_data(mesh, bcs)
-        together = np.concatenate(list(owned.values()))
-        assert together.size == nodes.size  # no node owned twice
-        assert np.array_equal(np.sort(together), np.sort(nodes))
+        nodes, values = geometry._pressure_data(mesh, bcs)
+        # one block per label, in spec order, each with its owner's datum
+        assert np.array_equal(nodes, np.concatenate(list(owned.values())))
+        data = [np.full(own.size, bcs.pressure[label]) for label, own in owned.items()]
+        assert values.tobytes() == np.concatenate(data).tobytes()
+        assert np.unique(nodes).size == nodes.size  # no node owned twice
         for i, (label, own) in enumerate(owned.items()):
             assert np.all(np.diff(own) > 0)
             for later in order[i + 1:]:
@@ -1693,6 +1699,39 @@ class TestOwnerRule:
             assert fluxes[label] == reactions[own].sum()
         net = reactions[geometry._pressure_data(mesh, bcs)[0]].sum()
         assert abs(sum(fluxes.values()) - net) <= 1e-14 * np.abs(reactions).sum()
+
+
+def random_side_data(rng, delta, extent):
+    """Pressure data on all four sides of the rectangle of the given extent,
+    each the piecewise-linear interpolant of 7 values drawn in [1, 1 +
+    delta] at equally spaced points along its side: every corner is shared
+    by two labels whose data differ there."""
+    pressure = {}
+    for side in RECTANGLE_LABELS:
+        axis = 0 if side in ("bottom", "top") else 1
+        knots = np.linspace(0.0, extent[axis], 7)
+        values = 1.0 + delta * rng.random(7)
+        pressure[side] = lambda x, y, a=axis, k=knots, v=values: np.interp((x, y)[a], k, v)
+    return BoundarySpec(pressure=pressure, velocity={})
+
+
+@pytest.mark.parametrize("delta", [0.5, 5.0, 20.0])
+@pytest.mark.parametrize("kxy", [0.0, 0.9], ids=["isotropic", "kxy0.9"])
+def test_pure_pressure_data_keep_the_maximum_principle(kxy, delta, unit_fluid):
+    # Where no off-diagonal stiffness entry is positive, the transformed p of
+    # pure-pressure data lies in the range of the data, so it always exists:
+    # NonExistence is never raised, whatever the data's spread.
+    mesh = make_rectangle_mesh(10.0, 3.0, 80, 24)
+    K = PermeabilityField.uniform_tensor(mesh, 1.0, kxy, 1.0)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        bcs = random_side_data(rng, delta, mesh.extent)
+        p = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, bcs).p.values
+        _, data = geometry._pressure_data(mesh, bcs)
+        tol = 1e-10 * np.ptp(data)
+        assert data.min() - tol <= p.min() and p.max() <= data.max() + tol
+    raw = dl._entry_for(mesh).raw_matrix
+    assert sp.triu(raw, 1).max() <= 0.0  # no positive off-diagonal pair
 
 
 class TestTransformedBVP:

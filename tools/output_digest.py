@@ -16,6 +16,11 @@ The script imports poroflow from the src directory next to it. Its grid:
 * Darcy reciprocity on the strip with wall data 0.0 and -0.0.
 * the 100 x 30 reservoir on a 400 x 120 mesh at the paper's Table-1 fluid:
   the ceiling-flux calibration and five injection pressures.
+* shared corners, listed after the total of factorizations: the strip on a
+  40 x 12 mesh, diagonal and crossed, with "right" and "top" both pressure
+  labels whose callable data differ at the corner they share, inflow on
+  "left" (xi = 0): a transformed and a Picard solve, Barus reciprocity
+  between two of those, and Darcy reciprocity between two linear solves.
 
 Outputs: transformed U, P, p, v, reactions and residual; Picard p, v,
 reactions, update history, sweep and CG counts; for every other linear
@@ -27,7 +32,7 @@ Cholesky, "SuperLU"), so a listing shows which solver each mesh got. The
 transformed path's own linear solve is digested only as its transformed/
 outputs, whether it superposed held responses or called dl.solve, so the
 solves numbered in a case are the same in two checkouts that differ in that
-choice. It runs in a few seconds on one core and prints about 4,000 lines.
+choice. It runs in a few seconds on one core and prints about 4,100 lines.
 """
 
 from __future__ import annotations
@@ -164,6 +169,16 @@ def strip_mesh(pattern):
     return geometry.make_rectangle_mesh(*STRIP, pattern)
 
 
+def linear_solutions(mesh, mobility, specs):
+    """The FluxSolution of one linear solve per spec, for Darcy reciprocity."""
+    sols = []
+    for b in specs:
+        system = dl.assemble(mesh, mobility, b)
+        field = dl.solve(system).field
+        sols.append(vf.FluxSolution(field, dl.nodal_reactions(system, field)))
+    return sols
+
+
 def strip_grid(rec):
     for pattern in ("diagonal", "crossed"):
         for xi_name, xi in POTENTIALS.items():
@@ -204,11 +219,7 @@ def strip_grid(rec):
                 BoundarySpec(pressure={"right": p}, velocity={"left": v, "top": wall, "bottom": wall})
                 for p, v in ((1.0, -0.2), (2.0, 0.1))
             ]
-            sols = []
-            for b in specs:
-                system = dl.assemble(mesh, mobility, b)
-                field = dl.solve(system).field
-                sols.append(vf.FluxSolution(field, dl.nodal_reactions(system, field)))
+            sols = linear_solutions(mesh, mobility, specs)
             rec.emit(f"darcy/wall{wall!r}", vf.reciprocity_residual_darcy(*sols, *specs, mesh))
         rec.end()
 
@@ -227,12 +238,42 @@ def reservoir_grid(rec):
         rec.end()
 
 
+def corner_bcs(v0, slope):
+    """Strip data with "right" and "top" both pressure labels; at their
+    shared corner (10, 3) right reads 1 + 3 slope and top 1 + 5 slope."""
+    return BoundarySpec(
+        pressure={
+            "right": lambda x, y: UNIT.p0 * (1.0 + slope * y),
+            "top": lambda x, y: UNIT.p0 * (1.0 + 0.5 * slope * x),
+        },
+        velocity={"left": -v0, "bottom": 0.0},
+    )
+
+
+def corner_grid(rec):
+    xi = POTENTIALS["xi0"]
+    for pattern in ("diagonal", "crossed"):
+        mesh = strip_mesh(pattern)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        specs = [corner_bcs(r * V_STAR, slope) for r, slope in ((RATIOS[0], 0.05), (RATIOS[1], 0.1))]
+        rec.start(f"corner/{pattern}")
+        reports = [transformed(rec, mesh, UNIT, xi, K, specs[0])]
+        picard(rec, mesh, UNIT, xi, K, specs[0])
+        reports.append(rec.transformed_bvp(dl.solve_transformed_bvp, mesh, UNIT, xi, K, specs[1]))
+        sols = [vf.FluxSolution(report.p, report.reactions) for report in reports]
+        rec.emit("barus", vf.reciprocity_residual_barus(*sols, *specs, mesh, UNIT))
+        sols = linear_solutions(mesh, dl.mobility_tensors(mesh, UNIT, xi, K), specs)
+        rec.emit("darcy", vf.reciprocity_residual_darcy(*sols, *specs, mesh))
+        rec.end()
+
+
 def main():
     rec = Recorder()
     strip_grid(rec)
     reservoir_grid(rec)
     rec.case = "all"
     rec.emit("factorizations", rec.total_factors)
+    corner_grid(rec)
     print("\n".join(rec.lines))
 
 
