@@ -15,17 +15,12 @@ that darcy_linear._gauge reads as its Dirichlet values; a sweep scales its
 off-diagonal entries by s_ij, sets the diagonal to minus the row sums and
 reduces the result as the assembly does. A later sweep's system carries
 its start, the previous sweep's solution, so the held entry keeps no
-iterate. It is solved by conjugate gradients from that start,
-preconditioned by the one held factor (of the K/mu0~ system, or else of an
-earlier sweep matrix) rescaled to the sweep's diagonal, and is factored in
-the held factor's place only when CG stalls (see darcy_linear). That
-factor is banded Cholesky where the mesh's half-bandwidth in
-darcy_linear's coordinate order is at most 64 (the 80x24 strip: kd = 25),
-else SuperLU's sparse LU; the sweeps share the pattern, so every factor of
-one mesh is of one kind. A sweep matrix is close to D^1/2 A D^1/2, with A
-the K/mu0~ system and D the nodal mu0~/mu, so at xi = 0 the factor of the
-transformed path's system can serve every sweep and outlive the Picard
-solve.
+iterate. How a sweep is solved, by CG on the held factor or by a factor
+of its own that takes the held one's place, is darcy_linear's sweep policy
+(see its module docstring). A sweep matrix is close to D^1/2 A D^1/2, with
+A the K/mu0~ system and D the nodal mu0~/mu, so at xi = 0 the factor of
+the transformed path's system can serve every sweep and outlive the
+Picard solve.
 
 This is the baseline "solve the nonlinear model directly" path that the
 transformed approach is benchmarked against.
@@ -45,7 +40,7 @@ from .geometry import BoundarySpec, Mesh, PermeabilityField, ScalarField, Vector
 from .transform import BodyForcePotential, FluidModel
 
 
-# Sweeps in a row whose contraction predicts more than max_iter sweeps that
+# Sweeps in a row whose update norm predicts more than max_iter sweeps that
 # stop Picard (see picard_solve).
 _SLOW_SWEEPS = 3
 
@@ -129,30 +124,27 @@ def picard_solve(
     sweep refills its values. From p = p0 with xi = 0 every s_ij is 1, so
     the first sweep solves the assembled system and reuses its held factor;
     with a nonzero xi the first sweep is factored. The iterate is the last
-    sweep's solution, with no relaxation, and it is where CG starts on the
-    next sweep, preconditioned by the one factor the entry holds (that of
-    the assembled system, or of an earlier sweep of this call) rescaled to
-    the sweep's diagonal; the sweep is factored only when CG gives up, and
-    report.linear_iterations sums the CG iterations. A sweep factor that an
-    earlier call left serves no sweep of this call: the first sweep
-    refactors the assembled system or factors itself. So no bit of the
-    result depends on earlier calls.
+    sweep's solution, with no relaxation, and the next sweep's start; the
+    sweeps are solved by darcy_linear's sweep policy (see its module
+    docstring), and report.linear_iterations sums their CG iterations. A
+    sweep factor that an earlier call left serves no sweep of this call: the
+    first sweep refactors the assembled system or factors itself. So no bit
+    of the result depends on earlier calls.
 
     The report's velocity and reactions are those of the Kirchhoff variable
     of the final iterate on the K/mu0~ stiffness, measured from the p_ref of
     the transformed path (the lowest prescribed p + xi), so they keep their
     digits where the pressure lies far above p0.
 
-    Divergence guard: three consecutive growing update norms raise
-    NoConvergence, with the report of the last iterate. Contraction guard
-    (after the contraction monitors of Deuflhard, Newton Methods for
-    Nonlinear Problems, 2004): an update norm h_k below the last one
-    predicts convergence after k + log(tol/h_k)/log(h_k/h_{k-1}) sweeps, and
-    three predictions in a row above max_iter raise NoConvergence, with the
-    report of the last iterate. On data with no solution the norm can fall
-    ever more slowly, never growing; this guard stops it. An iterate whose
-    viscosity overflows float64 also raises NoConvergence, with the report
-    of the last iterate that had a finite one. beta = 0 is a single linear
+    One stop monitor (after the contraction monitors of Deuflhard, Newton
+    Methods for Nonlinear Problems, 2004): an update norm h_k below the last
+    one predicts convergence after k + log(tol/h_k)/log(h_k/h_{k-1}) sweeps,
+    and one that is not below it predicts it never. Three predictions in a
+    row above max_iter raise NoConvergence, with the report of the last
+    iterate: so do norms that grow, and norms that fall ever more slowly,
+    as they can on data with no solution. An iterate whose viscosity
+    overflows float64 also raises NoConvergence, with the report of the
+    last iterate that had a finite one. beta = 0 is a single linear
     solve (the viscosity does not depend on pressure, so the first sweep is
     already the fixed point). A later sweep whose linear solve fails (its
     factorization, or its backward error; see darcy_linear.solve) raises
@@ -208,7 +200,7 @@ def picard_solve(
         lin_total += result.iterations
         new = sweep_solution(result)
         # a huge but finite iterate overflows these norms: upd is then inf
-        # or NaN, without a warning, and the guards below see it
+        # or NaN, without a warning, and the stop monitor below sees it
         with np.errstate(over="ignore", invalid="ignore"):
             upd = float(np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300))
         try:
@@ -225,22 +217,17 @@ def picard_solve(
         ptilde = new
         if upd <= config.tol:
             return finish(ptilde, history, True, lin_total)
-        if len(history) > 3 and history[-4] < history[-3] < history[-2] < history[-1]:
-            raise NoConvergence(
-                f"update norm diverging: it grew on each of sweeps "
-                f"{len(history) - 2} to {len(history)}",
-                report=finish(ptilde, history, False, lin_total),
-            )
         k = len(history)
-        rho = upd / history[-2] if k > 1 else 1.0
-        # contraction at the last ratio rho < 1 meets tol after `predicted`
-        # sweeps; a sweep that does not contract is left to the growth guard
-        predicted = k + math.log(config.tol / upd) / math.log(rho) if rho < 1.0 else k
-        slow = slow + 1 if predicted > config.max_iter else 0
+        if k > 1:
+            rho = upd / history[-2]
+            # contraction at the last ratio rho < 1 meets tol after `predicted`
+            # sweeps; an update norm that does not shrink never does
+            predicted = k + math.log(config.tol / upd) / math.log(rho) if rho < 1.0 else math.inf
+            slow = slow + 1 if predicted > config.max_iter else 0
         if slow == _SLOW_SWEEPS:
             raise NoConvergence(
-                f"update norm contracting too slowly: on each of sweeps {k - 2} to {k} "
-                f"its ratio predicted more than max_iter={config.max_iter} sweeps",
+                f"update norm contracting too slowly: on each of sweeps {k - 2} to {k} it grew "
+                f"or its ratio predicted more than max_iter={config.max_iter} sweeps",
                 report=finish(ptilde, history, False, lin_total),
             )
 

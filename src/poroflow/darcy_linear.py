@@ -11,10 +11,15 @@ form), which is discretely conservative. Boundary data enter through the
 one boundary rule of ``geometry`` (2-point Gauss on each velocity edge,
 nodal values on pressure segments), the rule the theorem checks in
 ``verification`` use too.
-A system describes its Dirichlet nodes once: the mask is_free of the other
-nodes, and the lift, its data there. A node two pressure labels share is
-the later one's (geometry._owned), and data with no pressure label are
-pure-velocity data, grounded by pinning node 0.
+A system describes its Dirichlet nodes by the mask is_free of the other
+nodes and by dirichlet, their ascending list, with the lift, its data
+there, and dirichlet_rows, the raw matrix's rows at those nodes. The mask
+serves the n-long gathers and scatters of a solve; the list serves the
+boundary-sized reads, which a scan of the mask would make O(n).
+Every reaction at a Dirichlet node comes from those rows (_reactions). A
+node two pressure labels share is the later one's (geometry._owned), and
+data with no pressure label are pure-velocity data, grounded by pinning
+node 0.
 
 The constant-viscosity (beta = 0) problem is ``barus_direct.picard_solve``,
 which solves it with one linear solve.
@@ -92,27 +97,29 @@ of the reduced matrix, not of the factor, so a sweep factor that takes the
 slot leaves them held; a call with another partition replaces them, and
 they go with the entry.
 
-The sweep matrices of ``barus_direct``'s Picard solve have the held pattern
-and other values. Each sweep system carries its start, the previous
-sweep's reduced solution, which the caller passes (see _EdgeScaling); the
-entry holds no iteration state. A sweep runs conjugate gradients (CG) from
-its start, preconditioned by the held factor rescaled symmetrically by the
-square root of the ratio of the factored matrix's diagonal to the sweep
-matrix's: a sweep matrix is close to the factored one with each edge scaled by the mean
-of a nodal weight, so the held reduced factor can serve every sweep. CG
-stops once the recomputed relative residual is at most ``_PCG_RTOL`` =
-1e-14, below 64 eps, so every CG exit passes the acceptance test, and gives
-up after ``_PCG_MAX`` = 8 iterations, or on a diagonal ratio or a curvature
-that is not positive and finite. An exit is accepted only when each
-component of r = b - A x meets |r_i| <= 2^16 eps (a_ii |x_i| + |b_i|), and
-CG gives up otherwise. As a_ii |x_i| <= (|A| |x|)_i, an accepted exit has a
-componentwise (Oettli-Prager, Numer. Math. 1964) backward error of at most
-2^16 eps, a bound row scaling leaves intact where a normwise one fails. A
-sweep with no start, or where CG gives up, is factored, and its
-factor and diagonal replace the held factor; the reduced matrix is
-refactored on its next solve. The held factor is dropped before any new one
-is made, so there is one factor at most. The entry is freed when its mesh
-is collected or a factorization fails.
+The sweep policy. The sweep matrices of ``barus_direct``'s Picard solve
+have the held pattern and other values. Each sweep system carries its
+start, the previous sweep's reduced solution, which the caller passes (see
+_EdgeScaling); the entry holds no iteration state. A sweep runs conjugate
+gradients (CG) from its start, preconditioned by the held factor rescaled
+symmetrically by the square root of the ratio of the factored matrix's
+diagonal to the sweep matrix's: a sweep matrix is close to the factored one
+with each edge scaled by the mean of a nodal weight, so the held reduced
+factor can serve every sweep. CG stops once the recomputed relative
+residual is at most ``_PCG_RTOL`` = 1e-14, below 64 eps, so every CG exit
+passes the acceptance test, and gives up after ``_PCG_MAX`` = 8 iterations,
+or on a diagonal ratio or a curvature that is not positive and finite. An
+exit is accepted only when each component of r = b - A x meets |r_i| <=
+2^16 eps (a_ii |x_i| + |b_i|), and CG gives up otherwise. As a_ii |x_i| <=
+(|A| |x|)_i, an accepted exit has a componentwise (Oettli-Prager, Numer.
+Math. 1964) backward error of at most 2^16 eps, a bound row scaling leaves
+intact where a normwise one fails. A sweep with no start, or where CG gives
+up, is factored, and its factor and diagonal replace the held factor; the
+reduced matrix is refactored on its next solve. The sweeps share the held
+pattern, so _factor gives every factor of one mesh one kind. The held
+factor is dropped before any new one is made, so there is one factor at
+most. The entry is freed when its mesh is collected or a factorization
+fails.
 """
 
 from __future__ import annotations
@@ -175,8 +182,10 @@ class SparseSystem:
     @ u[is_free] = b_red, with u = lift at the other nodes (see the module
     docstring). bcs gives the partition and the velocity data; lift holds
     the pressure values eliminated, which the solution paths map from the
-    caller's data. flux_operator is (Vx, Vy), which maps a nodal field to
-    its velocity (recover_velocity)."""
+    caller's data. dirichlet lists the nodes off is_free, and dirichlet_rows
+    holds raw_matrix's rows at them, for the reactions there (_reactions).
+    flux_operator is (Vx, Vy), which maps a nodal field to its velocity
+    (recover_velocity)."""
 
     mesh: Mesh
     raw_matrix: sp.csr_matrix
@@ -184,6 +193,8 @@ class SparseSystem:
     bcs: BoundarySpec
     is_free: np.ndarray  # bool mask of the unknown nodes
     lift: np.ndarray  # nodal values: Dirichlet data, zero at free nodes
+    dirichlet: np.ndarray  # int32, ascending, read-only; [0] for pure-velocity data
+    dirichlet_rows: sp.csr_matrix  # raw_matrix[dirichlet], read-only
     A_red: sp.csr_matrix  # symmetric, int32 indices
     b_red: np.ndarray
     flux_operator: tuple  # (Vx, Vy), read-only, int32 indices
@@ -193,9 +204,9 @@ class SparseSystem:
     @property
     def dirichlet_map(self) -> dict:
         """{node: its eliminated value} in ascending node order, from
-        is_free and lift; empty for pure-velocity data. Built on each read:
-        nothing in the package reads it."""
-        nodes = np.flatnonzero(~self.is_free) if self.bcs.pressure else np.zeros(0, dtype=int)
+        dirichlet and lift; empty for pure-velocity data. Built on each
+        read: nothing in the package reads it."""
+        nodes = self.dirichlet if self.bcs.pressure else self.dirichlet[:0]
         return dict(zip(nodes.tolist(), self.lift[nodes].tolist()))
 
 
@@ -218,25 +229,23 @@ class SolveReport:
     kirchhoff_ceiling, with hopf_cole_inverse of the data at the Dirichlet
     nodes. Where the mapped data are constant on every label, U is the sum
     of the held per-label responses scaled by the data (see _superpose),
-    and differs from that of solve by rounding: at most 2.2e-15 of max|U|
-    over 40 log-uniform injection pressures in [1.6e5, 4e9] Pa on the
-    400x120 Table-1 reservoir. v and reactions come from U, not P: on that
-    reservoir their net Dirichlet reaction is 2.0e-11 of the well flux,
-    against up to 2.6e-8 (p_inj = 1.6 p0) when P is put through a system
-    assembled in the Hopf-Cole gauge.
+    and differs from that of solve by rounding. v and reactions come from
+    U, not P: their net Dirichlet reaction is smaller than that of P put
+    through a system assembled in the Hopf-Cole gauge.
 
     v is computed from U on its first read, by the flux operator of the
     system solved, which the report holds (read-only, shared with the held
     entry while that lives, and kept alive by the report after the entry
-    moves on: 6.1 MB at 400x120); later reads return the same VectorField.
+    moves on); later reads return the same VectorField.
     Its bits are those of recover_velocity(U, system). Likewise p, the
     physical pressure: the data on the pressure segments, elsewhere the
     kirchhoff_inverse of U minus xi, from the pressure data, p_ref, C and, for
     a nonzero potential only, xi at the nodes. The solve has checked that U
     is below C there, so a read cannot raise. reactions are those of
-    nodal_reactions(system, U) at the pressure nodes (node 0 for pure-velocity
-    data), and elsewhere b_red - A_red x, the residual omega is computed from,
-    x superposed or solved; the two forms differ by rounding."""
+    _reactions(system, U) at the Dirichlet nodes (node 0 for pure-velocity
+    data), the bits of nodal_reactions(system, U) there, and elsewhere b_red
+    - A_red x, the residual omega is computed from, x superposed or solved;
+    the two forms differ by rounding."""
 
     U: ScalarField
     P: ScalarField
@@ -422,9 +431,9 @@ def _flux_operator(fx, fy, tri: np.ndarray, n: int):
 def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, is_free) -> _Held:
     """Assemble the stiffness of mobility on mesh, reduce it to the free
     nodes (the mask is_free of those off the int32 ascending dirichlet) and
-    hold both, with the Dirichlet rows and the flux operator, in a new
-    entry. mobility_tensors' K/mu0 is held as it is; any other mobility
-    array is copied, as its caller may change it."""
+    hold both, with dirichlet, the Dirichlet rows and the flux operator, in
+    a new entry. mobility_tensors' K/mu0 is held as it is; any other
+    mobility array is copied, as its caller may change it."""
     global _entry
     _entry = None  # the old matrices and factor go before the new ones are built
     n = mesh.n_nodes
@@ -451,7 +460,7 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, is_free) -> _Held:
     red = raw[free][:, free]
     a_max = float(raw_diagonal[free].max(initial=0.0))
     del upper, off, diag, raw_diagonal, b  # freed before the flux operator is built
-    dirichlet_rows = _rows(raw, dirichlet)
+    dirichlet_rows = raw[dirichlet]
 
     memo = _mobility
     _entry = _Held(
@@ -465,9 +474,10 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, is_free) -> _Held:
         flux_operator=_flux_operator(fx, fy, tri, n),
         a_max=a_max,
     )
+    dirichlet.setflags(write=False)  # every caller gets these arrays
     for m in (raw, red, dirichlet_rows, _entry.dirichlet_columns, *_entry.flux_operator):
         for array in (m.data, m.indices, m.indptr):
-            array.setflags(write=False)  # every caller gets these matrices
+            array.setflags(write=False)
     return _entry
 
 
@@ -486,16 +496,17 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
 
     mobility : (n_tri, 2, 2) symmetric positive-definite tensors.
 
-    The stiffness, its reduction, its Dirichlet rows and the flux operator
-    are held for the next call (see the module docstring). A call on the
+    The stiffness, its reduction, its Dirichlet nodes and rows and the flux
+    operator are held for the next call (see the module docstring). A call on the
     same mesh object, with the held mobility array itself (the read-only
     K/mu0 that mobility_tensors returns at xi = 0) or else one of the same
     bits, and with the same Dirichlet node set, takes them from the held
     entry and builds only the load, the Dirichlet values and b_red (see
     _reduced_rhs); its result is bitwise that of a fresh assembly. Any other
     call assembles in full and replaces the entry. The returned raw_matrix,
-    A_red and flux_operator are the held matrices, read-only: writing to
-    their data, indices or indptr raises ValueError, and a changed copy is
+    dirichlet_rows, A_red and flux_operator are the held matrices, and
+    dirichlet the held node list, read-only: writing to them (a matrix's
+    data, indices or indptr) raises ValueError, and a changed copy is
     another matrix to solve. The other arrays of the system belong to the
     caller. A mesh is taken as fixed once built.
     """
@@ -538,6 +549,8 @@ def _assemble(
         bcs=bcs,
         is_free=is_free,
         lift=lift,
+        dirichlet=held.dirichlet,
+        dirichlet_rows=held.dirichlet_rows,
         A_red=held.A_red,
         b_red=_reduced_rhs(raw_rhs, lift, is_free, dirichlet, held.dirichlet_columns),
         flux_operator=held.flux_operator,
@@ -555,7 +568,8 @@ class _EdgeScaling:
     other rows for the Dirichlet rows. A call refills the data and builds no
     sparse matrix, so the system it returns is overwritten by the next call.
     b_red comes from the refilled Dirichlet columns, by the rule of assemble
-    (_reduced_rhs)."""
+    (_reduced_rhs), and the system's dirichlet_rows are their transpose, a
+    CSR view of the same arrays."""
 
     def __init__(self, held: _Held, is_free: np.ndarray):
         raw, red, columns = held.raw_matrix, held.A_red, held.dirichlet_columns
@@ -574,7 +588,6 @@ class _EdgeScaling:
         # Dirichlet rows' those of the other rows, each in raw's order
         self._to_red = np.flatnonzero(is_free[rows] & is_free[raw.indices])
         self._to_dirichlet_rows = np.flatnonzero(~is_free[rows])
-        self._dirichlet = held.dirichlet
         self.diagonal = red.diagonal()  # of A_red: d_F in _pcg while its factor is held
         self._base = raw.data
         self._raw = sp.csr_matrix((np.empty_like(raw.data), raw.indices, raw.indptr), shape=raw.shape)
@@ -582,6 +595,7 @@ class _EdgeScaling:
         self._columns = sp.csc_matrix(
             (np.empty_like(columns.data), columns.indices, columns.indptr), shape=columns.shape
         )
+        self._dirichlet_rows = self._columns.T
 
     def system(self, base: SparseSystem, scale: np.ndarray, start=None) -> SparseSystem:
         """base, the held system, with the stiffness scaled by scale (one
@@ -598,9 +612,14 @@ class _EdgeScaling:
         np.take(data, self._to_red, out=self.A_red.data)
         # the Dirichlet rows in CSR order are the Dirichlet columns in CSC order
         np.take(data, self._to_dirichlet_rows, out=self._columns.data)
-        b_red = _reduced_rhs(base.raw_rhs, base.lift, base.is_free, self._dirichlet, self._columns)
+        b_red = _reduced_rhs(base.raw_rhs, base.lift, base.is_free, base.dirichlet, self._columns)
         return dataclasses.replace(
-            base, raw_matrix=self._raw, A_red=self.A_red, b_red=b_red, _start=start
+            base,
+            raw_matrix=self._raw,
+            dirichlet_rows=self._dirichlet_rows,
+            A_red=self.A_red,
+            b_red=b_red,
+            _start=start,
         )
 
 
@@ -794,13 +813,11 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     held reduced matrix, the A_red that assemble returns, is held with the entry
     of the module docstring and reused while system.mesh lives. A reused
     factor gives results bitwise identical to a fresh one. A Picard sweep
-    matrix of barus_direct is solved by preconditioned CG when it comes
-    with a start (see _EdgeScaling.system), and is factored, its factor
-    taking the held one's place, when it does not or CG gives up;
-    result.iterations counts the CG iterations, 0 for a direct solve. Any
-    other matrix, a changed copy of the held one too, drops the entry and is
-    factored without being held. result.field is scanned, as the system is
-    the caller's: a non-finite lift value raises ValueError.
+    matrix of barus_direct is solved by the sweep policy of the module
+    docstring; result.iterations counts the CG iterations, 0 for a direct
+    solve. Any other matrix, a changed copy of the held one too, drops the
+    entry and is factored without being held. result.field is scanned, as
+    the system is the caller's: a non-finite lift value raises ValueError.
 
     Pure-velocity problems (no pressure label) are checked against the
     zero-net-flux compatibility condition first (IncompatibleNeumann if
@@ -840,8 +857,7 @@ def recover_velocity(P: ScalarField, system: SparseSystem) -> VectorField:
     the mobility system was assembled with: v = -(Vx @ P, Vy @ P) with
     system.flux_operator, the sum over the corners j of (M grad(phi_j)) P_j.
     This sum rounds differently from M (sum_j grad(phi_j) P_j), the product
-    of the 2x2 tensor with the gradient: the two differ by at most 2e-15 of
-    max|v| on the 400x120 reservoir and 7.2e-15 on the crossed 40x12 one."""
+    of the 2x2 tensor with the gradient: the two differ by rounding."""
     return _velocity(P, system.flux_operator)
 
 
@@ -861,17 +877,11 @@ def nodal_reactions(system: SparseSystem, P: ScalarField) -> np.ndarray:
     return system.raw_rhs - system.raw_matrix @ P.values
 
 
-def _rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """matrix[rows] for a CSR matrix: the same entries in the same order,
-    gathered through slices of its indptr, at about half the cost of
-    scipy's row indexing."""
-    start = matrix.indptr[rows]
-    counts = matrix.indptr[rows + 1] - start
-    indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)
-    shape = (rows.size, matrix.shape[1])
-    return sp.csr_matrix((matrix.data[take], matrix.indices[take], indptr), shape=shape)
+def _reactions(system: SparseSystem, values: np.ndarray) -> np.ndarray:
+    """nodal_reactions of the nodal values at system.dirichlet, in that
+    order, from the Dirichlet rows the system carries: each row sums its
+    entries in the order raw_matrix's does, so the bits are the same."""
+    return system.raw_rhs[system.dirichlet] - system.dirichlet_rows @ values
 
 
 def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
@@ -886,9 +896,10 @@ def boundary_flux(P: ScalarField, system: SparseSystem, label: str) -> float:
     discrete solution carries there by construction).
     """
     if label in system.bcs.pressure:
-        # the label's rows of nodal_reactions, each summed in the same order
+        # the reactions at the label's nodes, ascending, as in nodal_reactions
         nodes = _owned(system.mesh, system.bcs.pressure)[label]
-        return float((system.raw_rhs[nodes] - _rows(system.raw_matrix, nodes) @ P.values).sum())
+        reactions = _reactions(system, P.values)
+        return float(reactions[np.searchsorted(system.dirichlet, nodes)].sum())
     if label in system.bcs.velocity:
         total = 0.0
         for _, _, wl, vn in _edge_quadrature(system.mesh, label, system.bcs.velocity[label]):
@@ -990,7 +1001,7 @@ def _response(held: _Held, responses: _Responses, system: SparseSystem, label: s
             lift[responses.nodes[label]] = 1.0
         else:
             _add_label_load(load, system.mesh, label, 1.0)
-        b = _reduced_rhs(load, lift, system.is_free, held.dirichlet, held.dirichlet_columns)
+        b = _reduced_rhs(load, lift, system.is_free, system.dirichlet, held.dirichlet_columns)
         H = _reduced_factor(held, system).solve(b)
         H.setflags(write=False)
         responses.H[label] = H
@@ -1089,9 +1100,7 @@ def solve_transformed_bvp(
     U = result.field.values
 
     if U.max() >= ceiling:  # else no node is at or above C
-        inner = np.ones(mesh.n_nodes, dtype=bool)
-        inner[dnodes] = False
-        nodes = np.flatnonzero(inner & (U >= ceiling))
+        nodes = np.flatnonzero(system.is_free & (U >= ceiling))
         if nodes.size:
             raise NonExistence(
                 f"Kirchhoff solution U at or above its ceiling C at {nodes.size} node(s) "
@@ -1101,12 +1110,10 @@ def solve_transformed_bvp(
             )
     P = U - ceiling
     P[dnodes] = transform.hopf_cole_inverse(modified, 0.0, fluid)
-    # nodal_reactions at the pressure nodes, the residual of omega at the others
+    # the Dirichlet rows' reactions there, the residual of omega at the others
     reactions = np.empty(mesh.n_nodes)
     reactions[system.is_free] = result._r
-    held = _entry_for(mesh)  # kept by solve: it holds the matrices of system
-    d = held.dirichlet
-    reactions[d] = system.raw_rhs[d] - held.dirichlet_rows @ U
+    reactions[system.dirichlet] = _reactions(system, U)
     return SolveReport(
         U=result.field,
         # U is finite (see _accept), and so is P = U - C

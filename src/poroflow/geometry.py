@@ -7,9 +7,8 @@ The geometry of those reads is computed once per mesh, on first use, and
 kept with it (Mesh._segments, one _Segment per label): each label's edges,
 its nodes with their coordinates, and per Gauss point the weight times the
 edge length and the point coordinates. Its arrays are read-only and take
-O(boundary) memory (125 kB on a 400x120 rectangle, whose nodes alone take
-776 kB), so a read of boundary data evaluates the data and does nothing
-else.
+O(boundary) memory, so a read of boundary data evaluates the data and does
+nothing else.
 
 Meshes are immutable after construction. Boundary edges are oriented
 counter-clockwise around the domain so the outward normal of edge (a, b)

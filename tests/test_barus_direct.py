@@ -1,5 +1,6 @@
 """Picard iteration on the nonlinear system and its a-posteriori residual."""
 
+import math
 import warnings
 
 import numpy as np
@@ -156,7 +157,7 @@ class TestPicardSolve:
 
     def test_oscillation_detection_and_relaxation(self, table1_fluid, monkeypatch):
         # synthetic diverging inner solve: the update norm grows on sweeps 2,
-        # 3 and 4, so the 3-growth guard raises at sweep 4, with no
+        # 3 and 4, so the stop monitor raises at sweep 4, with no
         # relaxation to delay it
         mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)
         K = PermeabilityField.isotropic(mesh, 1.0)
@@ -179,7 +180,7 @@ class TestPicardSolve:
             bd.picard_solve(
                 mesh, fluid, ZERO_XI, K, strip_bcs(1.0, 1.0), bd.PicardConfig(tol=1e-14)
             )
-        assert "diverging" in str(err.value)
+        assert "contracting too slowly" in str(err.value)
         assert state["n"] == 4
         assert err.value.report.iterations == len(err.value.report.update_history) == 4
 
@@ -269,17 +270,19 @@ class TestPicardSolve:
         assert np.all(np.isfinite(report.p.values))
 
     def test_growing_updates_raise_no_convergence(self, unit_fluid):
-        # v0 = 1.2 v*, beyond the existence bound: the update norm grows on
-        # sweeps 4, 5 and 6, and the divergence guard raises with the report
-        # of sweep 6, whose viscosity is still finite
+        # v0 = 1.2 v*, beyond the existence bound: the update norm shrinks on
+        # sweep 3 by a ratio (0.90) that predicts more than max_iter = 200
+        # sweeps, then grows on sweeps 4 and 5, and the stop monitor raises
+        # with the report of sweep 5, whose viscosity is still finite
         mesh, K, bcs = self.beyond_existence(1.2, unit_fluid)
-        with pytest.raises(NoConvergence, match="diverging") as err:
+        with pytest.raises(NoConvergence, match="contracting too slowly") as err:
             bd.picard_solve(mesh, unit_fluid, ZERO_XI, K, bcs)
         report = err.value.report
         assert report is not None and not report.converged
-        assert report.iterations == len(report.update_history) == 6
+        assert report.iterations == len(report.update_history) == 5
         h = report.update_history
-        assert h[2] < h[3] < h[4] < h[5]
+        assert 3 + math.log(1e-10 / h[2]) / math.log(h[2] / h[1]) > 200
+        assert h[2] < h[3] < h[4]
         assert np.all(np.isfinite(report.p.values))
         assert np.all(np.isfinite(report.v.values))
         assert np.all(np.isfinite(report.reactions))
@@ -511,3 +514,17 @@ class TestNonlinearResidual:
         junk = ScalarField(mesh, rng.uniform(1e5, 1e7, mesh.n_nodes))
         res = bd.nonlinear_residual(junk, mesh, table1_fluid, ZERO_XI, K, bcs)
         assert res > 0.1
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(tol=0.0), "tol must be positive"),
+        (dict(tol=-1e-10), "tol must be positive"),
+        (dict(tol=float("nan")), "tol must be positive"),
+        (dict(max_iter=0), "max_iter must be >= 1"),
+    ],
+)
+def test_picard_config_rejects(config, message):
+    with pytest.raises(ValueError, match=message):
+        bd.PicardConfig(**config)

@@ -76,6 +76,12 @@ class TestAssemble:
             with pytest.raises(SingularMobility):
                 dl.assemble(mesh, mob, lr_dirichlet(0.0, 1.0))
 
+    @pytest.mark.parametrize("shape", [(8, 2), (7, 2, 2), (8, 3, 3)])
+    def test_mobility_of_the_wrong_shape_rejected(self, shape):
+        mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)  # 8 triangles
+        with pytest.raises(ValueError, match="one 2x2 mobility tensor per triangle"):
+            dl.assemble(mesh, np.ones(shape), lr_dirichlet(0.0, 1.0))
+
     def test_incompatible_pure_neumann(self):
         mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)
         bcs = BoundarySpec(
@@ -632,6 +638,41 @@ class TestFactorKind:
         assert eigenvalues[0] < 0.0 < eigenvalues[-1]
         with pytest.raises(NoConvergence, match="banded Cholesky"):
             dl.solve(sweep)
+        assert dl._entry is None
+
+    @pytest.mark.parametrize("band_max, kind", [(10, "SuperLU"), (13, "_BandFactor")])
+    def test_the_widest_row_sets_kd(self, band_max, kind, monkeypatch):
+        # crossed cells with anisotropic K on all-pressure data: the middle
+        # row spans 7 places of the coordinate order and the widest row 13,
+        # so a _BAND_MAX between the two passes the middle row's test and
+        # still sends the matrix to SuperLU
+        mesh = make_rectangle_mesh(3.0, 1.3, 11, 7, "crossed")
+        mobility = np.broadcast_to([[1.0, 0.3], [0.3, 0.5]], (mesh.n_triangles, 2, 2)).copy()
+        bcs = BoundarySpec(pressure={label: 1.0 for label in mesh.labels}, velocity={})
+        system = dl.assemble(mesh, mobility, bcs)
+        monkeypatch.setattr(dl, "_BAND_MAX", band_max)
+        lu = dl._factor(system.A_red, mesh.nodes, system.is_free)
+        assert type(lu).__name__ == kind
+
+    def test_singular_matrix_under_superlu_raises(self, monkeypatch):
+        # a node that no triangle holds has an empty row in A_red, so SuperLU,
+        # which every matrix gets once _BAND_MAX is below every kd, finds an
+        # exactly singular factor: NoConvergence, and the entry is dropped
+        grid = make_rectangle_mesh(1.0, 1.0, 3, 3)
+        mesh = geometry.Mesh(
+            nodes=np.vstack([grid.nodes, [[0.5, 0.5]]]),
+            triangles=grid.triangles,
+            boundary_edges=grid.boundary_edges,
+            edge_labels=grid.edge_labels,
+            nx=grid.nx,
+            ny=grid.ny,
+            extent=grid.extent,
+        ).validate()
+        monkeypatch.setattr(dl, "_BAND_MAX", -1)
+        system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(1.0, 0.0))
+        assert dl._entry is not None
+        with pytest.raises(NoConvergence, match="sparse LU factorization failed"):
+            dl.solve(system)
         assert dl._entry is None
 
 

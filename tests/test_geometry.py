@@ -1,5 +1,7 @@
 """Meshing, boundary tagging, field containers, and boundary data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,59 @@ class TestBoundarySpec:
             BoundarySpec(pressure={"inlet": 1.0}, velocity={"wall": 0.0}).validate_partition(mesh)
         with pytest.raises(ValueError):
             BoundarySpec(pressure={"inlet": 1.0, "well": 0.0}, velocity={"inlet": 0.0})
+
+
+def _tampered(name, index, value):
+    """The 2x2 unit square (9 nodes), validated with one entry of its
+    triangles or boundary_edges changed."""
+    mesh = make_rectangle_mesh(1.0, 1.0, 2, 2)
+    array = getattr(mesh, name).copy()
+    array[index] = value
+    return dataclasses.replace(mesh, **{name: array}).validate()
+
+
+BAD_GEOMETRY = {
+    "triangle_index_high": (
+        lambda: _tampered("triangles", (0, 0), 9), ValueError, "triangle indices out of range"
+    ),
+    "triangle_index_negative": (
+        lambda: _tampered("triangles", (2, 1), -1), ValueError, "triangle indices out of range"
+    ),
+    "edge_index": (
+        lambda: _tampered("boundary_edges", (0, 1), 9), ValueError, "boundary edge indices out of range"
+    ),
+    "unknown_pattern": (
+        lambda: make_rectangle_mesh(1.0, 1.0, 2, 2, pattern="hexagonal"),
+        ValueError,
+        "unknown pattern",
+    ),
+    "well_below_an_edge": (
+        # 1e-12 of an edge of 10: below the 1e-9 slack, so no edge is taken
+        lambda: make_reservoir_mesh(100.0, 30.0, 1e-11, 4, 3), BadDimensions, "cannot be resolved"
+    ),
+    "vector_field_nan": (
+        lambda: VectorField(make_rectangle_mesh(1.0, 1.0, 2, 2), np.full((8, 2), np.nan)),
+        ValueError,
+        "non-finite",
+    ),
+    "permeability_shape": (
+        lambda: PermeabilityField(np.ones((4, 2)), k1=1.0, k2=1.0), ValueError, r"\(n, 2, 2\)"
+    ),
+    "permeability_bounds_crossed": (
+        lambda: PermeabilityField(np.broadcast_to(np.eye(2), (4, 2, 2)), k1=2.0, k2=1.0),
+        ValueError,
+        "0 < k1 <= k2",
+    ),
+    "isotropic_per_cell_shape": (
+        lambda: PermeabilityField.isotropic_per_cell(make_rectangle_mesh(1.0, 1.0, 2, 2), np.ones(7)),
+        ValueError,
+        "one scalar permeability per triangle",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GEOMETRY))
+def test_bad_geometry_input_raises(case):
+    build, error, message = BAD_GEOMETRY[case]
+    with pytest.raises(error, match=message):
+        build()

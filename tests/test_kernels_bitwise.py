@@ -184,19 +184,34 @@ class TestLabelGeometry:
         self.assert_uncached(mesh)
 
 
-def test_row_gather_matches_scipy_indexing(mesh):
-    # the rows boundary_flux sums: the same entries in the same order as
-    # scipy's row indexing, for any row set, the empty one too
-    system = dl.assemble(mesh, cell_mobility(mesh, True), all_pressure(mesh))
-    rng = np.random.default_rng(4)
-    raw = system.raw_matrix
-    for rows in (np.array([], dtype=np.int64), mesh.nodes_with_label(mesh.labels[-1]),
-                 np.sort(rng.choice(mesh.n_nodes, 17, replace=False))):
-        got, want = dl._rows(raw, rows), raw[rows]
+@pytest.mark.parametrize("data", ["all_pressure", "last_label", "pure_velocity"])
+def test_dirichlet_rows_and_reactions(mesh, data):
+    # the Dirichlet rows a held system and a Picard sweep system carry are
+    # scipy's row indexing of their raw matrix at dirichlet, bit for bit, and
+    # the reactions formed from them are nodal_reactions there
+    if data == "all_pressure":
+        bcs = all_pressure(mesh)
+    else:
+        last = mesh.labels[-1] if data == "last_label" else None
+        bcs = BoundarySpec(
+            pressure={} if last is None else {last: lambda x, y: 1.0 + x},
+            velocity={label: 0.0 for label in mesh.labels if label != last},
+        )
+    held = dl.assemble(mesh, cell_mobility(mesh, True), bcs)
+    scaling = dl._edge_scaling(held)
+    scale = np.random.default_rng(4).uniform(0.5, 2.0, scaling.edges[0].size)
+    sweep = scaling.system(held, scale)
+    assert sweep.dirichlet is held.dirichlet
+    assert sweep.dirichlet_rows is not held.dirichlet_rows
+    P = rough_field(mesh)
+    for system in (held, sweep):
+        got, want = system.dirichlet_rows, system.raw_matrix[system.dirichlet]
         assert got.shape == want.shape
         assert_bitwise(got.indptr.astype(np.int64), want.indptr.astype(np.int64))
         assert_bitwise(got.indices.astype(np.int64), want.indices.astype(np.int64))
         assert_bitwise(got.data, want.data)
+        reactions = dl.nodal_reactions(system, P)[system.dirichlet]
+        assert_bitwise(dl._reactions(system, P.values), reactions)
 
 
 def cell_mobility(mesh, anisotropic, seed=11):

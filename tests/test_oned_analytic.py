@@ -206,3 +206,33 @@ class TestNonReferenceOutlet:
     def test_outlet_exp_in_range_keeps_its_bits(self, p_R):
         prob = o1.StripProblem(L=1.0, k=1.0, fluid=FluidModel(1.0, 1.0, 1.0), v0=0.5, p_R=p_R)
         assert prob.outlet_exp == float(np.exp(-1.0 * (p_R / 1.0 - 1.0)))
+
+
+def strip(L=1.0, k=1.0, beta=1.0):
+    return o1.StripProblem(L=L, k=k, fluid=FluidModel(1.0, beta, 1.0), v0=0.5)
+
+
+# input outside the closed forms' domain: (call, error, message)
+BAD_STRIP_INPUT = {
+    "L_zero": (lambda: strip(L=0.0), ValueError, "L must be positive"),
+    "k_negative": (lambda: strip(k=-1.0), ValueError, "k must be positive"),
+    "direct_beta_zero": (lambda: o1.direct_pressure_1d(0.5, strip(beta=0.0)), Degenerate, "beta = 0"),
+    "transformed_beta_zero": (
+        lambda: o1.transformed_pressure_1d(0.5, strip(beta=0.0)), Degenerate, "beta = 0"
+    ),
+    "transformed_x_beyond_L": (
+        lambda: o1.transformed_pressure_1d(1.5, strip()), ValueError, r"x must lie in \[0, L\]"
+    ),
+    "transformed_x_negative": (
+        lambda: o1.transformed_pressure_1d(np.array([0.2, -0.1]), strip()),
+        ValueError,
+        r"x must lie in \[0, L\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_STRIP_INPUT))
+def test_bad_strip_input_raises(case):
+    build, error, message = BAD_STRIP_INPUT[case]
+    with pytest.raises(error, match=message):
+        build()

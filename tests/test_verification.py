@@ -582,3 +582,58 @@ class TestCeilingFlux:
         model = vf.calibrate_ceiling_flux(mesh, table1_fluid, K, 10 * table1_fluid.p0)
         with pytest.raises(ValueError):
             vf.predict_flux(model, 0.5 * table1_fluid.p0)
+
+
+def _lr_problem(top=0.0):
+    """The unit square with pressure data on left and right, its velocity
+    data top on "top", and a field on it."""
+    mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
+    bcs = BoundarySpec(pressure={"left": 1.0, "right": 0.0}, velocity={"top": top, "bottom": 0.0})
+    return mesh, bcs, ScalarField(mesh, 1.0 - mesh.nodes[:, 0])
+
+
+def _sealed_box():
+    mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
+    bcs = BoundarySpec(pressure={}, velocity={label: 0.0 for label in mesh.labels})
+    return ScalarField.constant(mesh, 1.0), bcs
+
+
+def _comparison_on_two_meshes():
+    (_, bcs, sol1), (_, _, sol2) = _lr_problem(), _lr_problem()
+    return vf.check_comparison(sol1, sol2, bcs, bcs)
+
+
+def _comparison_velocity_not_ordered():
+    _, bcs1, sol = _lr_problem(top=0.0)
+    _, bcs2, _ = _lr_problem(top=1.0)
+    return vf.check_comparison(sol, sol, bcs1, bcs2)
+
+
+def _reciprocity_on_another_mesh():
+    mesh, bcs, field = _lr_problem()
+    sol = vf.FluxSolution(field, np.zeros(mesh.n_nodes))
+    return vf.reciprocity_residual_darcy(sol, sol, bcs, bcs, make_rectangle_mesh(1.0, 1.0, 3, 3))
+
+
+NOT_CHECKABLE = {
+    "min_principle_no_pressure": (
+        lambda: vf.check_min_principle(*_sealed_box()), NotApplicable, "no pressure segment"
+    ),
+    "max_principle_no_pressure": (
+        lambda: vf.check_max_principle(*_sealed_box()), NotApplicable, "no pressure segment"
+    ),
+    "comparison_on_two_meshes": (_comparison_on_two_meshes, PartitionMismatch, "same mesh"),
+    "comparison_velocity_not_ordered": (
+        _comparison_velocity_not_ordered, NotApplicable, r"v_n\(1\) >= v_n\(2\) fails on segment 'top'"
+    ),
+    "reciprocity_on_another_mesh": (
+        _reciprocity_on_another_mesh, PartitionMismatch, "defined on the given mesh"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_CHECKABLE))
+def test_check_outside_its_hypotheses_raises(case):
+    run, error, message = NOT_CHECKABLE[case]
+    with pytest.raises(error, match=message):
+        run()
