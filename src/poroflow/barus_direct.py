@@ -84,8 +84,7 @@ def _secant_weights(ptilde, edges, fluid):
     i, j = edges
     x = fluid.beta * np.abs(ptilde[j] - ptilde[i]) / fluid.p0
     mean = np.ones_like(x)
-    pos = x > 0.0
-    mean[pos] = -np.expm1(-x[pos]) / x[pos]
+    np.divide(-np.expm1(-x), x, out=mean, where=x > 0.0)
     return np.maximum(w[i], w[j]) * mean
 
 
@@ -106,7 +105,7 @@ def _secant_system(base, ptilde, fluid, start):
     itself when every weight is 1."""
     scaling = darcy_linear._edge_scaling(base)
     weights = _secant_weights(ptilde, scaling.edges, fluid)
-    return base if np.all(weights == 1.0) else scaling.system(base, weights, start)
+    return base if (weights == 1.0).all() else scaling.system(base, weights, start)
 
 
 def picard_solve(

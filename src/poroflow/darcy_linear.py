@@ -63,8 +63,8 @@ operator's data are the products M grad(phi_j) that the assembly forms
 anyway. An assembly on the same mesh, with the held mobility array itself
 or else one of the same bits, and with the same Dirichlet node set builds
 only the load, the Dirichlet values and the reduced right-hand side, the
-last from the Dirichlet columns (_reduced_rhs): apart from n-long vector
-operations, its cost grows with the boundary, not with the mesh. The load
+last from the Dirichlet columns (_reduced_rhs); what a warm superposed
+solve does per call is listed below. The load
 and the Dirichlet values read the boundary geometry the mesh keeps (see
 geometry). The solution paths read the pressure data once, for their gauge
 (_gauge), and hand the caller's spec, for its partition and velocity data,
@@ -95,7 +95,13 @@ its responses are held. An x the test rejects, any other data and every
 solve outside the transformed path take solve. The responses are solutions
 of the reduced matrix, not of the factor, so a sweep factor that takes the
 slot leaves them held; a call with another partition replaces them, and
-they go with the entry.
+they go with the entry. Per call, such a warm superposed solve makes a
+fixed number of n-long passes: the load, the lift and the free mask; b_red;
+x, one pass per term; its one matvec, r = b_red - A_red x; the three norms
+of the test (_accept); U, its largest value, P and the reactions. The rest
+is boundary-sized: the data at the pressure nodes, C(p_ref) and the
+Kirchhoff map there, and the Dirichlet columns and rows, for b_red and for
+the reactions at those nodes. It evaluates no constant datum at points.
 
 The sweep policy. The sweep matrices of ``barus_direct``'s Picard solve
 have the held pattern and other values. Each sweep system carries its
@@ -126,6 +132,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -198,8 +205,10 @@ class SparseSystem:
     A_red: sp.csr_matrix  # symmetric, int32 indices
     b_red: np.ndarray
     flux_operator: tuple  # (Vx, Vy), read-only, int32 indices
-    # a Picard sweep's CG start, a reduced solution (see _EdgeScaling.system)
+    # a Picard sweep's CG start, a reduced solution, and A_red's diagonal
+    # (see _EdgeScaling.system)
     _start: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
+    _diagonal: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def dirichlet_map(self) -> dict:
@@ -313,10 +322,14 @@ def _neumann_load(mesh: Mesh, bcs: BoundarySpec) -> np.ndarray:
 
 
 def _add_label_load(rhs: np.ndarray, mesh: Mesh, label: str, data) -> None:
-    """Add one velocity label's part of the Neumann load to rhs, in place."""
+    """Add one velocity label's part of the Neumann load to rhs, in place.
+    A mesh's boundary is one closed curve, its edges oriented around it (see
+    Mesh), so a label's edge starts are distinct, and so are its edge ends:
+    an indexed add then adds each term once, with the bits of np.add.at."""
     for edges, t, wl, vn in _edge_quadrature(mesh, label, data):
-        np.add.at(rhs, edges[:, 0], -wl * vn * (1.0 - t))
-        np.add.at(rhs, edges[:, 1], -wl * vn * t)
+        f = wl * -vn  # the bits of -wl * vn; a constant vn is negated as a float
+        rhs[edges[:, 0]] += f * (1.0 - t)
+        rhs[edges[:, 1]] += f * t
 
 
 def _compatibility(load: np.ndarray):
@@ -535,11 +548,13 @@ def _assemble(
     lift = np.zeros(mesh.n_nodes)
     lift[nodes] = values
     # pure-velocity data: node 0 pinned at 0
-    dirichlet = np.sort(nodes).astype(np.int32) if nodes.size else np.zeros(1, dtype=np.int32)
+    dirichlet = nodes.astype(np.int32) if nodes.size else np.zeros(1, dtype=np.int32)
+    dirichlet.sort()
     # a gather through this mask takes the free nodes in ascending order
     is_free = np.ones(mesh.n_nodes, dtype=bool)
     is_free[dirichlet] = False
-    if held is None or not _same_bits(held.dirichlet, dirichlet):
+    same_nodes = held is not None and held.dirichlet.size == dirichlet.size
+    if not (same_nodes and (held.dirichlet == dirichlet).all()):
         held = _hold_system(mesh, mobility, dirichlet, is_free)
 
     return SparseSystem(
@@ -569,7 +584,8 @@ class _EdgeScaling:
     sparse matrix, so the system it returns is overwritten by the next call.
     b_red comes from the refilled Dirichlet columns, by the rule of assemble
     (_reduced_rhs), and the system's dirichlet_rows are their transpose, a
-    CSR view of the same arrays."""
+    CSR view of the same arrays. The system carries A_red's diagonal, taken
+    from the values written, not read back from the matrix."""
 
     def __init__(self, held: _Held, is_free: np.ndarray):
         raw, red, columns = held.raw_matrix, held.A_red, held.dirichlet_columns
@@ -608,7 +624,8 @@ class _EdgeScaling:
         data[self._upper] = off
         data[self._lower] = off
         i, j = self.edges
-        data[self._diag] = -(np.bincount(i, off, self.n) + np.bincount(j, off, self.n))
+        diagonal = -(np.bincount(i, off, self.n) + np.bincount(j, off, self.n))
+        data[self._diag] = diagonal
         np.take(data, self._to_red, out=self.A_red.data)
         # the Dirichlet rows in CSR order are the Dirichlet columns in CSC order
         np.take(data, self._to_dirichlet_rows, out=self._columns.data)
@@ -620,6 +637,7 @@ class _EdgeScaling:
             A_red=self.A_red,
             b_red=b_red,
             _start=start,
+            _diagonal=diagonal[base.is_free],
         )
 
 
@@ -724,7 +742,7 @@ def _pcg(held, A, b, bnorm, d_A, start):
         d_F = held.scaling.diagonal
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_F / d_A
-    if not np.all((ratio > 0.0) & (ratio < np.inf)):  # a NaN fails too
+    if not ((ratio > 0.0) & (ratio < np.inf)).all():  # a NaN fails too
         return None, None, 0
     s = np.sqrt(ratio)
 
@@ -741,8 +759,8 @@ def _pcg(held, A, b, bnorm, d_A, start):
             return None, None, k
         x = x + (rz / curvature) * p
         r = b - A @ x
-        if np.linalg.norm(r) <= _PCG_RTOL * bnorm:
-            accepted = np.all(np.abs(r) <= _PCG_ACCEPT * (d_A * np.abs(x) + np.abs(b)))
+        if _norm(r) <= _PCG_RTOL * bnorm:
+            accepted = (np.abs(r) <= _PCG_ACCEPT * (d_A * np.abs(x) + np.abs(b))).all()
             return (x, r, k) if accepted else (None, None, k)
     return None, None, _PCG_MAX
 
@@ -755,7 +773,7 @@ def _solve_sweep(held, system, bnorm):
     stays. Otherwise, or when CG gives up, the held factor is dropped and A
     is factored; its factor and diagonal are held for the sweeps after it."""
     A, b = system.A_red, system.b_red
-    d_A = A.diagonal()
+    d_A = system._diagonal
     iterations = 0
     if system._start is not None:
         x, r, iterations = _pcg(held, A, b, bnorm, d_A, system._start)
@@ -775,6 +793,13 @@ def _reduced_factor(held, system):
     return held.lu
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float array by np.linalg.norm's own formula,
+    sqrt(v . v), without its dispatch: the same bits. An overflow of v . v
+    warns as it does there."""
+    return math.sqrt(v.dot(v))
+
+
 def _accept(system, x, r, a_max, bnorm, iterations, field):
     """The LinearSolveResult of x, the reduced solution of system, r = b_red
     - A_red x, a_max the largest diagonal entry of A_red and bnorm ||b_red||,
@@ -786,11 +811,11 @@ def _accept(system, x, r, a_max, bnorm, iterations, field):
     # denominator is 0 only where b_red = 0 is solved by x = 0. A huge but
     # finite x or r overflows its norm to inf, without a warning either.
     with np.errstate(over="ignore", invalid="ignore"):
-        xnorm = float(np.linalg.norm(x))
-        rnorm = float(np.linalg.norm(r))
+        xnorm = _norm(x)
+        rnorm = _norm(r)
     denominator = float(a_max) * xnorm + bnorm
     omega = rnorm / denominator if denominator else 0.0
-    if not (omega <= _OMEGA_MAX and (xnorm < np.inf or np.isfinite(x).all())):
+    if not (omega <= _OMEGA_MAX and (xnorm < math.inf or np.isfinite(x).all())):
         raise NoConvergence(
             f"linear solve backward error {omega:.3e} (bound {_OMEGA_MAX:.3e}), ||x|| {xnorm:.3e}"
         )
@@ -818,6 +843,8 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     solve. Any other matrix, a changed copy of the held one too, drops the
     entry and is factored without being held. result.field is scanned, as
     the system is the caller's: a non-finite lift value raises ValueError.
+    A sweep's field is not: its lift is that of an assembly, which checked
+    it finite, and the test has shown x finite.
 
     Pure-velocity problems (no pressure label) are checked against the
     zero-net-flux compatibility condition first (IncompatibleNeumann if
@@ -835,13 +862,14 @@ def solve(system: SparseSystem) -> LinearSolveResult:
                 "compatibility condition violated"
             )
     A, b = system.A_red, system.b_red
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     held = _entry_for(system.mesh)
-    r, a_max, iterations = None, 0.0, 0
+    r, a_max, iterations, field = None, 0.0, 0, ScalarField
     if bnorm == 0.0:  # x = 0, and b - A x is b itself
         x, r = np.zeros_like(b), b
     elif held is not None and held.scaling is not None and A is held.scaling.A_red:
         x, r, iterations, a_max = _solve_sweep(held, system, bnorm)
+        field = ScalarField._of_finite  # see the docstring
     elif held is not None and A is held.A_red:
         x, a_max = _reduced_factor(held, system).solve(b), held.a_max
     else:
@@ -849,7 +877,7 @@ def solve(system: SparseSystem) -> LinearSolveResult:
         x, a_max = _factor(A, system.mesh.nodes, system.is_free).solve(b), A.diagonal().max()
     if r is None:
         r = b - A @ x
-    return _accept(system, x, r, a_max, bnorm, iterations, ScalarField)
+    return _accept(system, x, r, a_max, bnorm, iterations, field)
 
 
 def recover_velocity(P: ScalarField, system: SparseSystem) -> VectorField:
@@ -958,9 +986,12 @@ def mobility_tensors(
 def transform_bcs(bcs: BoundarySpec, fluid: FluidModel, xi: BodyForcePotential) -> BoundarySpec:
     """The same partition with each pressure datum p replaced by its
     Hopf-Cole image hopf_cole_inverse(p, xi, fluid), a callable of (x, y);
-    velocity data is unchanged."""
+    velocity data is unchanged. A zero potential is not evaluated: p + 0.0
+    has the bits of p plus its array of zeros."""
 
     def mapped(data):
+        if xi.is_zero:
+            return lambda x, y: transform.hopf_cole_inverse(eval_bc(data, x, y), 0.0, fluid)
         return lambda x, y: transform.hopf_cole_inverse(eval_bc(data, x, y), xi(x, y), fluid)
 
     return dataclasses.replace(bcs, pressure={label: mapped(d) for label, d in bcs.pressure.items()})
@@ -1027,24 +1058,43 @@ def _superpose(system: SparseSystem):
     terms = []
     for label, nodes in responses.nodes.items():
         values = system.lift[nodes]
-        if values.size and not np.all(values == values[0]):
-            return None
-        if values.size and values[0] != 0.0:
-            terms.append((label, values[0]))
+        if values.size:
+            c = values[0]
+            if not (values == c).all():
+                return None
+            if c != 0.0:
+                terms.append((label, c))
     terms += [(label, float(data)) for label, data in bcs.velocity.items() if float(data) != 0.0]
-    bnorm = float(np.linalg.norm(system.b_red))
+    bnorm = _norm(system.b_red)
     if not terms or bnorm == 0.0:
         return None
     x = None
     for label, c in terms:
         cH = c * _response(held, responses, system, label)
         x = cH if x is None else np.add(x, cH, out=x)
-    r = system.b_red - system.A_red @ x
+    r = system.A_red @ x
+    np.subtract(system.b_red, r, out=r)  # b_red - A_red x
     try:
         # the lift of a system assemble has just built is finite
         return _accept(system, x, r, held.a_max, bnorm, 0, ScalarField._of_finite)
     except NoConvergence:
         return None
+
+
+def _overshoot_note(raw: sp.csr_matrix) -> str:
+    """The part of a NonExistence message that says where the overshoot may
+    be discrete: where the symmetric raw stiffness has off-diagonal pairs
+    k_ij = k_ji > 0, counted in one pass over its entries above the
+    diagonal, it is no M-matrix, and the discrete solution can leave the
+    range of data that have a continuous one. Empty where there are none."""
+    rows = np.repeat(np.arange(raw.shape[0], dtype=raw.indices.dtype), np.diff(raw.indptr))
+    pairs = int(np.count_nonzero((raw.data > 0.0) & (raw.indices > rows)))
+    if not pairs:
+        return ""
+    return (
+        f"; the stiffness has {pairs} positive off-diagonal pair(s), so the discrete "
+        "maximum principle fails on this mesh and the overshoot may be discretization error"
+    )
 
 
 def solve_transformed_bvp(
@@ -1060,7 +1110,10 @@ def solve_transformed_bvp(
 
     Raises NonExistence (with the violating node set, and U/C in its
     message) when the transformed solution U reaches the ceiling C at some
-    node off the pressure segments, where it has no real pressure.
+    node off the pressure segments, where it has no real pressure. Where
+    the stiffness has positive off-diagonal pairs, the message gives their
+    count and says that the overshoot may be discretization error (see
+    _overshoot_note).
 
     The solve runs in the Kirchhoff variable measured from p_ref, the lowest
     prescribed modified pressure (p0 for pure-velocity data). Its boundary
@@ -1105,7 +1158,7 @@ def solve_transformed_bvp(
             raise NonExistence(
                 f"Kirchhoff solution U at or above its ceiling C at {nodes.size} node(s) "
                 f"off the pressure segments (largest U/C {float(U[nodes].max()) / ceiling:.6g}), "
-                "which no real pressure maps to",
+                f"which no real pressure maps to{_overshoot_note(system.raw_matrix)}",
                 nodes=nodes,
             )
     P = U - ceiling

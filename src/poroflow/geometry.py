@@ -426,10 +426,12 @@ def eval_bc(data: BCData, x, y):
     """Evaluate prescribed boundary data (constant or callable) at points."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    # the boundary reads pass coordinates of one shape
+    shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
     if callable(data):
         out = np.asarray(data(x, y), dtype=float)
-        return np.broadcast_to(out, np.broadcast(x, y).shape).astype(float)
-    return np.full(np.broadcast(x, y).shape, float(data))
+        return np.broadcast_to(out, shape).astype(float)
+    return np.full(shape, float(data))
 
 
 # The one boundary rule: 2-point Gauss on [0, 1], exact for cubics. The
@@ -472,7 +474,8 @@ class _Segment:
         x, y = _coordinates(np.concatenate([a, b] + [a + t * (b - a) for t in _GAUSS2_T]))
         m = len(edges)
         return _Segment(
-            edges=_read_only(edges),
+            # column-major: the edge starts and the edge ends are each contiguous
+            edges=_read_only(np.asfortranarray(edges)),
             nodes=_read_only(nodes),
             node_xy=_coordinates(mesh.nodes[nodes]),
             # the Gauss points are the samples after the edge ends (views)
@@ -485,7 +488,7 @@ class _Segment:
 
 
 def _finite(values: np.ndarray, label: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFiniteData(f"boundary data on {label!r} evaluated to a non-finite value")
     return values
 
@@ -497,13 +500,17 @@ def _edge_quadrature(mesh: Mesh, label: str, data: BCData):
 
     A datum that is the constant 0 (+0.0, -0.0 or int 0) yields nothing and
     is not evaluated: its terms are signed zeros, which leave a sum that
-    starts at +0.0 as it is. A NaN or infinite constant and every callable
-    are evaluated, and so checked."""
-    if not callable(data) and float(data) == 0.0:
+    starts at +0.0 as it is. Any other constant is checked once and yielded
+    as a float, which scales an array with the bits of an array of it. Every
+    callable is evaluated at the points, and so checked."""
+    constant = not callable(data)
+    if constant and float(data) == 0.0:
         return
     segment = mesh._segment(label)
+    if constant:
+        data = _finite(float(data), label)
     for t, wl, x, y in segment.gauss:
-        yield segment.edges, t, wl, _finite(eval_bc(data, x, y), label)
+        yield segment.edges, t, wl, data if constant else _finite(eval_bc(data, x, y), label)
 
 
 def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
@@ -531,10 +538,14 @@ def _pressure_data(mesh: Mesh, bcs: BoundarySpec):
     segments, each node once, with its owner's datum (_owned): the values
     the assembly eliminates and the theorem checks read. One block per
     label in spec order, the nodes it owns ascending. Every node of every
-    label is read and checked, shared ones too."""
+    label is read and checked, shared ones too. The nodes of one label are
+    the mesh's own read-only array."""
     read = []  # every node of every label, in spec order
     for label, data in bcs.pressure.items():
         read.append(_finite(eval_bc(data, *mesh._segment(label).node_xy), label))
+    if len(read) == 1:  # one label owns all its nodes (_owned), in the order read
+        (label,) = bcs.pressure
+        return mesh._segment(label).nodes, read[0]
     nodes, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for data, (label, own) in zip(read, _owned(mesh, bcs.pressure).items()):
         nodes.append(own)

@@ -99,14 +99,26 @@ class BodyForcePotential:
 
 
 def _checked_exp(arg, exp=np.exp):
+    """exp(arg), elementwise; TransformOverflow where |arg| exceeds
+    EXP_ARG_LIMIT, and a NaN passes through. A float (a numpy float64
+    scalar too) takes the ufunc on its own, which gives the bits of a
+    1-element array without the array's guards."""
+    if isinstance(arg, float):
+        if abs(arg) > EXP_ARG_LIMIT:
+            raise _overflow(abs(arg))
+        return exp(arg)
     arg = np.asarray(arg, dtype=float)
-    if np.any(np.abs(arg) > EXP_ARG_LIMIT):
-        worst = float(np.max(np.abs(arg)))
-        raise TransformOverflow(
-            f"exp argument magnitude {worst:.3g} exceeds {EXP_ARG_LIMIT}; "
-            "result not representable in float64"
-        )
+    magnitude = np.abs(arg)
+    if (magnitude > EXP_ARG_LIMIT).any():
+        raise _overflow(float(magnitude.max()))
     return exp(arg)
+
+
+def _overflow(worst) -> TransformOverflow:
+    return TransformOverflow(
+        f"exp argument magnitude {worst:.3g} exceeds {EXP_ARG_LIMIT}; "
+        "result not representable in float64"
+    )
 
 
 def _scalar_like(template, value):
@@ -134,6 +146,8 @@ def kirchhoff_ceiling(fluid: FluidModel, p_ref):
     value at or above it has no real pressure. Vectorized over p_ref."""
     if fluid.is_degenerate:
         raise Degenerate("beta = 0: transform undefined; use barus_direct.picard_solve")
+    if isinstance(p_ref, float):  # the same operations on Python floats
+        return float((fluid.p0 / fluid.beta) * _checked_exp(-fluid.beta * (p_ref / fluid.p0 - 1.0)))
     arg = -fluid.beta * (np.asarray(p_ref, dtype=float) / fluid.p0 - 1.0)
     return _scalar_like(p_ref, (fluid.p0 / fluid.beta) * _checked_exp(arg))
 
@@ -177,7 +191,7 @@ def kirchhoff_inverse(P_K, fluid: FluidModel, p_ref):
 def _kirchhoff_inverse(P_K, fluid: FluidModel, p_ref, ceiling):
     """kirchhoff_inverse with its kirchhoff_ceiling C(p_ref) given."""
     x = -np.asarray(P_K, dtype=float) / ceiling
-    if np.any(x <= -1.0):
+    if (x <= -1.0).any():
         bad = np.flatnonzero(np.atleast_1d(x <= -1.0))
         raise DomainViolation(
             f"Kirchhoff inverse undefined: log argument <= 0 at {bad.size} value(s)"

@@ -201,6 +201,18 @@ def hopf_cole_inverse_by_hand(p, xi_value, fluid):
     return float(out) if out.ndim == 0 else out
 
 
+def secant_weights_masked(ptilde, edges, fluid):
+    """barus_direct._secant_weights in its earlier formulation: the secant
+    mean (1 - e^-x)/x taken by masked fancy-index passes over the x > 0."""
+    w = np.exp(-fluid.beta * (ptilde - fluid.p0) / fluid.p0)
+    i, j = edges
+    x = fluid.beta * np.abs(ptilde[j] - ptilde[i]) / fluid.p0
+    mean = np.ones_like(x)
+    pos = x > 0.0
+    mean[pos] = -np.expm1(-x[pos]) / x[pos]
+    return np.maximum(w[i], w[j]) * mean
+
+
 def pressure_mapped_back_eagerly(report, mesh, fluid, xi, bcs):
     """The physical pressure of a transformed report as the solve formed it
     before it was computed on first read: the data, node by node, on the

@@ -991,7 +991,7 @@ class TestBoundaryReads:
         left = lambda x, y: -0.1 - 0.2 * y
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": left, "top": zero, "bottom": 0.3})
         load = dl._neumann_load(mesh, bcs)
-        assert read == [left, left, 0.3, 0.3]  # one read per Gauss point
+        assert read == [left, left]  # a callable's reads, one per Gauss point; no constant's
         want = _oracles.neumann_load_per_label(mesh, bcs)
         assert load.tobytes() == want.tobytes()
         system = dl.assemble(mesh, identity_mobility(mesh), bcs)
@@ -1837,6 +1837,56 @@ class TestTransformedBVP:
             mesh, table1_fluid, ZERO_XI, K, strip_bcs(0.9 * vstar)
         )
         assert np.all(report.P.values < 0.0)
+
+    DISCRETE = "the discrete maximum principle fails on this mesh"
+
+    def test_velocity_driven_nonexistence_is_not_called_discrete(self, table1_fluid):
+        # the case above: a diagonal mesh with isotropic K has no positive
+        # off-diagonal pair, so the message makes no discrete excuse
+        problem = o1.StripProblem(L=100.0, k=1e-12, fluid=table1_fluid, v0=0.0)
+        vstar = o1.existence_threshold(problem)
+        mesh = make_rectangle_mesh(100.0, 10.0, 40, 4)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        bcs = BoundarySpec(
+            pressure={"right": table1_fluid.p0},
+            velocity={"left": -1.1 * vstar, "top": 0.0, "bottom": 0.0},
+        )
+        with pytest.raises(NonExistence) as err:
+            dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, bcs)
+        assert self.DISCRETE not in str(err.value)
+        assert "positive off-diagonal" not in str(err.value)
+
+    def test_pure_pressure_overshoot_is_called_discrete(self):
+        # pure-pressure data always have a continuous solution; on this
+        # crossed mesh with K = (1, 0.9, 1) the stiffness has 72 positive
+        # off-diagonal pairs and the discrete one can overshoot the data.
+        # Data: a 7-point interpolant of values drawn in [1, 6] per side.
+        fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
+        mesh = make_rectangle_mesh(10.0, 1.0, 8, 8, "crossed")
+        K = PermeabilityField.uniform_tensor(mesh, 1.0, 0.9, 1.0)
+
+        def interpolant(values, along, length):
+            knots = np.linspace(0.0, length, values.size)
+            return lambda x, y: np.interp(x if along == 0 else y, knots, values)
+
+        messages = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            sides = (("left", 1, 1.0), ("right", 1, 1.0), ("bottom", 0, 10.0), ("top", 0, 10.0))
+            pressure = {
+                side: interpolant(rng.uniform(1.0, 6.0, 7), along, length)
+                for side, along, length in sides
+            }
+            bcs = BoundarySpec(pressure=pressure, velocity={})
+            try:
+                dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+            except NonExistence as err:
+                messages.append(str(err))
+        assert messages
+        for message in messages:
+            assert self.DISCRETE in message
+            assert "72 positive off-diagonal pair(s)" in message
+            assert "discretization error" in message
 
     def test_min_principle_surrogate(self, table1_fluid):
         # inflow (v_n <= 0) on the left wall: nodal transformed values stay

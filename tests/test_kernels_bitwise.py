@@ -335,6 +335,116 @@ class TestTransformKernel:
         assert_bitwise(tr.kirchhoff_ceiling(fluid, np.add(p, xi)), -want)
 
 
+# Every mesh the makers build, with the reservoir's well at the bottom, in
+# the middle and at the top of the right side, so that "wall" is one run or
+# several.
+MAKER_MESHES = {
+    f"{maker}_{pattern}_{shape}": (maker, pattern, shape)
+    for maker in ("rectangle", "reservoir_low", "reservoir_mid", "reservoir_high")
+    for pattern in ("diagonal", "crossed")
+    for shape in ((1, 1), (7, 3), (11, 7))
+}
+
+
+def maker_mesh(maker, pattern, shape):
+    if maker == "rectangle":
+        return make_rectangle_mesh(3.0, 1.3, *shape, pattern)
+    offset = {"reservoir_low": -15.0, "reservoir_mid": 0.0, "reservoir_high": 15.0}[maker]
+    return make_reservoir_mesh(100.0, 30.0, 4.0, *shape, offset, pattern)
+
+
+def unit_system(mesh, bcs):
+    K = PermeabilityField.isotropic(mesh, 1.0)
+    return dl.assemble(mesh, dl.mobility_tensors(mesh, UNIT, ZERO_XI, K), bcs)
+
+
+class TestFastPaths:
+    """The preconditions the fast paths rest on, and their bits against the
+    formulations they replace."""
+
+    @pytest.mark.parametrize("name", sorted(MAKER_MESHES))
+    def test_label_edge_ends_distinct_and_load_bitwise(self, name):
+        # the Neumann load adds each label's terms by an indexed add, which
+        # adds a term once per index: a label's edge starts are distinct,
+        # and so are its edge ends
+        mesh = maker_mesh(*MAKER_MESHES[name])
+        for label in mesh.labels:
+            edges = mesh.edges_with_label(label)
+            assert np.unique(edges[:, 0]).size == len(edges)
+            assert np.unique(edges[:, 1]).size == len(edges)
+        labels = list(enumerate(mesh.labels))
+        for velocity in (
+            {label: 0.1 + k for k, label in labels},
+            {label: (lambda x, y, k=k: np.sin(x + k * y) - 0.3) for k, label in labels},
+        ):
+            bcs = BoundarySpec(pressure={}, velocity=velocity)
+            assert_bitwise(dl._neumann_load(mesh, bcs), _oracles.neumann_load_per_label(mesh, bcs))
+
+    def test_scalar_exp_has_the_bits_of_the_array_path(self):
+        rng = np.random.default_rng(5)
+        args = np.concatenate(
+            [np.linspace(-709.0, 709.0, 4001), rng.uniform(-50.0, 50.0, 2000), [0.0, -0.0, 1e-300]]
+        )
+        for exp in (np.exp, np.expm1):
+            for a in args:
+                want = tr._checked_exp(np.array([a]), exp)[0]
+                assert_bitwise(tr._checked_exp(float(a), exp), want)
+                assert_bitwise(tr._checked_exp(np.float64(a), exp), want)
+
+    @pytest.mark.parametrize("exp", [np.exp, np.expm1])
+    def test_exp_limit_and_nan(self, exp):
+        for edge in (tr.EXP_ARG_LIMIT, -tr.EXP_ARG_LIMIT):
+            past = np.nextafter(edge, np.copysign(np.inf, edge))
+            for arg in (float(past), np.float64(past), np.array([past]), np.array([0.0, past])):
+                with pytest.raises(tr.TransformOverflow):
+                    tr._checked_exp(arg, exp)
+            assert np.isfinite(tr._checked_exp(edge, exp))
+        assert np.isnan(tr._checked_exp(np.nan, exp))
+        assert np.isnan(tr._checked_exp(np.array([np.nan]), exp)).all()
+
+    @pytest.mark.parametrize("fluid", [TABLE1, UNIT], ids=["table1", "unit"])
+    def test_scalar_ceiling_has_the_bits_of_the_array_path(self, fluid):
+        unit = 1.0 if fluid is TABLE1 else 1e-9
+        for p in np.concatenate([P_GRID * unit, [0.0, fluid.p0, 3.3 * fluid.p0]]):
+            got = tr.kirchhoff_ceiling(fluid, float(p))
+            assert type(got) is float
+            assert_bitwise(got, tr.kirchhoff_ceiling(fluid, np.array([p]))[0])
+
+    def test_secant_weights(self):
+        mesh = make_rectangle_mesh(3.0, 1.3, 11, 7, "crossed")
+        edges = dl._edge_scaling(unit_system(mesh, all_pressure(mesh))).edges
+        # contrasts from 1e-12 to 2 across an edge, and none (x = 0, mean 1)
+        ptilde = 1.0 + 10.0 ** np.random.default_rng(6).uniform(-12.0, 0.3, mesh.n_nodes)
+        ptilde[::3] = 1.0
+        for fluid in (UNIT, FluidModel(mu0=1.0, beta=40.0, p0=1.0)):
+            assert_bitwise(bd._secant_weights(ptilde, edges, fluid),
+                           _oracles.secant_weights_masked(ptilde, edges, fluid))
+
+    def test_sweep_diagonal_is_that_of_the_sweep_matrix(self):
+        mesh = make_rectangle_mesh(3.0, 1.3, 11, 7)
+        velocity = {"left": -0.2, "top": 0.0, "bottom": 0.0}
+        system = unit_system(mesh, BoundarySpec(pressure={"right": 1.0}, velocity=velocity))
+        scaling = dl._edge_scaling(system)
+        scale = np.random.default_rng(7).uniform(0.5, 2.0, scaling.edges[0].size)
+        sweep = scaling.system(system, scale)
+        assert_bitwise(sweep._diagonal, sweep.A_red.diagonal())
+
+    @pytest.mark.parametrize("fluid", [TABLE1, UNIT], ids=["table1", "unit"])
+    def test_transform_bcs_zero_potential(self, fluid):
+        # the zero potential is not evaluated: the bits of a potential of zeros
+        mesh = make_rectangle_mesh(3.0, 1.3, 11, 7)
+        scale = fluid.p0
+        bcs = BoundarySpec(
+            pressure={"left": 2.0 * scale, "right": lambda x, y: scale * (1.0 + y), "top": -0.0},
+            velocity={"bottom": 0.0},
+        )
+        zero, zeros = (dl.transform_bcs(bcs, fluid, xi) for xi in (ZERO_XI, CALLABLE_ZERO_XI))
+        x, y = mesh.nodes.T
+        for label in bcs.pressure:
+            assert_bitwise(zero.pressure[label](x, y), zeros.pressure[label](x, y))
+            assert_bitwise(zero.pressure[label](x[0], y[0]), zeros.pressure[label](x[0], y[0]))
+
+
 class TestTensorChecks:
     """The elementwise scale makes the symmetry and SPD checks fire on
     exactly the inputs the max over the tensor axes made them fire on."""
