@@ -11,16 +11,18 @@ sweep freezes s_ij at the previous iterate and solves the linear problem,
 so the fixed point is the nodal solution of the transformed path (with
 pure-velocity data, each sweep's p~ peaks at p_ref, as that path grounds
 it). The stiffness is assembled once, with the modified pressures p + xi
-that darcy_linear._gauge reads as its Dirichlet values; a sweep scales its
-off-diagonal entries by s_ij, sets the diagonal to minus the row sums and
-reduces the result as the assembly does. A later sweep's system carries
-its start, the previous sweep's solution, so the held entry keeps no
-iterate. How a sweep is solved, by CG on the held factor or by a factor
-of its own that takes the held one's place, is darcy_linear's sweep policy
-(see its module docstring). A sweep matrix is close to D^1/2 A D^1/2, with
-A the K/mu0~ system and D the nodal mu0~/mu, so at xi = 0 the factor of
-the transformed path's system can serve every sweep and outlive the
-Picard solve.
+that darcy_linear._gauge reads as its Dirichlet values. A sweep whose
+weights s_ij are all 1 solves that system (darcy_linear.solve); any other
+is one call of darcy_linear._solve_sweep with the assembled system, the
+weights and its start, the previous sweep's reduced solution, so the held
+entry keeps no iterate. That call scales the off-diagonal entries by s_ij,
+sets the diagonal to minus the row sums, reduces the result as the
+assembly does and solves it by darcy_linear's sweep policy (see its module
+docstring): CG on the held factor, or a factor of its own that takes the
+held one's place. A sweep matrix is close to D^1/2 A D^1/2, with A the
+K/mu0~ system and D the nodal mu0~/mu, so at xi = 0 the factor of the
+transformed path's system can serve every sweep and outlive the Picard
+solve.
 
 This is the baseline "solve the nonlinear model directly" path that the
 transformed approach is benchmarked against.
@@ -98,14 +100,11 @@ def _base_system(mesh, fluid, xi, K, bcs):
     return (np.zeros(mesh.n_nodes) if xi_nodes is None else xi_nodes), p_ref, base
 
 
-def _secant_system(base, ptilde, fluid, start):
-    """The edge-secant system at ptilde: base, the held K/mu0~ system with
-    the data of the modified pressure, with its stiffness scaled by the
-    weights at ptilde and start (reduced, or None) as its CG start; base
-    itself when every weight is 1."""
-    scaling = darcy_linear._edge_scaling(base)
-    weights = _secant_weights(ptilde, scaling.edges, fluid)
-    return base if (weights == 1.0).all() else scaling.system(base, weights, start)
+def _weights(base, ptilde, fluid):
+    """The secant weights at ptilde of the edges of base, the held K/mu0~
+    system, or None where every weight is 1."""
+    weights = _secant_weights(ptilde, darcy_linear._edge_scaling(base).edges, fluid)
+    return None if (weights == 1.0).all() else weights
 
 
 def picard_solve(
@@ -180,14 +179,17 @@ def picard_solve(
         return finish(sweep_solution(result), [0.0], True, result.iterations)
 
     ptilde = np.full(mesh.n_nodes, fluid.p0) + xi_nodes
-    system = _secant_system(base, ptilde, fluid, None)
+    weights, start = _weights(base, ptilde, fluid), None
     history = []
     lin_total = 0
     slow = 0  # sweeps in a row that predict more than max_iter
 
     for _ in range(config.max_iter):
         try:
-            result = darcy_linear.solve(system)
+            if weights is None:
+                result = darcy_linear.solve(base)
+            else:
+                result = darcy_linear._solve_sweep(base, weights, start)
         except NoConvergence as err:
             if not history:  # no iterate to report
                 raise
@@ -198,14 +200,16 @@ def picard_solve(
             ) from err
         lin_total += result.iterations
         new = sweep_solution(result)
-        # a huge but finite iterate overflows these norms: upd is then inf
-        # or NaN, without a warning, and the stop monitor below sees it
+        # the norms neither overflow nor underflow where the update is
+        # representable (darcy_linear._norm); a huge iterate can overflow
+        # new - ptilde: upd is then inf or NaN, without a warning, and the
+        # stop monitor below sees it
         with np.errstate(over="ignore", invalid="ignore"):
-            upd = float(np.linalg.norm(new - ptilde) / max(np.linalg.norm(new), 1e-300))
+            upd = darcy_linear._norm(new - ptilde) / max(darcy_linear._norm(new), 1e-300)
         try:
-            # the system of the next sweep, with CG starting from this one's
+            # the weights of the next sweep, which starts CG from this one's
             # reduced solution, and the check that new has a report
-            system = _secant_system(base, new, fluid, result.reduced)
+            weights, start = _weights(base, new, fluid), result.reduced
         except TransformOverflow as err:
             raise NoConvergence(
                 f"sweep {len(history) + 1} (update {upd:.3e}) gave an iterate whose "
@@ -256,7 +260,9 @@ def nonlinear_residual(
     PK = _kirchhoff(ptilde, fluid, p_ref)
 
     r = (base.raw_matrix @ PK - base.raw_rhs)[base.is_free]
-    scale = float(np.linalg.norm(_secant_system(base, ptilde, fluid, None).b_red))
+    weights = _weights(base, ptilde, fluid)
+    b_red = base.b_red if weights is None else darcy_linear._edge_scaling(base).refill(base, weights)[1]
+    scale = darcy_linear._norm(b_red)
     if scale == 0.0:
-        scale = float(np.linalg.norm(base.raw_matrix @ PK)) or 1.0
-    return float(np.linalg.norm(r) / scale)
+        scale = darcy_linear._norm(base.raw_matrix @ PK) or 1.0
+    return darcy_linear._norm(r) / scale

@@ -32,7 +32,12 @@ and Gaches; Higham, ch. 7): omega = ||b - A x||_2 / (a_max ||x||_2 +
 grows with the condition number as meshes refine; omega does not. a_max is
 held with the reduced matrix, or read from a sweep's diagonal. r = b - A x
 is formed once per solve (a CG sweep passes on the one it stopped at), and
-the transformed solve's reactions at the free nodes are this r.
+the transformed solve's reactions at the free nodes are this r. Every norm
+of a reduced solve, and every inner product of CG, is a BLAS dot product
+that reports no overflow (_norm); where v . v leaves the normal range, v
+is scaled by a power of two first, so a norm is finite wherever ||v|| is
+representable, and a finite one keeps the bits of sqrt(v . v). A solve
+with a norm that is not finite is not accepted.
 
 Every factorization follows one rule (_factor), which reads the matrix's
 pattern and its nodes' coordinates and nothing else, so a matrix gets the
@@ -103,10 +108,14 @@ is boundary-sized: the data at the pressure nodes, C(p_ref) and the
 Kirchhoff map there, and the Dirichlet columns and rows, for b_red and for
 the reactions at those nodes. It evaluates no constant datum at points.
 
-The sweep policy. The sweep matrices of ``barus_direct``'s Picard solve
-have the held pattern and other values. Each sweep system carries its
-start, the previous sweep's reduced solution, which the caller passes (see
-_EdgeScaling); the entry holds no iteration state. A sweep runs conjugate
+The sweep policy. A sweep of ``barus_direct``'s Picard solve is one call,
+_solve_sweep(base, weights, start), the only place this policy runs: base
+the held system, weights one per edge, start the previous sweep's reduced
+solution or None (a sweep whose weights are all 1 is base itself, which
+Picard hands to solve). The sweep matrix has the held pattern and other
+values; the call refills only A_red and the Dirichlet columns, for b_red
+(see _EdgeScaling), and builds no system, so solve sees only assembled
+systems. The entry holds no iteration state. A sweep runs conjugate
 gradients (CG) from its start, preconditioned by the held factor rescaled
 symmetrically by the square root of the ratio of the factored matrix's
 diagonal to the sweep matrix's: a sweep matrix is close to the factored one
@@ -170,6 +179,8 @@ from .transform import BodyForcePotential, FluidModel
 
 # Bound on the normwise backward error of every reduced solve (see solve).
 _OMEGA_MAX = 64 * np.finfo(float).eps
+# The smallest normal float: a v . v below it is scaled (see _norm).
+_NORMAL_MIN = float(np.finfo(float).tiny)
 # Relative residual at which CG on a Picard sweep stops.
 _PCG_RTOL = 1e-14
 # Bound on the componentwise backward error of a CG exit (see _pcg).
@@ -205,10 +216,6 @@ class SparseSystem:
     A_red: sp.csr_matrix  # symmetric, int32 indices
     b_red: np.ndarray
     flux_operator: tuple  # (Vx, Vy), read-only, int32 indices
-    # a Picard sweep's CG start, a reduced solution, and A_red's diagonal
-    # (see _EdgeScaling.system)
-    _start: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
-    _diagonal: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def dirichlet_map(self) -> dict:
@@ -573,72 +580,60 @@ def _assemble(
 
 
 class _EdgeScaling:
-    """The systems of a held system's pattern with other stiffness values:
-    each off-diagonal pair k_ij = k_ji scaled by one factor per edge, each
+    """The sweep matrices of a held system: its pattern with each
+    off-diagonal pair k_ij = k_ji scaled by one weight per edge and each
     diagonal entry minus the row sum of the scaled entries, reduced to the
-    free nodes as the held system is. Its maps and data arrays are made once
-    per entry: the scaled pairs, each found with its transpose by a key
-    search, the diagonal, and the free mask's selections of the raw data,
-    the entries of a free row and a free column for A_red and those of the
-    other rows for the Dirichlet rows. A call refills the data and builds no
-    sparse matrix, so the system it returns is overwritten by the next call.
-    b_red comes from the refilled Dirichlet columns, by the rule of assemble
-    (_reduced_rhs), and the system's dirichlet_rows are their transpose, a
-    CSR view of the same arrays. The system carries A_red's diagonal, taken
-    from the values written, not read back from the matrix."""
+    free nodes as the held system is. Made once per entry: the edges, each
+    pair's held value, and one source map that takes each entry of A_red and
+    of the Dirichlet columns from the scaled pairs followed by the diagonal.
+    refill writes the values into one A_red and one set of Dirichlet columns
+    and builds no sparse matrix, so each call overwrites the last."""
 
     def __init__(self, held: _Held, is_free: np.ndarray):
         raw, red, columns = held.raw_matrix, held.A_red, held.dirichlet_columns
         n = raw.shape[0]
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(raw.indptr))
-        upper = np.flatnonzero(rows < raw.indices)
-        i, j = rows[upper], raw.indices[upper].astype(np.int64)
+        cols = raw.indices.astype(np.int64)
+        upper = rows < cols
+        i, j = rows[upper], cols[upper]
         self.edges = (i, j)
         self.n = n
-        self._upper = upper
+        self._pairs = raw.data[upper]
         # raw is canonical (rows ascending, columns sorted in each row), so
-        # the keys row * n + col of its entries ascend
-        self._lower = np.searchsorted(rows * n + raw.indices, j * n + i)
-        self._diag = np.flatnonzero(rows == raw.indices)  # one per node, in order
+        # the keys row * n + col of its entries above the diagonal ascend;
+        # an entry's source is the pair whose key is its own or, below the
+        # diagonal, its transpose's, and a diagonal entry's is its node,
+        # after the pairs
+        keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        source = np.searchsorted(keys[upper], keys)
+        diag = rows == cols
+        source[diag] = i.size + rows[diag]
         # A_red's entries are raw's of a free row and a free column, and the
-        # Dirichlet rows' those of the other rows, each in raw's order
-        self._to_red = np.flatnonzero(is_free[rows] & is_free[raw.indices])
-        self._to_dirichlet_rows = np.flatnonzero(~is_free[rows])
+        # Dirichlet rows' (in CSR order, the Dirichlet columns in CSC order)
+        # those of the other rows, each in raw's order
+        self._to_red = source[is_free[rows] & is_free[cols]]
+        self._to_columns = source[~is_free[rows]]
         self.diagonal = red.diagonal()  # of A_red: d_F in _pcg while its factor is held
-        self._base = raw.data
-        self._raw = sp.csr_matrix((np.empty_like(raw.data), raw.indices, raw.indptr), shape=raw.shape)
         self.A_red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
         self._columns = sp.csc_matrix(
             (np.empty_like(columns.data), columns.indices, columns.indptr), shape=columns.shape
         )
-        self._dirichlet_rows = self._columns.T
 
-    def system(self, base: SparseSystem, scale: np.ndarray, start=None) -> SparseSystem:
-        """base, the held system, with the stiffness scaled by scale (one
-        factor per pair of self.edges). The scaled pairs get one product
-        each, so A_red stays bitwise symmetric. start, a reduced solution,
-        is where CG starts on the system's solve (see _solve_sweep), and the
-        system returned carries it; with None the system is factored."""
-        data = self._raw.data
-        off = self._base[self._upper] * scale
-        data[self._upper] = off
-        data[self._lower] = off
+    def refill(self, base: SparseSystem, weights: np.ndarray):
+        """(A_red, b_red, the diagonal of A_red) of base, the held system,
+        with the stiffness scaled by weights (one per pair of self.edges);
+        A_red is self.A_red, refilled. Each scaled pair is one product, so
+        A_red stays bitwise symmetric; b_red comes from the refilled
+        Dirichlet columns by the rule of assemble (_reduced_rhs), and the
+        diagonal from the values written, not read back from the matrix."""
+        off = self._pairs * weights
         i, j = self.edges
         diagonal = -(np.bincount(i, off, self.n) + np.bincount(j, off, self.n))
-        data[self._diag] = diagonal
-        np.take(data, self._to_red, out=self.A_red.data)
-        # the Dirichlet rows in CSR order are the Dirichlet columns in CSC order
-        np.take(data, self._to_dirichlet_rows, out=self._columns.data)
+        values = np.concatenate((off, diagonal))
+        np.take(values, self._to_red, out=self.A_red.data)
+        np.take(values, self._to_columns, out=self._columns.data)
         b_red = _reduced_rhs(base.raw_rhs, base.lift, base.is_free, base.dirichlet, self._columns)
-        return dataclasses.replace(
-            base,
-            raw_matrix=self._raw,
-            dirichlet_rows=self._dirichlet_rows,
-            A_red=self.A_red,
-            b_red=b_red,
-            _start=start,
-            _diagonal=diagonal[base.is_free],
-        )
+        return self.A_red, b_red, diagonal[base.is_free]
 
 
 def _edge_scaling(system: SparseSystem) -> _EdgeScaling:
@@ -751,10 +746,10 @@ def _pcg(held, A, b, bnorm, d_A, start):
     p, rz = None, 0.0
     for k in range(1, _PCG_MAX + 1):
         z = s * lu.solve(s * r)
-        rz, rz_old = float(r @ z), rz
+        rz, rz_old = float(np.vdot(r, z)), rz  # vdot: see _norm
         p = z if p is None else z + (rz / rz_old) * p
         Ap = A @ p
-        curvature = float(p @ Ap)
+        curvature = float(np.vdot(p, Ap))
         if not 0.0 < curvature < np.inf:
             return None, None, k
         x = x + (rz / curvature) * p
@@ -765,23 +760,33 @@ def _pcg(held, A, b, bnorm, d_A, start):
     return None, None, _PCG_MAX
 
 
-def _solve_sweep(held, system, bnorm):
-    """Solve system, whose A = A_red is the sweep matrix of held.scaling;
-    returns (x, r, CG iterations, a_max of A), r = b_red - A x from an
-    accepted CG exit, None for a factored sweep. Where the sweep has a start
-    (a later Picard sweep), CG runs from it (see _pcg), and the held factor
-    stays. Otherwise, or when CG gives up, the held factor is dropped and A
-    is factored; its factor and diagonal are held for the sweeps after it."""
-    A, b = system.A_red, system.b_red
-    d_A = system._diagonal
-    iterations = 0
-    if system._start is not None:
-        x, r, iterations = _pcg(held, A, b, bnorm, d_A, system._start)
-        if x is not None:
-            return x, r, iterations, d_A.max()
-    held.lu = None  # the held factor goes before the next is made
-    held.lu, held.lu_diagonal = _factor(A, system.mesh.nodes, system.is_free), d_A
-    return held.lu.solve(b), None, iterations, d_A.max()
+def _solve_sweep(base: SparseSystem, weights: np.ndarray, start) -> LinearSolveResult:
+    """Solve the Picard sweep whose matrix is base's, the held system's, with
+    its stiffness scaled by weights, one per pair of _edge_scaling(base).edges
+    (see _EdgeScaling.refill), by the sweep policy of the module docstring.
+    Where start, a reduced solution, is given, CG runs from it (see _pcg),
+    and the held factor stays. Otherwise, or when CG gives up, the held
+    factor is dropped and the sweep matrix is factored; its factor and
+    diagonal are held for the sweeps after it. The result is accepted by
+    the test of solve (_accept); result.iterations counts the CG iterations,
+    those of a CG run that gave up too. Its field is not scanned: base's
+    lift is that of an assembly, which checked it finite, and the test
+    shows x finite."""
+    _check_compatible(base)
+    held = _entry_for(base.mesh)
+    A, b, d_A = _edge_scaling(base).refill(base, weights)
+    bnorm = _norm(b)
+    x, r, iterations = None, None, 0
+    if bnorm == 0.0:  # x = 0, and b - A x is b itself
+        x, r = np.zeros_like(b), b
+    elif start is not None:
+        x, r, iterations = _pcg(held, A, b, bnorm, d_A, start)
+    if x is None:
+        held.lu = None  # the held factor goes before the next is made
+        held.lu, held.lu_diagonal = _factor(A, base.mesh.nodes, base.is_free), d_A
+        x = held.lu.solve(b)
+        r = b - A @ x
+    return _accept(base, x, r, d_A.max(), bnorm, iterations, ScalarField._of_finite)
 
 
 def _reduced_factor(held, system):
@@ -794,10 +799,23 @@ def _reduced_factor(held, system):
 
 
 def _norm(v: np.ndarray) -> float:
-    """||v||_2 of a 1-D float array by np.linalg.norm's own formula,
-    sqrt(v . v), without its dispatch: the same bits. An overflow of v . v
-    warns as it does there."""
-    return math.sqrt(v.dot(v))
+    """||v||_2 of a 1-D float array, sqrt(v . v) by BLAS (np.vdot, which,
+    unlike v.dot, reports no overflow) where v . v is a normal float: the
+    bits of np.linalg.norm. Elsewhere v is scaled by the power of two that
+    puts its largest magnitude in [1/2, 1): the norm is then 0 only for v =
+    0, inf only beyond the float range, and NaN for a v with a NaN."""
+    s = float(np.vdot(v, v))
+    if _NORMAL_MIN <= s < math.inf:
+        return math.sqrt(s)
+    m = float(np.abs(v).max(initial=0.0))
+    if not 0.0 < m < math.inf:
+        return m
+    e = math.frexp(m)[1]
+    w = np.ldexp(v, -e)
+    try:
+        return math.ldexp(math.sqrt(np.vdot(w, w)), e)
+    except OverflowError:
+        return math.inf
 
 
 def _accept(system, x, r, a_max, bnorm, iterations, field):
@@ -805,17 +823,18 @@ def _accept(system, x, r, a_max, bnorm, iterations, field):
     - A_red x, a_max the largest diagonal entry of A_red and bnorm ||b_red||,
     if x passes the test of the module docstring, else NoConvergence. Its
     field, built by field, is the lift with x at the free nodes, for
-    pure-velocity data shifted to peak at 0. x is scanned only where its
-    norm is not finite."""
-    # Python floats: a non-finite x gives a NaN omega, not a warning; the
-    # denominator is 0 only where b_red = 0 is solved by x = 0. A huge but
-    # finite x or r overflows its norm to inf, without a warning either.
-    with np.errstate(over="ignore", invalid="ignore"):
-        xnorm = _norm(x)
-        rnorm = _norm(r)
-    denominator = float(a_max) * xnorm + bnorm
+    pure-velocity data shifted to peak at 0. x is not scanned: its norm is
+    finite only for a finite x (see _norm)."""
+    # Python floats: a NaN gives a NaN omega, not a warning, and an overflow
+    # inf; the denominator is 0 only where b_red = 0 is solved by x = 0
+    xnorm, rnorm = _norm(x), _norm(r)
+    a_max = float(a_max)
+    denominator = a_max * xnorm + bnorm
+    if denominator == math.inf and xnorm < math.inf and bnorm < math.inf:
+        # a_max ||x|| overflowed: the same quotient, divided through by ||x||
+        rnorm, denominator = rnorm / xnorm, a_max + bnorm / xnorm
     omega = rnorm / denominator if denominator else 0.0
-    if not (omega <= _OMEGA_MAX and (xnorm < math.inf or np.isfinite(x).all())):
+    if not (omega <= _OMEGA_MAX and denominator < math.inf):
         raise NoConvergence(
             f"linear solve backward error {omega:.3e} (bound {_OMEGA_MAX:.3e}), ||x|| {xnorm:.3e}"
         )
@@ -826,6 +845,18 @@ def _accept(system, x, r, a_max, bnorm, iterations, field):
     return LinearSolveResult(field(system.mesh, values), iterations, omega, x, r)
 
 
+def _check_compatible(system: SparseSystem) -> None:
+    """IncompatibleNeumann where system has pure-velocity data that fail the
+    zero-net-flux compatibility condition."""
+    if not system.bcs.pressure:
+        compatible, net = _compatibility(system.raw_rhs)
+        if not compatible:
+            raise IncompatibleNeumann(
+                f"pure-velocity data with net boundary flux {net:.6e}; "
+                "compatibility condition violated"
+            )
+
+
 def solve(system: SparseSystem) -> LinearSolveResult:
     """Solve the assembled system for the nodal field.
 
@@ -833,18 +864,16 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     docstring gives it (_factor): banded Cholesky where its half-bandwidth
     in the coordinate order is at most _BAND_MAX = 64, else a fill-reducing
     sparse LU. The solution must pass the test of the module docstring
-    (_accept), else NoConvergence; result.residual is omega. A factorization
-    that fails raises NoConvergence and drops the entry. The factor of the
-    held reduced matrix, the A_red that assemble returns, is held with the entry
-    of the module docstring and reused while system.mesh lives. A reused
-    factor gives results bitwise identical to a fresh one. A Picard sweep
-    matrix of barus_direct is solved by the sweep policy of the module
-    docstring; result.iterations counts the CG iterations, 0 for a direct
-    solve. Any other matrix, a changed copy of the held one too, drops the
-    entry and is factored without being held. result.field is scanned, as
-    the system is the caller's: a non-finite lift value raises ValueError.
-    A sweep's field is not: its lift is that of an assembly, which checked
-    it finite, and the test has shown x finite.
+    (_accept), else NoConvergence; result.residual is omega, and
+    result.iterations is 0. A factorization that fails raises NoConvergence
+    and drops the entry. The factor of the held reduced matrix, the A_red
+    that assemble returns, is held with the entry of the module docstring
+    and reused while system.mesh lives. A reused factor gives results
+    bitwise identical to a fresh one. Any other matrix, a changed copy of
+    the held one too, drops the entry and is factored without being held.
+    A Picard sweep is not a system: it is solved by _solve_sweep. result.field
+    is scanned, as the system is the caller's: a non-finite lift value
+    raises ValueError.
 
     Pure-velocity problems (no pressure label) are checked against the
     zero-net-flux compatibility condition first (IncompatibleNeumann if
@@ -854,22 +883,13 @@ def solve(system: SparseSystem) -> LinearSolveResult:
     shift: the CG start of barus_direct's next sweep.
     """
     global _entry
-    if not system.bcs.pressure:
-        compatible, net = _compatibility(system.raw_rhs)
-        if not compatible:
-            raise IncompatibleNeumann(
-                f"pure-velocity data with net boundary flux {net:.6e}; "
-                "compatibility condition violated"
-            )
+    _check_compatible(system)
     A, b = system.A_red, system.b_red
     bnorm = _norm(b)
     held = _entry_for(system.mesh)
-    r, a_max, iterations, field = None, 0.0, 0, ScalarField
+    r, a_max = None, 0.0
     if bnorm == 0.0:  # x = 0, and b - A x is b itself
         x, r = np.zeros_like(b), b
-    elif held is not None and held.scaling is not None and A is held.scaling.A_red:
-        x, r, iterations, a_max = _solve_sweep(held, system, bnorm)
-        field = ScalarField._of_finite  # see the docstring
     elif held is not None and A is held.A_red:
         x, a_max = _reduced_factor(held, system).solve(b), held.a_max
     else:
@@ -877,7 +897,7 @@ def solve(system: SparseSystem) -> LinearSolveResult:
         x, a_max = _factor(A, system.mesh.nodes, system.is_free).solve(b), A.diagonal().max()
     if r is None:
         r = b - A @ x
-    return _accept(system, x, r, a_max, bnorm, iterations, field)
+    return _accept(system, x, r, a_max, bnorm, 0, ScalarField)
 
 
 def recover_velocity(P: ScalarField, system: SparseSystem) -> VectorField:

@@ -60,8 +60,10 @@ class NonExistence(PoroflowError):
         self.nodes = nodes if nodes is not None else []
 
 
-class PartitionMismatch(PoroflowError):
-    """Two solutions do not share the same boundary partition or mesh."""
+class PartitionMismatch(PoroflowError, ValueError):
+    """Boundary data that do not partition the mesh's labels, or two
+    solutions that do not share one boundary partition or mesh, or whose
+    reactions are not one per node."""
 
 
 class NotApplicable(PoroflowError):

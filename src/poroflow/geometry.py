@@ -18,13 +18,14 @@ is (t_y, -t_x) for the unit tangent t.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import BadDimensions, NonFiniteData, UnknownLabel
+from .errors import BadDimensions, NonFiniteData, PartitionMismatch, UnknownLabel
 
 BCData = Union[float, Callable]
 
@@ -174,9 +175,14 @@ def make_rectangle_mesh(L, H, nx, ny, pattern="diagonal") -> Mesh:
     lower-left to upper-right diagonal (non-obtuse: the P1 stiffness matrix
     is an M-matrix for isotropic coefficients); "crossed" adds a center
     node per cell and 4 triangles.
+
+    nx and ny must be integers (Python or numpy); a float, an integral one
+    such as 2.0 too, raises BadDimensions.
     """
     if not (0.0 < L < math.inf and 0.0 < H < math.inf):
         raise BadDimensions(f"rectangle sides must be positive and finite, got L={L}, H={H}")
+    if not (isinstance(nx, numbers.Integral) and isinstance(ny, numbers.Integral)):
+        raise BadDimensions(f"nx and ny must be integers, got nx={nx!r}, ny={ny!r}")
     if nx < 1 or ny < 1:
         raise BadDimensions(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
     if pattern not in ("diagonal", "crossed"):
@@ -215,10 +221,14 @@ def make_reservoir_mesh(L, H, W, nx, ny, well_offset=0.0, pattern="diagonal") ->
     width >= W on the right side "well" (snapped outward to whole edges,
     centered at H/2 + well_offset), everything else "wall".
 
-    The effective (snapped) well extent is reported in mesh.metadata.
+    The effective (snapped) well extent is reported in mesh.metadata. A
+    well_offset that is not finite raises BadDimensions; a finite one that
+    puts the centre off the side clamps the well to its end.
     """
     if not (0.0 < W < H):
         raise BadDimensions(f"well width must satisfy 0 < W < H, got W={W}, H={H}")
+    if not math.isfinite(well_offset):
+        raise BadDimensions(f"well offset must be finite, got {well_offset}")
     base = make_rectangle_mesh(L, H, nx, ny, pattern=pattern)
 
     hy = H / ny
@@ -228,8 +238,8 @@ def make_reservoir_mesh(L, H, W, nx, ny, well_offset=0.0, pattern="diagonal") ->
             f"well of width {W} cannot be resolved by ny={ny} edges of length {hy}"
         )
     yc = H / 2.0 + well_offset
-    j0 = int(round(yc / hy - m_edges / 2.0))
-    j0 = min(max(j0, 0), ny - m_edges)
+    # clamped before it is rounded, so a huge offset (yc / hy = inf) is too
+    j0 = int(round(min(max(yc / hy - m_edges / 2.0, 0), ny - m_edges)))
 
     # right-side edge k (bottom->top) spans y in [k*hy, (k+1)*hy]
     labels = []
@@ -410,7 +420,7 @@ class BoundarySpec:
         mesh_labels = set(mesh.labels)
         spec_labels = set(self.pressure) | set(self.velocity)
         if mesh_labels != spec_labels:
-            raise ValueError(
+            raise PartitionMismatch(
                 f"boundary labels {sorted(mesh_labels)} must be exactly "
                 f"partitioned; spec covers {sorted(spec_labels)}"
             )

@@ -189,6 +189,8 @@ def _reciprocity(sol1, sol2, bcs1, bcs2, mesh, weight):
         raise PartitionMismatch("solutions must be defined on the given mesh")
     if not bcs1.same_partition(bcs2):
         raise PartitionMismatch("the two problems must share one boundary partition")
+    if not np.shape(sol1.reactions) == np.shape(sol2.reactions) == (mesh.n_nodes,):
+        raise PartitionMismatch("each solution's reactions must hold one value per node")
 
     # Shifting every weight by one constant c changes both sides by the same
     # amount, -c times the summed outflow of the two problems through the

@@ -265,6 +265,21 @@ def _ceiling_flux_system(mesh, fluid, K, dP):
     return darcy_linear.assemble(mesh, mobility, bcs)
 
 
+def scaled_stiffness(raw, edges, weights):
+    """The raw stiffness of a Picard sweep, built from COO triplets rather
+    than refilled: each pair k_ij = k_ji of edges (i, j) scaled by its
+    weight and each diagonal entry minus the row sum of the scaled pairs,
+    summed in the order darcy_linear sums them, so the values have its
+    bits and the pattern (explicit zeros too) is raw's."""
+    i, j = edges
+    n = raw.shape[0]
+    off = np.asarray(raw[i, j]).ravel() * weights
+    diagonal = -(np.bincount(i, off, n) + np.bincount(j, off, n))
+    nodes = np.arange(n)
+    rows, cols = np.concatenate([i, j, nodes]), np.concatenate([j, i, nodes])
+    return sp.coo_matrix((np.concatenate([off, off, diagonal]), (rows, cols)), shape=(n, n)).tocsr()
+
+
 def jacobi_cg(A, b, rtol):
     """Solve the SPD system A x = b iteratively (instead of by the
     library's sparse LU): Jacobi-preconditioned conjugate gradients,

@@ -377,14 +377,14 @@ class TestPicardSolve:
         K = PermeabilityField.isotropic(mesh, 1.0)
         bcs = strip_bcs(3.0, 1.0)
         counts = []
-        solve = dl.solve
+        solve, solve_sweep = dl.solve, dl._solve_sweep
 
-        def recording(system):
-            result = solve(system)
+        def recording(result):
             counts.append(result.iterations)
             return result
 
-        monkeypatch.setattr(dl, "solve", recording)
+        monkeypatch.setattr(dl, "solve", lambda system: recording(solve(system)))
+        monkeypatch.setattr(dl, "_solve_sweep", lambda *args: recording(solve_sweep(*args)))
         report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
         assert report.converged
         assert len(counts) == report.iterations

@@ -208,6 +208,15 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def reduced_sweep(system, weights):
+    """(A_red, b_red) of the Picard sweep of system with weights, reduced by
+    scipy from the scaled stiffness built in _oracles, b_red = (raw_rhs -
+    raw @ lift)[free]."""
+    raw = _oracles.scaled_stiffness(system.raw_matrix, dl._edge_scaling(system).edges, weights)
+    free = system.is_free
+    return raw[free][:, free], (system.raw_rhs - raw @ system.lift)[free]
+
+
 class TestFactorReuse:
     """solve keeps the factor of the last reduced matrix while its mesh
     lives. Each test draws its own mobility scale, so no entry left by
@@ -266,14 +275,14 @@ class TestFactorReuse:
         monkeypatch.setattr(dl, "_factor", recording)
         mesh, system = self.strip_system(2.75)
         dl.solve(system)
-        scaling = dl._edge_scaling(system)
-        sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
-        result = dl.solve(sweep)
+        weights = np.linspace(0.5, 2.0, dl._edge_scaling(system).edges[0].size)
+        result = dl._solve_sweep(system, weights, None)
         assert kinds == [dl._BandFactor, dl._BandFactor]
         assert result.iterations == 0
-        assert np.array_equal(dl._entry.lu_diagonal, sweep.A_red.diagonal())
+        A, b = reduced_sweep(system, weights)
+        assert np.array_equal(dl._entry.lu_diagonal, A.diagonal())
         x = result.field.values[system.is_free]
-        expected = dl.spla.spsolve(sweep.A_red.tocsc(), sweep.b_red)
+        expected = dl.spla.spsolve(A.tocsc(), b)
         assert np.max(np.abs(x - expected)) < 1e-10
         assert result.residual <= 1e-12
         again = dl.solve(system)
@@ -306,10 +315,8 @@ class TestFactorReuse:
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.5, "top": 0.0, "bottom": 0.0})
         system = dl.assemble(mesh, 2.5 * identity_mobility(mesh), bcs)
         dl.solve(system)
-        scaling = dl._edge_scaling(system)
-        sweep = scaling.system(system, np.zeros(scaling.edges[0].size))
         with pytest.raises(NoConvergence):
-            dl.solve(sweep)
+            dl._solve_sweep(system, np.zeros(dl._edge_scaling(system).edges[0].size), None)
         assert dl._entry is None
         result = dl.solve(system)
         assert len(factor_calls) == 3
@@ -318,23 +325,31 @@ class TestFactorReuse:
 
     @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
     def test_sweep_system_reduces_the_scaled_stiffness(self, pattern):
-        # A_red and b_red of a sweep, and of the system it scales, are
-        # bitwise a fresh reduction of their raw matrix, (raw_rhs - raw @
-        # lift)[free] for b_red
+        # the A_red, b_red and diagonal a sweep refills, and the A_red and
+        # b_red of the system it scales, are bitwise a fresh reduction of
+        # their raw matrix, (raw_rhs - raw @ lift)[free] for b_red; the
+        # sweep's raw matrix is built in the test (_oracles.scaled_stiffness)
         mesh = make_rectangle_mesh(3.0, 1.3, 11, 7, pattern)
         bcs = BoundarySpec(
             pressure={"left": lambda x, y: 2.0 + y, "top": -1.5}, velocity={"bottom": -0.2, "right": 0.3}
         )
         system = dl.assemble(mesh, 4.5 * identity_mobility(mesh), bcs)
         scaling = dl._edge_scaling(system)
-        sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
-        assert not np.array_equal(sweep.A_red.data, system.A_red.data)
-        for s in (system, sweep):
-            want = s.raw_matrix[s.is_free][:, s.is_free]
+        weights = np.linspace(0.5, 2.0, scaling.edges[0].size)
+        _, b_red, diagonal = scaling.refill(system, weights)
+        assert not np.array_equal(scaling.A_red.data, system.A_red.data)
+        free = system.is_free
+        raw = system.raw_matrix
+        want = (raw[free][:, free], (system.raw_rhs - raw @ system.lift)[free])
+        want_sweep = reduced_sweep(system, weights)
+        for (A, b), (want_A, want_b) in (
+            ((system.A_red, system.b_red), want),
+            ((scaling.A_red, b_red), want_sweep),
+        ):
             for a in ("indptr", "indices", "data"):
-                assert getattr(s.A_red, a).tobytes() == getattr(want, a).tobytes()
-            b_red = (s.raw_rhs - s.raw_matrix @ s.lift)[s.is_free]
-            assert s.b_red.tobytes() == b_red.tobytes()
+                assert getattr(A, a).tobytes() == getattr(want_A, a).tobytes()
+            assert b.tobytes() == want_b.tobytes()
+        assert diagonal.tobytes() == want_sweep[0].diagonal().tobytes()
 
     def test_zero_weight_sweep_after_cg_start_raises_without_warning(self, factor_calls):
         # with a start the sweep reaches CG first; its zero diagonal gives a
@@ -343,14 +358,12 @@ class TestFactorReuse:
         mesh = make_rectangle_mesh(1.0, 1.0, 7, 5)
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.5, "top": 0.0, "bottom": 0.0})
         system = dl.assemble(mesh, 3.5 * identity_mobility(mesh), bcs)
-        scaling = dl._edge_scaling(system)
-        start = dl.solve(system).field.values[system.is_free]
-        sweep = scaling.system(system, np.zeros(scaling.edges[0].size), start=start)
-        assert sweep._start is start
+        start = dl.solve(system).reduced
+        weights = np.zeros(dl._edge_scaling(system).edges[0].size)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence):
-                dl.solve(sweep)
+                dl._solve_sweep(system, weights, start)
         assert dl._entry is None
         assert len(factor_calls) == 2
 
@@ -371,30 +384,40 @@ class TestFactorReuse:
         assert dl._entry.lu is not None
 
     def test_picard_leaves_no_vector_on_the_entry(self, monkeypatch):
-        # each sweep system carries its CG start: once picard_solve returns,
-        # no array reachable from the held entry is a start, solution,
-        # residual or right-hand side of the call
+        # each sweep call is passed its CG start: once picard_solve returns,
+        # no array reachable from the held entry is a start, weight,
+        # solution, residual or right-hand side of the call
         fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
         mesh = make_rectangle_mesh(10.0, 3.0, 16, 4)
         K = PermeabilityField.isotropic(mesh, 1.0)
         bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -0.063, "top": 0.0, "bottom": 0.0})
-        vectors = []
-        solve = dl.solve
+        vectors, starts = [], []
+        solve, solve_sweep, refill = dl.solve, dl._solve_sweep, dl._EdgeScaling.refill
 
-        def recording(system):
-            result = solve(system)
-            vectors.extend([system.b_red, system._start, result.reduced, result._r, result.field.values])
+        def results(result):
+            vectors.extend([result.reduced, result._r, result.field.values])
             return result
 
-        monkeypatch.setattr(dl, "solve", recording)
+        def sweeping(base, weights, start):
+            starts.append(start)
+            vectors.extend([weights, start])
+            return results(solve_sweep(base, weights, start))
+
+        def refilling(scaling, base, weights):
+            A, b_red, diagonal = refill(scaling, base, weights)
+            vectors.append(b_red)
+            return A, b_red, diagonal
+
+        monkeypatch.setattr(dl, "solve", lambda system: results(solve(system)))
+        monkeypatch.setattr(dl, "_solve_sweep", sweeping)
+        monkeypatch.setattr(dl._EdgeScaling, "refill", refilling)
         report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
         assert report.iterations >= 3 and dl._entry.scaling is not None
-        starts = [v for v in vectors[1::5] if v is not None]
-        assert len(starts) == report.iterations - 1
+        assert len(starts) == report.iterations - 1 and all(v is not None for v in starts)
         held = reachable_arrays(dl._entry)
         assert any(a is dl._entry.scaling.A_red.data for a in held)
         for v in vectors:
-            assert v is None or not any(np.shares_memory(v, a) for a in held)
+            assert not any(np.shares_memory(v, a) for a in held)
 
     @pytest.mark.parametrize("r, sweeps", [(0.26, 9), (0.63, 13), (0.95, 20)])
     def test_benchmark_strip_keeps_transformed_factor(self, r, sweeps, factor_calls):
@@ -479,20 +502,20 @@ class TestFactorReuse:
         before a new one is made; after every sweep the entry holds one."""
         xi = BodyForcePotential(lambda x, y: y_coef * y) if y_coef else ZERO_XI
         held_at_factor, held_after, sweep_slot_used = [], [], []
-        factor, solve = dl._factor, dl.solve
+        factor, solve, solve_sweep = dl._factor, dl.solve, dl._solve_sweep
 
         def factoring(*args):
             held_at_factor.append(self.live_factors())
             return factor(*args)
 
-        def solving(system):
-            result = solve(system)
+        def solved(result):
             held_after.append(dl._entry.lu is not None)
             sweep_slot_used.append(dl._entry.lu_diagonal is not None)
             return result
 
         monkeypatch.setattr(dl, "_factor", factoring)
-        monkeypatch.setattr(dl, "solve", solving)
+        monkeypatch.setattr(dl, "solve", lambda system: solved(solve(system)))
+        monkeypatch.setattr(dl, "_solve_sweep", lambda *args: solved(solve_sweep(*args)))
         mesh, fluid, K, bcs = self.picard_strip(0.09)
         report = bd.picard_solve(mesh, fluid, xi, K, bcs)
         assert report.converged and len(held_after) == report.iterations
@@ -604,9 +627,8 @@ class TestFactorKind:
         if kd is not None:
             assert dl._entry.lu.band.shape == (kd + 1, system.A_red.shape[0])
             assert cold.residual <= dl._OMEGA_MAX
-        scaling = dl._edge_scaling(system)
-        sweep = scaling.system(system, np.linspace(0.5, 2.0, scaling.edges[0].size))
-        dl.solve(sweep)  # no start: factored into the slot
+        weights = np.linspace(0.5, 2.0, dl._edge_scaling(system).edges[0].size)
+        dl._solve_sweep(system, weights, None)  # no start: factored into the slot
         assert kinds == [kind] * 2 and dl._entry.lu_diagonal is not None
         again = dl.solve(system)  # A_red refactored
         assert kinds == [kind] * 3 and dl._entry.lu_diagonal is None
@@ -631,13 +653,11 @@ class TestFactorKind:
         mesh = make_rectangle_mesh(1.0, 1.0, 7, 5)
         system = dl.assemble(mesh, 1.25 * identity_mobility(mesh), self.STRIP_BCS)
         dl.solve(system)
-        scaling = dl._edge_scaling(system)
-        weights = np.where(np.arange(scaling.edges[0].size) % 2, 1.0, -1.0)
-        sweep = scaling.system(system, weights)
-        eigenvalues = np.linalg.eigvalsh(sweep.A_red.toarray())
+        weights = np.where(np.arange(dl._edge_scaling(system).edges[0].size) % 2, 1.0, -1.0)
+        eigenvalues = np.linalg.eigvalsh(reduced_sweep(system, weights)[0].toarray())
         assert eigenvalues[0] < 0.0 < eigenvalues[-1]
         with pytest.raises(NoConvergence, match="banded Cholesky"):
-            dl.solve(sweep)
+            dl._solve_sweep(system, weights, None)
         assert dl._entry is None
 
     @pytest.mark.parametrize("band_max, kind", [(10, "SuperLU"), (13, "_BandFactor")])
@@ -825,9 +845,11 @@ class TestSystemReuse:
             )
         _, _, base = bd._base_system(mesh, unit_fluid, xi, K, bcs)
         ptilde = 1.0 + 0.05 * mesh.nodes[:, 0] + 0.3 * mesh.nodes[:, 1]
-        sweep = bd._secant_system(base, ptilde, unit_fluid, None)
-        assert sweep is not base
-        self.assert_reduced_raw_load(sweep)
+        weights = bd._weights(base, ptilde, unit_fluid)
+        assert weights is not None
+        _, b_red, _ = dl._edge_scaling(base).refill(base, weights)
+        ref = reduced_sweep(base, weights)[1]
+        assert b_red.dtype == ref.dtype and b_red.tobytes() == ref.tobytes()
 
     def test_reservoir_op_runs_kernel_and_factorization_once(
         self, table1_fluid, kernel_calls, factor_calls
@@ -1252,9 +1274,10 @@ class TestOneResidual:
 
     @staticmethod
     def recorded_solves(monkeypatch):
-        """(system, result, b_red - A_red @ result.reduced) of each dl.solve
-        and each superposed solve (dl._superpose), the residual formed while
-        the system's arrays are current."""
+        """(system, result, b_red - A_red @ result.reduced) of each dl.solve,
+        each superposed solve (dl._superpose) and each sweep (dl._solve_sweep,
+        with its assembled system), the residual formed while the arrays
+        are current: a sweep's A_red and b_red are refilled once more."""
         solves = []
 
         def recording(solver):
@@ -1268,6 +1291,16 @@ class TestOneResidual:
 
         for name in ("solve", "_superpose"):
             monkeypatch.setattr(dl, name, recording(getattr(dl, name)))
+        solve_sweep = dl._solve_sweep
+
+        def sweeping(base, weights, start):
+            result = solve_sweep(base, weights, start)
+            scaling = dl._edge_scaling(base)
+            A, b_red, _ = dl._edge_scaling(base).refill(base, weights)
+            solves.append((base, result, b_red - A @ result.reduced))
+            return result
+
+        monkeypatch.setattr(dl, "_solve_sweep", sweeping)
         return solves
 
     def test_cg_sweeps_pass_on_their_residual(self, monkeypatch):
@@ -1275,6 +1308,7 @@ class TestOneResidual:
         mesh, fluid, K, bcs = TestFactorReuse.picard_strip()
         report = bd.picard_solve(mesh, fluid, BodyForcePotential(lambda x, y: 0.3 * y), K, bcs)
         assert report.converged and report.linear_iterations > 0
+        assert len(solves) == report.iterations
         for system, result, r in solves:
             assert result._r.tobytes() == r.tobytes()
 
@@ -1295,6 +1329,179 @@ class TestOneResidual:
         assert report.reactions[pinned].tobytes() == want[pinned].tobytes()
         assert report.reactions[system.is_free].tobytes() == r.tobytes()
         assert np.abs(report.reactions - want).max() <= 1e-13 * np.abs(report.reactions).max()
+
+
+class TestNormRange:
+    """Every norm of a reduced solve reports no overflow and is finite
+    wherever ||v|| is representable (dl._norm). So data from about 1e154
+    up, where v . v overflows, and down to about 1e-162, where it
+    underflows, get an honest omega: no RuntimeWarning, and no accepted
+    solve reports omega = 0 while r != 0. No errstate is entered."""
+
+    SCALES = [1e155, 1e300, 1e-170, 1e-300]
+
+    @staticmethod
+    def results(monkeypatch):
+        """The LinearSolveResult of each solve, superposed solve and sweep."""
+        found = []
+
+        def recording(solver):
+            def call(*args):
+                result = solver(*args)
+                if result is not None:
+                    found.append(result)
+                return result
+
+            return call
+
+        for name in ("solve", "_superpose", "_solve_sweep"):
+            monkeypatch.setattr(dl, name, recording(getattr(dl, name)))
+        return found
+
+    @staticmethod
+    def assert_honest(results):
+        assert results
+        for result in results:
+            assert 0.0 <= result.residual <= dl._OMEGA_MAX
+            assert (result.residual > 0.0) == bool((result._r != 0.0).any())
+
+    @staticmethod
+    def strip(v):
+        """The 10 x 3 strip on 20 x 6 cells, velocity v on "left"."""
+        mesh = make_rectangle_mesh(10.0, 3.0, 20, 6)
+        return mesh, PermeabilityField.isotropic(mesh, 1.0), strip_bcs(-v)
+
+    @pytest.mark.parametrize("v", SCALES)
+    def test_solve(self, v, monkeypatch):
+        found = self.results(monkeypatch)
+        mesh, _, bcs = self.strip(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dl.solve(dl.assemble(mesh, identity_mobility(mesh), bcs))
+        self.assert_honest(found)
+
+    @pytest.mark.parametrize("v", SCALES)
+    def test_transformed(self, v, unit_fluid, table1_fluid, monkeypatch):
+        found = self.results(monkeypatch)
+        mesh, K, bcs = self.strip(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fluid in (unit_fluid, table1_fluid):
+                report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+                assert np.isfinite(report.p.values).all() and np.isfinite(report.v.values).all()
+        assert len(found) == 2
+        self.assert_honest(found)
+
+    @pytest.mark.parametrize("v", SCALES)
+    @pytest.mark.parametrize(
+        "xi", [ZERO_XI, BodyForcePotential(lambda x, y: 0.3 * y)], ids=["0", "0.3y"]
+    )
+    def test_picard(self, v, xi, unit_fluid, monkeypatch):
+        # huge data: the first sweep's iterate has a viscosity beyond the
+        # float range, and Picard stops there; tiny data converge
+        found = self.results(monkeypatch)
+        mesh, K, bcs = self.strip(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if v > 1.0:
+                with pytest.raises(NoConvergence, match="viscosity overflows"):
+                    bd.picard_solve(mesh, unit_fluid, xi, K, bcs)
+            else:
+                assert bd.picard_solve(mesh, unit_fluid, xi, K, bcs).converged
+        self.assert_honest(found)
+
+    @pytest.mark.parametrize("p0", [1e-160, 1e160, 1e300])
+    def test_picard_sweeps_do_not_depend_on_the_data_scale(self, p0, monkeypatch):
+        # the strip problem at p0 = 1 with every pressure and velocity scaled
+        # by p0 (beta = 1, so beta (p - p0) / p0 is unchanged): the update
+        # norms neither underflow nor overflow, so Picard takes the sweeps
+        # it takes at p0 = 1 and meets the transformed solution as closely
+        def run(p0):
+            fluid = FluidModel(mu0=1.0, beta=1.0, p0=p0)
+            mesh = make_rectangle_mesh(10.0, 3.0, 20, 6)
+            K = PermeabilityField.isotropic(mesh, 1.0)
+            bcs = BoundarySpec(
+                pressure={"right": p0}, velocity={"left": -0.063 * p0, "top": 0.0, "bottom": 0.0}
+            )
+            report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
+            transformed = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+            assert report.converged
+            return report.iterations, np.abs(report.p.values - transformed.p.values).max() / p0
+
+        found = self.results(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweeps, error = run(p0)
+        assert sweeps == run(1.0)[0] and error < 1e-10
+        self.assert_honest(found)
+
+    @pytest.mark.parametrize(
+        "v, want",
+        [
+            (np.full(4, 1e200), 2e200),
+            (np.full(4, 1e-200), 2e-200),
+            (np.array([3e300, -4e300]), 5e300),
+            (np.array([3e-320, 4e-320]), 5e-320),
+            (np.full(4, 1.7e308), np.inf),
+            (np.array([1.0, np.inf]), np.inf),
+            (np.array([np.nan, 1e200]), np.nan),
+            (np.zeros(3), 0.0),
+            (np.zeros(0), 0.0),
+        ],
+    )
+    def test_norm(self, v, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dl._norm(v)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0, nan_ok=True)
+
+    def test_norm_in_range_has_the_bits_of_linalg_norm(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 7, 150, 2000):
+            for scale in (1e-150, 1.0, 1e150):
+                v = scale * rng.standard_normal(n)
+                assert dl._norm(v) == float(np.linalg.norm(v))
+
+    def test_omega_where_a_max_times_norm_x_overflows(self):
+        # the same quotient divided through by ||x||: ||r|| / ||x|| / a_max
+        mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
+        system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
+        n = system.b_red.size
+        x, r = np.full(n, 1e300), np.full(n, 1e290)
+        result = dl._accept(system, x, r, 1e10, 1.0, 0, ScalarField)
+        assert result.residual == pytest.approx(1e-20, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["x", "b"])
+    def test_norm_beyond_the_float_range_is_not_accepted(self, which):
+        mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
+        system = dl.assemble(mesh, identity_mobility(mesh), lr_dirichlet(0.0, 1.0))
+        n = system.b_red.size
+        x, bnorm = np.full(n, 1e300), 1.0
+        if which == "x":
+            x[:] = 1.7e308
+        else:
+            bnorm = np.inf
+        with pytest.raises(NoConvergence):
+            dl._accept(system, x, np.zeros(n), 1.0, bnorm, 0, ScalarField)
+
+    def test_no_errstate_entered(self, table1_fluid, monkeypatch):
+        # a cold and a warm transformed solve, and a solve of an assembled
+        # system, enter no np.errstate
+        entered = []
+        errstate = np.errstate
+
+        class Counting(errstate):
+            def __enter__(self):
+                entered.append(1)
+                return super().__enter__()
+
+        mesh, K = TestVelocityOnDemand.reservoir()
+        bcs = [TestVelocityOnDemand.bcs(table1_fluid, p_inj) for p_inj in (3e6, 5e6)]
+        monkeypatch.setattr(np, "errstate", Counting)
+        for b in bcs:
+            dl.solve_transformed_bvp(mesh, table1_fluid, ZERO_XI, K, b)
+        dl.solve(dl.assemble(mesh, identity_mobility(mesh), bcs[0]))
+        assert entered == []
 
 
 class TestSuperposition:

@@ -10,6 +10,7 @@ from poroflow import (
     BoundarySpec,
     Mesh,
     NonFiniteData,
+    PartitionMismatch,
     PermeabilityField,
     ScalarField,
     UnknownLabel,
@@ -85,6 +86,16 @@ class TestRectangleMesh:
                 make_rectangle_mesh(L, H, 2, 2)
         with pytest.raises(BadDimensions):
             make_rectangle_mesh(1.0, 1.0, 0, 2)
+
+    @pytest.mark.parametrize("nx, ny", [(2.0, 2), (2, 2.0), (2.5, 2), (np.float64(3.0), 2), ("2", 2)])
+    def test_non_integer_counts_raise_bad_dimensions(self, nx, ny):
+        # an integral float is refused too, before np.linspace sees it
+        with pytest.raises(BadDimensions, match="must be integers"):
+            make_rectangle_mesh(1.0, 1.0, nx, ny)
+
+    def test_numpy_integer_counts_accepted(self):
+        mesh = make_rectangle_mesh(1.0, 1.0, np.int64(3), np.int32(2))
+        assert mesh.n_nodes == 12
 
 
 class TestValidate:
@@ -188,6 +199,17 @@ class TestReservoirMesh:
         assert mesh.validate() is mesh
         assert len(mesh.edge_labels) == mesh.boundary_edges.shape[0]
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_non_finite_well_offset_raises_bad_dimensions(self, offset):
+        with pytest.raises(BadDimensions, match="offset must be finite"):
+            make_reservoir_mesh(1.0, 1.0, 0.5, 2, 4, well_offset=offset)
+
+    @pytest.mark.parametrize("offset, y0", [(1e308, 0.5), (-1e308, 0.0)])
+    def test_huge_finite_well_offset_clamps(self, offset, y0):
+        # yc / hy overflows to +-inf; the well is clamped to the side's end
+        mesh = make_reservoir_mesh(1.0, 1.0, 0.5, 2, 4, well_offset=offset)
+        assert mesh.metadata["well_y0"] == y0
+
     def test_unresolvable_well(self):
         with pytest.raises(BadDimensions):
             make_reservoir_mesh(1.0, 1.0, 1.5, 2, 2)  # W > H
@@ -275,7 +297,9 @@ class TestBoundarySpec:
         mesh = make_reservoir_mesh(1.0, 1.0, 0.5, 2, 2)
         good = BoundarySpec(pressure={"inlet": 1.0, "well": 0.0}, velocity={"wall": 0.0})
         good.validate_partition(mesh)
-        with pytest.raises(ValueError):
+        with pytest.raises(PartitionMismatch, match="exactly"):
+            BoundarySpec(pressure={"inlet": 1.0}, velocity={"wall": 0.0}).validate_partition(mesh)
+        with pytest.raises(ValueError):  # PartitionMismatch is a ValueError too
             BoundarySpec(pressure={"inlet": 1.0}, velocity={"wall": 0.0}).validate_partition(mesh)
         with pytest.raises(ValueError):
             BoundarySpec(pressure={"inlet": 1.0, "well": 0.0}, velocity={"inlet": 0.0})

@@ -186,9 +186,11 @@ class TestLabelGeometry:
 
 @pytest.mark.parametrize("data", ["all_pressure", "last_label", "pure_velocity"])
 def test_dirichlet_rows_and_reactions(mesh, data):
-    # the Dirichlet rows a held system and a Picard sweep system carry are
-    # scipy's row indexing of their raw matrix at dirichlet, bit for bit, and
-    # the reactions formed from them are nodal_reactions there
+    # the Dirichlet rows a held system carries, and those a Picard sweep
+    # refills (the transpose of its Dirichlet columns), are scipy's row
+    # indexing of their raw matrix at dirichlet, bit for bit, the sweep's
+    # raw matrix built in the test; the reactions formed from the held rows
+    # are nodal_reactions there
     if data == "all_pressure":
         bcs = all_pressure(mesh)
     else:
@@ -200,18 +202,18 @@ def test_dirichlet_rows_and_reactions(mesh, data):
     held = dl.assemble(mesh, cell_mobility(mesh, True), bcs)
     scaling = dl._edge_scaling(held)
     scale = np.random.default_rng(4).uniform(0.5, 2.0, scaling.edges[0].size)
-    sweep = scaling.system(held, scale)
-    assert sweep.dirichlet is held.dirichlet
-    assert sweep.dirichlet_rows is not held.dirichlet_rows
-    P = rough_field(mesh)
-    for system in (held, sweep):
-        got, want = system.dirichlet_rows, system.raw_matrix[system.dirichlet]
+    scaling.refill(held, scale)
+    sweep_raw = _oracles.scaled_stiffness(held.raw_matrix, scaling.edges, scale)
+    assert scaling._columns.data is not held.dirichlet_rows.data
+    for got, raw in ((held.dirichlet_rows, held.raw_matrix), (scaling._columns.T, sweep_raw)):
+        want = raw[held.dirichlet]
         assert got.shape == want.shape
         assert_bitwise(got.indptr.astype(np.int64), want.indptr.astype(np.int64))
         assert_bitwise(got.indices.astype(np.int64), want.indices.astype(np.int64))
         assert_bitwise(got.data, want.data)
-        reactions = dl.nodal_reactions(system, P)[system.dirichlet]
-        assert_bitwise(dl._reactions(system, P.values), reactions)
+    P = rough_field(mesh)
+    reactions = dl.nodal_reactions(held, P)[held.dirichlet]
+    assert_bitwise(dl._reactions(held, P.values), reactions)
 
 
 def cell_mobility(mesh, anisotropic, seed=11):
@@ -426,8 +428,9 @@ class TestFastPaths:
         system = unit_system(mesh, BoundarySpec(pressure={"right": 1.0}, velocity=velocity))
         scaling = dl._edge_scaling(system)
         scale = np.random.default_rng(7).uniform(0.5, 2.0, scaling.edges[0].size)
-        sweep = scaling.system(system, scale)
-        assert_bitwise(sweep._diagonal, sweep.A_red.diagonal())
+        A, _, diagonal = scaling.refill(system, scale)
+        assert A is scaling.A_red
+        assert_bitwise(diagonal, A.diagonal())
 
     @pytest.mark.parametrize("fluid", [TABLE1, UNIT], ids=["table1", "unit"])
     def test_transform_bcs_zero_potential(self, fluid):

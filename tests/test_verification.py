@@ -592,6 +592,17 @@ def _lr_problem(top=0.0):
     return mesh, bcs, ScalarField(mesh, 1.0 - mesh.nodes[:, 0])
 
 
+def _reciprocity_reactions_not_per_node(kind, size):
+    """Reciprocity of the unit-square problem with itself, its reactions
+    size long instead of one per node."""
+    mesh, bcs, field = _lr_problem()
+    good = vf.FluxSolution(field, np.zeros(mesh.n_nodes))
+    bad = vf.FluxSolution(field, np.zeros(size))
+    if kind == "darcy":
+        return vf.reciprocity_residual_darcy(good, bad, bcs, bcs, mesh)
+    return vf.reciprocity_residual_barus(bad, good, bcs, bcs, mesh, FluidModel(1.0, 1.0, 1.0))
+
+
 def _sealed_box():
     mesh = make_rectangle_mesh(1.0, 1.0, 3, 3)
     bcs = BoundarySpec(pressure={}, velocity={label: 0.0 for label in mesh.labels})
@@ -629,6 +640,17 @@ NOT_CHECKABLE = {
     "reciprocity_on_another_mesh": (
         _reciprocity_on_another_mesh, PartitionMismatch, "defined on the given mesh"
     ),
+    # too few reactions, which indexing fails on, and too many, which it
+    # would read the wrong entries of
+    **{
+        f"{kind}_reciprocity_reactions_{size}": (
+            lambda kind=kind, size=size: _reciprocity_reactions_not_per_node(kind, size),
+            PartitionMismatch,
+            "one value per node",
+        )
+        for kind in ("darcy", "barus")
+        for size in (3, 17)
+    },
 }
 
 

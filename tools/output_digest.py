@@ -24,15 +24,18 @@ The script imports poroflow from the src directory next to it. Its grid:
 
 Outputs: transformed U, P, p, v, reactions and residual; Picard p, v,
 reactions, update history, sweep and CG counts; for every other linear
-solve (Picard's sweeps and the reciprocity solves) its field, CG count,
-backward error and the boundary_flux of each label of its system; the
+solve (Picard's sweeps and the reciprocity solves), numbered in case order,
+its field, CG count and backward error, and for a solve of an assembled
+system (dl.solve: a reciprocity solve, or a sweep whose weights are all 1)
+the boundary_flux of each label of the system too; a sweep with other
+weights (dl._solve_sweep) has no system, so no boundary_flux line; the
 number of factorizations, per case and in total; and, as plain text, the
 kind of each factorization of a case in turn ("_BandFactor" for banded
 Cholesky, "SuperLU"), so a listing shows which solver each mesh got. The
 transformed path's own linear solve is digested only as its transformed/
 outputs, whether it superposed held responses or called dl.solve, so the
 solves numbered in a case are the same in two checkouts that differ in that
-choice. It runs in a few seconds on one core and prints about 4,100 lines.
+choice. It runs in a few seconds on one core and prints about 3,300 lines.
 """
 
 from __future__ import annotations
@@ -75,10 +78,10 @@ def digest(value) -> str:
 
 
 class Recorder:
-    """Wraps dl.solve and dl._factor: every linear solve outside a
-    transformed solve (see transformed_bvp) is digested under the current
-    case name as it returns (a Picard sweep's matrices are refilled by the
-    next sweep), and factorizations are counted, with their kinds."""
+    """Wraps dl.solve, dl._solve_sweep and dl._factor: every linear solve
+    outside a transformed solve (see transformed_bvp) is digested under the
+    current case name as it returns, and factorizations are counted, with
+    their kinds."""
 
     def __init__(self):
         self.lines = []
@@ -88,8 +91,8 @@ class Recorder:
         self.kinds = []
         self.total_factors = 0
         self.muted = False
-        self._solve, self._factor = dl.solve, dl._factor
-        dl.solve, dl._factor = self.solve, self.factor
+        self._solve, self._solve_sweep, self._factor = dl.solve, dl._solve_sweep, dl._factor
+        dl.solve, dl._solve_sweep, dl._factor = self.solve, self.solve_sweep, self.factor
 
     def emit(self, name, value):
         self.lines.append(f"{self.case}/{name} {digest(value)}")
@@ -101,18 +104,28 @@ class Recorder:
         self.kinds.append(type(lu).__name__)
         return lu
 
-    def solve(self, system):
-        result = self._solve(system)
-        if self.muted:
-            return result
+    def solved(self, result):
+        """Digest result as the next solve of the case; returns its number."""
         k = self.solves
         self.solves += 1
         self.emit(f"solve{k}/field", result.field.values)
         self.emit(f"solve{k}/iterations", result.iterations)
         self.emit(f"solve{k}/residual", result.residual)
-        labels = list(system.bcs.pressure) + list(system.bcs.velocity)
-        fluxes = [dl.boundary_flux(result.field, system, label) for label in labels]
-        self.emit(f"solve{k}/boundary_flux", np.array(fluxes))
+        return k
+
+    def solve(self, system):
+        result = self._solve(system)
+        if not self.muted:
+            k = self.solved(result)
+            labels = list(system.bcs.pressure) + list(system.bcs.velocity)
+            fluxes = [dl.boundary_flux(result.field, system, label) for label in labels]
+            self.emit(f"solve{k}/boundary_flux", np.array(fluxes))
+        return result
+
+    def solve_sweep(self, base, weights, start):
+        result = self._solve_sweep(base, weights, start)
+        if not self.muted:
+            self.solved(result)
         return result
 
     def transformed_bvp(self, call, *args):
