@@ -31,6 +31,7 @@ transformed approach is benchmarked against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,10 +54,11 @@ class PicardConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.tol < math.inf:  # a NaN fails too
+            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
+        max_iter = self.max_iter
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1 and an integer, not {max_iter!r}")
 
 
 @dataclass

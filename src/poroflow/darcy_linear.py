@@ -59,17 +59,18 @@ The transformed problem's matrix depends on the mesh, the permeability and
 mu0 but not on the boundary data, so the module holds one entry for the
 last system assembled: its mesh (by weak reference), its mobility (the
 read-only K/mu0 of mobility_tensors itself, or else a copy), its Dirichlet
-nodes, its raw and reduced matrices, the raw matrix's Dirichlet rows (held
-once, as CSR, with their transpose, the Dirichlet columns, a CSC view of
-the same arrays), its flux operator (the two CSR matrices that map nodal
-values to the per-triangle velocity, see recover_velocity) and, once
+nodes, its raw and reduced matrices, the raw matrix's Dirichlet rows (CSR),
+their coupling to the free nodes (_Coupling: the free nodes those rows
+reach and the free boundary nodes, and each entry of the rows in a free
+column, boundary-sized), its flux operator (the two CSR matrices that map
+nodal values to the per-triangle velocity, see recover_velocity) and, once
 solved, one factor, of either kind. No P1 gradients are held: the flux
 operator's data are the products M grad(phi_j) that the assembly forms
 anyway. An assembly on the same mesh, with the held mobility array itself
 or else one of the same bits, and with the same Dirichlet node set builds
 only the load, the Dirichlet values and the reduced right-hand side, the
-last from the Dirichlet columns (_reduced_rhs); what a warm superposed
-solve does per call is listed below. The load
+last from the coupling (_Coupling.rhs), with no n-long sparse product; what
+a warm superposed solve does per call is listed below. The load
 and the Dirichlet values read the boundary geometry the mesh keeps (see
 geometry). The solution paths read the pressure data once, for their gauge
 (_gauge), and hand the caller's spec, for its partition and velocity data,
@@ -101,19 +102,20 @@ solve outside the transformed path take solve. The responses are solutions
 of the reduced matrix, not of the factor, so a sweep factor that takes the
 slot leaves them held; a call with another partition replaces them, and
 they go with the entry. Per call, such a warm superposed solve makes a
-fixed number of n-long passes: the load, the lift and the free mask; b_red;
-x, one pass per term; its one matvec, r = b_red - A_red x; the three norms
-of the test (_accept); U, its largest value, P and the reactions. The rest
-is boundary-sized: the data at the pressure nodes, C(p_ref) and the
-Kirchhoff map there, and the Dirichlet columns and rows, for b_red and for
-the reactions at those nodes. It evaluates no constant datum at points.
+fixed number of n-long passes: the load, the lift and the free mask; the
+zeros of b_red; x, one pass per term; its one matvec, r = b_red - A_red x;
+the three norms of the test (_accept); U (the free scatter of x), its
+largest value, P and the reactions. The rest is boundary-sized: the data at
+the pressure nodes, C(p_ref) and the Kirchhoff map there, the coupling's
+sums, scattered into b_red, and the Dirichlet rows, for the reactions at
+those nodes. It evaluates no constant datum at points.
 
 The sweep policy. A sweep of ``barus_direct``'s Picard solve is one call,
 _solve_sweep(base, weights, start), the only place this policy runs: base
 the held system, weights one per edge, start the previous sweep's reduced
 solution or None (a sweep whose weights are all 1 is base itself, which
 Picard hands to solve). The sweep matrix has the held pattern and other
-values; the call refills only A_red and the Dirichlet columns, for b_red
+values; the call refills only A_red and the coupling's values, for b_red
 (see _EdgeScaling), and builds no system, so solve sees only assembled
 systems. The entry holds no iteration state. A sweep runs conjugate
 gradients (CG) from its start, preconditioned by the held factor rescaled
@@ -370,11 +372,11 @@ class _Held:
     raw_matrix: sp.csr_matrix
     A_red: sp.csr_matrix
     dirichlet_rows: sp.csr_matrix  # raw[dirichlet], for the reactions there
-    # raw[:, dirichlet], for b_red: by symmetry the transpose of
-    # dirichlet_rows, a CSC view of its data, indices and indptr
-    dirichlet_columns: sp.csc_matrix
     flux_operator: tuple  # (Vx, Vy) of mobility on mesh; see _flux_operator
     a_max: float  # the largest diagonal entry of A_red
+    # of the Dirichlet nodes to the free ones, for b_red; built by the
+    # assembly that made the entry
+    coupling: "_Coupling" = None
     # of A_red, or of the last sweep matrix factored: a _BandFactor where kd
     # <= _BAND_MAX in the coordinate order, else a SuperLU (see _factor); one
     # pattern, so one kind, for both
@@ -385,9 +387,8 @@ class _Held:
 
 
 # The one held entry, or None. One at most. Its mobility at xi = 0 is
-# mobility_tensors' array, shared and not copied; the Dirichlet columns share
-# the arrays of the Dirichlet rows, and the flux operator's two matrices their
-# indices and indptr.
+# mobility_tensors' array, shared and not copied, and the flux operator's two
+# matrices share their indices and indptr.
 _entry = None
 
 # The K/mu0 of mobility_tensors at xi = 0, read-only: (weak reference to
@@ -490,25 +491,51 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, is_free) -> _Held:
         raw_matrix=raw,
         A_red=red,
         dirichlet_rows=dirichlet_rows,
-        dirichlet_columns=dirichlet_rows.T,
         flux_operator=_flux_operator(fx, fy, tri, n),
         a_max=a_max,
     )
     dirichlet.setflags(write=False)  # every caller gets these arrays
-    for m in (raw, red, dirichlet_rows, _entry.dirichlet_columns, *_entry.flux_operator):
+    for m in (raw, red, dirichlet_rows, *_entry.flux_operator):
         for array in (m.data, m.indices, m.indptr):
             array.setflags(write=False)
     return _entry
 
 
-def _reduced_rhs(raw_rhs, lift, is_free, dirichlet, columns):
-    """b_red = (raw_rhs - columns @ lift[dirichlet])[is_free], with columns
-    the raw matrix's Dirichlet columns raw[:, dirichlet] (CSC) and the free
-    nodes given by their mask is_free. Bitwise equal to (raw_rhs - raw @
-    lift)[free]: lift is 0 at the free nodes, so the other products of a row
-    are signed zeros, which leave its sum as it is, and each row adds its
-    Dirichlet products in ascending column order, from +0.0."""
-    return (raw_rhs - columns @ lift[dirichlet])[is_free]
+class _Coupling:
+    """The raw matrix's entries between the Dirichlet nodes and the free
+    nodes, boundary-sized, from which every reduced right-hand side is
+    formed (rhs). nodes are the free nodes a Dirichlet row reaches and the
+    free boundary nodes, the only nodes a Neumann load lands on, ascending,
+    and pos their places among the free nodes. Each entry of the Dirichlet
+    rows (of the int32 ascending dirichlet) in a free column, in their CSR
+    order, has its slot (the place of its column in nodes), its Dirichlet
+    node dnode and its value; by symmetry it is also the entry of that free
+    row in that Dirichlet column."""
+
+    def __init__(self, mesh: Mesh, rows: sp.csr_matrix, dirichlet: np.ndarray, is_free: np.ndarray):
+        columns, free = rows.indices, is_free[rows.indices]
+        reached = np.zeros(mesh.n_nodes, dtype=bool)
+        reached[mesh.boundary_edges] = reached[columns] = True
+        reached[dirichlet] = False
+        self.n_free, self.nodes = is_free.size - dirichlet.size, np.flatnonzero(reached)
+        # a free node's place among the free nodes: itself less the Dirichlet nodes below it
+        self.pos = self.nodes - np.searchsorted(dirichlet, self.nodes)
+        self.slot = np.searchsorted(self.nodes, columns[free])
+        self.dnode = np.repeat(dirichlet, np.diff(rows.indptr))[free]
+        self.values = rows.data[free]  # the held raw matrix's; a sweep has its own (_EdgeScaling)
+
+    def rhs(self, raw_rhs: np.ndarray, lift: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """b_red = (raw_rhs - raw @ lift)[free], bitwise, for a raw matrix
+        whose coupling entries are values, a raw_rhs that is 0 off the
+        boundary and a lift that is 0 at the free nodes. Each row sums its
+        Dirichlet products from +0.0 in ascending Dirichlet order, as scipy's
+        product does, whose other products are signed zeros that leave the
+        sum as it is; a row that no Dirichlet node reaches keeps raw_rhs -
+        0.0, and the rows off nodes are the 0.0 - 0.0 of the interior."""
+        sums = np.bincount(self.slot, values * lift[self.dnode], self.nodes.size)
+        b = np.zeros(self.n_free)
+        b[self.pos] = raw_rhs[self.nodes] - sums
+        return b
 
 
 def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSystem:
@@ -522,7 +549,7 @@ def assemble(mesh: Mesh, mobility: np.ndarray, bcs: BoundarySpec) -> SparseSyste
     K/mu0 that mobility_tensors returns at xi = 0) or else one of the same
     bits, and with the same Dirichlet node set, takes them from the held
     entry and builds only the load, the Dirichlet values and b_red (see
-    _reduced_rhs); its result is bitwise that of a fresh assembly. Any other
+    _Coupling.rhs); its result is bitwise that of a fresh assembly. Any other
     call assembles in full and replaces the entry. The returned raw_matrix,
     dirichlet_rows, A_red and flux_operator are the held matrices, and
     dirichlet the held node list, read-only: writing to them (a matrix's
@@ -563,6 +590,7 @@ def _assemble(
     same_nodes = held is not None and held.dirichlet.size == dirichlet.size
     if not (same_nodes and (held.dirichlet == dirichlet).all()):
         held = _hold_system(mesh, mobility, dirichlet, is_free)
+        held.coupling = _Coupling(mesh, held.dirichlet_rows, held.dirichlet, is_free)
 
     return SparseSystem(
         mesh=mesh,
@@ -574,7 +602,7 @@ def _assemble(
         dirichlet=held.dirichlet,
         dirichlet_rows=held.dirichlet_rows,
         A_red=held.A_red,
-        b_red=_reduced_rhs(raw_rhs, lift, is_free, dirichlet, held.dirichlet_columns),
+        b_red=held.coupling.rhs(raw_rhs, lift, held.coupling.values),
         flux_operator=held.flux_operator,
     )
 
@@ -585,12 +613,13 @@ class _EdgeScaling:
     diagonal entry minus the row sum of the scaled entries, reduced to the
     free nodes as the held system is. Made once per entry: the edges, each
     pair's held value, and one source map that takes each entry of A_red and
-    of the Dirichlet columns from the scaled pairs followed by the diagonal.
-    refill writes the values into one A_red and one set of Dirichlet columns
-    and builds no sparse matrix, so each call overwrites the last."""
+    each value of the held coupling (see _Coupling) from the scaled pairs
+    followed by the diagonal. refill writes the values into one A_red and
+    one array of coupling values and builds no sparse matrix, so each call
+    overwrites the last."""
 
     def __init__(self, held: _Held, is_free: np.ndarray):
-        raw, red, columns = held.raw_matrix, held.A_red, held.dirichlet_columns
+        raw, red = held.raw_matrix, held.A_red
         n = raw.shape[0]
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(raw.indptr))
         cols = raw.indices.astype(np.int64)
@@ -609,30 +638,29 @@ class _EdgeScaling:
         diag = rows == cols
         source[diag] = i.size + rows[diag]
         # A_red's entries are raw's of a free row and a free column, and the
-        # Dirichlet rows' (in CSR order, the Dirichlet columns in CSC order)
-        # those of the other rows, each in raw's order
+        # coupling's those of a Dirichlet row and a free column, each in
+        # raw's order
         self._to_red = source[is_free[rows] & is_free[cols]]
-        self._to_columns = source[~is_free[rows]]
+        self._to_coupling = source[~is_free[rows] & is_free[cols]]
+        self.coupling = held.coupling
         self.diagonal = red.diagonal()  # of A_red: d_F in _pcg while its factor is held
         self.A_red = sp.csr_matrix((np.empty_like(red.data), red.indices, red.indptr), shape=red.shape)
-        self._columns = sp.csc_matrix(
-            (np.empty_like(columns.data), columns.indices, columns.indptr), shape=columns.shape
-        )
+        self.values = np.empty(self._to_coupling.size)  # the sweep's coupling values
 
     def refill(self, base: SparseSystem, weights: np.ndarray):
         """(A_red, b_red, the diagonal of A_red) of base, the held system,
         with the stiffness scaled by weights (one per pair of self.edges);
         A_red is self.A_red, refilled. Each scaled pair is one product, so
         A_red stays bitwise symmetric; b_red comes from the refilled
-        Dirichlet columns by the rule of assemble (_reduced_rhs), and the
+        coupling values by the rule of assemble (_Coupling.rhs), and the
         diagonal from the values written, not read back from the matrix."""
         off = self._pairs * weights
         i, j = self.edges
         diagonal = -(np.bincount(i, off, self.n) + np.bincount(j, off, self.n))
         values = np.concatenate((off, diagonal))
         np.take(values, self._to_red, out=self.A_red.data)
-        np.take(values, self._to_columns, out=self._columns.data)
-        b_red = _reduced_rhs(base.raw_rhs, base.lift, base.is_free, base.dirichlet, self._columns)
+        np.take(values, self._to_coupling, out=self.values)
+        b_red = self.coupling.rhs(base.raw_rhs, base.lift, self.values)
         return self.A_red, b_red, diagonal[base.is_free]
 
 
@@ -780,7 +808,14 @@ def _solve_sweep(base: SparseSystem, weights: np.ndarray, start) -> LinearSolveR
     if bnorm == 0.0:  # x = 0, and b - A x is b itself
         x, r = np.zeros_like(b), b
     elif start is not None:
-        x, r, iterations = _pcg(held, A, b, bnorm, d_A, start)
+        # CG runs on b and start scaled by the power of two that puts ||b|| in
+        # [1/2, 1), so its inner products stay in range at any scale of the
+        # data; the scaling is exact, so x and r have the bits of an unscaled run
+        e = math.frexp(bnorm)[1]
+        b_e, start_e = np.ldexp(b, -e), np.ldexp(start, -e)
+        x, r, iterations = _pcg(held, A, b_e, math.ldexp(bnorm, -e), d_A, start_e)
+        if x is not None:
+            x, r = np.ldexp(x, e), np.ldexp(r, e)
     if x is None:
         held.lu = None  # the held factor goes before the next is made
         held.lu, held.lu_diagonal = _factor(A, base.mesh.nodes, base.is_free), d_A
@@ -838,8 +873,9 @@ def _accept(system, x, r, a_max, bnorm, iterations, field):
         raise NoConvergence(
             f"linear solve backward error {omega:.3e} (bound {_OMEGA_MAX:.3e}), ||x|| {xnorm:.3e}"
         )
-    values = system.lift.copy()
+    values = np.empty(system.lift.size)
     values[system.is_free] = x
+    values[system.dirichlet] = system.lift[system.dirichlet]
     if not system.bcs.pressure:
         values -= values.max()
     return LinearSolveResult(field(system.mesh, values), iterations, omega, x, r)
@@ -1052,7 +1088,7 @@ def _response(held: _Held, responses: _Responses, system: SparseSystem, label: s
             lift[responses.nodes[label]] = 1.0
         else:
             _add_label_load(load, system.mesh, label, 1.0)
-        b = _reduced_rhs(load, lift, system.is_free, system.dirichlet, held.dirichlet_columns)
+        b = held.coupling.rhs(load, lift, held.coupling.values)
         H = _reduced_factor(held, system).solve(b)
         H.setflags(write=False)
         responses.H[label] = H

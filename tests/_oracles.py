@@ -280,6 +280,25 @@ def scaled_stiffness(raw, edges, weights):
     return sp.coo_matrix((np.concatenate([off, off, diagonal]), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def coupling_entries(raw, dirichlet, is_free):
+    """(Dirichlet node, free node, value) of each entry of raw's rows at the
+    ascending dirichlet that lies in a free column, read entry by entry from
+    scipy's row of each node in turn, in its column order."""
+    entries = [
+        (d, j, value)
+        for d in dirichlet.tolist()
+        for j, value in zip(raw.getrow(d).indices.tolist(), raw.getrow(d).data.tolist())
+        if is_free[j]
+    ]
+    d, j, values = zip(*entries) if entries else ((), (), ())
+    return np.array(d, dtype=np.int64), np.array(j, dtype=np.int64), np.array(values, dtype=float)
+
+
+def reduced_rhs(raw, raw_rhs, lift, is_free):
+    """b_red by scipy's full product: (raw_rhs - raw @ lift)[is_free]."""
+    return (raw_rhs - raw @ lift)[is_free]
+
+
 def jacobi_cg(A, b, rtol):
     """Solve the SPD system A x = b iteratively (instead of by the
     library's sparse LU): Jacobi-preconditioned conjugate gradients,

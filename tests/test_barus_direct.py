@@ -523,8 +523,35 @@ class TestNonlinearResidual:
         (dict(tol=-1e-10), "tol must be positive"),
         (dict(tol=float("nan")), "tol must be positive"),
         (dict(max_iter=0), "max_iter must be >= 1"),
+        (dict(tol=math.inf), "tol must be positive and finite"),
+        (dict(max_iter=2.5), "max_iter must be >= 1 and an integer"),
+        (dict(max_iter=float("nan")), "max_iter must be >= 1 and an integer"),
+        (dict(max_iter=3.0), "max_iter must be >= 1 and an integer"),
+        (dict(max_iter=True), "max_iter must be >= 1 and an integer"),
     ],
 )
 def test_picard_config_rejects(config, message):
     with pytest.raises(ValueError, match=message):
         bd.PicardConfig(**config)
+
+
+def test_picard_config_takes_numpy_integers():
+    assert bd.PicardConfig(max_iter=np.int64(5)).max_iter == 5
+
+
+@pytest.mark.parametrize("p0", [1.0, 1e160, 1e-160])
+def test_sweep_cg_keeps_its_counts_at_any_scale(p0, factor_calls):
+    # the 10 x 3 strip with every datum scaled by p0: a transformed and a
+    # Picard solve make one factorization and the same CG iterations at
+    # each scale, as CG runs on b scaled to norm about 1 (the inner products
+    # of an unscaled run leave the float range beyond about 1e154)
+    fluid = FluidModel(mu0=1.0, beta=1.0, p0=p0)
+    mesh = make_rectangle_mesh(10.0, 3.0, 20, 6)
+    K = PermeabilityField.isotropic(mesh, 1.0)
+    v0 = 0.63 * p0 / (fluid.mu0 * 10.0 * fluid.beta)
+    bcs = BoundarySpec(pressure={"right": p0}, velocity={"left": -v0, "top": 0.0, "bottom": 0.0})
+    transformed = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+    report = bd.picard_solve(mesh, fluid, ZERO_XI, K, bcs)
+    assert report.converged and report.iterations == 13
+    assert len(factor_calls) == 1 and report.linear_iterations == 53
+    assert np.max(np.abs(report.p.values - transformed.p.values)) <= 1e-10 * p0

@@ -1776,15 +1776,22 @@ def reachable_arrays(root):
     return arrays
 
 
+def coupling_arrays(coupling):
+    """The arrays of a _Coupling."""
+    return tuple(value for value in vars(coupling).values() if isinstance(value, np.ndarray))
+
+
 def held_entry_bytes():
     """Bytes of the held entry's arrays, each memory block counted once,
-    the held responses and their label nodes included; the factor and the
-    edge scaling are not counted."""
+    the held responses and their label nodes and the coupling included; the
+    factor and the edge scaling are not counted."""
     arrays = []
     for field in dataclasses.fields(dl._entry):
         value = getattr(dl._entry, field.name)
         if isinstance(value, dl._Responses):
             value = (*value.nodes.values(), *value.H.values())
+        elif isinstance(value, dl._Coupling):
+            value = coupling_arrays(value)
         matrices = value if isinstance(value, tuple) else (value,)
         for m in matrices:
             if isinstance(m, np.ndarray):
@@ -1825,18 +1832,181 @@ class TestHeldEntryBytes:
         assert rest <= self.GRADIENT_ENTRY_BYTES + 16 * mesh.n_triangles + 4
 
     def test_dirichlet_rows_held_once(self):
-        # the Dirichlet columns that b_red is formed from are the transpose
-        # of the Dirichlet rows, a view of the same three arrays
+        # the Dirichlet rows are held as CSR, with no transposed copy; the
+        # coupling that b_red is formed from shares no array with them, and
+        # its values are the raw matrix's entries at its (Dirichlet, free)
+        # pairs
         mesh = make_rectangle_mesh(3.0, 1.3, 11, 7)
         system = dl.assemble(mesh, 5.5 * identity_mobility(mesh), lr_dirichlet(1.0, 2.0))
-        rows, columns = dl._entry.dirichlet_rows, dl._entry.dirichlet_columns
+        rows, coupling = dl._entry.dirichlet_rows, dl._entry.coupling
         d = dl._entry.dirichlet
-        assert rows.format == "csr" and columns.format == "csc"
-        for a in ("data", "indices", "indptr"):
-            x, y = getattr(rows, a), getattr(columns, a)
-            assert x.__array_interface__["data"] == y.__array_interface__["data"] and x.size == y.size
+        assert rows.format == "csr"
         assert np.array_equal(rows.toarray(), system.raw_matrix[d].toarray())
-        assert np.array_equal(columns.toarray(), system.raw_matrix[:, d].toarray())
+        shared = {a.__array_interface__["data"][0] for a in (rows.data, rows.indices, rows.indptr)}
+        assert not shared & {a.__array_interface__["data"][0] for a in coupling_arrays(coupling)}
+        raw = system.raw_matrix.toarray()
+        assert coupling.values.tobytes() == raw[coupling.dnode, coupling.nodes[coupling.slot]].tobytes()
+        assert (coupling.values != 0.0).all() and system.is_free[coupling.nodes].all()
+
+    def test_coupling_costs_a_few_bytes_per_boundary_entry(self, table1_fluid):
+        # the coupling is boundary-sized: at most 24 bytes per entry of the
+        # Dirichlet rows and 16 per boundary node (its slots are the free
+        # nodes a Dirichlet row reaches and the free boundary nodes)
+        for shape in ((80, 24), (160, 48)):
+            mesh = make_reservoir_mesh(100.0, 30.0, 0.2, *shape)
+            K = PermeabilityField.isotropic(mesh, 1e-12)
+            bcs = BoundarySpec(
+                pressure={"inlet": 10.0 * table1_fluid.p0, "well": table1_fluid.p0},
+                velocity={"wall": 0.0},
+            )
+            dl.assemble(mesh, dl.mobility_tensors(mesh, table1_fluid, ZERO_XI, K), bcs)
+            coupling = dl._entry.coupling
+            nbytes = sum(a.nbytes for a in coupling_arrays(coupling))
+            boundary_nodes = np.unique(mesh.boundary_edges).size
+            assert nbytes <= 24 * dl._entry.dirichlet_rows.nnz + 16 * boundary_nodes
+            assert coupling.nodes.size <= boundary_nodes + coupling.slot.size
+
+
+class TestCoupling:
+    """Every reduced right-hand side, of an assembly (a miss or a hit), of
+    a Picard sweep or of a held response, is formed from the boundary-sized
+    coupling, bitwise (raw_rhs - raw_matrix @ lift)[is_free] of its raw
+    matrix."""
+
+    @staticmethod
+    def reservoir():
+        fluid = FluidModel(mu0=3.95e-5, beta=3e-6, p0=101325.0)
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        mobility = dl.mobility_tensors(mesh, fluid, ZERO_XI, PermeabilityField.isotropic(mesh, 1e-12))
+        specs = [
+            BoundarySpec(pressure={"inlet": p, "well": fluid.p0}, velocity={"wall": 0.0})
+            for p in (10.0 * fluid.p0, 3.7e6)
+        ]
+        return mesh, lambda: mobility, specs
+
+    @staticmethod
+    def strip():
+        mesh = make_rectangle_mesh(10.0, 3.0, 20, 6)
+        specs = [
+            BoundarySpec(pressure={"right": p}, velocity={"left": -v, "top": 0.0, "bottom": 0.0})
+            for p, v in ((1.0, 0.063), (2.5, 0.021))
+        ]
+        return mesh, lambda: identity_mobility(mesh), specs
+
+    @staticmethod
+    def pure_velocity():
+        mesh = make_rectangle_mesh(10.0, 3.0, 20, 6)
+        specs = [
+            BoundarySpec(pressure={}, velocity={"left": -v, "right": v, "top": 0.0, "bottom": 0.0})
+            for v in (0.03, 0.11)
+        ]
+        return mesh, lambda: identity_mobility(mesh), specs
+
+    @staticmethod
+    def shared_corner():
+        # right and top differ at the corner (10, 3) they share, which is top's
+        mesh = make_rectangle_mesh(10.0, 3.0, 20, 6)
+        specs = [
+            BoundarySpec(
+                pressure={
+                    "right": lambda x, y, s=slope: 1.0 + s * y,
+                    "top": lambda x, y, s=slope: 1.0 + 0.5 * s * x,
+                },
+                velocity={"left": -v, "bottom": 0.0},
+            )
+            for v, slope in ((0.01, 0.05), (0.026, 0.1))
+        ]
+        return mesh, lambda: identity_mobility(mesh), specs
+
+    @staticmethod
+    def crossed_anisotropic():
+        fluid = FluidModel(mu0=1.0, beta=1.0, p0=1.0)
+        mesh = make_rectangle_mesh(10.0, 3.0, 20, 6, "crossed")
+        K = PermeabilityField.uniform_tensor(mesh, 1.0, 0.3, 0.5)
+        xi = BodyForcePotential(lambda x, y: 0.3 * y)
+        specs = [
+            BoundarySpec(pressure={"right": p, "left": 2.0}, velocity={"top": v, "bottom": 0.0})
+            for p, v in ((1.0, 0.04), (1.5, -0.02))
+        ]
+        # a new array on each call, of the same bits: the second assembly hits
+        return mesh, lambda: dl.mobility_tensors(mesh, fluid, xi, K), specs
+
+    CASES = ("reservoir", "strip", "pure_velocity", "shared_corner", "crossed_anisotropic")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_assembly_and_sweep_rhs_are_the_full_product(self, case):
+        mesh, mobility, specs = getattr(self, case)()
+        miss = dl.assemble(mesh, mobility(), specs[0])
+        hit = dl.assemble(mesh, mobility(), specs[1])
+        assert hit.raw_matrix is miss.raw_matrix and hit.A_red is miss.A_red
+        for system in (miss, hit):
+            want = _oracles.reduced_rhs(system.raw_matrix, system.raw_rhs, system.lift, system.is_free)
+            assert system.b_red.tobytes() == want.tobytes()
+        scaling = dl._edge_scaling(hit)
+        weights = np.random.default_rng(7).uniform(0.5, 2.0, scaling.edges[0].size)
+        _, b_red, _ = scaling.refill(hit, weights)
+        assert b_red.tobytes() == reduced_sweep(hit, weights)[1].tobytes()
+
+    @pytest.mark.parametrize("case", ("reservoir", "strip", "crossed_anisotropic"))
+    def test_response_rhs_is_the_full_product(self, case, monkeypatch):
+        # the right-hand side of each response, captured at the held factor,
+        # is that of unit data on its label alone: lift 1 at the nodes a
+        # pressure label owns, or the load of normal velocity 1 on a
+        # velocity label
+        mesh, mobility, specs = getattr(self, case)()
+        system = dl.assemble(mesh, mobility(), specs[0])
+        solved = []
+        reduced_factor = dl._reduced_factor
+
+        class Spy:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solved.append(b.copy())
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(dl, "_reduced_factor", lambda *args: Spy(reduced_factor(*args)))
+        assert dl._superpose(system) is not None
+        bcs, n = system.bcs, mesh.n_nodes
+        owned = geometry._owned(mesh, tuple(bcs.pressure))
+        want = []
+        for label, nodes in owned.items():
+            if system.lift[nodes][0] != 0.0:
+                lift = np.zeros(n)
+                lift[nodes] = 1.0
+                want.append(_oracles.reduced_rhs(system.raw_matrix, np.zeros(n), lift, system.is_free))
+        for label, data in bcs.velocity.items():
+            if data != 0.0:
+                load = np.zeros(n)
+                dl._add_label_load(load, mesh, label, 1.0)
+                want.append(_oracles.reduced_rhs(system.raw_matrix, load, np.zeros(n), system.is_free))
+        assert len(solved) == len(want) >= 1
+        for got, b in zip(solved, want):
+            assert got.tobytes() == b.tobytes()
+
+    def test_warm_assembly_makes_no_sparse_product(self, table1_fluid, monkeypatch):
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 400, 120)
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        mobility = dl.mobility_tensors(mesh, table1_fluid, ZERO_XI, K)
+        specs = [
+            BoundarySpec(pressure={"inlet": p, "well": table1_fluid.p0}, velocity={"wall": 0.0})
+            for p in (10.0 * table1_fluid.p0, 4e9)
+        ]
+        cold = dl.assemble(mesh, mobility, specs[0])
+        products = []
+        matmul = sp._base._spbase.__matmul__
+
+        def spy(self, other):
+            products.append(type(self).__name__)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sp._base._spbase, "__matmul__", spy)
+        warm = dl.assemble(mesh, mobility, specs[1])
+        assert warm.raw_matrix is cold.raw_matrix
+        assert products == []
+        dl.nodal_reactions(warm, ScalarField(mesh, warm.lift))  # the spy sees a product
+        assert products == ["csr_matrix"]
 
 
 class TestBoundaryFlux:

@@ -186,11 +186,12 @@ class TestLabelGeometry:
 
 @pytest.mark.parametrize("data", ["all_pressure", "last_label", "pure_velocity"])
 def test_dirichlet_rows_and_reactions(mesh, data):
-    # the Dirichlet rows a held system carries, and those a Picard sweep
-    # refills (the transpose of its Dirichlet columns), are scipy's row
-    # indexing of their raw matrix at dirichlet, bit for bit, the sweep's
-    # raw matrix built in the test; the reactions formed from the held rows
-    # are nodal_reactions there
+    # the Dirichlet rows a held system carries are scipy's row indexing of
+    # its raw matrix at dirichlet, bit for bit; the coupling's entries are
+    # those of the rows in free columns, read one by one, with the held raw
+    # matrix's values, and a Picard sweep's refilled values are those of its
+    # raw matrix, built in the test; the reactions formed from the held
+    # rows are nodal_reactions there
     if data == "all_pressure":
         bcs = all_pressure(mesh)
     else:
@@ -200,17 +201,23 @@ def test_dirichlet_rows_and_reactions(mesh, data):
             velocity={label: 0.0 for label in mesh.labels if label != last},
         )
     held = dl.assemble(mesh, cell_mobility(mesh, True), bcs)
+    coupling = dl._entry.coupling
     scaling = dl._edge_scaling(held)
     scale = np.random.default_rng(4).uniform(0.5, 2.0, scaling.edges[0].size)
     scaling.refill(held, scale)
     sweep_raw = _oracles.scaled_stiffness(held.raw_matrix, scaling.edges, scale)
-    assert scaling._columns.data is not held.dirichlet_rows.data
-    for got, raw in ((held.dirichlet_rows, held.raw_matrix), (scaling._columns.T, sweep_raw)):
-        want = raw[held.dirichlet]
-        assert got.shape == want.shape
-        assert_bitwise(got.indptr.astype(np.int64), want.indptr.astype(np.int64))
-        assert_bitwise(got.indices.astype(np.int64), want.indices.astype(np.int64))
-        assert_bitwise(got.data, want.data)
+    want = held.raw_matrix[held.dirichlet]
+    got = held.dirichlet_rows
+    assert got.shape == want.shape
+    assert_bitwise(got.indptr.astype(np.int64), want.indptr.astype(np.int64))
+    assert_bitwise(got.indices.astype(np.int64), want.indices.astype(np.int64))
+    assert_bitwise(got.data, want.data)
+    assert scaling.values is not coupling.values
+    for values, raw in ((coupling.values, held.raw_matrix), (scaling.values, sweep_raw)):
+        dnode, column, want_values = _oracles.coupling_entries(raw, held.dirichlet, held.is_free)
+        assert_bitwise(coupling.dnode.astype(np.int64), dnode)
+        assert_bitwise(coupling.nodes[coupling.slot].astype(np.int64), column)
+        assert_bitwise(values, want_values)
     P = rough_field(mesh)
     reactions = dl.nodal_reactions(held, P)[held.dirichlet]
     assert_bitwise(dl._reactions(held, P.values), reactions)

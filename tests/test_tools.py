@@ -1,6 +1,7 @@
 """The tools the change notes rely on run, and the bit-check harness is
 deterministic: tools/output_digest.py, which digests a fixed grid of solves
-so that two checkouts can be compared bit for bit, and tools/code_size.py,
+so that two checkouts can be compared bit for bit (--against another
+checkout compares them in one command), and tools/code_size.py,
 which counts each module's code and docstring lines. Each runs as a
 subprocess, as it is run by hand, so a name the digest wraps that no longer
 exists fails here."""
@@ -14,9 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 RATIOS = ("0.1", "0.26", "0.63", "0.95")
 
 
-def run(script):
+def run(script, *args):
     proc = subprocess.run(
-        [sys.executable, f"tools/{script}"], cwd=ROOT, capture_output=True, text=True, timeout=600
+        [sys.executable, f"tools/{script}", *args], cwd=ROOT, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -57,6 +58,12 @@ def test_output_digest_is_deterministic_and_covers_its_grid():
     fields = [n for n in names if n.startswith(case) and re.search(r"/solve\d+/field$", n)]
     fluxes = [n for n in names if n.startswith(case) and re.search(r"/solve\d+/boundary_flux$", n)]
     assert len(fields) > len(fluxes) >= 1
+
+
+def test_output_digest_against_its_own_tree_prints_nothing():
+    # the digest of this tree, run in a subprocess, against this tree's own:
+    # exit 0 (run checks it) and no line that differs
+    assert run("output_digest.py", "--against", str(ROOT)) == []
 
 
 def test_code_size_lists_every_module():

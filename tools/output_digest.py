@@ -5,6 +5,14 @@ checkout and compare the two listings:
     python tools/output_digest.py > digests.txt
     diff parent/digests.txt change/digests.txt
 
+or in one command, from the checkout of the change:
+
+    python tools/output_digest.py --against ../parent
+
+which runs the digest of the other checkout (its own tools/output_digest.py,
+on its own src) in a subprocess, prints each line that differs, "-" for
+the other checkout's and "+" for this one's, and exits with 1 if any does.
+
 The script imports poroflow from the src directory next to it. Its grid:
 
 * the 10 x 3 strip on a 40 x 12 mesh, diagonal and crossed, with xi = 0 and
@@ -40,7 +48,10 @@ choice. It runs in a few seconds on one core and prints about 3,300 lines.
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -280,15 +291,42 @@ def corner_grid(rec):
         rec.end()
 
 
-def main():
+def digests():
+    """The digest lines of this checkout's grid."""
     rec = Recorder()
     strip_grid(rec)
     reservoir_grid(rec)
     rec.case = "all"
     rec.emit("factorizations", rec.total_factors)
     corner_grid(rec)
-    print("\n".join(rec.lines))
+    return rec.lines
+
+
+def against(other: Path) -> int:
+    """Print the lines in which the digest of the checkout other differs
+    from this one's; 1 if any does, else 0."""
+    script = other / "tools" / "output_digest.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=other, capture_output=True, text=True, check=True
+    )
+    diff = [
+        line
+        for line in difflib.unified_diff(proc.stdout.splitlines(), digests(), n=0, lineterm="")
+        if line.startswith(("-", "+")) and not line.startswith(("---", "+++"))
+    ]
+    print("\n".join(diff), end="\n" if diff else "")
+    return 1 if diff else 0
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, help="another checkout to compare with, bit for bit")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against.resolve())
+    print("\n".join(digests()))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
