@@ -30,14 +30,18 @@ and Gaches; Higham, ch. 7): omega = ||b - A x||_2 / (a_max ||x||_2 +
 ||b||_2) <= 64 eps, a_max the largest diagonal entry of A, a lower bound on
 ||A||_2 that makes the test stricter, and a finite x. A relative residual
 grows with the condition number as meshes refine; omega does not. a_max is
-held with the reduced matrix, or read from a sweep's diagonal. r = b - A x
-is formed once per solve (a CG sweep passes on the one it stopped at), and
-the transformed solve's reactions at the free nodes are this r. Every norm
-of a reduced solve, and every inner product of CG, is a BLAS dot product
-that reports no overflow (_norm); where v . v leaves the normal range, v
-is scaled by a power of two first, so a norm is finite wherever ||v|| is
-representable, and a finite one keeps the bits of sqrt(v . v). A solve
-with a norm that is not finite is not accepted.
+held with the reduced matrix, or read from a sweep's diagonal. The test
+takes ||b - A x|| in one of two forms. A solve forms r = b - A x once (a
+CG sweep passes on the one it stopped at). A superposition of held
+responses takes an upper bound on ||r|| from what each response keeps, and
+forms r only where that bound does not pass (see _superpose). The
+transformed solve's reactions are the Dirichlet rows' at the pressure
+nodes and +0.0 at the free nodes, whose equations are the ones solved
+(see SolveReport). Every norm of a reduced solve, and every inner product
+of CG, is a BLAS dot product that reports no overflow (_norm); where v . v
+leaves the normal range, v is scaled by a power of two first, so a norm is
+finite wherever ||v|| is representable, and a finite one keeps the bits of
+sqrt(v . v). A solve with a norm that is not finite is not accepted.
 
 Every factorization follows one rule (_factor), which reads the matrix's
 pattern and its nodes' coordinates and nothing else, so a matrix gets the
@@ -59,33 +63,34 @@ The transformed problem's matrix depends on the mesh, the permeability and
 mu0 but not on the boundary data, so the module holds one entry for the
 last system assembled: its mesh (by weak reference), its mobility (the
 read-only K/mu0 of mobility_tensors itself, or else a copy), its Dirichlet
-nodes, its raw and reduced matrices, the raw matrix's Dirichlet rows (CSR),
-their coupling to the free nodes (_Coupling: the free nodes those rows
-reach and the free boundary nodes, and each entry of the rows in a free
-column, boundary-sized), its flux operator (the two CSR matrices that map
-nodal values to the per-triangle velocity, see recover_velocity) and, once
-solved, one factor, of either kind. No P1 gradients are held: the flux
+nodes, its raw and reduced matrices, the reduced matrix's largest diagonal
+entry, absolute row sum and row length, the raw matrix's Dirichlet rows
+(CSR), their coupling to the free nodes (_Coupling: the free nodes those
+rows reach and the free boundary nodes, and each entry of the rows in a
+free column, boundary-sized), its flux operator (the two CSR matrices that
+map nodal values to the per-triangle velocity, see recover_velocity) and,
+once solved, one factor, of either kind. No P1 gradients are held: the flux
 operator's data are the products M grad(phi_j) that the assembly forms
 anyway. An assembly on the same mesh, with the held mobility array itself
 or else one of the same bits, and with the same Dirichlet node set builds
 only the load, the Dirichlet values and the reduced right-hand side, the
 last from the coupling (_Coupling.rhs), with no n-long sparse product; what
-a warm superposed solve does per call is listed below. The load
-and the Dirichlet values read the boundary geometry the mesh keeps (see
-geometry). The solution paths read the pressure data once, for their gauge
-(_gauge), and hand the caller's spec, for its partition and velocity data,
-and the mapped values to the assembly (_assemble), so a warm transformed
-solve evaluates each datum once, builds no BoundarySpec and computes no
-boundary geometry. Every assembly returns the held matrices and flux
-operator themselves, read-only: their data, indices and indptr arrays
-cannot be written, so no caller can change what a later call finds. A
-system keeps them alive after the entry is replaced or freed, so its
-velocity never depends on what is held. The transformed solve computes no
-velocity and maps no node back: its report keeps U, the flux operator (not
-the system) and the pressure data, and computes v and p from them on first
-read (see SolveReport). A solve of the held reduced matrix reuses its
-factor; any other matrix drops the entry and is factored without being
-held. So a sweep over pressure data on one mesh assembles and factors once.
+a warm superposed solve does per call is listed below. The load and the
+Dirichlet values read the boundary geometry the mesh keeps (see geometry).
+The solution paths read the pressure data once, for their gauge (_gauge),
+and hand the caller's spec, for its partition and velocity data, and the
+mapped values to the assembly (_assemble), so a warm transformed solve
+evaluates each datum once, builds no BoundarySpec and computes no boundary
+geometry. Every assembly returns the held matrices and flux operator
+themselves, read-only: their data, indices and indptr arrays cannot be
+written, so no caller can change what a later call finds. A system keeps
+them alive after the entry is replaced or freed, so its velocity never
+depends on what is held. The transformed solve computes no velocity and
+maps no node back: its report keeps U, the flux operator (not the system)
+and the pressure data, and computes v and p from them on first read (see
+SolveReport). A solve of the held reduced matrix reuses its factor; any
+other matrix drops the entry and is factored without being held. So a sweep
+over pressure data on one mesh assembles and factors once.
 
 The transformed problem is linear in its variable, so where its mapped data
 are constant on every label its reduced solution is x = sum of c_l H_l, c_l
@@ -93,22 +98,28 @@ the datum of label l and H_l the reduced solution for unit data on l alone
 (the linear-decomposition argument of verification.calibrate_ceiling_flux).
 The entry holds one H_l per label with nonzero data, for one partition of
 the labels (the pressure and velocity labels, each in spec order), made on
-first need by the held factor of the reduced matrix (see _superpose). A
+first need by the held factor of the reduced matrix (see _superpose). With
+each it keeps the norm of its residual, from the one product with A_red
+made then, and H_l's norm, its right-hand side at the coupling's rows and
+that side's norm, and its largest and smallest values (_ResponseBounds). A
 transformed solve whose pressure labels each take one value at the nodes
 they own, whose velocity data are constants and which has a pressure node
-forms x from them and r = b - A x once, and makes no triangular solve once
-its responses are held. An x the test rejects, any other data and every
-solve outside the transformed path take solve. The responses are solutions
-of the reduced matrix, not of the factor, so a sweep factor that takes the
-slot leaves them held; a call with another partition replaces them, and
-they go with the entry. Per call, such a warm superposed solve makes a
-fixed number of n-long passes: the load, the lift and the free mask; the
-zeros of b_red; x, one pass per term; its one matvec, r = b_red - A_red x;
-the three norms of the test (_accept); U (the free scatter of x), its
-largest value, P and the reactions. The rest is boundary-sized: the data at
-the pressure nodes, C(p_ref) and the Kirchhoff map there, the coupling's
-sums, scattered into b_red, and the Dirichlet rows, for the reactions at
-those nodes. It evaluates no constant datum at points.
+forms x from them and accepts it from the bound on its residual that they
+give, and makes no triangular solve and no product with A_red once its
+responses are held. An x the bound does not pass is tested on its formed
+residual; an x that test rejects, any other data and every solve outside
+the transformed path take solve. The responses are solutions of the reduced
+matrix, not of the factor, so a sweep factor that takes the slot leaves
+them held; a call with another partition replaces them, and they go with
+the entry. Per call, such a warm superposed solve makes a fixed number of
+n-long passes: the load, the lift and the free mask; the zeros of b_red; x,
+one pass per term; the norm of x, for the test (_accept); U (the free
+scatter of x), P and the zeros of the reactions. Where the responses'
+extrema do not bound x below C it also scans U's largest value. The rest is
+boundary-sized: the data at the pressure nodes, C(p_ref) and the Kirchhoff
+map there, the coupling's sums, scattered into b_red and gathered back for
+the bound, and the Dirichlet rows, for the reactions at those nodes. It
+evaluates no constant datum at points.
 
 The sweep policy. A sweep of ``barus_direct``'s Picard solve is one call,
 _solve_sweep(base, weights, start), the only place this policy runs: base
@@ -181,6 +192,8 @@ from .transform import BodyForcePotential, FluidModel
 
 # Bound on the normwise backward error of every reduced solve (see solve).
 _OMEGA_MAX = 64 * np.finfo(float).eps
+# The unit roundoff u of float64: fl(a op b) = (a op b)(1 + d), |d| <= u.
+_UNIT = 2.0**-53
 # The smallest normal float: a v . v below it is scaled (see _norm).
 _NORMAL_MIN = float(np.finfo(float).tiny)
 # Relative residual at which CG on a Picard sweep stops.
@@ -232,10 +245,12 @@ class SparseSystem:
 class LinearSolveResult:
     field: ScalarField
     iterations: int  # CG iterations of the solve; 0 for a direct solve
-    residual: float  # normwise backward error of the reduced solve (see solve)
+    # normwise backward error of the reduced solve, or a bound on it (see _accept)
+    residual: float
     reduced: np.ndarray  # at the free nodes, ascending, as solved: no shift, no copy
-    # b_red - A_red @ reduced, the residual omega is computed from
-    _r: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
+    # an upper bound on the largest value of reduced, from the responses it
+    # was superposed from (see _superpose); inf for any other solve
+    _peak: float = dataclasses.field(default=math.inf, repr=False, compare=False)
 
 
 @dataclass
@@ -259,11 +274,17 @@ class SolveReport:
     physical pressure: the data on the pressure segments, elsewhere the
     kirchhoff_inverse of U minus xi, from the pressure data, p_ref, C and, for
     a nonzero potential only, xi at the nodes. The solve has checked that U
-    is below C there, so a read cannot raise. reactions are those of
-    _reactions(system, U) at the Dirichlet nodes (node 0 for pure-velocity
-    data), the bits of nodal_reactions(system, U) there, and elsewhere b_red
-    - A_red x, the residual omega is computed from, x superposed or solved;
-    the two forms differ by rounding."""
+    is below C there, so a read cannot raise.
+
+    reactions are those of _reactions(system, U) at the Dirichlet nodes
+    (node 0 for pure-velocity data), the bits of nodal_reactions(system, U)
+    there, and +0.0 at every free node, on both paths: a free node's
+    discrete equation is the one solved, and residual bounds what rounding
+    leaves of it. residual is the backward error omega of the test of
+    solve (_accept): for a U that solve solved, or a superposition the
+    bound did not pass, omega of the formed residual b_red - A_red x; for a
+    superposed U, the upper bound on it that the held responses give (see
+    _superpose), at least the omega of the formed residual."""
 
     U: ScalarField
     P: ScalarField
@@ -354,11 +375,28 @@ class _Responses:
     one partition of the labels: a pressure label's response has lift 1 at
     the nodes it owns (geometry._owned) and no load, a velocity label's the
     load of normal velocity 1 on it and no lift. Each is made on first need,
-    read-only."""
+    read-only, with what the bounds of _superpose read of it."""
 
     partition: tuple  # (pressure labels, velocity labels), each in spec order
-    nodes: dict  # pressure label -> the nodes it owns, ascending
+    nodes: dict  # pressure label -> the nodes it owns, ascending (read-only)
     H: dict  # label -> its response
+    bounds: dict  # label -> its response's _ResponseBounds
+
+
+@dataclass(frozen=True)
+class _ResponseBounds:
+    """What the bounds of _superpose read of one response H, made with it:
+    its right-hand side b at the coupling's rows (_Coupling.pos; b is 0 at
+    the other free nodes), read-only, the norms of H, of b and of the
+    residual fl(b - A_red H) as formed once, and the largest and smallest
+    value of H."""
+
+    b: np.ndarray
+    norm: float
+    rho: float
+    b_norm: float
+    high: float
+    low: float
 
 
 @dataclass
@@ -374,6 +412,8 @@ class _Held:
     dirichlet_rows: sp.csr_matrix  # raw[dirichlet], for the reactions there
     flux_operator: tuple  # (Vx, Vy) of mobility on mesh; see _flux_operator
     a_max: float  # the largest diagonal entry of A_red
+    a_norm: float  # the largest absolute row sum of A_red, its infinity norm
+    row_nnz: int  # the most entries in one row of A_red
     # of the Dirichlet nodes to the free ones, for b_red; built by the
     # assembly that made the entry
     coupling: "_Coupling" = None
@@ -481,6 +521,11 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, is_free) -> _Held:
     red = raw[free][:, free]
     a_max = float(raw_diagonal[free].max(initial=0.0))
     del upper, off, diag, raw_diagonal, b  # freed before the flux operator is built
+    # |A_red| @ 1, its absolute row sums, for the bounds of _superpose, built
+    # once the temporaries above are freed
+    absolute = sp.csr_matrix((np.abs(red.data), red.indices, red.indptr), shape=red.shape)
+    a_norm = float((absolute @ np.ones(free.size)).max(initial=0.0))
+    del absolute
     dirichlet_rows = raw[dirichlet]
 
     memo = _mobility
@@ -493,6 +538,8 @@ def _hold_system(mesh: Mesh, mobility: np.ndarray, dirichlet, is_free) -> _Held:
         dirichlet_rows=dirichlet_rows,
         flux_operator=_flux_operator(fx, fy, tri, n),
         a_max=a_max,
+        a_norm=a_norm,
+        row_nnz=int(np.diff(red.indptr).max(initial=0)),
     )
     dirichlet.setflags(write=False)  # every caller gets these arrays
     for m in (raw, red, dirichlet_rows, *_entry.flux_operator):
@@ -854,15 +901,26 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _accept(system, x, r, a_max, bnorm, iterations, field):
-    """The LinearSolveResult of x, the reduced solution of system, r = b_red
-    - A_red x, a_max the largest diagonal entry of A_red and bnorm ||b_red||,
-    if x passes the test of the module docstring, else NoConvergence. Its
-    field, built by field, is the lift with x at the free nodes, for
+    """The LinearSolveResult of x, the reduced solution of system, if x
+    passes the one test of the module docstring, omega = ||b_red - A_red x||
+    / (a_max ||x|| + bnorm) <= 64 eps with a finite denominator, else
+    NoConvergence; a_max is the largest diagonal entry of A_red and bnorm
+    ||b_red||, and result.residual is the omega tested.
+
+    The test takes its numerator in one of two forms, its two proofs. r is
+    either the residual b_red - A_red x as formed (solve, a sweep, and a
+    superposition the bound did not pass), whose norm gives omega, or a
+    float: an upper bound on ||b_red - A_red x|| (a superposition, see
+    _superpose), which gives an omega at least as large, so an x it passes
+    would pass with its residual formed too.
+
+    The field, built by field, is the lift with x at the free nodes, for
     pure-velocity data shifted to peak at 0. x is not scanned: its norm is
     finite only for a finite x (see _norm)."""
     # Python floats: a NaN gives a NaN omega, not a warning, and an overflow
     # inf; the denominator is 0 only where b_red = 0 is solved by x = 0
-    xnorm, rnorm = _norm(x), _norm(r)
+    xnorm = _norm(x)
+    rnorm = r if isinstance(r, float) else _norm(r)
     a_max = float(a_max)
     denominator = a_max * xnorm + bnorm
     if denominator == math.inf and xnorm < math.inf and bnorm < math.inf:
@@ -878,7 +936,7 @@ def _accept(system, x, r, a_max, bnorm, iterations, field):
     values[system.dirichlet] = system.lift[system.dirichlet]
     if not system.bcs.pressure:
         values -= values.max()
-    return LinearSolveResult(field(system.mesh, values), iterations, omega, x, r)
+    return LinearSolveResult(field(system.mesh, values), iterations, omega, x)
 
 
 def _check_compatible(system: SparseSystem) -> None:
@@ -1073,13 +1131,14 @@ def _responses(held: _Held, system: SparseSystem) -> _Responses:
     partition = (tuple(bcs.pressure), tuple(bcs.velocity))
     responses = held.responses
     if responses is None or responses.partition != partition:
-        held.responses = responses = _Responses(partition, _owned(system.mesh, partition[0]), {})
+        held.responses = responses = _Responses(partition, _owned(system.mesh, partition[0]), {}, {})
     return responses
 
 
-def _response(held: _Held, responses: _Responses, system: SparseSystem, label: str) -> np.ndarray:
-    """The held response of label, solved by the held factor of A_red on
-    first need (see _Responses)."""
+def _response(held: _Held, responses: _Responses, system: SparseSystem, label: str):
+    """(H, its _ResponseBounds): the held response of label, solved by the
+    held factor of A_red on first need (see _Responses), with the one
+    product with A_red it costs, for rho."""
     H = responses.H.get(label)
     if H is None:
         n = system.mesh.n_nodes
@@ -1090,9 +1149,22 @@ def _response(held: _Held, responses: _Responses, system: SparseSystem, label: s
             _add_label_load(load, system.mesh, label, 1.0)
         b = held.coupling.rhs(load, lift, held.coupling.values)
         H = _reduced_factor(held, system).solve(b)
-        H.setflags(write=False)
+        r = held.A_red @ H
+        np.subtract(b, r, out=r)
+        b = b[held.coupling.pos]
+        for a in (H, b):
+            a.setflags(write=False)
         responses.H[label] = H
-    return H
+        responses.bounds[label] = _ResponseBounds(
+            b, _norm(H), _norm(r), _norm(b), float(H.max()), float(H.min())
+        )
+    return H, responses.bounds[label]
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative error of
+    k roundings in a row (Higham, ch. 3)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
 
 
 def _superpose(system: SparseSystem):
@@ -1104,7 +1176,29 @@ def _superpose(system: SparseSystem):
     datum, a pressure label whose values differ between its nodes, data
     that are 0 on every label or a b_red of norm 0, or an x that fails
     the test of solve (_accept). A first response made with a sweep factor
-    in the slot refactors A_red, as solve does."""
+    in the slot refactors A_red, as solve does.
+
+    x is tested with no product with A_red. With b_l the right-hand side of
+    H_l, b_red - A_red x = (b_red - sum c_l b_l) + sum c_l (b_l - A_red H_l)
+    - A_red e, e the rounding of x, |e| <= gamma_L sum |c_l| |H_l| for L
+    terms. Each response keeps rho_l, the norm of its residual as formed,
+    which is within gamma_{m+1} (|b_l| + |A_red| |H_l|) of the exact one, m
+    the most entries in a row of A_red; and ||(|A_red| |H_l|)|| <= N_l =
+    ||A_red||_inf ||H_l||, as A_red is symmetric. The b_l are 0 off the
+    coupling's rows, and so is b_red, so the first term is boundary-sized,
+    and it is formed within gamma_{L+1} (|b_red| + sum |c_l| |b_l|). So
+
+        ||b_red - A_red x|| <= ||fl(b_red - sum c_l b_l)||
+            + gamma_{L+1} (||b_red|| + sum |c_l| ||b_l||)
+            + sum |c_l| (rho_l + gamma_{m+1} (||b_l|| + N_l))
+            + gamma_L sum |c_l| N_l,
+
+    up to the rounding of the norms and sums themselves (relative, about n
+    u), and the test takes this bound (omega-bar) for ||r||. Where it does
+    not pass, r = b_red - A_red x is formed and tested as solve tests it.
+    result._peak bounds x from the responses' extrema: x_i <= sum
+    max(c_l max H_l, c_l min H_l) + gamma_{2L} sum |c_l| max |H_l|, gamma_L
+    for the rounding of x and as much again for that of the sum."""
     bcs = system.bcs
     held = _entry_for(system.mesh)
     assert held is not None and held.A_red is system.A_red  # system was just assembled
@@ -1115,26 +1209,45 @@ def _superpose(system: SparseSystem):
     for label, nodes in responses.nodes.items():
         values = system.lift[nodes]
         if values.size:
-            c = values[0]
+            c = float(values[0])
             if not (values == c).all():
                 return None
             if c != 0.0:
                 terms.append((label, c))
     terms += [(label, float(data)) for label, data in bcs.velocity.items() if float(data) != 0.0]
-    bnorm = _norm(system.b_red)
+    gap = system.b_red[held.coupling.pos]  # b_red is 0 off the coupling's rows
+    bnorm = _norm(gap)
     if not terms or bnorm == 0.0:
         return None
-    x = None
+    x, g_row = None, _gamma(held.row_nnz + 1)
+    # sums over the terms: |c_l| ||b_l||, the rho_l term, |c_l| N_l, the
+    # largest c_l H_l and |c_l| max |H_l|
+    b_sum = rho_sum = n_sum = peak = spread = 0.0
     for label, c in terms:
-        cH = c * _response(held, responses, system, label)
+        H, bounds = _response(held, responses, system, label)
+        cH = c * H
         x = cH if x is None else np.add(x, cH, out=x)
-    r = system.A_red @ x
-    np.subtract(system.b_red, r, out=r)  # b_red - A_red x
+        gap -= c * bounds.b
+        w, n_l = abs(c), held.a_norm * bounds.norm
+        b_sum += w * bounds.b_norm
+        rho_sum += w * (bounds.rho + g_row * (bounds.b_norm + n_l))
+        n_sum += w * n_l
+        peak += max(c * bounds.high, c * bounds.low)
+        spread += w * max(bounds.high, -bounds.low)
+    L = len(terms)
+    bound = _norm(gap) + _gamma(L + 1) * (bnorm + b_sum) + rho_sum + _gamma(L) * n_sum
+    # the lift of a system assemble has just built is finite
     try:
-        # the lift of a system assemble has just built is finite
-        return _accept(system, x, r, held.a_max, bnorm, 0, ScalarField._of_finite)
+        result = _accept(system, x, bound, held.a_max, bnorm, 0, ScalarField._of_finite)
     except NoConvergence:
-        return None
+        r = system.A_red @ x
+        np.subtract(system.b_red, r, out=r)  # b_red - A_red x
+        try:
+            result = _accept(system, x, r, held.a_max, _norm(system.b_red), 0, ScalarField._of_finite)
+        except NoConvergence:
+            return None
+    result._peak = peak + _gamma(2 * L) * spread
+    return result
 
 
 def _overshoot_note(raw: sp.csr_matrix) -> str:
@@ -1189,7 +1302,9 @@ def solve_transformed_bvp(
     pressure node, the reduced solution is superposed from the per-label
     responses the held entry keeps, each made once by one triangular solve
     (see _superpose and the module docstring), and is accepted by the test
-    of solve (_accept). Data
+    of solve (_accept) from the bound on its residual that the responses
+    give; the existence test then scans U only where their extrema do not
+    bound it below C. Data
     that vary along a label (a callable that does, or any nonzero xi that
     varies along a pressure label), callable velocity data, pure-velocity
     data and a superposed solution that fails the test are solved by solve.
@@ -1208,7 +1323,9 @@ def solve_transformed_bvp(
     result = _superpose(system) or solve(system)
     U = result.field.values
 
-    if U.max() >= ceiling:  # else no node is at or above C
+    # a superposed x lies below _peak: where that is below C, no free node
+    # can be at or above it, and U is not scanned
+    if not result._peak < ceiling and U.max() >= ceiling:
         nodes = np.flatnonzero(system.is_free & (U >= ceiling))
         if nodes.size:
             raise NonExistence(
@@ -1219,9 +1336,8 @@ def solve_transformed_bvp(
             )
     P = U - ceiling
     P[dnodes] = transform.hopf_cole_inverse(modified, 0.0, fluid)
-    # the Dirichlet rows' reactions there, the residual of omega at the others
-    reactions = np.empty(mesh.n_nodes)
-    reactions[system.is_free] = result._r
+    # the Dirichlet rows' reactions there, +0.0 at the free nodes
+    reactions = np.zeros(mesh.n_nodes)
     reactions[system.dirichlet] = _reactions(system, U)
     return SolveReport(
         U=result.field,

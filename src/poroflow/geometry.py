@@ -6,9 +6,10 @@ _pressure_data, each node once.
 The geometry of those reads is computed once per mesh, on first use, and
 kept with it (Mesh._segments, one _Segment per label): each label's edges,
 its nodes with their coordinates, and per Gauss point the weight times the
-edge length and the point coordinates. Its arrays are read-only and take
-O(boundary) memory, so a read of boundary data evaluates the data and does
-nothing else.
+edge length and the point coordinates; so are the nodes each pressure label
+owns, per tuple of pressure labels (Mesh._owners, see _owned). Its arrays
+are read-only and take O(boundary) memory, so a read of boundary data
+evaluates the data and does nothing else.
 
 Meshes are immutable after construction. Boundary edges are oriented
 counter-clockwise around the domain so the outward normal of edge (a, b)
@@ -21,6 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
 import numpy as np
@@ -66,6 +68,12 @@ class Mesh:
         for i, lab in enumerate(self.edge_labels):
             rows.setdefault(lab, []).append(i)
         return {lab: _Segment.of(self, np.array(r)) for lab, r in rows.items()}
+
+    @cached_property
+    def _owners(self) -> dict:
+        """{pressure labels in spec order: their owned nodes}, filled by
+        _owned on first use of each label tuple and kept with the mesh."""
+        return {}
 
     def _segment(self, label: str) -> "_Segment":
         """The _Segment of label; UnknownLabel if no edge carries it."""
@@ -529,18 +537,24 @@ def _edge_samples(mesh: Mesh, label: str, data: BCData) -> np.ndarray:
     return _finite(eval_bc(data, *mesh._segment(label).samples), label)
 
 
-def _owned(mesh: Mesh, labels) -> dict:
+def _owned(mesh: Mesh, labels) -> Mapping:
     """{label: the nodes it owns, ascending} for the pressure labels in spec
     order: a node two labels share is the later one's, so the sets partition
     the pressure nodes. The one rule for shared nodes: _pressure_data takes
     each node's datum from its owner, and boundary_flux sums its reaction
-    there."""
-    owned, taken = {}, np.zeros(mesh.n_nodes, dtype=bool)
-    for label in reversed(labels):
-        nodes = mesh._segment(label).nodes
-        owned[label] = nodes[~taken[nodes]]
-        taken[nodes] = True
-    return dict(reversed(owned.items()))
+    there. Computed once per mesh and label tuple and kept with the mesh
+    (Mesh._owners): a repeat call returns the same read-only mapping of the
+    same read-only arrays."""
+    key = tuple(labels)
+    owned = mesh._owners.get(key)
+    if owned is None:
+        found, taken = {}, np.zeros(mesh.n_nodes, dtype=bool)
+        for label in reversed(key):
+            nodes = mesh._segment(label).nodes
+            found[label] = _read_only(nodes[~taken[nodes]])
+            taken[nodes] = True
+        owned = mesh._owners[key] = MappingProxyType(dict(reversed(found.items())))
+    return owned
 
 
 def _pressure_data(mesh: Mesh, bcs: BoundarySpec):

@@ -395,7 +395,7 @@ class TestFactorReuse:
         solve, solve_sweep, refill = dl.solve, dl._solve_sweep, dl._EdgeScaling.refill
 
         def results(result):
-            vectors.extend([result.reduced, result._r, result.field.values])
+            vectors.extend([result.reduced, result.field.values])
             return result
 
         def sweeping(base, weights, start):
@@ -1267,10 +1267,10 @@ class TestPressureOnDemand:
 
 
 class TestOneResidual:
-    """A solve forms r = b_red - A_red x once: omega comes from it, a CG
-    sweep passes on the residual it stopped at, and a transformed solve
-    takes the free rows of its reactions from it, forming only the rows of
-    the pressure nodes."""
+    """A solve forms r = b_red - A_red x once and omega comes from it: a CG
+    sweep passes on the residual it stopped at. A transformed solve forms
+    its reactions only in the rows of the pressure nodes, and they are +0.0
+    at the free nodes."""
 
     @staticmethod
     def recorded_solves(monkeypatch):
@@ -1304,13 +1304,34 @@ class TestOneResidual:
         return solves
 
     def test_cg_sweeps_pass_on_their_residual(self, monkeypatch):
-        solves = self.recorded_solves(monkeypatch)
+        # each sweep's omega has the bits of that of b_red - A_red x formed
+        # here from its matrix, refilled once more, and its diagonal
+        omegas = []
+        solve, solve_sweep = dl.solve, dl._solve_sweep
+
+        def record(result, A, b, a_max):
+            x = result.reduced
+            omega = dl._norm(b - A @ x) / (float(a_max) * dl._norm(x) + dl._norm(b))
+            omegas.append((result.residual, omega))
+            return result
+
+        def sweeping(base, weights, start):
+            result = solve_sweep(base, weights, start)
+            A, b, d_A = dl._edge_scaling(base).refill(base, weights)
+            return record(result, A, b, d_A.max())
+
+        def solving(system):
+            A = system.A_red
+            return record(solve(system), A, system.b_red, A.diagonal().max())
+
+        monkeypatch.setattr(dl, "solve", solving)
+        monkeypatch.setattr(dl, "_solve_sweep", sweeping)
         mesh, fluid, K, bcs = TestFactorReuse.picard_strip()
         report = bd.picard_solve(mesh, fluid, BodyForcePotential(lambda x, y: 0.3 * y), K, bcs)
         assert report.converged and report.linear_iterations > 0
-        assert len(solves) == report.iterations
-        for system, result, r in solves:
-            assert result._r.tobytes() == r.tobytes()
+        assert len(omegas) == report.iterations
+        for residual, omega in omegas:
+            assert residual == omega
 
     @pytest.mark.parametrize("case", ["reservoir", "strip_gravity_crossed"])
     def test_reactions(self, case, table1_fluid, unit_fluid, monkeypatch):
@@ -1327,7 +1348,8 @@ class TestOneResidual:
         want = dl.nodal_reactions(system, report.U)
         pinned = ~system.is_free
         assert report.reactions[pinned].tobytes() == want[pinned].tobytes()
-        assert report.reactions[system.is_free].tobytes() == r.tobytes()
+        free = report.reactions[system.is_free]
+        assert free.tobytes() == np.zeros(free.size).tobytes()  # +0.0
         assert np.abs(report.reactions - want).max() <= 1e-13 * np.abs(report.reactions).max()
 
 
@@ -1336,34 +1358,46 @@ class TestNormRange:
     wherever ||v|| is representable (dl._norm). So data from about 1e154
     up, where v . v overflows, and down to about 1e-162, where it
     underflows, get an honest omega: no RuntimeWarning, and no accepted
-    solve reports omega = 0 while r != 0. No errstate is entered."""
+    solve reports omega = 0 while r != 0, nor any superposition omega = 0
+    while x != 0. No errstate is entered."""
 
     SCALES = [1e155, 1e300, 1e-170, 1e-300]
 
     @staticmethod
     def results(monkeypatch):
-        """The LinearSolveResult of each solve, superposed solve and sweep."""
+        """(result, r) of each solve and sweep, r = b_red - A_red x formed
+        while its arrays are current (a sweep's are refilled once more), and
+        (result, None) of each superposed solve, which may not form it."""
         found = []
 
-        def recording(solver):
+        def recording(name, solver):
             def call(*args):
                 result = solver(*args)
-                if result is not None:
-                    found.append(result)
+                if result is None:
+                    return result
+                x, r = result.reduced, None
+                if name == "solve":
+                    (system,) = args
+                    r = system.b_red - system.A_red @ x
+                elif name == "_solve_sweep":
+                    A, b, _ = dl._edge_scaling(args[0]).refill(*args[:2])
+                    r = b - A @ x
+                found.append((result, r))
                 return result
 
             return call
 
         for name in ("solve", "_superpose", "_solve_sweep"):
-            monkeypatch.setattr(dl, name, recording(getattr(dl, name)))
+            monkeypatch.setattr(dl, name, recording(name, getattr(dl, name)))
         return found
 
     @staticmethod
     def assert_honest(results):
         assert results
-        for result in results:
+        for result, r in results:
             assert 0.0 <= result.residual <= dl._OMEGA_MAX
-            assert (result.residual > 0.0) == bool((result._r != 0.0).any())
+            nonzero = result.reduced if r is None else r
+            assert (result.residual > 0.0) == bool((nonzero != 0.0).any())
 
     @staticmethod
     def strip(v):
@@ -1693,6 +1727,152 @@ class TestSuperposition:
         assert dl._entry is None and responses() is None
 
 
+class TestBoundedAcceptance:
+    """A superposed solve is accepted from a bound on its residual that its
+    held responses give (omega-bar, see dl._superpose), with no product
+    with A_red: report.residual is omega-bar, at least the omega of the
+    residual formed here and at most 64 eps. A bound that does not pass
+    forms the residual and tests it as dl.solve does. result._peak bounds
+    the superposed x from above."""
+
+    @staticmethod
+    def formed_omega(system, x):
+        """omega of b_red - A_red x, formed here as dl.solve forms it."""
+        A, b = system.A_red, system.b_red
+        return dl._norm(b - A @ x) / (float(A.diagonal().max()) * dl._norm(x) + dl._norm(b))
+
+    @staticmethod
+    def a_red_products(monkeypatch):
+        """The vectors each product with the held A_red is taken of."""
+        products = []
+        matmul = sp._base._spbase.__matmul__
+
+        def spy(self, other):
+            if dl._entry is not None and self is dl._entry.A_red:
+                products.append(other)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sp._base._spbase, "__matmul__", spy)
+        return products
+
+    def check_bound(self, monkeypatch, mesh, fluid, K, bcs):
+        """A cold solve, which makes the responses, then a warm one that
+        forms no product with A_red; returns (report, result) of the warm."""
+        dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        calls = TestSuperposition.superposed(monkeypatch)
+        products = self.a_red_products(monkeypatch)
+        report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        ((system, result),) = calls
+        assert products == []
+        monkeypatch.undo()
+        omega = self.formed_omega(system, result.reduced)
+        assert omega <= report.residual == result.residual <= dl._OMEGA_MAX
+        assert result.reduced.max() <= result._peak
+        return report, result
+
+    @pytest.mark.parametrize("p_inj", np.geomspace(1.6e5, 4e9, 5))
+    def test_reservoir(self, p_inj, table1_fluid, monkeypatch):
+        mesh, fluid, K, bcs = TestSuperposition.reservoir(table1_fluid, p_inj)
+        report, result = self.check_bound(monkeypatch, mesh, fluid, K, bcs)
+        # far from the ceiling: the existence test needs no scan of U
+        assert result._peak < tr.kirchhoff_ceiling(fluid, fluid.p0)
+
+    def test_warm_fine_reservoir_forms_no_product_with_A_red(self, table1_fluid, monkeypatch):
+        self.check_bound(monkeypatch, *TestSuperposition.reservoir(table1_fluid, 3e6, (400, 120)))
+
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    @pytest.mark.parametrize(
+        "k", [(1.0, 0.0, 1.0), (1.0, 0.3, 0.5), (1.0, -0.3, 0.5)], ids=["iso", "kxy0.3", "kxy-0.3"]
+    )
+    def test_strip(self, pattern, k, unit_fluid, monkeypatch):
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12, pattern)
+        K = PermeabilityField.uniform_tensor(mesh, *k)
+        self.check_bound(monkeypatch, mesh, unit_fluid, K, strip_bcs(0.063))
+
+    def test_shared_corner_with_constant_data(self, unit_fluid, monkeypatch):
+        # left and top share a corner, which is top's; left and the
+        # velocity on right are the terms
+        self.check_bound(monkeypatch, *TestSuperposition.two_pressure_labels(unit_fluid))
+
+    def test_term_sum_with_a_velocity_datum(self, unit_fluid, monkeypatch):
+        # three terms: two pressure labels and an outflow through bottom
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
+        K = PermeabilityField.isotropic(mesh, 1.0)
+        bcs = BoundarySpec(pressure={"left": 1.5, "top": 1.2, "right": 1.0}, velocity={"bottom": 0.01})
+        self.check_bound(monkeypatch, mesh, unit_fluid, K, bcs)
+        assert len(dl._entry.responses.H) == 3
+
+    def test_inflated_rho_falls_back_to_the_formed_residual(self, table1_fluid, monkeypatch):
+        mesh, fluid, K, bcs = TestSuperposition.reservoir(table1_fluid, 3e6)
+        cold = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        bounds = dl._entry.responses.bounds
+        (label,) = bounds
+        bounds[label] = dataclasses.replace(bounds[label], rho=1e-10 * bounds[label].b_norm)
+        calls = TestSuperposition.superposed(monkeypatch)
+        products = self.a_red_products(monkeypatch)
+        report = dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        ((system, result),) = calls
+        assert len(products) == 1  # the residual, formed once
+        monkeypatch.undo()
+        assert report.residual == self.formed_omega(system, result.reduced) <= dl._OMEGA_MAX
+        assert report.residual < cold.residual
+        assert report.U.values.tobytes() == cold.U.values.tobytes()
+
+    def test_responses_of_another_matrix_are_refused(self, table1_fluid, monkeypatch):
+        # every factor is that of A_red (1 + 1e-9): the responses' own
+        # residuals show it, so the bound refuses x, and so do the formed
+        # residual and then solve
+        mesh, fluid, K, bcs = TestSuperposition.reservoir(table1_fluid, 3e6)
+        factor, accept = dl._factor, dl._accept
+        tested = []
+
+        def accepting(system, x, r, *args):
+            tested.append("bound" if isinstance(r, float) else "formed")
+            return accept(system, x, r, *args)
+
+        monkeypatch.setattr(dl, "_factor", lambda A, *args: factor(A * (1.0 + 1e-9), *args))
+        monkeypatch.setattr(dl, "_accept", accepting)
+        calls = TestSuperposition.superposed(monkeypatch)
+        with pytest.raises(NoConvergence):
+            dl.solve_transformed_bvp(mesh, fluid, ZERO_XI, K, bcs)
+        assert calls == [None] and tested == ["bound", "formed", "formed"]
+
+
+class TestExistenceBound:
+    """A superposed solve scans U for the ceiling only where the responses'
+    extrema do not bound x below C (result._peak); where it scans, it
+    raises NonExistence on the nodes a solve of the system finds."""
+
+    @staticmethod
+    def strip(v_left, v_bottom):
+        mesh = make_rectangle_mesh(10.0, 3.0, 40, 12)
+        bcs = BoundarySpec(pressure={"right": 1.0}, velocity={"left": -v_left, "bottom": v_bottom, "top": 0.0})
+        return mesh, PermeabilityField.isotropic(mesh, 1.0), bcs
+
+    def test_bound_that_does_not_clear_and_U_below_C(self, unit_fluid, monkeypatch):
+        # inflow 1.2 v* through left, whose response alone passes C, and an
+        # outflow through bottom that keeps U below it
+        mesh, K, bcs = self.strip(0.12, 0.02)
+        calls = TestSuperposition.superposed(monkeypatch)
+        report = dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, bcs)
+        ((_, result),) = calls
+        C = tr.kirchhoff_ceiling(unit_fluid, unit_fluid.p0)
+        assert result._peak >= C > report.U.values.max() >= result.reduced.max()
+
+    @pytest.mark.parametrize("v_left, v_bottom", [(0.12, 0.0), (0.15, 0.03)])
+    def test_non_existence_on_the_nodes_solve_finds(self, v_left, v_bottom, unit_fluid, monkeypatch):
+        mesh, K, bcs = self.strip(v_left, v_bottom)
+        calls = TestSuperposition.superposed(monkeypatch)
+        with pytest.raises(NonExistence) as superposed:
+            dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, bcs)
+        assert calls[0] is not None
+        monkeypatch.setattr(dl, "_superpose", lambda system: None)
+        with pytest.raises(NonExistence) as solved:
+            dl.solve_transformed_bvp(mesh, unit_fluid, ZERO_XI, K, bcs)
+        assert superposed.value.nodes.size > 0
+        assert np.array_equal(superposed.value.nodes, solved.value.nodes)
+
+
 class TestOneAcceptance:
     """solve and the superposition accept a reduced solution by one test
     (dl._accept): omega <= 64 eps and a finite x. The field of solve, whose
@@ -1783,13 +1963,13 @@ def coupling_arrays(coupling):
 
 def held_entry_bytes():
     """Bytes of the held entry's arrays, each memory block counted once,
-    the held responses and their label nodes and the coupling included; the
-    factor and the edge scaling are not counted."""
+    the held responses, their label nodes and right-hand sides and the
+    coupling included; the factor and the edge scaling are not counted."""
     arrays = []
     for field in dataclasses.fields(dl._entry):
         value = getattr(dl._entry, field.name)
         if isinstance(value, dl._Responses):
-            value = (*value.nodes.values(), *value.H.values())
+            value = (*value.nodes.values(), *value.H.values(), *(h.b for h in value.bounds.values()))
         elif isinstance(value, dl._Coupling):
             value = coupling_arrays(value)
         matrices = value if isinstance(value, tuple) else (value,)
@@ -2102,6 +2282,18 @@ class TestOwnerRule:
             assert np.all(np.diff(own) > 0)
             for later in order[i + 1:]:
                 assert np.intersect1d(own, mesh.nodes_with_label(later)).size == 0
+
+    def test_owned_nodes_are_kept_with_the_mesh_read_only(self, order):
+        mesh, bcs, _ = self.system(order)
+        owned = geometry._owned(mesh, bcs.pressure)
+        again = geometry._owned(mesh, tuple(bcs.pressure))
+        assert again is owned
+        for label in order:
+            assert again[label] is owned[label]
+            with pytest.raises(ValueError):
+                owned[label][0] = 0
+        with pytest.raises(TypeError):
+            owned[order[0]] = np.zeros(1, dtype=int)
 
     def test_each_owned_node_takes_its_labels_datum(self, order):
         mesh, bcs, system = self.system(order)

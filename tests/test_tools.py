@@ -6,6 +6,7 @@ which counts each module's code and docstring lines. Each runs as a
 subprocess, as it is run by hand, so a name the digest wraps that no longer
 exists fails here."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -64,6 +65,24 @@ def test_output_digest_against_its_own_tree_prints_nothing():
     # the digest of this tree, run in a subprocess, against this tree's own:
     # exit 0 (run checks it) and no line that differs
     assert run("output_digest.py", "--against", str(ROOT)) == []
+
+
+def test_output_digest_counts_each_class_of_differing_line():
+    # a class is a line's name with each run of digits replaced by N
+    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    listing = [
+        "-reservoir/p_inj4000000000.0/transformed/residual " + "a" * 64,
+        "+reservoir/p_inj4000000000.0/transformed/residual " + "b" * 64,
+        "-strip/crossed/xi0.3y/r0.1/warm2/transformed/reactions " + "c" * 64,
+        "+reservoir/p_inj162120.0/transformed/residual " + "d" * 64,
+    ]
+    assert digest.classes(listing) == [
+        "# 3 reservoir/p_injN.N/transformed/residual",
+        "# 1 strip/crossed/xiN.Ny/rN.N/warmN/transformed/reactions",
+    ]
+    assert digest.classes([]) == []
 
 
 def test_code_size_lists_every_module():

@@ -12,6 +12,12 @@ or in one command, from the checkout of the change:
 which runs the digest of the other checkout (its own tools/output_digest.py,
 on its own src) in a subprocess, prints each line that differs, "-" for
 the other checkout's and "+" for this one's, and exits with 1 if any does.
+A listing that is not empty ends with one line per class of the lines
+that differ, "# <count> <class>", in the order the classes first appear: a
+line's class is its name with each run of digits replaced by N (so
+"reservoir/p_inj4000000000.0/transformed/residual" is of the class
+"reservoir/p_injN.N/transformed/residual"), and the count is that of its
+lines in the listing, "-" and "+" lines both.
 
 The script imports poroflow from the src directory next to it. Its grid:
 
@@ -49,8 +55,10 @@ choice. It runs in a few seconds on one core and prints about 3,300 lines.
 from __future__ import annotations
 
 import argparse
+import collections
 import difflib
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +310,13 @@ def digests():
     return rec.lines
 
 
+def classes(listing) -> list:
+    """The "# <count> <class>" lines that end a listing of differing lines
+    (see the module docstring)."""
+    counts = collections.Counter(re.sub(r"\d+", "N", line[1:].split(" ", 1)[0]) for line in listing)
+    return [f"# {count} {name}" for name, count in counts.items()]
+
+
 def against(other: Path) -> int:
     """Print the lines in which the digest of the checkout other differs
     from this one's; 1 if any does, else 0."""
@@ -314,7 +329,7 @@ def against(other: Path) -> int:
         for line in difflib.unified_diff(proc.stdout.splitlines(), digests(), n=0, lineterm="")
         if line.startswith(("-", "+")) and not line.startswith(("---", "+++"))
     ]
-    print("\n".join(diff), end="\n" if diff else "")
+    print("\n".join(diff + classes(diff)), end="\n" if diff else "")
     return 1 if diff else 0
 
 
