@@ -119,7 +119,10 @@ extrema do not bound x below C it also scans U's largest value. The rest is
 boundary-sized: the data at the pressure nodes, C(p_ref) and the Kirchhoff
 map there, the coupling's sums, scattered into b_red and gathered back for
 the bound, and the Dirichlet rows, for the reactions at those nodes. It
-evaluates no constant datum at points.
+evaluates no constant datum at points, and neither do the assembly of its
+Hopf-Cole data nor the checks of ``verification`` that read them:
+transform_bcs maps a constant to a constant at the zero potential, and
+geometry._pressure_data fills a constant in over the nodes its label owns.
 
 The sweep policy. A sweep of ``barus_direct``'s Picard solve is one call,
 _solve_sweep(base, weights, start), the only place this policy runs: base
@@ -1099,12 +1102,19 @@ def mobility_tensors(
 
 def transform_bcs(bcs: BoundarySpec, fluid: FluidModel, xi: BodyForcePotential) -> BoundarySpec:
     """The same partition with each pressure datum p replaced by its
-    Hopf-Cole image hopf_cole_inverse(p, xi, fluid), a callable of (x, y);
-    velocity data is unchanged. A zero potential is not evaluated: p + 0.0
-    has the bits of p plus its array of zeros."""
+    Hopf-Cole image hopf_cole_inverse(p, xi, fluid); velocity data is
+    unchanged. At the zero potential a constant p maps to the float
+    hopf_cole_inverse(float(p), 0.0, fluid), mapped here, so an image that
+    leaves float64 raises TransformOverflow at once (a NaN maps to NaN and
+    raises NonFiniteData where the data are read); it has the bits of the
+    array image at every node. A callable, or any datum under another
+    potential, maps to a callable of (x, y). A zero potential is not
+    evaluated: p + 0.0 has the bits of p plus its array of zeros."""
 
     def mapped(data):
         if xi.is_zero:
+            if not callable(data):
+                return transform.hopf_cole_inverse(float(data), 0.0, fluid)
             return lambda x, y: transform.hopf_cole_inverse(eval_bc(data, x, y), 0.0, fluid)
         return lambda x, y: transform.hopf_cole_inverse(eval_bc(data, x, y), xi(x, y), fluid)
 

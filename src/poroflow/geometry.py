@@ -561,17 +561,25 @@ def _pressure_data(mesh: Mesh, bcs: BoundarySpec):
     """(nodes, values): the pressure data at each node of the pressure
     segments, each node once, with its owner's datum (_owned): the values
     the assembly eliminates and the theorem checks read. One block per
-    label in spec order, the nodes it owns ascending. Every node of every
-    label is read and checked, shared ones too. The nodes of one label are
-    the mesh's own read-only array."""
-    read = []  # every node of every label, in spec order
-    for label, data in bcs.pressure.items():
-        read.append(_finite(eval_bc(data, *mesh._segment(label).node_xy), label))
-    if len(read) == 1:  # one label owns all its nodes (_owned), in the order read
+    label in spec order, the nodes it owns ascending. A constant datum is
+    checked once and filled in over the nodes its label owns; a callable is
+    evaluated at every node of its label, shared ones too, and checked
+    there. The nodes of one label are the mesh's own read-only array."""
+    if len(bcs.pressure) == 1:  # one label owns all its nodes (_owned)
         (label,) = bcs.pressure
-        return mesh._segment(label).nodes, read[0]
+        owned = {label: mesh._segment(label).nodes}
+    else:
+        owned = _owned(mesh, bcs.pressure)
     nodes, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for data, (label, own) in zip(read, _owned(mesh, bcs.pressure).items()):
+    for (label, own), data in zip(owned.items(), bcs.pressure.values()):
+        if callable(data):
+            segment = mesh._segment(label)
+            read = _finite(eval_bc(data, *segment.node_xy), label)
+            data = read if own is segment.nodes else read[np.searchsorted(segment.nodes, own)]
+        else:
+            data = np.full(own.size, _finite(float(data), label))
         nodes.append(own)
-        values.append(data[np.searchsorted(mesh._segment(label).nodes, own)])
+        values.append(data)
+    if len(owned) == 1:
+        return nodes[1], values[1]
     return np.concatenate(nodes), np.concatenate(values)

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from poroflow import darcy_linear, transform
+from poroflow import darcy_linear, geometry, transform
 from poroflow.geometry import BoundarySpec, ScalarField, edge_keys, eval_bc, triangle_edges
 from poroflow.transform import BodyForcePotential
 
@@ -189,6 +189,36 @@ def dirichlet_values_per_node(mesh, bcs):
         for n, v in zip(nodes, np.atleast_1d(vals)):
             out[int(n)] = float(v)
     return np.array(list(out), dtype=np.int64), np.array(list(out.values()), dtype=float)
+
+
+def pressure_data_evaluated(mesh, bcs):
+    """geometry._pressure_data in its earlier formulation: every datum,
+    constant or callable, evaluated and checked at every node of its label,
+    then each label's block gathered at the nodes it owns."""
+    read = [geometry._finite(eval_bc(data, *mesh._segment(label).node_xy), label)
+            for label, data in bcs.pressure.items()]
+    if len(read) == 1:
+        return mesh._segment(next(iter(bcs.pressure))).nodes, read[0]
+    nodes, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for data, (label, own) in zip(read, geometry._owned(mesh, bcs.pressure).items()):
+        nodes.append(own)
+        values.append(data[np.searchsorted(mesh._segment(label).nodes, own)])
+    return np.concatenate(nodes), np.concatenate(values)
+
+
+def transform_bcs_lazily(bcs, fluid, xi):
+    """darcy_linear.transform_bcs in its earlier formulation: every pressure
+    datum, a constant too, mapped to a callable that maps its values where
+    it is read."""
+
+    def mapped(data):
+        if xi.is_zero:
+            return lambda x, y: transform.hopf_cole_inverse(eval_bc(data, x, y), 0.0, fluid)
+        return lambda x, y: transform.hopf_cole_inverse(eval_bc(data, x, y), xi(x, y), fluid)
+
+    return BoundarySpec(
+        pressure={label: mapped(d) for label, d in bcs.pressure.items()}, velocity=bcs.velocity
+    )
 
 
 def hopf_cole_inverse_by_hand(p, xi_value, fluid):

@@ -2283,6 +2283,19 @@ class TestOwnerRule:
             for later in order[i + 1:]:
                 assert np.intersect1d(own, mesh.nodes_with_label(later)).size == 0
 
+    def test_constant_data_read_as_the_evaluating_path(self, order):
+        # a constant is checked once and filled in over the nodes its label
+        # owns; alone and next to callables it gives the bits, nodes and
+        # values, of every datum evaluated at every node of its label
+        mesh, constants, _ = self.system(order)
+        mixed = dict(constants.pressure)
+        for label in order[1::2]:
+            mixed[label] = lambda x, y, c=mixed[label]: c + 0.1 * x - 0.2 * y
+        for bcs in (constants, dataclasses.replace(constants, pressure=mixed)):
+            got, want = geometry._pressure_data(mesh, bcs), _oracles.pressure_data_evaluated(mesh, bcs)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_owned_nodes_are_kept_with_the_mesh_read_only(self, order):
         mesh, bcs, _ = self.system(order)
         owned = geometry._owned(mesh, bcs.pressure)

@@ -13,6 +13,7 @@ from poroflow import (
     FluidModel,
     Mesh,
     NoConvergence,
+    NonFiniteData,
     PermeabilityField,
     ScalarField,
     SingularMobility,
@@ -441,7 +442,8 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("fluid", [TABLE1, UNIT], ids=["table1", "unit"])
     def test_transform_bcs_zero_potential(self, fluid):
-        # the zero potential is not evaluated: the bits of a potential of zeros
+        # the zero potential is not evaluated: the bits of a potential of
+        # zeros, read as data are read (a constant maps to a constant)
         mesh = make_rectangle_mesh(3.0, 1.3, 11, 7)
         scale = fluid.p0
         bcs = BoundarySpec(
@@ -451,8 +453,78 @@ class TestFastPaths:
         zero, zeros = (dl.transform_bcs(bcs, fluid, xi) for xi in (ZERO_XI, CALLABLE_ZERO_XI))
         x, y = mesh.nodes.T
         for label in bcs.pressure:
-            assert_bitwise(zero.pressure[label](x, y), zeros.pressure[label](x, y))
-            assert_bitwise(zero.pressure[label](x[0], y[0]), zeros.pressure[label](x[0], y[0]))
+            read, reads = zero.pressure[label], zeros.pressure[label]
+            assert_bitwise(geometry.eval_bc(read, x, y), geometry.eval_bc(reads, x, y))
+            assert_bitwise(geometry.eval_bc(read, x[0], y[0]), geometry.eval_bc(reads, x[0], y[0]))
+
+
+def reservoir_spec(p_inj, fluid):
+    return BoundarySpec(pressure={"inlet": p_inj, "well": fluid.p0}, velocity={"wall": 0.0})
+
+
+def injection_pressures(fluid, count=200):
+    """count log-uniform p in [1.6 p0, 4e9], the benchmark's sweep, capped
+    where the Hopf-Cole exponent reaches 700, and +0.0 and -0.0."""
+    hi = min(4e9, fluid.p0 * (1.0 + 700.0 / fluid.beta))
+    lo = 1.6 * fluid.p0
+    p = np.exp(np.random.default_rng(38).uniform(np.log(lo), np.log(hi), count))
+    return [float(v) for v in p] + [0.0, -0.0]
+
+
+class TestConstantImages:
+    """At the zero potential transform_bcs maps a constant pressure datum
+    to a float, once, with the bits of the earlier callable image
+    (_oracles.transform_bcs_lazily) at every node the data are read at."""
+
+    @pytest.mark.parametrize("fluid", [TABLE1, UNIT], ids=["table1", "unit"])
+    def test_constant_maps_to_a_float_with_the_bits_of_the_callable(self, fluid):
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        for p in injection_pressures(fluid):
+            bcs = reservoir_spec(p, fluid)
+            got = dl.transform_bcs(bcs, fluid, ZERO_XI)
+            want = _oracles.transform_bcs_lazily(bcs, fluid, ZERO_XI)
+            assert got.velocity == bcs.velocity
+            for label in bcs.pressure:
+                assert type(got.pressure[label]) is float
+                x, y = mesh._segment(label).node_xy
+                assert_bitwise(geometry.eval_bc(got.pressure[label], x, y), want.pressure[label](x, y))
+            for a, b in zip(geometry._pressure_data(mesh, got), geometry._pressure_data(mesh, want)):
+                assert_bitwise(a, b)
+
+    @pytest.mark.parametrize("fluid", [TABLE1, UNIT], ids=["table1", "unit"])
+    def test_image_out_of_range_raises_at_once(self, fluid):
+        # an exponent past EXP_ARG_LIMIT: p far below p0
+        p = fluid.p0 * (1.0 - 2.0 * tr.EXP_ARG_LIMIT / fluid.beta)
+        with pytest.raises(tr.TransformOverflow):
+            dl.transform_bcs(reservoir_spec(p, fluid), fluid, ZERO_XI)
+        # a callable is mapped where it is read, as before
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        lazy = dl.transform_bcs(reservoir_spec(lambda x, y: p + 0.0 * x, fluid), fluid, ZERO_XI)
+        with pytest.raises(tr.TransformOverflow):
+            geometry._pressure_data(mesh, lazy)
+
+    def test_nan_raises_naming_its_label_when_read(self):
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        bcs = dl.transform_bcs(reservoir_spec(np.nan, TABLE1), TABLE1, ZERO_XI)
+        assert np.isnan(bcs.pressure["inlet"])
+        K = PermeabilityField.isotropic(mesh, 1e-12)
+        mobility = dl.mobility_tensors(mesh, TABLE1, ZERO_XI, K)
+        for read in (lambda: geometry._pressure_data(mesh, bcs), lambda: dl.assemble(mesh, mobility, bcs)):
+            with pytest.raises(NonFiniteData, match="'inlet'"):
+                read()
+
+    @pytest.mark.parametrize("fluid", [TABLE1, UNIT], ids=["table1", "unit"])
+    def test_nonzero_potential_keeps_callables(self, fluid):
+        mesh = make_reservoir_mesh(100.0, 30.0, 0.2, 40, 12)
+        for xi in (BodyForcePotential(lambda x, y: 0.003 * fluid.p0 * y), CALLABLE_ZERO_XI):
+            for p in injection_pressures(fluid, 20):
+                bcs = reservoir_spec(p, fluid)
+                got = dl.transform_bcs(bcs, fluid, xi)
+                want = _oracles.transform_bcs_lazily(bcs, fluid, xi)
+                for label in bcs.pressure:
+                    assert callable(got.pressure[label])
+                    x, y = mesh._segment(label).node_xy
+                    assert_bitwise(got.pressure[label](x, y), want.pressure[label](x, y))
 
 
 class TestTensorChecks:

@@ -59,6 +59,14 @@ def test_output_digest_is_deterministic_and_covers_its_grid():
     fields = [n for n in names if n.startswith(case) and re.search(r"/solve\d+/field$", n)]
     fluxes = [n for n in names if n.startswith(case) and re.search(r"/solve\d+/boundary_flux$", n)]
     assert len(fields) > len(fluxes) >= 1
+    # each injection pressure digests what the benchmark's reservoir op
+    # reads of its Hopf-Cole data, reciprocity with the one before it
+    reads = ["boundary_flux", "min_principle", "min_principle/violation_nodes",
+             "max_principle", "max_principle/violation_nodes", "reciprocity"]
+    for k, case in enumerate(case for case in cases if case.startswith("reservoir/p_inj")):
+        prefix = f"{case}/hopf_cole/"
+        got = [name.removeprefix(prefix) for name in names if name.startswith(prefix)]
+        assert got == (reads if k else reads[:-1])
 
 
 def test_output_digest_against_its_own_tree_prints_nothing():

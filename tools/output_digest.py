@@ -29,27 +29,35 @@ The script imports poroflow from the src directory next to it. Its grid:
   node set) and Barus reciprocity between two of the cases.
 * Darcy reciprocity on the strip with wall data 0.0 and -0.0.
 * the 100 x 30 reservoir on a 400 x 120 mesh at the paper's Table-1 fluid:
-  the ceiling-flux calibration and five injection pressures.
+  the ceiling-flux calibration and five injection pressures, each with what
+  the benchmark's reservoir op reads of its Hopf-Cole data
+  (dl.transform_bcs at xi = 0): the boundary_flux of each label on their
+  assembly, the minimum and maximum principle checks of the transformed
+  field P against them, and Darcy reciprocity with the injection pressure
+  before.
 * shared corners, listed after the total of factorizations: the strip on a
   40 x 12 mesh, diagonal and crossed, with "right" and "top" both pressure
   labels whose callable data differ at the corner they share, inflow on
   "left" (xi = 0): a transformed and a Picard solve, Barus reciprocity
   between two of those, and Darcy reciprocity between two linear solves.
 
-Outputs: transformed U, P, p, v, reactions and residual; Picard p, v,
-reactions, update history, sweep and CG counts; for every other linear
-solve (Picard's sweeps and the reciprocity solves), numbered in case order,
-its field, CG count and backward error, and for a solve of an assembled
-system (dl.solve: a reciprocity solve, or a sweep whose weights are all 1)
-the boundary_flux of each label of the system too; a sweep with other
-weights (dl._solve_sweep) has no system, so no boundary_flux line; the
-number of factorizations, per case and in total; and, as plain text, the
-kind of each factorization of a case in turn ("_BandFactor" for banded
-Cholesky, "SuperLU"), so a listing shows which solver each mesh got. The
-transformed path's own linear solve is digested only as its transformed/
-outputs, whether it superposed held responses or called dl.solve, so the
-solves numbered in a case are the same in two checkouts that differ in that
-choice. It runs in a few seconds on one core and prints about 3,300 lines.
+Outputs: transformed U, P, p, v, reactions and residual; on the
+reservoir the Hopf-Cole reads above (each principle check's satisfied,
+bound, worst_interior and tolerance_used as one array, and its violation
+nodes); Picard p, v, reactions, update history, sweep and CG counts; for
+every other linear solve (Picard's sweeps and the reciprocity solves),
+numbered in case order, its field, CG count and backward error, and for
+a solve of an assembled system (dl.solve: a reciprocity solve, or a
+sweep whose weights are all 1) the boundary_flux of each label of the
+system too; a sweep with other weights (dl._solve_sweep) has no system,
+so no boundary_flux line; the number of factorizations, per case and in
+total; and, as plain text, the kind of each factorization of a case in
+turn ("_BandFactor" for banded Cholesky, "SuperLU"), so a listing shows
+which solver each mesh got. The transformed path's own linear solve is
+digested only as its transformed/ outputs, whether it superposed held
+responses or called dl.solve, so the solves numbered in a case are the
+same in two checkouts that differ in that choice. It runs in a few
+seconds on one core and prints about 3,300 lines.
 """
 
 from __future__ import annotations
@@ -256,6 +264,28 @@ def strip_grid(rec):
         rec.end()
 
 
+def hopf_cole_reads(rec, mesh, K, report, bcs, previous):
+    """What a reservoir op of the benchmark reads of the Hopf-Cole data of
+    bcs: the boundary_flux of each label on their assembly, both principle
+    checks of report.P, and Darcy reciprocity with previous, the
+    (FluxSolution, Hopf-Cole spec) of the injection pressure before, if
+    any. Returns this one's."""
+    zero = BodyForcePotential.zero()
+    tbcs = dl.transform_bcs(bcs, TABLE1, zero)
+    system = dl.assemble(mesh, dl.mobility_tensors(mesh, TABLE1, zero, K), tbcs)
+    fluxes = [dl.boundary_flux(report.P, system, label) for label in mesh.labels]
+    rec.emit("hopf_cole/boundary_flux", np.array(fluxes))
+    for name, check in (("min", vf.check_min_principle), ("max", vf.check_max_principle)):
+        r = check(report.P, tbcs)
+        rec.emit(f"hopf_cole/{name}_principle", [r.satisfied, r.bound, r.worst_interior, r.tolerance_used])
+        rec.emit(f"hopf_cole/{name}_principle/violation_nodes", r.violation_nodes)
+    solution = vf.FluxSolution(report.P, report.reactions)
+    if previous is not None:
+        residual = vf.reciprocity_residual_darcy(solution, previous[0], tbcs, previous[1], mesh)
+        rec.emit("hopf_cole/reciprocity", residual)
+    return solution, tbcs
+
+
 def reservoir_grid(rec):
     mesh = geometry.make_reservoir_mesh(100.0, 30.0, 0.2, 400, 120)
     K = PermeabilityField.isotropic(mesh, 1e-12)
@@ -263,10 +293,12 @@ def reservoir_grid(rec):
     model = rec.transformed_bvp(vf.calibrate_ceiling_flux, mesh, TABLE1, K, 10.0 * TABLE1.p0)
     rec.emit("C", model.C)
     rec.end()
+    previous = None
     for p_inj in P_INJ:
         rec.start(f"reservoir/p_inj{p_inj!r}")
         bcs = BoundarySpec(pressure={"inlet": p_inj, "well": TABLE1.p0}, velocity={"wall": 0.0})
-        transformed(rec, mesh, TABLE1, BodyForcePotential.zero(), K, bcs)
+        report = transformed(rec, mesh, TABLE1, BodyForcePotential.zero(), K, bcs)
+        previous = hopf_cole_reads(rec, mesh, K, report, bcs, previous)
         rec.end()
 
 
